@@ -14,6 +14,7 @@ from .engine import (
     run_evolution,
     tournament_select,
 )
+from .errors import InvariantError
 from .expr_pool import BufferPool, PoolExhaustedError
 from .metrics import GenerationStats, emit_csv
 from .naive import NaiveEngine, run_evolution_naive
@@ -25,6 +26,7 @@ __all__ = [
     "EvolutionResult",
     "GenerationStats",
     "Individual",
+    "InvariantError",
     "NaiveEngine",
     "PROBLEMS",
     "PoolExhaustedError",

@@ -20,6 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import InvariantError
+
 NIL = -1  # empty marker for chain links and children entries
 
 
@@ -147,7 +149,8 @@ class BreedingPlan:
             if arr[i] != NIL:
                 last = arr[i]
                 nchild += 1
-        assert removed == 1, f"child {s} not in children array of parent {parent}"
+        if removed != 1:
+            raise InvariantError(f"child {s} not in children array of parent {parent}")
         if nchild != 1:
             last = NIL
         return nchild, last
@@ -239,8 +242,3 @@ class BreedingPlan:
             out.append(i)
             i = self.forw[i]
         return out
-
-    def drop_children_arrays(self) -> None:
-        """Master-phase teardown after all workers have finished."""
-        for p in range(self.popsize):
-            self.children[p] = None

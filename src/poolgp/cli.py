@@ -87,10 +87,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.engine == "naive":
             result = run_evolution_naive(config)
-            bound = 2 * config.popsize
         else:
             result = run_evolution(config)
-            bound = config.popsize + 2 * max(1, config.nthreads)
     except PoolExhaustedError as exc:
         print(f"poolgp: fatal: {exc}", file=sys.stderr)
         return 1
@@ -107,7 +105,6 @@ def main(argv: list[str] | None = None) -> int:
             status = 1
 
     if not args.quiet:
-        peak = max(row.pool_max_used for row in result.stats)
         nworkers = max(1, config.nthreads) if args.engine == "pooled" else 1
         breeding = result.stats[1:]
         mean_idle = (
@@ -117,7 +114,8 @@ def main(argv: list[str] | None = None) -> int:
         print(
             f"engine={args.engine} popsize={config.popsize} threads={threads} "
             f"generations={config.generations} seed={config.seed} "
-            f"capacity={result.capacity} peak_buffers={peak} bound={bound} "
+            f"capacity={result.capacity} peak_buffers={result.peak_buffers} "
+            f"bound={result.capacity} "
             f"effective_cores={cores:.2f} best_fitness={min(result.fitnesses)!r}"
         )
     return status

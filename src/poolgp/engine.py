@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 from . import metrics
 from .breeding_plan import BreedingPlan, SelectionOutcome
+from .errors import InvariantError
 from .expr_pool import NO_SLOT, BufferPool
 from .genome import random_tree, subtree_crossover
 from .problems import Problem, get_problem
@@ -84,12 +85,27 @@ class EvolutionResult:
 
 
 def tournament_select(rng, fitnesses, k: int) -> int:
-    """Best of k uniform draws (with replacement); ties go to the lowest index."""
-    best = rng.randrange(len(fitnesses))
+    """Best of k uniform draws (with replacement); ties go to the lowest index.
+
+    Each draw is `rng.randrange(len(fitnesses))` spelled out: CPython's
+    randrange takes getrandbits(n.bit_length()) and rejects values >= n, so
+    the stream and the picks are the same, without randrange's call layers.
+    """
+    n = len(fitnesses)
+    bits = n.bit_length()
+    getrandbits = rng.getrandbits
+    best = getrandbits(bits)
+    while best >= n:
+        best = getrandbits(bits)
+    best_fit = fitnesses[best]
     for _ in range(k - 1):
-        i = rng.randrange(len(fitnesses))
-        if fitnesses[i] < fitnesses[best] or (fitnesses[i] == fitnesses[best] and i < best):
+        i = getrandbits(bits)
+        while i >= n:
+            i = getrandbits(bits)
+        fit = fitnesses[i]
+        if fit < best_fit or (fit == best_fit and i < best):
             best = i
+            best_fit = fit
     return best
 
 
@@ -223,8 +239,8 @@ class PooledEngine:
             if errors:
                 raise errors[0]
 
-        assert self.pool.used == cfg.popsize, "old population not fully released"
-        plan.drop_children_arrays()
+        if self.pool.used != cfg.popsize:
+            raise InvariantError("old population not fully released")
         self.pop = new_pop
         self._record(g, sum(ops), time.perf_counter() - t0, busy)
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import InvariantError
+
 # function opcodes, all arity 2
 ADD = 0
 SUB = 1
@@ -105,30 +107,41 @@ def evaluate(code, length: int, x: np.ndarray) -> np.ndarray:
     """Interpret a genome over a vector of input points.
 
     Right-to-left scan with a value stack: terminals push, functions combine
-    the top two entries. Returns the prediction per input point; the result
-    may alias `x` for the bare-variable tree, so treat it as read-only.
+    the top two entries. Constants stay Python floats until combined with
+    `x`, so constant-only subtrees cost scalar arithmetic; every array
+    operation keeps its operand order, so the bits are those of the
+    all-array evaluation. Returns the prediction per input point as a fresh
+    float64 array of `x`'s shape, or `x` itself for the bare-variable tree,
+    so treat it as read-only.
     """
-    stack: list[np.ndarray] = []
+    if not 0 <= length <= len(code):
+        raise InvariantError(f"length {length} outside a buffer of {len(code)} cells")
+    stack: list[np.ndarray | float] = []
     push = stack.append
+    pop = stack.pop
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for i in range(length - 1, -1, -1):
-            op = code[i]
+        for op in reversed(code[:length]):
             if op == VAR_X:
                 push(x)
             elif op >= CONST_BASE:
-                push(np.full_like(x, CONSTANTS[op - CONST_BASE]))
+                push(CONSTANTS[op - CONST_BASE])
             else:
-                a = stack.pop()
-                b = stack.pop()
+                a = pop()
+                b = pop()
                 if op == ADD:
                     push(a + b)
                 elif op == SUB:
                     push(a - b)
                 elif op == MUL:
                     push(a * b)
+                elif b.__class__ is float:
+                    # same test as the array mask: 0.0 and -0.0 give 1, nan divides
+                    push(a / b if b != 0 else 1.0)
                 else:
-                    out = np.ones_like(a)
+                    out = np.ones_like(b)
                     np.divide(a, b, out=out, where=b != 0)
                     push(out)
-    assert len(stack) == 1, "incomplete prefix encoding"
-    return stack[0]
+    if len(stack) != 1:
+        raise InvariantError("incomplete prefix encoding")
+    root = stack[0]
+    return np.full_like(x, root) if root.__class__ is float else root

@@ -21,8 +21,6 @@ class Problem:
     name: str
     inputs: np.ndarray
     targets: np.ndarray
-    functions: tuple[int, ...] = genome.FUNCTIONS
-    terminals: tuple[int, ...] = genome.TERMINALS
 
     @property
     def num_cases(self) -> int:
@@ -30,7 +28,7 @@ class Problem:
 
     def fitness(self, code, length: int) -> float:
         pred = genome.evaluate(code, length, self.inputs)
-        err = float(np.sum(np.abs(pred - self.targets)))
+        err = float(np.abs(pred - self.targets).sum())
         return err if math.isfinite(err) else math.inf
 
     def opcodes_per_eval(self, length: int) -> int:

@@ -1,6 +1,7 @@
 """Engine-level tests: selection, breeding traces, determinism, memory envelope."""
 
 import math
+import random
 
 import pytest
 
@@ -16,14 +17,14 @@ from poolgp.engine import (
 
 
 class ScriptedRng:
-    """Replays a fixed sequence of randrange results."""
+    """Replays a fixed sequence of getrandbits results."""
 
     def __init__(self, draws):
         self.draws = list(draws)
 
-    def randrange(self, n):
+    def getrandbits(self, k):
         value = self.draws.pop(0)
-        assert 0 <= value < n
+        assert 0 <= value < 2 ** k
         return value
 
 
@@ -46,6 +47,28 @@ def test_tournament_k1_is_the_single_draw():
 def test_tournament_ties_break_to_lowest_index():
     rng = ScriptedRng([5, 3, 4])
     assert tournament_select(rng, [7.0] * 6, 3) == 3
+
+
+def reference_tournament(rng, fitnesses, k):
+    """Best of k by randrange, the definition tournament_select must match."""
+    best = rng.randrange(len(fitnesses))
+    for _ in range(k - 1):
+        i = rng.randrange(len(fitnesses))
+        if fitnesses[i] < fitnesses[best] or (fitnesses[i] == fitnesses[best] and i < best):
+            best = i
+    return best
+
+
+def test_tournament_matches_randrange_reference_and_leaves_same_state():
+    # sizes at, just below and just above powers of two exercise the rejection loop
+    for n in (1, 2, 3, 4, 5, 7, 8, 9, 1000, 1024, 1025):
+        fitnesses = [float(v % 7) for v in range(n)]
+        for k in (1, 2, 7):
+            ours, ref = random.Random(n * 31 + k), random.Random(n * 31 + k)
+            picks = [tournament_select(ours, fitnesses, k) for _ in range(50)]
+            want = [reference_tournament(ref, fitnesses, k) for _ in range(50)]
+            assert picks == want
+            assert ours.getstate() == ref.getstate()
 
 
 def test_child_stream_depends_on_all_parts_of_identity():

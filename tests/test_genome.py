@@ -2,11 +2,15 @@
 
 import math
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from poolgp import genome
+from poolgp.errors import InvariantError
 from poolgp.genome import (
     ADD,
     CONST_BASE,
@@ -169,3 +173,75 @@ def test_evaluate_matches_reference_on_random_trees():
                 assert math.isnan(got[j])
             else:
                 assert got[j] == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+def test_evaluate_is_bit_exact_against_reference():
+    # zeros of both signs in x make DIV-by-x hit the protected branch
+    rng = random.Random(23)
+    xs = np.array([-1.0, -0.5, -0.0, 0.0, 0.25, 0.5, 1.0, 3.0])
+    for _ in range(300):
+        buf = bytearray(127)
+        n = random_tree(rng, rng.randrange(1, 8), buf)
+        got = genome.evaluate(buf, n, xs)
+        assert got.dtype == np.float64 and got.shape == xs.shape
+        for j, x in enumerate(xs):
+            want, _ = ref_eval(buf, 0, float(x))
+            if math.isnan(want):
+                assert math.isnan(got[j])
+            else:
+                assert float(got[j]).hex() == float(want).hex()
+
+
+def test_evaluate_constant_only_subtrees():
+    x = np.linspace(-1.0, 1.0, 5)
+    ones = np.ones_like(x)
+    # DIV X (SUB 1 1): a constant zero denominator protects every point
+    got = genome.evaluate(bytes([DIV, VAR_X, SUB, C[1.0], C[1.0]]), 5, x)
+    assert np.array_equal(got, ones)
+    got = genome.evaluate(bytes([DIV, C[1.0], C[0.0]]), 3, x)
+    assert np.array_equal(got, ones)
+    # MUL -1 0 is -0.0, which protects like 0.0
+    got = genome.evaluate(bytes([DIV, VAR_X, MUL, C[-1.0], C[0.0]]), 5, x)
+    assert np.array_equal(got, ones)
+    # constant subtree combined with x keeps its operand order
+    got = genome.evaluate(bytes([SUB, DIV, C[1.0], C[0.5], VAR_X]), 5, x)
+    assert got.tobytes() == (np.full_like(x, 2.0) - x).tobytes()
+    got = genome.evaluate(bytes([DIV, VAR_X, ADD, C[0.5], C[0.5]]), 5, x)
+    assert got.tobytes() == (x / 1.0).tobytes()
+
+
+def test_evaluate_constant_root_is_array_shaped_like_x():
+    for x in (np.linspace(-1.0, 1.0, 5), np.arange(6.0).reshape(2, 3)):
+        for code, value in ((bytes([C[0.5]]), 0.5),
+                            (bytes([ADD, C[1.0], C[1.0]]), 2.0),
+                            (bytes([DIV, C[-0.5], C[0.0]]), 1.0)):
+            got = genome.evaluate(code, len(code), x)
+            assert isinstance(got, np.ndarray) and got is not x
+            assert got.dtype == np.float64 and got.shape == x.shape
+            assert np.array_equal(got, np.full(x.shape, value))
+
+
+def test_evaluate_rejects_length_outside_buffer():
+    x = np.zeros(3)
+    for length in (-1, 4):
+        with pytest.raises(InvariantError):
+            genome.evaluate(bytes([ADD, VAR_X, VAR_X]), length, x)
+
+
+def test_incomplete_encoding_raises_under_python_optimize():
+    src = Path(genome.__file__).resolve().parents[1]
+    script = (
+        "import sys, numpy as np\n"
+        "from poolgp import genome\n"
+        "from poolgp.errors import InvariantError\n"
+        "if not sys.flags.optimize:\n"
+        "    sys.exit(2)\n"
+        "try:\n"
+        "    genome.evaluate(bytes([genome.VAR_X, genome.VAR_X]), 2, np.zeros(3))\n"
+        "except InvariantError:\n"
+        "    sys.exit(0)\n"
+        "sys.exit(3)\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", script], cwd=src,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
