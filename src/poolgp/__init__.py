@@ -1,8 +1,8 @@
 """Memory-bounded generational genetic programming.
 
 A generational GP engine whose breeding phase never holds more than
-popsize + 2 * max(1, nthreads) genome buffers at once, plus a naive
-two-population reference engine used as its correctness oracle.
+popsize + 2 * min(max(1, nthreads), popsize) genome buffers at once, plus a
+naive two-population reference engine used as its correctness oracle.
 """
 
 from .breeding_plan import BreedingPlan, SelectionOutcome
@@ -12,7 +12,6 @@ from .engine import (
     PooledEngine,
     RunConfig,
     run_evolution,
-    tournament_select,
 )
 from .errors import InvariantError
 from .expr_pool import BufferPool, PoolExhaustedError
@@ -38,5 +37,4 @@ __all__ = [
     "get_problem",
     "run_evolution",
     "run_evolution_naive",
-    "tournament_select",
 ]

@@ -7,7 +7,7 @@ import sys
 
 from . import metrics
 from .engine import RunConfig, run_evolution
-from .expr_pool import PoolExhaustedError
+from .expr_pool import PoolExhaustedError, worker_count
 from .naive import run_evolution_naive
 from .problems import PROBLEMS
 
@@ -105,7 +105,7 @@ def main(argv: list[str] | None = None) -> int:
             status = 1
 
     if not args.quiet:
-        nworkers = max(1, config.nthreads) if args.engine == "pooled" else 1
+        nworkers = worker_count(config.popsize, config.nthreads) if args.engine == "pooled" else 1
         breeding = result.stats[1:]
         mean_idle = (
             sum(row.idle_fraction for row in breeding) / len(breeding) if breeding else 0.0

@@ -1,33 +1,40 @@
 """Generational GP engine with a bounded genome-buffer footprint.
 
 One generation works in two phases. The master draws every child's parents
-by tournament, classifies the children (class 1: some parent has exactly one
-outstanding child; class 2+: both parents have more), releases the buffers
-of childless parents, and pre-allocates all per-parent bookkeeping. Worker
-threads then claim children in class-priority order, breed each by subtree
-crossover into a pool buffer, strike the child off both parents (releasing a
-parent's buffer the moment its last child exists), and evaluate fitness.
+by tournament and every child's crossover points, classifies the children
+(class 1: some parent has exactly one outstanding child; class 2+: both
+parents have more), releases the buffers of childless parents, and
+pre-allocates all per-parent bookkeeping. Worker threads then claim children
+in class-priority order, breed each by subtree crossover into a pool buffer,
+strike the child off both parents (releasing a parent's buffer the moment
+its last child exists), and evaluate fitness.
 
 Everything shared (pool, plan, per-individual counters) is mutated only
-inside one lock; crossover and fitness evaluation run outside it. Each
-child's crossover draws from its own stream seeded by (run seed, generation,
-child index), so results are identical for any thread count, including the
-serial two-population reference engine.
+inside one lock; crossover and fitness evaluation run outside it. All
+randomness comes from one master stream seeded by the run seed: it grows
+generation 0, then draws each generation's tournaments and crossover points
+in bulk before breeding starts. Each child reads only its own block of
+crossover points, so results are identical for any thread count, including
+the serial two-population reference engine.
 """
 
 from __future__ import annotations
 
 import math
 import random
+import sys
 import threading
 import time
+from array import array
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import metrics
 from .breeding_plan import BreedingPlan, SelectionOutcome
 from .errors import InvariantError
 from .expr_pool import NO_SLOT, BufferPool
-from .genome import random_tree, subtree_crossover
+from .genome import CROSSOVER_ATTEMPTS, random_tree, subtree_crossover
 from .problems import Problem, get_problem
 
 
@@ -84,48 +91,72 @@ class EvolutionResult:
     peak_buffers: int  # most live at once across the run
 
 
-def tournament_select(rng, fitnesses, k: int) -> int:
-    """Best of k uniform draws (with replacement); ties go to the lowest index.
+TOURNAMENT_BLOCK = 16384  # most tournament entrants drawn and ranked at once
+POINTS_PER_CHILD = 2 * CROSSOVER_ATTEMPTS  # a mum and a dad point per attempt
 
-    Each draw is `rng.randrange(len(fitnesses))` spelled out: CPython's
-    randrange takes getrandbits(n.bit_length()) and rejects values >= n, so
-    the stream and the picks are the same, without randrange's call layers.
+
+def draw_outcome(rng, fitnesses, k: int) -> tuple[SelectionOutcome, array]:
+    """Draw a generation's parents and crossover points from the master stream.
+
+    Runs 2M best-of-k tournaments, mum then dad for each child in child
+    order, in blocks of at most TOURNAMENT_BLOCK entrants (at least one
+    tournament). Each block is one `rng.randbytes` call read as
+    little-endian uint32; entrant u is member (u * M) >> 32, the lowest
+    fitness wins and ties go to the lowest index. Blocking keeps the numpy
+    temporaries small for any M. A NaN fitness ranks as +inf.
+
+    Then draws every child's crossover points (see `child_stream`).
     """
-    n = len(fitnesses)
-    bits = n.bit_length()
-    getrandbits = rng.getrandbits
-    best = getrandbits(bits)
-    while best >= n:
-        best = getrandbits(bits)
-    best_fit = fitnesses[best]
-    for _ in range(k - 1):
-        i = getrandbits(bits)
-        while i >= n:
-            i = getrandbits(bits)
-        fit = fitnesses[i]
-        if fit < best_fit or (fit == best_fit and i < best):
-            best = i
-            best_fit = fit
-    return best
+    m = len(fitnesses)
+    fit = np.array(fitnesses, dtype=np.float64)
+    fit[np.isnan(fit)] = np.inf  # NaN would match no row minimum
+    rows = 2 * m
+    block_rows = max(1, TOURNAMENT_BLOCK // k)
+    winners = np.empty(rows, dtype=np.uint64)
+    for start in range(0, rows, block_rows):
+        n = min(block_rows, rows - start)
+        u = np.frombuffer(rng.randbytes(4 * n * k), dtype="<u4").reshape(n, k)
+        entrants = (u.astype(np.uint64) * m) >> 32
+        entrant_fit = fit[entrants]
+        ties = entrant_fit == entrant_fit.min(axis=1, keepdims=True)
+        winners[start:start + n] = np.where(ties, entrants, m).min(axis=1)
+    picks = winners.tolist()
+    return SelectionOutcome(picks[0::2], picks[1::2]), draw_points(rng, m)
 
 
-def draw_outcome(rng, fitnesses, k: int) -> SelectionOutcome:
-    """Pick mum then dad for each child in child order, 2M draws total."""
-    mums = []
-    dads = []
-    for _ in range(len(fitnesses)):
-        mums.append(tournament_select(rng, fitnesses, k))
-        dads.append(tournament_select(rng, fitnesses, k))
-    return SelectionOutcome(mums, dads)
+def draw_points(rng, popsize: int) -> array:
+    """POINTS_PER_CHILD uint32 crossover draws per child, in child order."""
+    points = array("I", rng.randbytes(4 * POINTS_PER_CHILD * popsize))
+    if sys.byteorder == "big":
+        points.byteswap()
+    return points
 
 
-def child_stream(seed: int, generation: int, child: int) -> random.Random:
-    """Private random stream for one child's crossover.
+class PointCursor:
+    """Reads one child's crossover draws in order, as `randrange` results."""
 
-    Seeded by value, not by draw order, so the genome a child gets does not
-    depend on which worker breeds it or when.
+    __slots__ = ("cells", "next")
+
+    def __init__(self, cells: array):
+        self.cells = cells
+        self.next = 0
+
+    def randrange(self, n: int) -> int:
+        """The next draw u scaled into [0, n) as (u * n) >> 32 (bias below n / 2**32)."""
+        u = self.cells[self.next]
+        self.next += 1
+        return (u * n) >> 32
+
+
+def child_stream(draws: array, child: int) -> PointCursor:
+    """The random stream one child's crossover reads.
+
+    It covers only this child's own POINTS_PER_CHILD draws, so the genome a
+    child gets does not depend on which worker breeds it or when, and
+    reading past them raises IndexError.
     """
-    return random.Random(f"{seed}:{generation}:{child}")
+    start = POINTS_PER_CHILD * child
+    return PointCursor(draws[start:start + POINTS_PER_CHILD])
 
 
 def initial_depth(index: int, max_depth: int) -> int:
@@ -194,10 +225,10 @@ class PooledEngine:
     def run_generation(self, g: int) -> None:
         """Replace the whole population with its children (generation g)."""
         fitnesses = [ind.fitness for ind in self.pop]
-        outcome = draw_outcome(self.master_rng, fitnesses, self.config.tournament_size)
-        self._breed(outcome, g)
+        outcome, draws = draw_outcome(self.master_rng, fitnesses, self.config.tournament_size)
+        self._breed(outcome, draws, g)
 
-    def _breed(self, outcome: SelectionOutcome, g: int) -> None:
+    def _breed(self, outcome: SelectionOutcome, draws: array, g: int) -> None:
         t0 = time.perf_counter()
         cfg = self.config
         num_children = outcome.edge_counts()
@@ -214,17 +245,17 @@ class PooledEngine:
             if num_children[s] == 0:
                 self.pool.release(ind)
 
-        nworkers = max(1, cfg.nthreads)
+        nworkers = self.pool.workers
         busy = [0.0] * nworkers
         ops = [0] * nworkers
         if cfg.nthreads == 0:
-            self._worker_loop(0, g, plan, new_pop, busy, ops)
+            self._worker_loop(0, draws, plan, new_pop, busy, ops)
         else:
             errors: list[BaseException] = []
 
             def run_worker(w: int) -> None:
                 try:
-                    self._worker_loop(w, g, plan, new_pop, busy, ops)
+                    self._worker_loop(w, draws, plan, new_pop, busy, ops)
                 except BaseException as exc:  # propagate fatal errors to master
                     errors.append(exc)
 
@@ -262,7 +293,7 @@ class PooledEngine:
 
     # -- worker phase -----------------------------------------------------
 
-    def _worker_loop(self, w: int, g: int, plan: BreedingPlan,
+    def _worker_loop(self, w: int, draws: array, plan: BreedingPlan,
                      new_pop: list[Individual], busy: list[float], ops: list[int]) -> None:
         t0 = time.perf_counter()
         cfg = self.config
@@ -283,7 +314,7 @@ class PooledEngine:
                 dad_buf, dad_len = pool.buffer(dad.slot_id), dad.tree_len
                 child_buf = pool.buffer(child.slot_id)
 
-            rng = child_stream(cfg.seed, g, s)
+            rng = child_stream(draws, s)
             child.tree_len = subtree_crossover(
                 mum_buf, mum_len, dad_buf, dad_len, child_buf, cfg.buffer_bytes, rng
             )

@@ -1,10 +1,12 @@
 """Fixed-capacity pool of reusable genome buffers.
 
 The pool owns every tree buffer an engine run will ever touch. Capacity is
-popsize + 2 * max(1, nthreads): one buffer per population member plus up to
-two parents held by each in-flight crossover. Free slots are kept on a
-singly linked index chain so acquire/release are O(1) and buffer storage,
-once allocated, is reused for the rest of the run.
+popsize + 2 * workers, with workers = min(max(1, nthreads), popsize): one
+buffer per population member plus up to two parents held by each in-flight
+crossover. Threads beyond popsize would have no child to breed, so they are
+never started and get no headroom. Free slots are kept on a singly linked
+index chain so acquire/release are O(1) and buffer storage, once allocated,
+is reused for the rest of the run.
 
 Slot index 0 is reserved as the "no buffer" sentinel; real slots are
 1..capacity. The pool is not thread-safe on its own: callers mutate it only
@@ -12,6 +14,8 @@ inside the engine's single lock.
 """
 
 from __future__ import annotations
+
+from .errors import InvariantError
 
 NO_SLOT = 0  # sentinel slot id meaning "holds no buffer"
 
@@ -25,6 +29,11 @@ class PoolExhaustedError(RuntimeError):
     """
 
 
+def worker_count(popsize: int, nthreads: int) -> int:
+    """Breeders a run uses: one when inline (nthreads 0), never more than children."""
+    return min(max(1, nthreads), popsize)
+
+
 class BufferPool:
     """Lazily allocated genome buffers linked through a free chain."""
 
@@ -35,7 +44,8 @@ class BufferPool:
             raise ValueError(f"buffer_bytes must be >= 1, got {buffer_bytes}")
         if nthreads < 0:
             raise ValueError(f"nthreads must be >= 0, got {nthreads}")
-        self.capacity = popsize + 2 * max(1, nthreads)
+        self.workers = worker_count(popsize, nthreads)
+        self.capacity = popsize + 2 * self.workers
         self.buffer_bytes = buffer_bytes
         # index 0 unused in both arrays so slot ids start at 1
         self.slots: list[bytearray | None] = [None] * (self.capacity + 1)
@@ -65,7 +75,8 @@ class BufferPool:
             self.allocated += 1
         who.slot_id = head
         self.chainhead = self.chain[head]
-        assert self.chainhead == 0 or 1 <= self.chainhead <= self.capacity
+        if not 0 <= self.chainhead <= self.capacity:
+            raise InvariantError(f"corrupt free chain: head {self.chainhead} after slot {head}")
         self.used += 1
         if self.used > self.max_used:
             self.max_used = self.used
@@ -76,18 +87,22 @@ class BufferPool:
         slot = who.slot_id
         if slot == NO_SLOT:
             return  # already freed
-        assert 1 <= slot <= self.capacity
-        assert self.slots[slot] is not None
+        if not 1 <= slot <= self.capacity:
+            raise InvariantError(f"release of slot {slot} outside 1..{self.capacity}")
+        if self.slots[slot] is None:
+            raise InvariantError(f"release of slot {slot}, which was never allocated")
+        if self.used <= 0:
+            raise InvariantError(f"release of slot {slot} with no slot in use")
         self.chain[slot] = self.chainhead
         self.chainhead = slot
         self.used -= 1
-        assert self.used >= 0
         who.slot_id = NO_SLOT
 
     def buffer(self, slot: int) -> bytearray:
         """Backing storage of an allocated slot."""
         buf = self.slots[slot]
-        assert buf is not None, f"slot {slot} has no storage"
+        if buf is None:
+            raise InvariantError(f"slot {slot} has no storage")
         return buf
 
     def usage_stats(self) -> tuple[int, int, int]:
@@ -101,7 +116,7 @@ class BufferPool:
         i = self.chainhead
         while i != 0:
             if i in seen or not 1 <= i <= self.capacity:
-                raise AssertionError(f"corrupt free chain at slot {i}")
+                raise InvariantError(f"corrupt free chain at slot {i}")
             seen.add(i)
             out.append(i)
             i = self.chain[i]

@@ -2,14 +2,16 @@
 
 Keeps the whole parent generation and the whole child generation alive at
 once (2M buffers during breeding), creating children in plain ascending
-order. Selection, per-child random streams, crossover and fitness are the
-same code the pooled engine uses, so for a given seed and config the two
-engines must produce identical populations; this engine exists to be the
-easy-to-trust side of that comparison.
+order. The master stream, the bulk draw of parents and crossover points,
+the per-child point cursors, crossover and fitness are the same code the
+pooled engine uses, so for a given seed and config the two engines must
+produce identical populations; this engine exists to be the easy-to-trust
+side of that comparison.
 """
 
 from __future__ import annotations
 
+import random
 import time
 
 from . import metrics
@@ -22,8 +24,6 @@ from .engine import (
 )
 from .genome import subtree_crossover
 from .problems import Problem, get_problem
-
-import random
 
 
 class NaiveEngine:
@@ -71,7 +71,7 @@ class NaiveEngine:
     def _run_generation(self, g: int) -> None:
         t0 = time.perf_counter()
         cfg = self.config
-        outcome = draw_outcome(self.master_rng, self.fitnesses, cfg.tournament_size)
+        outcome, draws = draw_outcome(self.master_rng, self.fitnesses, cfg.tournament_size)
         new_genomes = [bytearray(cfg.buffer_bytes) for _ in range(cfg.popsize)]
         new_lens = [0] * cfg.popsize
         new_fitnesses = [0.0] * cfg.popsize
@@ -81,7 +81,7 @@ class NaiveEngine:
         for s in range(cfg.popsize):
             mum = outcome.mum_ids[s]
             dad = outcome.dad_ids[s]
-            rng = child_stream(cfg.seed, g, s)
+            rng = child_stream(draws, s)
             new_lens[s] = subtree_crossover(
                 self.genomes[mum], self.lens[mum],
                 self.genomes[dad], self.lens[dad],

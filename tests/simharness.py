@@ -17,7 +17,7 @@ import dataclasses
 import random
 
 from poolgp.breeding_plan import NIL, BreedingPlan, SelectionOutcome
-from poolgp.engine import Individual, child_stream
+from poolgp.engine import Individual, child_stream, draw_points
 from poolgp.expr_pool import NO_SLOT, BufferPool
 from poolgp.genome import random_tree, subtree_crossover, tree_is_complete
 
@@ -41,8 +41,6 @@ class WorkerModel:
 class BreedingSim:
     def __init__(self, pairs, nworkers, seed=0, buffer_bytes=31, init_depth=3):
         popsize = len(pairs)
-        self.seed = seed
-        self.gen = 1
         self.buffer_bytes = buffer_bytes
         self.pool = BufferPool(popsize, nworkers, buffer_bytes)
         self.pop = []
@@ -52,6 +50,9 @@ class BreedingSim:
             self.pool.acquire(ind)
             ind.tree_len = random_tree(rng, init_depth, self.pool.buffer(ind.slot_id))
             self.pop.append(ind)
+        # the scripted parentage stands in for the tournaments; the crossover
+        # points come from the same master stream, as in the engines
+        self.draws = draw_points(rng, popsize)
         outcome = SelectionOutcome([m for m, _ in pairs], [d for _, d in pairs])
         num_children = outcome.edge_counts()
         for s, ind in enumerate(self.pop):
@@ -80,10 +81,10 @@ class BreedingSim:
     def clone(self):
         """Fast independent copy; workers only hold indices, never object refs."""
         new = object.__new__(type(self))
-        new.seed = self.seed
-        new.gen = self.gen
+        new.draws = self.draws  # read-only once drawn
         new.buffer_bytes = self.buffer_bytes
         pool = object.__new__(BufferPool)
+        pool.workers = self.pool.workers
         pool.capacity = self.pool.capacity
         pool.buffer_bytes = self.pool.buffer_bytes
         pool.slots = [None if b is None else bytearray(b) for b in self.pool.slots]
@@ -116,7 +117,7 @@ class BreedingSim:
         if st.phase == CLAIM:
             self._step_claim(st)
         elif st.phase == CROSS:
-            self._step_cross(st)
+            self._step_cross(st, self.draws)
         else:
             self._step_book(st)
         self.verify_quiescent()
@@ -142,7 +143,7 @@ class BreedingSim:
         st.dad_slot = self.pop[child.dad_id].slot_id
         st.phase = CROSS
 
-    def _step_cross(self, st: WorkerModel) -> None:
+    def _step_cross(self, st: WorkerModel, draws) -> None:
         s = st.child
         child = self.new_pop[s]
         mum = self.pop[child.mum_id]
@@ -154,7 +155,7 @@ class BreedingSim:
         assert dad.slot_id == st.dad_slot != NO_SLOT, (
             f"child {s}: dad buffer released before crossover read it"
         )
-        rng = child_stream(self.seed, self.gen, s)
+        rng = child_stream(draws, s)
         child.tree_len = subtree_crossover(
             self.pool.buffer(mum.slot_id), mum.tree_len,
             self.pool.buffer(dad.slot_id), dad.tree_len,

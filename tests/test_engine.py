@@ -2,30 +2,58 @@
 
 import math
 import random
+import struct
+import subprocess
+import sys
+import threading
+from array import array
+from pathlib import Path
 
 import pytest
 
+from poolgp import engine
 from poolgp.breeding_plan import SelectionOutcome
 from poolgp.engine import (
+    POINTS_PER_CHILD,
+    TOURNAMENT_BLOCK,
     PooledEngine,
     RunConfig,
     child_stream,
+    draw_outcome,
     initial_depth,
     run_evolution,
-    tournament_select,
 )
 
 
 class ScriptedRng:
-    """Replays a fixed sequence of getrandbits results."""
+    """Serves scripted uint32 words through randbytes; words past the script are 0."""
 
-    def __init__(self, draws):
-        self.draws = list(draws)
+    def __init__(self, words):
+        self.words = list(words)
+        self.requests = []
 
-    def getrandbits(self, k):
-        value = self.draws.pop(0)
-        assert 0 <= value < 2 ** k
-        return value
+    def randbytes(self, n):
+        assert n % 4 == 0
+        take, self.words = self.words[:n // 4], self.words[n // 4:]
+        self.requests.append(n)
+        return struct.pack(f"<{n // 4}I", *(take + [0] * (n // 4 - len(take))))
+
+
+class RecordingRng(random.Random):
+    """A real stream that remembers the size of every randbytes request."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.requests = []
+
+    def randbytes(self, n):
+        self.requests.append(n)
+        return super().randbytes(n)
+
+
+def word_for(member, m):
+    """The smallest 32-bit draw that picks `member` of `m`: (u * m) >> 32 == member."""
+    return -((-member << 32) // m)
 
 
 def small_config(**overrides):
@@ -36,47 +64,115 @@ def small_config(**overrides):
 
 
 def test_tournament_picks_best_of_draws():
-    rng = ScriptedRng([0, 2])
-    assert tournament_select(rng, [3.0, 1.0, 2.0], 2) == 2
+    outcome, _ = draw_outcome(ScriptedRng([0, word_for(2, 3)]), [3.0, 1.0, 2.0], 2)
+    assert outcome.mum_ids == [2, 0, 0]
+    assert outcome.dad_ids == [0, 0, 0]
 
 
 def test_tournament_k1_is_the_single_draw():
-    assert tournament_select(ScriptedRng([4]), [5.0] * 6, 1) == 4
+    picks = [4, 1, 0, 5, 3, 3, 2, 0, 5, 5, 1, 4]  # mum, dad of child 0, then child 1, ...
+    rng = ScriptedRng([word_for(i, 6) for i in picks])
+    outcome, _ = draw_outcome(rng, [5.0] * 6, 1)
+    assert outcome.mum_ids == picks[0::2]
+    assert outcome.dad_ids == picks[1::2]
 
 
 def test_tournament_ties_break_to_lowest_index():
-    rng = ScriptedRng([5, 3, 4])
-    assert tournament_select(rng, [7.0] * 6, 3) == 3
+    rng = ScriptedRng([word_for(i, 6) for i in (5, 3, 4)] + [word_for(5, 6)] * 33)
+    outcome, _ = draw_outcome(rng, [7.0] * 6, 3)
+    assert outcome.mum_ids == [3] + [5] * 5
+    assert outcome.dad_ids == [5] * 6
 
 
-def reference_tournament(rng, fitnesses, k):
-    """Best of k by randrange, the definition tournament_select must match."""
-    best = rng.randrange(len(fitnesses))
-    for _ in range(k - 1):
-        i = rng.randrange(len(fitnesses))
-        if fitnesses[i] < fitnesses[best] or (fitnesses[i] == fitnesses[best] and i < best):
-            best = i
-    return best
+def reference_draw(rng, fitnesses, k):
+    """Best of k in plain Python over the same randbytes, block for block."""
+    m = len(fitnesses)
+    rows = 2 * m
+    block = max(1, TOURNAMENT_BLOCK // k)
+    winners = []
+    for start in range(0, rows, block):
+        n = min(block, rows - start)
+        words = struct.unpack(f"<{n * k}I", rng.randbytes(4 * n * k))
+        for r in range(n):
+            best = None
+            for u in words[r * k:(r + 1) * k]:
+                i = (u * m) >> 32
+                if best is None or fitnesses[i] < fitnesses[best] or (
+                        fitnesses[i] == fitnesses[best] and i < best):
+                    best = i
+            winners.append(best)
+    count = POINTS_PER_CHILD * m
+    points = list(struct.unpack(f"<{count}I", rng.randbytes(4 * count)))
+    return winners[0::2], winners[1::2], points
 
 
-def test_tournament_matches_randrange_reference_and_leaves_same_state():
-    # sizes at, just below and just above powers of two exercise the rejection loop
-    for n in (1, 2, 3, 4, 5, 7, 8, 9, 1000, 1024, 1025):
-        fitnesses = [float(v % 7) for v in range(n)]
-        for k in (1, 2, 7):
-            ours, ref = random.Random(n * 31 + k), random.Random(n * 31 + k)
-            picks = [tournament_select(ours, fitnesses, k) for _ in range(50)]
-            want = [reference_tournament(ref, fitnesses, k) for _ in range(50)]
-            assert picks == want
-            assert ours.getstate() == ref.getstate()
+@pytest.mark.parametrize("m,k", [
+    (1, 1), (1, 7),                 # a single member wins every tournament
+    (3, 1), (5, 2), (7, 7),
+    (4, 9), (3, TOURNAMENT_BLOCK + 1),  # k > M; a tournament larger than a block
+    (1000, 20), (4000, 3),          # several blocks
+])
+def test_draw_outcome_matches_pure_python_best_of_k(m, k):
+    # few distinct values force ties; every fifth member overflowed to +inf
+    fitnesses = [math.inf if v % 5 == 4 else float(v % 3) for v in range(m)]
+    ours, ref = random.Random(m * 31 + k), random.Random(m * 31 + k)
+    for _ in range(2):
+        outcome, points = draw_outcome(ours, fitnesses, k)
+        mums, dads, ref_points = reference_draw(ref, fitnesses, k)
+        assert outcome.mum_ids == mums
+        assert outcome.dad_ids == dads
+        assert points.tolist() == ref_points
+    assert ours.getstate() == ref.getstate()
 
 
-def test_child_stream_depends_on_all_parts_of_identity():
-    base = child_stream(1, 2, 3).random()
-    assert child_stream(1, 2, 3).random() == base
-    assert child_stream(9, 2, 3).random() != base
-    assert child_stream(1, 9, 3).random() != base
-    assert child_stream(1, 2, 9).random() != base
+def test_nan_fitness_ranks_as_infinity():
+    with_nan = [1.0, math.nan, 2.0, math.nan, 0.5]
+    with_inf = [math.inf if math.isnan(f) else f for f in with_nan]
+    assert draw_outcome(random.Random(4), with_nan, 3) == draw_outcome(
+        random.Random(4), with_inf, 3)
+
+
+def test_draw_outcome_never_ranks_more_than_a_block_at_once():
+    rng = RecordingRng(3)
+    m, k = 4000, 20
+    draw_outcome(rng, [float(v) for v in range(m)], k)
+    *tournaments, points = rng.requests
+    assert sum(tournaments) == 4 * 2 * m * k
+    assert max(tournaments) <= 4 * TOURNAMENT_BLOCK
+    assert points == 4 * POINTS_PER_CHILD * m
+
+
+def test_child_stream_reads_only_its_own_cells():
+    draws = array("I", range(3 * POINTS_PER_CHILD))
+    cursor = child_stream(draws, 1)
+    # n = 2**32 returns each draw unscaled
+    got = [cursor.randrange(2 ** 32) for _ in range(POINTS_PER_CHILD)]
+    assert got == list(range(POINTS_PER_CHILD, 2 * POINTS_PER_CHILD))
+    with pytest.raises(IndexError):
+        cursor.randrange(2 ** 32)  # the next child's cells are not reachable
+
+
+def test_child_stream_randrange_stays_below_n():
+    top = array("I", [2 ** 32 - 1] * POINTS_PER_CHILD)
+    bottom = array("I", [0] * POINTS_PER_CHILD)
+    for n in (1, 2, 3, 31, 127, 2 ** 31 + 1, 2 ** 32):
+        assert child_stream(top, 0).randrange(n) == n - 1
+        assert child_stream(bottom, 0).randrange(n) == 0
+
+
+def test_equal_master_states_give_equal_points():
+    fitnesses = [float(v % 4) for v in range(50)]
+    a, b = random.Random(7), random.Random(8)
+    b.setstate(a.getstate())
+    outcome_a, draws_a = draw_outcome(a, fitnesses, 3)
+    outcome_b, draws_b = draw_outcome(b, fitnesses, 3)
+    assert outcome_a == outcome_b
+    for s in range(50):
+        ca, cb = child_stream(draws_a, s), child_stream(draws_b, s)
+        assert [ca.randrange(97) for _ in range(POINTS_PER_CHILD)] == [
+            cb.randrange(97) for _ in range(POINTS_PER_CHILD)]
+    _, draws_other = draw_outcome(random.Random(9), fitnesses, 3)
+    assert draws_other != draws_a
 
 
 def test_initial_depth_ramp():
@@ -104,7 +200,8 @@ def test_self_permutation_generation_peaks_at_m_plus_one():
     engine = PooledEngine(small_config(popsize=2, nthreads=1, generations=2,
                                        max_initial_depth=2, buffer_bytes=7))
     engine._init_generation_zero()
-    engine._breed(SelectionOutcome([0, 1], [0, 1]), 1)
+    draws = array("I", bytes(4 * POINTS_PER_CHILD * 2))
+    engine._breed(SelectionOutcome([0, 1], [0, 1]), draws, 1)
     assert engine.stats[1].pool_used_peak == 3  # M + 1 exactly
     assert engine.pool.used == 2
 
@@ -212,3 +309,38 @@ def test_allocated_slots_never_exceed_high_water():
     for row in result.stats:
         assert row.allocated_slots <= row.pool_max_used <= result.capacity
         assert row.pool_used_peak <= row.pool_max_used
+
+
+def test_workers_clamped_to_popsize():
+    # 8 threads on 4 members: only 4 breeders, capacity M + 2*4, not M + 2*8
+    class ThreadCountingProblem(CountingProblem):
+        def fitness(self, code, length):
+            alive = sum(t.name.startswith("breeder-") for t in threading.enumerate())
+            self.calls.append(alive)
+            return self.inner.fitness(code, length)
+
+    from poolgp.problems import get_problem
+
+    problem = ThreadCountingProblem(get_problem("quartic"))
+    result = run_evolution(small_config(popsize=4, nthreads=8, generations=5), problem)
+    assert result.capacity == 12
+    assert result.peak_buffers <= 12
+    assert 0 < max(problem.calls) <= 4
+    assert all(len(row.worker_busy_times) == 4 for row in result.stats[1:])
+
+
+def test_runs_never_import_numpy_random():
+    # numpy.random costs several MiB of resident memory on import
+    src = Path(engine.__file__).resolve().parents[1]
+    script = (
+        "import sys\n"
+        "from poolgp import RunConfig, run_evolution, run_evolution_naive\n"
+        "cfg = RunConfig(popsize=20, nthreads=2, generations=3, buffer_bytes=63,\n"
+        "                max_initial_depth=4)\n"
+        "run_evolution(cfg)\n"
+        "run_evolution_naive(cfg)\n"
+        "sys.exit(3 if 'numpy.random' in sys.modules else 0)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], cwd=src,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr

@@ -1,10 +1,15 @@
 """Buffer pool unit tests: hand-traced acquire/release behavior and invariants."""
 
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from poolgp import expr_pool
 from poolgp.engine import Individual
+from poolgp.errors import InvariantError
 from poolgp.expr_pool import NO_SLOT, BufferPool, PoolExhaustedError
 
 
@@ -162,3 +167,57 @@ def test_buffer_storage_is_reused_not_reallocated():
     # same backing object, stale contents and all
     assert pool.buffer(b.slot_id) is first
     assert pool.buffer(b.slot_id)[0] == 99
+
+
+def test_release_of_foreign_slot_is_invariant_violation():
+    pool = make_pool()
+    held = Individual()
+    pool.acquire(held)
+    for slot in (pool.capacity + 1, -1, 2):  # out of range twice, then never allocated
+        stranger = Individual(slot_id=slot)
+        with pytest.raises(InvariantError):
+            pool.release(stranger)
+    assert pool.used == 1  # a rejected release changes nothing
+    assert pool.free_chain() == [2, 3]
+
+
+def test_release_with_nothing_in_use_is_invariant_violation():
+    pool = make_pool()
+    ind = Individual()
+    pool.acquire(ind)
+    slot = ind.slot_id
+    pool.release(ind)
+    with pytest.raises(InvariantError):
+        pool.release(Individual(slot_id=slot))  # stale handle to a freed slot
+
+
+def test_buffer_of_unallocated_slot_is_invariant_violation():
+    with pytest.raises(InvariantError):
+        make_pool().buffer(1)
+
+
+def test_corrupt_chain_head_is_invariant_violation():
+    pool = make_pool()
+    pool.chain[1] = pool.capacity + 5
+    with pytest.raises(InvariantError):
+        pool.acquire(Individual())
+
+
+def test_pool_invariants_hold_under_python_optimize():
+    src = Path(expr_pool.__file__).resolve().parents[1]
+    script = (
+        "import sys\n"
+        "from poolgp.engine import Individual\n"
+        "from poolgp.errors import InvariantError\n"
+        "from poolgp.expr_pool import BufferPool\n"
+        "if not sys.flags.optimize:\n"
+        "    sys.exit(2)\n"
+        "try:\n"
+        "    BufferPool(1, 1, 4).release(Individual(slot_id=2))\n"
+        "except InvariantError:\n"
+        "    sys.exit(0)\n"
+        "sys.exit(3)\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", script], cwd=src,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
