@@ -8,10 +8,13 @@ class-2+ chain is doubly linked because promotion (move21) unlinks from an
 arbitrary position; the class-1 chain is consumed at the head only, so its
 back links are never maintained after construction.
 
-Each parent also carries a linear array of its outstanding child ids. A
-short linear scan beats a fancier structure at realistic family sizes and
-keeps all allocation in the master phase. -1 is the empty marker everywhere
-in this module (the buffer pool's sentinel 0 is a valid child index here).
+Each parent also carries a list of its child ids, built by appending in
+child order, so its length is the parent's edge count: the plan is the only
+place that count lives. A finished child's entry becomes NIL rather than
+being removed, so the list keeps its length. A short linear scan
+beats a fancier structure at realistic family sizes and keeps all
+allocation in the master phase. -1 is the empty marker everywhere in this
+module (the buffer pool's sentinel 0 is a valid child index here).
 
 No internal locking: every operation runs inside the engine lock.
 """
@@ -31,7 +34,7 @@ class SelectionOutcome:
 
     mum_ids[s] and dad_ids[s] index the current population. They may be
     equal: self-crossover is allowed and makes the child appear twice in
-    that parent's children array.
+    that parent's children list.
     """
 
     mum_ids: list[int]
@@ -45,69 +48,34 @@ class SelectionOutcome:
             if not (0 <= self.mum_ids[s] < n and 0 <= self.dad_ids[s] < n):
                 raise ValueError(f"parent index out of range for child {s}")
 
-    def edge_counts(self) -> list[int]:
-        """Parent-edge count per population member (mum and dad each count)."""
-        counts = [0] * len(self.mum_ids)
-        for m, d in zip(self.mum_ids, self.dad_ids):
-            counts[m] += 1
-            counts[d] += 1
-        return counts
-
 
 class BreedingPlan:
-    """Work chains and children arrays for one generation of crossovers."""
+    """Work chains and children lists for one generation of crossovers."""
 
-    def __init__(self, outcome: SelectionOutcome, num_children: list[int]):
-        popsize = len(outcome.mum_ids)
-        if num_children != outcome.edge_counts():
-            raise ValueError(
-                "num_children disagrees with the selection outcome's edge counts"
-            )
+    def __init__(self, outcome: SelectionOutcome):
+        mums, dads = outcome.mum_ids, outcome.dad_ids
+        popsize = len(mums)
         self.popsize = popsize
+        children: list[list[int]] = [[] for _ in range(popsize)]
+        for s in range(popsize):
+            children[mums[s]].append(s)
+            children[dads[s]].append(s)
+        self.children: list[list[int] | None] = [c or None for c in children]
+        self.status = [
+            1 if len(children[m]) == 1 or len(children[d]) == 1 else 2
+            for m, d in zip(mums, dads)
+        ]
         self.forw = [NIL] * popsize
         self.back = [NIL] * popsize
-        self.status = [0] * popsize
-        self.children: list[list[int] | None] = [None] * popsize
-        self.chainhd1 = NIL
-        self.chainhd2 = NIL
-        last1 = NIL
-        last2 = NIL
-        for s in range(popsize):
-            mum = outcome.mum_ids[s]
-            dad = outcome.dad_ids[s]
-            assert num_children[mum] > 0 and num_children[dad] > 0
-            if num_children[mum] == 1 or num_children[dad] == 1:
-                last1 = self._append(s, last1, chain=1)
-                self.status[s] = 1
-            else:
-                last2 = self._append(s, last2, chain=2)
-                self.status[s] = 2
-            self._addchild(mum, num_children[mum], s)
-            self._addchild(dad, num_children[dad], s)
+        self.chainhd1 = self._link([s for s in range(popsize) if self.status[s] == 1])
+        self.chainhd2 = self._link([s for s in range(popsize) if self.status[s] == 2])
 
-    def _append(self, s: int, last: int, chain: int) -> int:
-        # FIFO append so construction preserves ascending child order
-        if last != NIL:
-            assert self.forw[last] == NIL
-            self.forw[last] = s
-        self.forw[s] = NIL
-        self.back[s] = last
-        if chain == 1 and self.chainhd1 == NIL:
-            self.chainhd1 = s
-        if chain == 2 and self.chainhd2 == NIL:
-            self.chainhd2 = s
-        return s
-
-    def _addchild(self, parent: int, num_children: int, s: int) -> None:
-        arr = self.children[parent]
-        if arr is None:
-            arr = [NIL] * num_children
-            self.children[parent] = arr
-        for i in range(num_children):
-            if arr[i] == NIL:
-                arr[i] = s
-                return
-        raise AssertionError(f"children array of parent {parent} overflowed")
+    def _link(self, chain: list[int]) -> int:
+        """Doubly link `chain` in ascending child order; return its head."""
+        for a, b in zip(chain, chain[1:]):
+            self.forw[a] = b
+            self.back[b] = a
+        return chain[0] if chain else NIL
 
     def claim_next(self) -> int | None:
         """Take the next child to create: chain 1 first, else chain 2+.
@@ -123,37 +91,27 @@ class BreedingPlan:
             self.chainhd2 = self.forw[s]
         else:
             return None
-        assert self.status[s] in (1, 2)
+        if self.status[s] not in (1, 2):
+            raise InvariantError(f"child {s} queued with status {self.status[s]}")
         self.status[s] = 0
         return s
 
-    def rem_child(self, parent: int, num_children: int, s: int) -> tuple[int, int]:
-        """Strike one occurrence of child s from a parent's children array.
+    def rem_child(self, parent: int, s: int) -> tuple[int, int]:
+        """Strike one occurrence of child s from a parent's children list.
 
-        Exactly one occurrence is removed even when s appears twice
-        (self-crossover). Returns (children still outstanding, id of the
-        sole survivor when exactly one remains, else -1).
+        The struck entry becomes NIL, so the list keeps its length. Exactly
+        one occurrence is removed even when s appears twice (self-crossover).
+        Returns (children still outstanding, id of the sole survivor when
+        exactly one remains, else NIL).
         """
         arr = self.children[parent]
-        assert arr is not None
-        target = s
-        nchild = 0
-        removed = 0
-        last = NIL
-        for i in range(num_children):
-            assert NIL <= arr[i] < self.popsize
-            if arr[i] == target:
-                arr[i] = NIL
-                removed += 1
-                target = -2  # never matches again: remove only one instance
-            if arr[i] != NIL:
-                last = arr[i]
-                nchild += 1
-        if removed != 1:
-            raise InvariantError(f"child {s} not in children array of parent {parent}")
-        if nchild != 1:
-            last = NIL
-        return nchild, last
+        try:
+            arr[arr.index(s)] = NIL
+        except (AttributeError, ValueError):
+            raise InvariantError(f"child {s} not in children list of parent {parent}") from None
+        nchild = len(arr) - arr.count(NIL)
+        # NIL sorts below every child id, so max() is the sole survivor
+        return nchild, max(arr) if nchild == 1 else NIL
 
     def move21(self, active: int, s: int) -> None:
         """Promote child s from the class-2+ chain to the head of chain 1.

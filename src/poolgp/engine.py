@@ -9,8 +9,9 @@ in class-priority order, breed each by subtree crossover into a pool buffer,
 strike the child off both parents (releasing a parent's buffer the moment
 its last child exists), and evaluate fitness.
 
-Everything shared (pool, plan, per-individual counters) is mutated only
-inside one lock; crossover and fitness evaluation run outside it. All
+Everything shared (pool, plan) is mutated only inside one lock, in two
+sections: `claim_child` and `book_child`, which the schedule tests drive
+too. Crossover and fitness evaluation run outside the lock. All
 randomness comes from one master stream seeded by the run seed: it grows
 generation 0, then draws each generation's tournaments and crossover points
 in bulk before breeding starts. Each child reads only its own block of
@@ -40,14 +41,13 @@ from .problems import Problem, get_problem
 
 @dataclass
 class Individual:
-    """Per-member accounting: buffer handle, provenance, child count, fitness."""
+    """Per-member accounting: buffer handle, provenance, fitness."""
 
     slot_id: int = NO_SLOT
     tree_len: int = 0
     fitness: float = math.inf
     mum_id: int = -1
     dad_id: int = -1
-    num_children: int = 0
 
 
 @dataclass
@@ -183,7 +183,6 @@ class PooledEngine:
         self.pop: list[Individual] = []
         self.stats: list[metrics.GenerationStats] = []
         self.fitness_history: list[list[float]] = []
-        self._gen_peak = 0
 
     # -- master phase -----------------------------------------------------
 
@@ -206,11 +205,9 @@ class PooledEngine:
     def _init_generation_zero(self) -> None:
         t0 = time.perf_counter()
         cfg = self.config
-        self._gen_peak = 0
         for s in range(cfg.popsize):
             ind = Individual()
             self.pool.acquire(ind)
-            self._gen_peak = max(self._gen_peak, self.pool.used)
             ind.tree_len = grow_initial_genome(
                 self.master_rng, s, cfg.max_initial_depth, self.pool.buffer(ind.slot_id)
             )
@@ -231,18 +228,12 @@ class PooledEngine:
     def _breed(self, outcome: SelectionOutcome, draws: array, g: int) -> None:
         t0 = time.perf_counter()
         cfg = self.config
-        num_children = outcome.edge_counts()
-        plan = BreedingPlan(outcome, num_children)
-        for s, ind in enumerate(self.pop):
-            ind.num_children = num_children[s]
-        new_pop = [
-            Individual(mum_id=outcome.mum_ids[s], dad_id=outcome.dad_ids[s])
-            for s in range(cfg.popsize)
-        ]
-        self._gen_peak = self.pool.used
+        plan = BreedingPlan(outcome)
+        new_pop = [Individual(mum_id=m, dad_id=d) for m, d in zip(outcome.mum_ids, outcome.dad_ids)]
+        self.pool.reset_peak()
         # infertile parents give their buffers back before any worker starts
-        for s, ind in enumerate(self.pop):
-            if num_children[s] == 0:
+        for ind, kids in zip(self.pop, plan.children):
+            if kids is None:
                 self.pool.release(ind)
 
         nworkers = self.pool.workers
@@ -276,14 +267,13 @@ class PooledEngine:
         self._record(g, sum(ops), time.perf_counter() - t0, busy)
 
     def _record(self, g: int, opcodes: int, wall: float, busy: list[float]) -> None:
-        used, max_used, allocated = self.pool.usage_stats()
         row = metrics.record_generation(
             generation=g,
             tree_sizes=[ind.tree_len for ind in self.pop],
             fitnesses=[ind.fitness for ind in self.pop],
-            pool_used_peak=self._gen_peak,
-            pool_max_used=max_used,
-            allocated_slots=allocated,
+            pool_used_peak=self.pool.peak,
+            pool_max_used=self.pool.max_used,
+            allocated_slots=self.pool.allocated,
             total_opcodes=opcodes,
             wall_time=wall,
             busy_times=busy,
@@ -302,41 +292,52 @@ class PooledEngine:
         opcodes = 0
         while True:
             with self.lock:
-                s = plan.claim_next()
-                if s is None:
-                    break
-                child = new_pop[s]
-                pool.acquire(child)
-                self._gen_peak = max(self._gen_peak, pool.used)
-                mum = pop[child.mum_id]
-                dad = pop[child.dad_id]
-                mum_buf, mum_len = pool.buffer(mum.slot_id), mum.tree_len
-                dad_buf, dad_len = pool.buffer(dad.slot_id), dad.tree_len
-                child_buf = pool.buffer(child.slot_id)
-
-            rng = child_stream(draws, s)
+                s = claim_child(plan, pool, new_pop)
+            if s is None:
+                break
+            child = new_pop[s]
+            mum = pop[child.mum_id]
+            dad = pop[child.dad_id]
+            child_buf = pool.buffer(child.slot_id)
             child.tree_len = subtree_crossover(
-                mum_buf, mum_len, dad_buf, dad_len, child_buf, cfg.buffer_bytes, rng
+                pool.buffer(mum.slot_id), mum.tree_len, pool.buffer(dad.slot_id), dad.tree_len,
+                child_buf, cfg.buffer_bytes, child_stream(draws, s),
             )
-
             with self.lock:
-                n1, last1 = plan.rem_child(child.mum_id, mum.num_children, s)
-                n2, last2 = plan.rem_child(child.dad_id, dad.num_children, s)
-                if n1 == 1:
-                    plan.move21(s, last1)
-                if n2 == 1:
-                    plan.move21(s, last2)
-                if n1 == 0:
-                    mum.num_children = 0
-                    pool.release(mum)
-                if n2 == 0:
-                    dad.num_children = 0
-                    pool.release(dad)
-
+                book_child(plan, pool, pop, s, child)
             child.fitness = self.problem.fitness(child_buf, child.tree_len)
             opcodes += self.problem.opcodes_per_eval(child.tree_len)
         busy[w] = time.perf_counter() - t0
         ops[w] = opcodes
+
+
+def claim_child(plan: BreedingPlan, pool: BufferPool, new_pop: list[Individual]) -> int | None:
+    """The CLAIM lock section: take the next child by class and give it a buffer.
+
+    Returns the child's index, or None when every child is taken. The
+    caller holds the engine lock. Its parents' buffers stay put until this
+    child is booked, so the crossover may read them outside the lock.
+    """
+    s = plan.claim_next()
+    if s is not None:
+        pool.acquire(new_pop[s])
+    return s
+
+
+def book_child(plan: BreedingPlan, pool: BufferPool, pop: list[Individual],
+               s: int, child: Individual) -> None:
+    """The BOOK lock section: strike the finished child s off both parents.
+
+    A parent left with one outstanding child promotes it to chain 1; a
+    parent left with none gives its buffer back. The caller holds the
+    engine lock.
+    """
+    for parent in (child.mum_id, child.dad_id):
+        left, last = plan.rem_child(parent, s)
+        if left == 1:
+            plan.move21(s, last)
+        elif left == 0:
+            pool.release(pop[parent])
 
 
 def run_evolution(config: RunConfig, problem: Problem | None = None) -> EvolutionResult:

@@ -9,8 +9,15 @@ index chain so acquire/release are O(1) and buffer storage, once allocated,
 is reused for the rest of the run.
 
 Slot index 0 is reserved as the "no buffer" sentinel; real slots are
-1..capacity. The pool is not thread-safe on its own: callers mutate it only
-inside the engine's single lock.
+1..capacity. A per-slot in-use flag makes release refuse any slot that is
+not currently handed out, so a stale handle to a freed slot cannot link it
+into the free chain twice.
+
+The pool is the one source of its usage figures: `used` now, `max_used`
+over the run, `peak` since the last `reset_peak` (the engine resets it at
+the start of each generation) and `allocated` storage. It is not
+thread-safe on its own: callers mutate it only inside the engine's single
+lock.
 """
 
 from __future__ import annotations
@@ -47,14 +54,16 @@ class BufferPool:
         self.workers = worker_count(popsize, nthreads)
         self.capacity = popsize + 2 * self.workers
         self.buffer_bytes = buffer_bytes
-        # index 0 unused in both arrays so slot ids start at 1
+        # index 0 unused in every per-slot array so slot ids start at 1
         self.slots: list[bytearray | None] = [None] * (self.capacity + 1)
         self.chain = [0] * (self.capacity + 1)
         for i in range(1, self.capacity):
             self.chain[i] = i + 1
         self.chain[self.capacity] = 0  # end of chain
         self.chainhead = 1
+        self.in_use = bytearray(self.capacity + 1)
         self.used = 0
+        self.peak = 0
         self.max_used = 0
         self.allocated = 0
 
@@ -77,10 +86,17 @@ class BufferPool:
         self.chainhead = self.chain[head]
         if not 0 <= self.chainhead <= self.capacity:
             raise InvariantError(f"corrupt free chain: head {self.chainhead} after slot {head}")
+        self.in_use[head] = 1
         self.used += 1
-        if self.used > self.max_used:
-            self.max_used = self.used
+        if self.used > self.peak:
+            self.peak = self.used
+            if self.peak > self.max_used:
+                self.max_used = self.peak
         return head
+
+    def reset_peak(self) -> None:
+        """Start a new `peak` window at the current use."""
+        self.peak = self.used
 
     def release(self, who) -> None:
         """Push `who`'s slot back on the free chain. Safe to call twice."""
@@ -89,10 +105,9 @@ class BufferPool:
             return  # already freed
         if not 1 <= slot <= self.capacity:
             raise InvariantError(f"release of slot {slot} outside 1..{self.capacity}")
-        if self.slots[slot] is None:
-            raise InvariantError(f"release of slot {slot}, which was never allocated")
-        if self.used <= 0:
-            raise InvariantError(f"release of slot {slot} with no slot in use")
+        if not self.in_use[slot]:
+            raise InvariantError(f"release of slot {slot}, which is not in use")
+        self.in_use[slot] = 0
         self.chain[slot] = self.chainhead
         self.chainhead = slot
         self.used -= 1
@@ -104,10 +119,6 @@ class BufferPool:
         if buf is None:
             raise InvariantError(f"slot {slot} has no storage")
         return buf
-
-    def usage_stats(self) -> tuple[int, int, int]:
-        """(live now, run high-water mark, slots ever allocated)."""
-        return self.used, self.max_used, self.allocated
 
     def free_chain(self) -> list[int]:
         """Slots reachable from the chain head, in chain order (for checks)."""

@@ -23,7 +23,17 @@ class GenerationStats:
     idle_fraction: float
 
 
-FIELDS = [f.name for f in dataclasses.fields(GenerationStats)]
+# how a column of each annotated type is written to the CSV and read back
+CODECS = {
+    "int": (str, int),
+    "float": (repr, float),
+    "list[float]": (
+        lambda values: ";".join(map(repr, values)),
+        lambda cell: [float(t) for t in cell.split(";") if t],
+    ),
+}
+COLUMNS = [(f.name, *CODECS[f.type]) for f in dataclasses.fields(GenerationStats)]
+FIELDS = [name for name, _, _ in COLUMNS]
 
 
 def idle_fraction(busy_times: list[float]) -> float:
@@ -92,47 +102,17 @@ def emit_csv(series: list[GenerationStats], path) -> None:
         writer = csv.writer(fh)
         writer.writerow(FIELDS)
         for row in series:
-            writer.writerow(
-                [
-                    row.generation,
-                    repr(row.mean_tree_size),
-                    row.max_tree_size,
-                    row.pool_used_peak,
-                    row.pool_max_used,
-                    row.allocated_slots,
-                    repr(row.best_fitness),
-                    repr(row.mean_fitness),
-                    row.total_opcodes_evaluated,
-                    repr(row.generation_wall_time),
-                    ";".join(repr(t) for t in row.worker_busy_times),
-                    repr(row.idle_fraction),
-                ]
-            )
+            writer.writerow([fmt(getattr(row, name)) for name, fmt, _ in COLUMNS])
 
 
 def parse_csv(path) -> list[GenerationStats]:
     """Read back a file produced by emit_csv."""
-    out = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
         if header != FIELDS:
             raise ValueError(f"unexpected CSV header: {header}")
-        for rec in reader:
-            out.append(
-                GenerationStats(
-                    generation=int(rec[0]),
-                    mean_tree_size=float(rec[1]),
-                    max_tree_size=int(rec[2]),
-                    pool_used_peak=int(rec[3]),
-                    pool_max_used=int(rec[4]),
-                    allocated_slots=int(rec[5]),
-                    best_fitness=float(rec[6]),
-                    mean_fitness=float(rec[7]),
-                    total_opcodes_evaluated=int(rec[8]),
-                    generation_wall_time=float(rec[9]),
-                    worker_busy_times=[float(t) for t in rec[10].split(";") if t],
-                    idle_fraction=float(rec[11]),
-                )
-            )
-    return out
+        return [
+            GenerationStats(**{name: parse(cell) for (name, _, parse), cell in zip(COLUMNS, rec)})
+            for rec in reader
+        ]

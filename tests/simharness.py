@@ -1,23 +1,25 @@
 """Step-driven model of the breeding phase for schedule exploration.
 
 Drives the real BufferPool, BreedingPlan and crossover code through the
-worker loop's atomic sections: CLAIM (claim child + acquire buffer, one lock
-hold), CROSS (crossover outside the lock), BOOK (rem_child x2, promotions,
-parent releases, one lock hold). Fitness evaluation only reads the child's
-own buffer, which nothing can release mid-generation, so it is not a
-separate step. A scheduler picks which worker advances next; `explore_all`
-walks every interleaving, checking after each step that the plan chains are
-intact, the pool conserves its slots, and no crossover ever reads a parent
-buffer that was released (or recycled) after the child was claimed.
+worker loop's atomic sections: CLAIM (`engine.claim_child`: claim a child
+and acquire its buffer, one lock hold), CROSS (crossover outside the lock),
+BOOK (`engine.book_child`: rem_child x2, promotions, parent releases, one
+lock hold). The lock sections are the engine's own functions, not copies,
+so the schedules explored here check the code that ships. Fitness
+evaluation only reads the child's own buffer, which nothing can release
+mid-generation, so it is not a separate step. A scheduler picks which
+worker advances next; `explore_all` walks every interleaving, checking
+after each step that the plan chains are intact, the pool conserves its
+slots, and no crossover ever reads a parent buffer that was released (or
+recycled) after the child was claimed.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import random
 
 from poolgp.breeding_plan import NIL, BreedingPlan, SelectionOutcome
-from poolgp.engine import Individual, child_stream, draw_points
+from poolgp.engine import Individual, book_child, child_stream, claim_child, draw_points
 from poolgp.expr_pool import NO_SLOT, BufferPool
 from poolgp.genome import random_tree, subtree_crossover, tree_is_complete
 
@@ -32,10 +34,24 @@ class WorkerModel:
         self.dad_slot = NO_SLOT
         self.done = False
 
-    def clone(self):
-        other = WorkerModel()
-        other.__dict__.update(self.__dict__)
-        return other
+
+def copy_state(obj):
+    """Copy `obj` two levels deep through its list and bytearray attributes.
+
+    Deep enough for the pool, the plan, an Individual and a WorkerModel,
+    whose state is ints, bytearrays, lists of ints and lists of optional
+    lists or bytearrays, without naming their fields. Hand-rolled because
+    `copy.copy` per object doubles the exhaustive schedule tests' time.
+    """
+    new = object.__new__(type(obj))
+    state = new.__dict__
+    for name, value in vars(obj).items():
+        if type(value) is list:
+            value = [v.copy() if type(v) in (list, bytearray) else v for v in value]
+        elif type(value) is bytearray:
+            value = value.copy()
+        state[name] = value
+    return new
 
 
 class BreedingSim:
@@ -54,20 +70,17 @@ class BreedingSim:
         # points come from the same master stream, as in the engines
         self.draws = draw_points(rng, popsize)
         outcome = SelectionOutcome([m for m, _ in pairs], [d for _, d in pairs])
-        num_children = outcome.edge_counts()
-        for s, ind in enumerate(self.pop):
-            ind.num_children = num_children[s]
-        self.plan = BreedingPlan(outcome, num_children)
+        self.plan = BreedingPlan(outcome)
         self.new_pop = [
             Individual(mum_id=m, dad_id=d) for m, d in zip(outcome.mum_ids, outcome.dad_ids)
         ]
-        for s, ind in enumerate(self.pop):
-            if num_children[s] == 0:
+        self.pool.reset_peak()
+        for ind, kids in zip(self.pop, self.plan.children):
+            if kids is None:
                 self.pool.release(ind)
         self.workers = [WorkerModel() for _ in range(nworkers)]
         self.claims: list[tuple[int, bool, bool]] = []  # (child, was_class2, chain1_empty)
-        self.rem_calls = 0
-        self.peak = self.pool.used
+        self.books = 0
         self.verify_quiescent()
 
     # -- scheduling --------------------------------------------------------
@@ -79,36 +92,13 @@ class BreedingSim:
         return all(st.done for st in self.workers)
 
     def clone(self):
-        """Fast independent copy; workers only hold indices, never object refs."""
-        new = object.__new__(type(self))
-        new.draws = self.draws  # read-only once drawn
-        new.buffer_bytes = self.buffer_bytes
-        pool = object.__new__(BufferPool)
-        pool.workers = self.pool.workers
-        pool.capacity = self.pool.capacity
-        pool.buffer_bytes = self.pool.buffer_bytes
-        pool.slots = [None if b is None else bytearray(b) for b in self.pool.slots]
-        pool.chain = list(self.pool.chain)
-        pool.chainhead = self.pool.chainhead
-        pool.used = self.pool.used
-        pool.max_used = self.pool.max_used
-        pool.allocated = self.pool.allocated
-        new.pool = pool
-        new.pop = [dataclasses.replace(i) for i in self.pop]
-        new.new_pop = [dataclasses.replace(i) for i in self.new_pop]
-        plan = object.__new__(BreedingPlan)
-        plan.popsize = self.plan.popsize
-        plan.forw = list(self.plan.forw)
-        plan.back = list(self.plan.back)
-        plan.status = list(self.plan.status)
-        plan.children = [None if c is None else list(c) for c in self.plan.children]
-        plan.chainhd1 = self.plan.chainhd1
-        plan.chainhd2 = self.plan.chainhd2
-        new.plan = plan
-        new.workers = [w.clone() for w in self.workers]
-        new.claims = list(self.claims)
-        new.rem_calls = self.rem_calls
-        new.peak = self.peak
+        """Independent copy; workers only hold indices, never object refs."""
+        new = copy_state(self)  # the crossover draws are read-only and shared
+        new.pool = copy_state(self.pool)
+        new.plan = copy_state(self.plan)
+        new.pop = [copy_state(i) for i in self.pop]
+        new.new_pop = [copy_state(i) for i in self.new_pop]
+        new.workers = [copy_state(w) for w in self.workers]
         return new
 
     def step(self, w: int) -> None:
@@ -127,7 +117,7 @@ class BreedingSim:
     def _step_claim(self, st: WorkerModel) -> None:
         h1 = self.plan.chainhd1
         h2 = self.plan.chainhd2
-        s = self.plan.claim_next()
+        s = claim_child(self.plan, self.pool, self.new_pop)
         if s is None:
             st.done = True
             return
@@ -136,8 +126,6 @@ class BreedingSim:
             assert s == h2
         self.claims.append((s, was_class2, h1 == NIL))
         child = self.new_pop[s]
-        self.pool.acquire(child)
-        self.peak = max(self.peak, self.pool.used)
         st.child = s
         st.mum_slot = self.pop[child.mum_id].slot_id
         st.dad_slot = self.pop[child.dad_id].slot_id
@@ -164,23 +152,8 @@ class BreedingSim:
         st.phase = BOOK
 
     def _step_book(self, st: WorkerModel) -> None:
-        s = st.child
-        child = self.new_pop[s]
-        mum = self.pop[child.mum_id]
-        dad = self.pop[child.dad_id]
-        n1, last1 = self.plan.rem_child(child.mum_id, mum.num_children, s)
-        n2, last2 = self.plan.rem_child(child.dad_id, dad.num_children, s)
-        self.rem_calls += 2
-        if n1 == 1:
-            self.plan.move21(s, last1)
-        if n2 == 1:
-            self.plan.move21(s, last2)
-        if n1 == 0:
-            mum.num_children = 0
-            self.pool.release(mum)
-        if n2 == 0:
-            dad.num_children = 0
-            self.pool.release(dad)
+        book_child(self.plan, self.pool, self.pop, st.child, self.new_pop[st.child])
+        self.books += 1
         st.phase = CLAIM
 
     # -- invariants ---------------------------------------------------------
@@ -200,7 +173,7 @@ class BreedingSim:
         assert self.pool.used == popsize, "old population not fully released"
         assert self.plan.chainhd1 == NIL and self.plan.chainhd2 == NIL
         assert sorted(s for s, _, _ in self.claims) == list(range(popsize))
-        assert self.rem_calls == 2 * popsize
+        assert self.books == popsize
         for arr in self.plan.children:
             assert arr is None or all(e == NIL for e in arr)
         for child in self.new_pop:
@@ -237,7 +210,7 @@ def explore_all(make_sim) -> tuple[int, int]:
                 reference = genomes
             else:
                 assert genomes == reference, "schedule changed a child's genome"
-            max_peak = max(max_peak, sim.peak)
+            max_peak = max(max_peak, sim.pool.peak)
             schedules += 1
             continue
         for w in runnable:

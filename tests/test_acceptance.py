@@ -96,7 +96,7 @@ def test_hand_traced_operation_tables():
 
     # build_plan: three children, parent edge counts 3/2/1
     outcome = SelectionOutcome([0, 0, 1], [1, 0, 2])
-    plan = BreedingPlan(outcome, [3, 2, 1])
+    plan = BreedingPlan(outcome)  # parent edge counts 3/2/1
     assert plan.chain1_list() == [2]
     assert plan.chain2_list() == [0, 1]
     assert plan.children[0] == [0, 1, 1]
@@ -106,25 +106,23 @@ def test_hand_traced_operation_tables():
     # claim priority: chain 1 drains before chain 2
     assert [plan.claim_next() for _ in range(4)] == [2, 0, 1, None]
 
-    # rem_child: (array, num_children, child) -> (after, remaining, last)
+    # rem_child: (list, child) -> (after, remaining, last)
     rem_table = [
-        ([3, -1, 7], 3, 7, [3, -1, -1], 1, 3),
-        ([5, 5], 2, 5, [-1, 5], 1, 5),  # self-crossover: one instance only
-        ([4], 1, 4, [-1], 0, -1),
-        ([2, 3, 4], 3, 3, [2, -1, 4], 2, -1),
+        ([3, -1, 7], 7, [3, -1, -1], 1, 3),
+        ([5, 5], 5, [-1, 5], 1, 5),  # self-crossover: one instance only
+        ([4], 4, [-1], 0, -1),
+        ([2, 3, 4], 3, [2, -1, 4], 2, -1),
     ]
-    for entries, nc, child, after, remaining, last in rem_table:
-        p = BreedingPlan(SelectionOutcome([s for s in range(8)],
-                                          [s for s in range(8)]),
-                         [2] * 8)
+    for entries, child, after, remaining, last in rem_table:
+        p = BreedingPlan(SelectionOutcome([s for s in range(8)], [s for s in range(8)]))
         p.children[0] = list(entries)
-        assert p.rem_child(0, nc, child) == (remaining, last)
+        assert p.rem_child(0, child) == (remaining, last)
         assert p.children[0] == after
 
     # move21: unlink child 1 from chain2 [0,1,5], push onto chain1
     pairs = [(0, 1), (0, 1), (2, 0), (3, 0), (4, 0), (0, 1), (6, 0), (7, 0)]
     out = SelectionOutcome([m for m, _ in pairs], [d for _, d in pairs])
-    p = BreedingPlan(out, out.edge_counts())
+    p = BreedingPlan(out)
     assert p.chain2_list() == [0, 1, 5]
     p.move21(7, 1)
     assert p.chain2_list() == [0, 5]

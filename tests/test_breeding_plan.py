@@ -5,12 +5,12 @@ import random
 import pytest
 
 from poolgp.breeding_plan import NIL, BreedingPlan, SelectionOutcome
+from poolgp.errors import InvariantError
 
 
 def plan_from(pairs):
     """Build a plan from [(mum, dad), ...] child parentage."""
-    outcome = SelectionOutcome([m for m, _ in pairs], [d for _, d in pairs])
-    return BreedingPlan(outcome, outcome.edge_counts())
+    return BreedingPlan(SelectionOutcome([m for m, _ in pairs], [d for _, d in pairs]))
 
 
 def test_build_plan_three_child_trace():
@@ -30,7 +30,7 @@ def test_build_plan_single_shared_parent_all_class2():
     assert plan.chain1_list() == []
     assert plan.chain2_list() == [0, 1, 2]
     assert plan.children[0] == [0, 0, 1, 1, 2, 2]
-    assert plan.children[1] is None  # infertile parents get no array
+    assert plan.children[1] is None  # infertile parents get no list
 
 
 def test_build_plan_self_crossover_permutation_all_class2():
@@ -40,12 +40,6 @@ def test_build_plan_self_crossover_permutation_all_class2():
     assert plan.chain1_list() == []
     assert plan.chain2_list() == [0, 1]
     assert plan.status == [2, 2]
-
-
-def test_build_plan_rejects_inconsistent_counts():
-    outcome = SelectionOutcome([0, 0], [1, 1])
-    with pytest.raises(ValueError):
-        BreedingPlan(outcome, [1, 1])  # true edge counts are [2, 2]
 
 
 def test_outcome_rejects_out_of_range_parent():
@@ -77,8 +71,8 @@ def test_claim_from_chain2_marks_claimed():
     assert plan.status[5] == 0
 
 
-# rem_child traces poke the children array directly: the operation touches
-# nothing else, and these cases are about array contents.
+# rem_child traces poke the children list directly: the operation touches
+# nothing else, and these cases are about list contents.
 
 def rem_fixture(entries):
     plan = plan_from([(s, s) for s in range(8)])
@@ -88,31 +82,34 @@ def rem_fixture(entries):
 
 def test_rem_child_leaves_survivors_and_reports_last():
     plan = rem_fixture([3, -1, 7])
-    assert plan.rem_child(0, 3, 7) == (1, 3)
+    assert plan.rem_child(0, 7) == (1, 3)
     assert plan.children[0] == [3, -1, -1]
 
 
 def test_rem_child_removes_one_instance_on_self_crossover():
     plan = rem_fixture([5, 5])
-    assert plan.rem_child(0, 2, 5) == (1, 5)
+    assert plan.rem_child(0, 5) == (1, 5)
     assert plan.children[0] == [-1, 5]
 
 
 def test_rem_child_sole_entry_empties_array():
     plan = rem_fixture([4])
-    assert plan.rem_child(0, 1, 4) == (0, -1)
+    assert plan.rem_child(0, 4) == (0, -1)
     assert plan.children[0] == [-1]
 
 
 def test_rem_child_last_is_nil_when_several_remain():
     plan = rem_fixture([2, 3, 4])
-    assert plan.rem_child(0, 3, 3) == (2, NIL)
+    assert plan.rem_child(0, 3) == (2, NIL)
 
 
 def test_rem_child_missing_child_is_invariant_violation():
     plan = rem_fixture([3, -1, 7])
-    with pytest.raises(AssertionError):
-        plan.rem_child(0, 3, 5)
+    with pytest.raises(InvariantError):
+        plan.rem_child(0, 5)
+    assert plan.children[0] == [3, -1, 7]  # a rejected strike changes nothing
+    with pytest.raises(InvariantError):
+        plan_from([(0, 0)] * 2).rem_child(1, 0)  # parent 1 has no children list
 
 
 def move_fixture():
@@ -191,9 +188,12 @@ def test_class_assignment_matches_min_parent_edges():
     for _ in range(200):
         m = rng.randrange(1, 20)
         pairs = [(rng.randrange(m), rng.randrange(m)) for _ in range(m)]
-        outcome = SelectionOutcome([a for a, _ in pairs], [b for _, b in pairs])
-        counts = outcome.edge_counts()
-        plan = BreedingPlan(outcome, counts)
+        counts = [0] * m
+        for a, b in pairs:
+            counts[a] += 1
+            counts[b] += 1
+        plan = plan_from(pairs)
+        assert [len(c or []) for c in plan.children] == counts
         for s, (a, b) in enumerate(pairs):
             expected = 1 if min(counts[a], counts[b]) == 1 else 2
             assert plan.status[s] == expected

@@ -110,16 +110,23 @@ def test_release_then_acquire_is_lifo():
     assert pool.acquire(b) == 1
 
 
-def test_usage_stats_lifecycle():
+def test_usage_counters_lifecycle():
     pool = make_pool()
-    assert pool.usage_stats() == (0, 0, 0)
+
+    def stats():
+        return pool.used, pool.peak, pool.max_used, pool.allocated
+
+    assert stats() == (0, 0, 0, 0)
     a = Individual()
     pool.acquire(a)
-    assert pool.usage_stats() == (1, 1, 1)
-    pool.release(a)
     pool.acquire(Individual())
-    # LIFO reuse means the same storage serves again: still one allocation
-    assert pool.usage_stats() == (1, 1, 1)
+    assert stats() == (2, 2, 2, 2)
+    pool.release(a)
+    pool.reset_peak()  # a new peak window starts at the current use
+    assert stats() == (1, 1, 2, 2)
+    pool.acquire(Individual())
+    # LIFO reuse means the same storage serves again: no new allocation
+    assert stats() == (2, 2, 2, 2)
 
 
 def test_lazy_allocation_never_exceeds_high_water():
@@ -173,7 +180,7 @@ def test_release_of_foreign_slot_is_invariant_violation():
     pool = make_pool()
     held = Individual()
     pool.acquire(held)
-    for slot in (pool.capacity + 1, -1, 2):  # out of range twice, then never allocated
+    for slot in (pool.capacity + 1, -1, 2):  # out of range twice, then never handed out
         stranger = Individual(slot_id=slot)
         with pytest.raises(InvariantError):
             pool.release(stranger)
@@ -189,6 +196,23 @@ def test_release_with_nothing_in_use_is_invariant_violation():
     pool.release(ind)
     with pytest.raises(InvariantError):
         pool.release(Individual(slot_id=slot))  # stale handle to a freed slot
+
+
+def test_stale_handle_release_while_others_in_use_is_invariant_violation():
+    # without a per-slot in-use flag this release linked slot 1 into the
+    # free chain twice, and the next two acquires both got slot 1
+    pool = BufferPool(3, 1, 8)
+    a, b = Individual(), Individual()
+    pool.acquire(a)
+    pool.acquire(b)
+    stale = Individual(slot_id=a.slot_id)
+    pool.release(a)
+    with pytest.raises(InvariantError):
+        pool.release(stale)
+    c, d = Individual(), Individual()
+    pool.acquire(c)
+    pool.acquire(d)
+    assert len({b.slot_id, c.slot_id, d.slot_id}) == 3
 
 
 def test_buffer_of_unallocated_slot_is_invariant_violation():
