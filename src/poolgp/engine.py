@@ -9,6 +9,12 @@ in class-priority order, breed each by subtree crossover into a pool buffer,
 strike the child off both parents (releasing a parent's buffer the moment
 its last child exists), and evaluate fitness.
 
+Each member carries a 16-byte digest of its genome. Before breeding, the
+master maps every parent's digest to its fitness; a child whose genome
+equals a parent-population genome takes that fitness instead of being
+evaluated again. Whether a child hits depends only on its genome and the
+parents, never on the schedule, and workers only read the table.
+
 Everything shared (pool, plan) is mutated only inside one lock, in two
 sections: `claim_child` and `book_child`, which the schedule tests drive
 too. Crossover and fitness evaluation run outside the lock. All
@@ -21,6 +27,7 @@ the serial two-population reference engine.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 import sys
@@ -41,13 +48,17 @@ from .problems import Problem, get_problem
 
 @dataclass
 class Individual:
-    """Per-member accounting: buffer handle, provenance, fitness."""
+    """Per-member accounting: buffer handle, provenance, genome digest, fitness."""
 
     slot_id: int = NO_SLOT
     tree_len: int = 0
+    digest: bytes = b""  # genome_digest of the genome; outlives the buffer
     fitness: float = math.inf
     mum_id: int = -1
     dad_id: int = -1
+
+
+MAX_THREADS = 256  # most breeder threads a run may ask for
 
 
 @dataclass
@@ -66,6 +77,9 @@ class RunConfig:
             raise ValueError("popsize must be >= 1")
         if self.nthreads < 0:
             raise ValueError("nthreads must be >= 0 (0 = run breeding inline)")
+        if self.nthreads > MAX_THREADS:
+            # one OS thread per breeder; a typo must not start thousands
+            raise ValueError(f"nthreads must be <= {MAX_THREADS}, got {self.nthreads}")
         if self.generations < 1:
             raise ValueError("generations must be >= 1")
         if self.buffer_bytes < 1:
@@ -159,6 +173,11 @@ def child_stream(draws: array, child: int) -> PointCursor:
     return PointCursor(draws[start:start + POINTS_PER_CHILD])
 
 
+def genome_digest(buf, length: int) -> bytes:
+    """The fitness-table key of the genome in buf[:length] (16-byte BLAKE2b)."""
+    return hashlib.blake2b(buf[:length], digest_size=16).digest()
+
+
 def initial_depth(index: int, max_depth: int) -> int:
     """Ramp initial tree depths across the population (2..max, or all 1)."""
     if max_depth == 1:
@@ -208,16 +227,22 @@ class PooledEngine:
         for s in range(cfg.popsize):
             ind = Individual()
             self.pool.acquire(ind)
-            ind.tree_len = grow_initial_genome(
-                self.master_rng, s, cfg.max_initial_depth, self.pool.buffer(ind.slot_id)
-            )
+            buf = self.pool.buffer(ind.slot_id)
+            ind.tree_len = grow_initial_genome(self.master_rng, s, cfg.max_initial_depth, buf)
+            ind.digest = genome_digest(buf, ind.tree_len)
             self.pop.append(ind)
+        # duplicate random trees are scored once, the first in member order
+        scores: dict[bytes, float] = {}
         opcodes = 0
         for ind in self.pop:
-            ind.fitness = self.problem.fitness(self.pool.buffer(ind.slot_id), ind.tree_len)
-            opcodes += self.problem.opcodes_per_eval(ind.tree_len)
+            fitness = scores.get(ind.digest)
+            if fitness is None:
+                fitness = scores[ind.digest] = self.problem.fitness(
+                    self.pool.buffer(ind.slot_id), ind.tree_len)
+                opcodes += self.problem.opcodes_per_eval(ind.tree_len)
+            ind.fitness = fitness
         span = time.perf_counter() - t0
-        self._record(0, opcodes, span, [span])
+        self._record(0, opcodes, cfg.popsize - len(scores), span, [span])
 
     def run_generation(self, g: int) -> None:
         """Replace the whole population with its children (generation g)."""
@@ -230,6 +255,8 @@ class PooledEngine:
         cfg = self.config
         plan = BreedingPlan(outcome)
         new_pop = [Individual(mum_id=m, dad_id=d) for m, d in zip(outcome.mum_ids, outcome.dad_ids)]
+        # childless members count too: their fitness outlives their buffers
+        scores = {ind.digest: ind.fitness for ind in self.pop}
         self.pool.reset_peak()
         # infertile parents give their buffers back before any worker starts
         for ind, kids in zip(self.pop, plan.children):
@@ -237,16 +264,15 @@ class PooledEngine:
                 self.pool.release(ind)
 
         nworkers = self.pool.workers
-        busy = [0.0] * nworkers
-        ops = [0] * nworkers
+        tallies: list[tuple[float, int, int]] = [(0.0, 0, 0)] * nworkers
         if cfg.nthreads == 0:
-            self._worker_loop(0, draws, plan, new_pop, busy, ops)
+            tallies[0] = self._worker_loop(draws, plan, new_pop, scores)
         else:
             errors: list[BaseException] = []
 
             def run_worker(w: int) -> None:
                 try:
-                    self._worker_loop(w, draws, plan, new_pop, busy, ops)
+                    tallies[w] = self._worker_loop(draws, plan, new_pop, scores)
                 except BaseException as exc:  # propagate fatal errors to master
                     errors.append(exc)
 
@@ -264,9 +290,11 @@ class PooledEngine:
         if self.pool.used != cfg.popsize:
             raise InvariantError("old population not fully released")
         self.pop = new_pop
-        self._record(g, sum(ops), time.perf_counter() - t0, busy)
+        busy, ops, reused = zip(*tallies)
+        self._record(g, sum(ops), sum(reused), time.perf_counter() - t0, list(busy))
 
-    def _record(self, g: int, opcodes: int, wall: float, busy: list[float]) -> None:
+    def _record(self, g: int, opcodes: int, reused: int, wall: float,
+                busy: list[float]) -> None:
         row = metrics.record_generation(
             generation=g,
             tree_sizes=[ind.tree_len for ind in self.pop],
@@ -275,6 +303,7 @@ class PooledEngine:
             pool_max_used=self.pool.max_used,
             allocated_slots=self.pool.allocated,
             total_opcodes=opcodes,
+            fitness_reused=reused,
             wall_time=wall,
             busy_times=busy,
         )
@@ -283,13 +312,19 @@ class PooledEngine:
 
     # -- worker phase -----------------------------------------------------
 
-    def _worker_loop(self, w: int, draws: array, plan: BreedingPlan,
-                     new_pop: list[Individual], busy: list[float], ops: list[int]) -> None:
+    def _worker_loop(self, draws: array, plan: BreedingPlan, new_pop: list[Individual],
+                     scores: dict[bytes, float]) -> tuple[float, int, int]:
+        """Breed children until none is left to claim.
+
+        Returns this worker's busy seconds, opcodes interpreted and children
+        whose fitness came from `scores`, which it only reads.
+        """
         t0 = time.perf_counter()
         cfg = self.config
         pool = self.pool
         pop = self.pop
         opcodes = 0
+        reused = 0
         while True:
             with self.lock:
                 s = claim_child(plan, pool, new_pop)
@@ -303,12 +338,17 @@ class PooledEngine:
                 pool.buffer(mum.slot_id), mum.tree_len, pool.buffer(dad.slot_id), dad.tree_len,
                 child_buf, cfg.buffer_bytes, child_stream(draws, s),
             )
+            child.digest = genome_digest(child_buf, child.tree_len)
             with self.lock:
                 book_child(plan, pool, pop, s, child)
-            child.fitness = self.problem.fitness(child_buf, child.tree_len)
-            opcodes += self.problem.opcodes_per_eval(child.tree_len)
-        busy[w] = time.perf_counter() - t0
-        ops[w] = opcodes
+            fitness = scores.get(child.digest)
+            if fitness is None:
+                fitness = self.problem.fitness(child_buf, child.tree_len)
+                opcodes += self.problem.opcodes_per_eval(child.tree_len)
+            else:
+                reused += 1
+            child.fitness = fitness
+        return time.perf_counter() - t0, opcodes, reused
 
 
 def claim_child(plan: BreedingPlan, pool: BufferPool, new_pop: list[Individual]) -> int | None:

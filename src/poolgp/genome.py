@@ -39,7 +39,7 @@ def subtree_end(code, start: int) -> int:
     need = 1
     i = start
     while need:
-        need += arity(code[i]) - 1
+        need += 1 if code[i] < VAR_X else -1  # arity(code[i]) - 1, inlined
         i += 1
     return i
 
@@ -59,7 +59,8 @@ def random_tree(rng, depth_limit: int, buf) -> int:
     are drawn uniformly from the full primitive set until the limit forces a
     terminal. A limit of d writes at most 2**d - 1 cells.
     """
-    assert depth_limit >= 1
+    if depth_limit < 1:
+        raise ValueError(f"depth_limit must be >= 1, got {depth_limit}")
     pos = 0
 
     def grow(depth: int) -> None:
@@ -103,6 +104,7 @@ def subtree_crossover(mum, mum_len: int, dad, dad_len: int,
     return mum_len
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def evaluate(code, length: int, x: np.ndarray) -> np.ndarray:
     """Interpret a genome over a vector of input points.
 
@@ -112,35 +114,36 @@ def evaluate(code, length: int, x: np.ndarray) -> np.ndarray:
     operation keeps its operand order, so the bits are those of the
     all-array evaluation. Returns the prediction per input point as a fresh
     float64 array of `x`'s shape, or `x` itself for the bare-variable tree,
-    so treat it as read-only.
+    so treat it as read-only. Overflow, 0/0 and x/0 raise no warning: the
+    error state is set for the whole call (numpy keeps it per thread).
     """
     if not 0 <= length <= len(code):
         raise InvariantError(f"length {length} outside a buffer of {len(code)} cells")
     stack: list[np.ndarray | float] = []
     push = stack.append
     pop = stack.pop
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for op in reversed(code[:length]):
-            if op == VAR_X:
-                push(x)
-            elif op >= CONST_BASE:
-                push(CONSTANTS[op - CONST_BASE])
+    for op in reversed(code[:length]):
+        if op == VAR_X:
+            push(x)
+        elif op >= CONST_BASE:
+            push(CONSTANTS[op - CONST_BASE])
+        else:
+            a = pop()
+            b = pop()
+            if op == ADD:
+                push(a + b)
+            elif op == SUB:
+                push(a - b)
+            elif op == MUL:
+                push(a * b)
+            elif b.__class__ is float:
+                # same test as the array mask: 0.0 and -0.0 give 1, nan divides
+                push(a / b if b != 0 else 1.0)
             else:
-                a = pop()
-                b = pop()
-                if op == ADD:
-                    push(a + b)
-                elif op == SUB:
-                    push(a - b)
-                elif op == MUL:
-                    push(a * b)
-                elif b.__class__ is float:
-                    # same test as the array mask: 0.0 and -0.0 give 1, nan divides
-                    push(a / b if b != 0 else 1.0)
-                else:
-                    out = np.ones_like(b)
-                    np.divide(a, b, out=out, where=b != 0)
-                    push(out)
+                # a / b is a fresh array; b == 0 is exactly where b != 0 fails
+                out = a / b
+                out[b == 0] = 1.0
+                push(out)
     if len(stack) != 1:
         raise InvariantError("incomplete prefix encoding")
     root = stack[0]

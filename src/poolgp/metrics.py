@@ -6,6 +6,8 @@ import csv
 import dataclasses
 from dataclasses import dataclass
 
+from .errors import InvariantError
+
 
 @dataclass
 class GenerationStats:
@@ -18,6 +20,7 @@ class GenerationStats:
     best_fitness: float
     mean_fitness: float
     total_opcodes_evaluated: int
+    fitness_reused: int
     generation_wall_time: float
     worker_busy_times: list[float]
     idle_fraction: float
@@ -63,11 +66,13 @@ def record_generation(
     pool_max_used: int,
     allocated_slots: int,
     total_opcodes: int,
+    fitness_reused: int,
     wall_time: float,
     busy_times: list[float],
 ) -> GenerationStats:
     """Assemble one fully populated stats row from an engine snapshot."""
-    assert tree_sizes and fitnesses
+    if not tree_sizes or not fitnesses:
+        raise InvariantError("a generation row needs a non-empty population")
     return GenerationStats(
         generation=generation,
         mean_tree_size=sum(tree_sizes) / len(tree_sizes),
@@ -78,6 +83,7 @@ def record_generation(
         best_fitness=min(fitnesses),
         mean_fitness=sum(fitnesses) / len(fitnesses),
         total_opcodes_evaluated=total_opcodes,
+        fitness_reused=fitness_reused,
         generation_wall_time=wall_time,
         worker_busy_times=list(busy_times),
         idle_fraction=idle_fraction(busy_times),

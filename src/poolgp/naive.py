@@ -104,6 +104,7 @@ class NaiveEngine:
             pool_max_used=self.max_live,
             allocated_slots=self.max_live,
             total_opcodes=opcodes,
+            fitness_reused=0,  # the oracle evaluates every member
             wall_time=wall,
             busy_times=[wall],
         )

@@ -1,9 +1,12 @@
 """CLI tests: argument handling, summary line, exit codes, CSV output."""
 
+import threading
+
 import pytest
 
 from poolgp import metrics
 from poolgp.cli import build_parser, main
+from poolgp.engine import MAX_THREADS
 
 FAST = ["--popsize", "8", "--generations", "4", "--buffer-bytes", "63",
         "--max-initial-depth", "4", "--seed", "5"]
@@ -39,6 +42,20 @@ def test_unknown_flag_is_a_usage_error(capsys):
 def test_bad_depth_for_buffer_is_a_configuration_error(capsys):
     assert main(["--popsize", "4", "--buffer-bytes", "31"]) == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+def test_thread_count_above_the_cap_starts_no_thread(monkeypatch, capsys):
+    started = []
+
+    def refuse_start(thread):
+        started.append(thread.name)
+        raise AssertionError(f"thread {thread.name} started")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse_start)
+    assert main(FAST + ["--threads", str(10**9)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and f"<= {MAX_THREADS}" in err
+    assert started == []
 
 
 def test_pooled_run_summary_and_exit_code(capsys):

@@ -14,6 +14,7 @@ import pytest
 from poolgp import engine
 from poolgp.breeding_plan import SelectionOutcome
 from poolgp.engine import (
+    MAX_THREADS,
     POINTS_PER_CHILD,
     TOURNAMENT_BLOCK,
     PooledEngine,
@@ -23,6 +24,8 @@ from poolgp.engine import (
     initial_depth,
     run_evolution,
 )
+from poolgp.naive import run_evolution_naive
+from poolgp.problems import get_problem
 
 
 class ScriptedRng:
@@ -54,6 +57,40 @@ class RecordingRng(random.Random):
 def word_for(member, m):
     """The smallest 32-bit draw that picks `member` of `m`: (u * m) >> 32 == member."""
     return -((-member << 32) // m)
+
+
+class CountingProblem:
+    """Delegating evaluator that records every genome it scores (list.append is atomic)."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = []
+
+    def fitness(self, code, length):
+        self.calls.append(bytes(code[:length]))
+        return self.inner.fitness(code, length)
+
+    def opcodes_per_eval(self, length):
+        return self.inner.opcodes_per_eval(length)
+
+
+def generations_scored(cfg, problem):
+    """Step a pooled run one generation at a time.
+
+    Yields, per generation: the parent genomes (none for generation 0), the
+    new genomes, the genomes `problem` scored meanwhile, and the stats row.
+    """
+    eng = PooledEngine(cfg, problem)
+    parents = []
+    for g in range(cfg.generations):
+        before = len(problem.calls)
+        if g == 0:
+            eng._init_generation_zero()
+        else:
+            eng.run_generation(g)
+        pop = [eng.genome_bytes(ind) for ind in eng.pop]
+        yield parents, pop, problem.calls[before:], eng.stats[g]
+        parents = pop
 
 
 def small_config(**overrides):
@@ -189,6 +226,9 @@ def test_config_validation():
         RunConfig(generations=0).validate()
     with pytest.raises(ValueError):
         RunConfig(tournament_size=0).validate()
+    RunConfig(nthreads=MAX_THREADS).validate()
+    with pytest.raises(ValueError):
+        RunConfig(nthreads=MAX_THREADS + 1).validate()
     with pytest.raises(ValueError):
         # depth-6 initial trees cannot fit 31-byte buffers
         RunConfig(buffer_bytes=31, max_initial_depth=6).validate()
@@ -215,13 +255,17 @@ def test_generations_one_is_just_the_random_population():
 
 
 def test_population_size_and_evaluation_count_constant():
+    # only interpreted genomes count; a generation of copies reads 0
     cfg = small_config()
-    result = run_evolution(cfg)
-    assert all(len(row) == cfg.popsize for row in result.fitness_history)
-    assert len(result.stats) == cfg.generations
-    for row in result.stats:
-        assert row.total_opcodes_evaluated > 0
+    problem = CountingProblem(get_problem("quartic"))
+    rows = 0
+    for _, pop, scored, row in generations_scored(cfg, problem):
+        assert len(pop) == cfg.popsize
+        assert row.total_opcodes_evaluated == sum(
+            problem.opcodes_per_eval(len(code)) for code in scored)
         assert math.isfinite(row.mean_tree_size)
+        rows += 1
+    assert rows == cfg.generations
 
 
 def test_same_seed_same_results():
@@ -241,28 +285,43 @@ def test_same_seed_same_stats_except_wall_clock():
     assert [zero_wall_clock(r) for r in a.stats] == [zero_wall_clock(r) for r in b.stats]
 
 
-class CountingProblem:
-    """Delegating evaluator that counts fitness calls (list.append is atomic)."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.calls = []
-
-    def fitness(self, code, length):
-        self.calls.append(length)
-        return self.inner.fitness(code, length)
-
-    def opcodes_per_eval(self, length):
-        return self.inner.opcodes_per_eval(length)
-
-
 def test_each_child_evaluated_exactly_once_per_generation():
-    from poolgp.problems import get_problem
-
+    # a child is scored unless its genome is in the parent population;
+    # generation 0 scores each distinct random genome once
     cfg = small_config(nthreads=3, generations=5)
     problem = CountingProblem(get_problem("quartic"))
-    run_evolution(cfg, problem)
-    assert len(problem.calls) == cfg.popsize * cfg.generations
+    reused = 0
+    for parents, pop, scored, row in generations_scored(cfg, problem):
+        if row.generation == 0:
+            assert sorted(scored) == sorted(set(pop))
+        else:
+            known = set(parents)
+            assert sorted(scored) == sorted(code for code in pop if code not in known)
+        assert row.fitness_reused == cfg.popsize - len(scored)
+        reused += row.fitness_reused
+    assert reused > 0
+
+
+def test_reused_fitness_equals_the_oracle_on_a_copy_heavy_run():
+    # tiny trees in tiny buffers: many children repeat a parent genome
+    cfg = small_config(popsize=6, nthreads=2, generations=30, buffer_bytes=7,
+                       max_initial_depth=2)
+    pooled = run_evolution(cfg)
+    naive = run_evolution_naive(cfg)
+    assert pooled.genomes == naive.genomes
+    assert pooled.fitness_history == naive.fitness_history
+    assert sum(row.fitness_reused for row in pooled.stats) > 0
+    assert all(row.fitness_reused == 0 for row in naive.stats)
+
+
+def test_evaluation_counts_do_not_depend_on_thread_count():
+    counts = {
+        n: [(row.total_opcodes_evaluated, row.fitness_reused)
+            for row in run_evolution(small_config(nthreads=n, generations=10)).stats]
+        for n in (0, 1, 4)
+    }
+    assert counts[0] == counts[1] == counts[4]
+    assert sum(reused for _, reused in counts[0]) > 0
 
 
 def test_thread_count_does_not_change_results():
@@ -318,8 +377,6 @@ def test_workers_clamped_to_popsize():
             alive = sum(t.name.startswith("breeder-") for t in threading.enumerate())
             self.calls.append(alive)
             return self.inner.fitness(code, length)
-
-    from poolgp.problems import get_problem
 
     problem = ThreadCountingProblem(get_problem("quartic"))
     result = run_evolution(small_config(popsize=4, nthreads=8, generations=5), problem)

@@ -4,6 +4,8 @@ import math
 import random
 import subprocess
 import sys
+import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -221,6 +223,61 @@ def test_evaluate_constant_root_is_array_shaped_like_x():
             assert np.array_equal(got, np.full(x.shape, value))
 
 
+def old_protected_div(a, b):
+    """Protected division as it was written before: 1.0 wherever `b != 0` fails."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return np.divide(a, b, out=np.ones_like(b), where=b != 0)
+
+
+def test_evaluate_array_division_is_bit_exact_with_the_masked_divide():
+    x1 = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 1.0, -2.5, 5e-324, 1e300, -0.5])
+    cases = [  # genome, the same operations with the old protected division
+        ([DIV, C[0.5], VAR_X], lambda x: old_protected_div(0.5, x)),
+        ([DIV, C[-1.0], VAR_X], lambda x: old_protected_div(-1.0, x)),
+        ([DIV, VAR_X, VAR_X], lambda x: old_protected_div(x, x)),
+        ([DIV, ADD, VAR_X, VAR_X, VAR_X], lambda x: old_protected_div(x + x, x)),
+        ([DIV, VAR_X, MUL, VAR_X, VAR_X], lambda x: old_protected_div(x, x * x)),
+        ([DIV, SUB, C[0.0], VAR_X, MUL, VAR_X, C[0.0]],
+         lambda x: old_protected_div(0.0 - x, x * 0.0)),
+    ]
+    for x in (x1, x1.reshape(2, 5)):
+        for code, ref in cases:
+            got = genome.evaluate(bytes(code), len(code), x)
+            with np.errstate(over="ignore", invalid="ignore"):
+                want = ref(x)
+            assert got.shape == x.shape
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), code
+
+
+def test_evaluate_overflow_emits_no_runtime_warning():
+    x = np.array([1e200, -1e200, 0.0])
+    genomes = [
+        [MUL, VAR_X, VAR_X],  # overflow
+        [DIV, VAR_X, DIV, C[0.5], VAR_X],  # overflow and x/0
+        [SUB, MUL, VAR_X, VAR_X, MUL, VAR_X, VAR_X],  # inf - inf
+        [DIV, MUL, VAR_X, VAR_X, MUL, VAR_X, VAR_X],  # inf / inf
+    ]
+    caught = []
+
+    def run_all():
+        try:
+            for code in genomes:
+                genome.evaluate(bytes(code), len(code), x)
+        except RuntimeWarning as exc:
+            caught.append(exc)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        run_all()
+        worker = threading.Thread(target=run_all)  # numpy's error state is per thread
+        worker.start()
+        worker.join(timeout=30)
+    assert not worker.is_alive()
+    assert caught == []
+    got = genome.evaluate(bytes(genomes[0]), 3, x)
+    assert got[0] == got[1] == math.inf
+
+
 def test_evaluate_rejects_length_outside_buffer():
     x = np.zeros(3)
     for length in (-1, 4):
@@ -231,11 +288,16 @@ def test_evaluate_rejects_length_outside_buffer():
 def test_incomplete_encoding_raises_under_python_optimize():
     src = Path(genome.__file__).resolve().parents[1]
     script = (
-        "import sys, numpy as np\n"
+        "import random, sys, numpy as np\n"
         "from poolgp import genome\n"
         "from poolgp.errors import InvariantError\n"
         "if not sys.flags.optimize:\n"
         "    sys.exit(2)\n"
+        "try:\n"
+        "    genome.random_tree(random.Random(1), 0, bytearray(8))\n"
+        "    sys.exit(4)\n"
+        "except ValueError:\n"
+        "    pass\n"
         "try:\n"
         "    genome.evaluate(bytes([genome.VAR_X, genome.VAR_X]), 2, np.zeros(3))\n"
         "except InvariantError:\n"

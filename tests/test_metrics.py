@@ -1,6 +1,9 @@
 """Metrics tests: idle accounting and CSV round trips."""
 
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +22,7 @@ def make_row(gen=0, **overrides):
         best_fitness=1.25,
         mean_fitness=4.75,
         total_opcodes_evaluated=1234,
+        fitness_reused=7,
         generation_wall_time=0.5,
         worker_busy_times=[0.4, 0.3],
         idle_fraction=0.125,
@@ -58,14 +62,38 @@ def test_record_generation_populates_all_fields():
         pool_max_used=6,
         allocated_slots=6,
         total_opcodes=60,
+        fitness_reused=2,
         wall_time=0.25,
         busy_times=[0.2, 0.1],
     )
+    assert row.fitness_reused == 2
     assert row.mean_tree_size == 3.0
     assert row.max_tree_size == 5
     assert row.best_fitness == 2.0
     assert row.mean_fitness == pytest.approx(14.0 / 3.0)
     assert 0.0 <= row.idle_fraction <= 1.0
+
+
+def test_empty_population_raises_under_python_optimize():
+    src = Path(metrics.__file__).resolve().parents[1]
+    empty = dict(generation=0, tree_sizes=[], fitnesses=[], pool_used_peak=0,
+                 pool_max_used=0, allocated_slots=0, total_opcodes=0, fitness_reused=0,
+                 wall_time=0.0, busy_times=[])
+    script = (
+        "import sys\n"
+        "from poolgp import metrics\n"
+        "from poolgp.errors import InvariantError\n"
+        "if not sys.flags.optimize:\n"
+        "    sys.exit(2)\n"
+        "try:\n"
+        f"    metrics.record_generation(**{empty!r})\n"
+        "except InvariantError:\n"
+        "    sys.exit(0)\n"
+        "sys.exit(3)\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", script], cwd=src,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_csv_round_trip(tmp_path):
