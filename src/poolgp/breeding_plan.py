@@ -1,20 +1,20 @@
-"""Per-generation breeding schedule: child classes, work chains, parent bookkeeping.
+"""Per-generation breeding schedule: child classes, work queues, parent bookkeeping.
 
-Children waiting to be created by crossover are queued in two chains by
-class: class 1 (at least one parent has exactly one outstanding child) and
-class 2+ (both parents have two or more). Workers drain chain 1 first, so
-single-child parents give their buffers back as early as possible. The
-class-2+ chain is doubly linked because promotion (move21) unlinks from an
-arbitrary position; the class-1 chain is consumed at the head only, so its
-back links are never maintained after construction.
+Children waiting to be created by crossover are queued by class: class 1
+(at least one parent has exactly one outstanding child) and class 2+ (both
+parents have two or more). Workers drain class 1 first, so single-child
+parents give their buffers back as early as possible.
 
-Each parent also carries a list of its child ids, built by appending in
-child order, so its length is the parent's edge count: the plan is the only
-place that count lives. A finished child's entry becomes NIL rather than
-being removed, so the list keeps its length. A short linear scan
-beats a fancier structure at realistic family sizes and keeps all
-allocation in the master phase. -1 is the empty marker everywhere in this
-module (the buffer pool's sentinel 0 is a valid child index here).
+Class 1 is a stack linked through `forw` from `chainhd1`: it starts as the
+ascending class-1 children, and a promoted child (move21) is pushed on top.
+Class 2+ is `queue2`, the ascending class-2 children, read through the
+cursor `next2`. A class-2 child leaves it only by a claim at the cursor or
+by promotion (status 1), so skipping entries whose status is no longer 2
+yields the remaining children in order with no unlinking.
+
+Each parent also carries a list of its child ids, built in child order: its
+length is the parent's outstanding child count, and the plan is the only
+place that count lives. The plan also keeps every child's parents.
 
 No internal locking: every operation runs inside the engine lock.
 """
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from .errors import InvariantError
 
-NIL = -1  # empty marker for chain links and children entries
+NIL = -1  # end of chain 1; "no sole survivor" from rem_child
 
 
 @dataclass
@@ -50,153 +50,81 @@ class SelectionOutcome:
 
 
 class BreedingPlan:
-    """Work chains and children lists for one generation of crossovers."""
+    """Work queues, parentage and children lists for one generation of crossovers."""
 
     def __init__(self, outcome: SelectionOutcome):
-        mums, dads = outcome.mum_ids, outcome.dad_ids
-        popsize = len(mums)
-        self.popsize = popsize
-        children: list[list[int]] = [[] for _ in range(popsize)]
-        for s in range(popsize):
-            children[mums[s]].append(s)
-            children[dads[s]].append(s)
-        self.children: list[list[int] | None] = [c or None for c in children]
-        self.status = [
+        self.mums = mums = outcome.mum_ids
+        self.dads = dads = outcome.dad_ids
+        children: list[list[int]] = [[] for _ in mums]
+        for s, (m, d) in enumerate(zip(mums, dads)):
+            children[m].append(s)
+            children[d].append(s)
+        self.children = children
+        self.status = status = [
             1 if len(children[m]) == 1 or len(children[d]) == 1 else 2
             for m, d in zip(mums, dads)
         ]
-        self.forw = [NIL] * popsize
-        self.back = [NIL] * popsize
-        self.chainhd1 = self._link([s for s in range(popsize) if self.status[s] == 1])
-        self.chainhd2 = self._link([s for s in range(popsize) if self.status[s] == 2])
-
-    def _link(self, chain: list[int]) -> int:
-        """Doubly link `chain` in ascending child order; return its head."""
-        for a, b in zip(chain, chain[1:]):
+        queue1 = [s for s, c in enumerate(status) if c == 1]
+        self.forw = [NIL] * len(mums)
+        for a, b in zip(queue1, queue1[1:]):
             self.forw[a] = b
-            self.back[b] = a
-        return chain[0] if chain else NIL
+        self.chainhd1 = queue1[0] if queue1 else NIL
+        self.queue2 = [s for s, c in enumerate(status) if c == 2]
+        self.next2 = 0
 
     def claim_next(self) -> int | None:
-        """Take the next child to create: chain 1 first, else chain 2+.
+        """Take the next child to create: chain 1 first, else the class-2 queue.
 
         Marks the child claimed (status 0) so no other worker picks it up.
-        Returns None when both chains are empty and the worker should stop.
+        Returns None when both queues are empty and the worker should stop.
         """
-        if self.chainhd1 != NIL:
-            s = self.chainhd1
+        status = self.status
+        s = self.chainhd1
+        if s != NIL:
+            if status[s] != 1:
+                raise InvariantError(f"child {s} on chain 1 has status {status[s]}")
             self.chainhd1 = self.forw[s]
-        elif self.chainhd2 != NIL:
-            s = self.chainhd2
-            self.chainhd2 = self.forw[s]
         else:
-            return None
-        if self.status[s] not in (1, 2):
-            raise InvariantError(f"child {s} queued with status {self.status[s]}")
-        self.status[s] = 0
+            queue2 = self.queue2
+            i = self.next2
+            while i < len(queue2) and status[queue2[i]] != 2:
+                i += 1  # promoted since the queue was built
+            if i == len(queue2):
+                self.next2 = i
+                return None
+            s = queue2[i]
+            self.next2 = i + 1
+        status[s] = 0
         return s
 
-    def rem_child(self, parent: int, s: int) -> tuple[int, int]:
-        """Strike one occurrence of child s from a parent's children list.
+    def cancel(self) -> None:
+        """Empty both queues, so every later claim_next returns None."""
+        self.chainhd1 = NIL
+        self.next2 = len(self.queue2)
 
-        The struck entry becomes NIL, so the list keeps its length. Exactly
-        one occurrence is removed even when s appears twice (self-crossover).
-        Returns (children still outstanding, id of the sole survivor when
-        exactly one remains, else NIL).
+    def rem_child(self, parent: int, s: int) -> tuple[int, int]:
+        """Remove one occurrence of child s from a parent's children list.
+
+        Exactly one occurrence goes even when s appears twice
+        (self-crossover). Returns (children still outstanding, id of the sole
+        survivor when exactly one remains, else NIL).
         """
-        arr = self.children[parent]
+        kids = self.children[parent]
         try:
-            arr[arr.index(s)] = NIL
-        except (AttributeError, ValueError):
+            kids.remove(s)
+        except ValueError:
             raise InvariantError(f"child {s} not in children list of parent {parent}") from None
-        nchild = len(arr) - arr.count(NIL)
-        # NIL sorts below every child id, so max() is the sole survivor
-        return nchild, max(arr) if nchild == 1 else NIL
+        return len(kids), kids[0] if len(kids) == 1 else NIL
 
     def move21(self, active: int, s: int) -> None:
-        """Promote child s from the class-2+ chain to the head of chain 1.
+        """Promote class-2 child s to the top of chain 1.
 
         No-op when s is the child being processed right now, or when s is no
         longer class 2+ (another thread may have claimed or promoted it since
         the caller looked).
         """
-        if active == s:
-            return
-        if self.status[s] != 2:
+        if active == s or self.status[s] != 2:
             return
         self.status[s] = 1
-        b = self.back[s]
-        f = self.forw[s]
-        if self.chainhd2 == s:
-            self.chainhd2 = f
-        self.forw[s] = NIL
-        self.back[s] = NIL
-        if b != NIL:
-            self.forw[b] = f
-        if f != NIL:
-            self.back[f] = b
-        # insert at head of chain 1; back links not maintained there
         self.forw[s] = self.chainhd1
         self.chainhd1 = s
-
-    def check_integrity(self) -> str | None:
-        """Verify both chains; return None if sound, else the first violation.
-
-        Chain 1: acyclic, every node status 1. Chain 2+: acyclic, every node
-        status 2, and back[forw[x]] == x for every link that has a successor
-        (the head's own back pointer may be stale after a head claim; it is
-        never followed). Also checks the chains are disjoint and together
-        cover exactly the children whose status says they are queued.
-        """
-        seen1 = []
-        visited = set()
-        i = self.chainhd1
-        while i != NIL:
-            if i in visited:
-                return f"cycle in chain 1 at child {i}"
-            if not 0 <= i < self.popsize:
-                return f"chain 1 link out of range: {i}"
-            if self.status[i] != 1:
-                return f"child {i} on chain 1 has status {self.status[i]}"
-            visited.add(i)
-            seen1.append(i)
-            i = self.forw[i]
-        seen2 = []
-        prev = NIL
-        i = self.chainhd2
-        while i != NIL:
-            if i in visited:
-                return f"chain overlap or cycle at child {i}"
-            if not 0 <= i < self.popsize:
-                return f"chain 2+ link out of range: {i}"
-            if self.status[i] != 2:
-                return f"child {i} on chain 2+ has status {self.status[i]}"
-            if prev != NIL and self.back[i] != prev:
-                return f"back[{i}]={self.back[i]} does not match forw[{prev}]={i}"
-            visited.add(i)
-            seen2.append(i)
-            prev = i
-            i = self.forw[i]
-        queued1 = {s for s in range(self.popsize) if self.status[s] == 1}
-        queued2 = {s for s in range(self.popsize) if self.status[s] == 2}
-        if set(seen1) != queued1:
-            return f"chain 1 holds {sorted(seen1)} but status-1 children are {sorted(queued1)}"
-        if set(seen2) != queued2:
-            return f"chain 2+ holds {sorted(seen2)} but status-2 children are {sorted(queued2)}"
-        return None
-
-    def chain1_list(self) -> list[int]:
-        out = []
-        i = self.chainhd1
-        while i != NIL:
-            out.append(i)
-            i = self.forw[i]
-        return out
-
-    def chain2_list(self) -> list[int]:
-        out = []
-        i = self.chainhd2
-        while i != NIL:
-            out.append(i)
-            i = self.forw[i]
-        return out

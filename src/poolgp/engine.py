@@ -1,13 +1,13 @@
 """Generational GP engine with a bounded genome-buffer footprint.
 
 One generation works in two phases. The master draws every child's parents
-by tournament and every child's crossover points, classifies the children
-(class 1: some parent has exactly one outstanding child; class 2+: both
-parents have more), releases the buffers of childless parents, and
-pre-allocates all per-parent bookkeeping. Worker threads then claim children
-in class-priority order, breed each by subtree crossover into a pool buffer,
-strike the child off both parents (releasing a parent's buffer the moment
-its last child exists), and evaluate fitness.
+by tournament and every child's crossover points, builds the plan that
+holds each child's parents and class (class 1: some parent has exactly one
+outstanding child; class 2+: both parents have more) and each parent's
+children, and releases the buffers of childless parents. Workers then
+claim children in class-priority order, breed each by subtree crossover
+into a pool buffer, strike the child off both parents (releasing a parent's
+buffer the moment its last child exists), and evaluate fitness.
 
 Each member carries a 16-byte digest of its genome. Before breeding, the
 master maps every parent's digest to its fitness; a child whose genome
@@ -17,7 +17,8 @@ parents, never on the schedule, and workers only read the table.
 
 Everything shared (pool, plan) is mutated only inside one lock, in two
 sections: `claim_child` and `book_child`, which the schedule tests drive
-too. Crossover and fitness evaluation run outside the lock. All
+too. Crossover and fitness evaluation run outside the lock. A worker that
+raises cancels the plan, so the others stop at their next claim. All
 randomness comes from one master stream seeded by the run seed: it grows
 generation 0, then draws each generation's tournaments and crossover points
 in bulk before breeding starts. Each child reads only its own block of
@@ -48,14 +49,12 @@ from .problems import Problem, get_problem
 
 @dataclass
 class Individual:
-    """Per-member accounting: buffer handle, provenance, genome digest, fitness."""
+    """Per-member accounting: buffer handle, genome digest, fitness."""
 
     slot_id: int = NO_SLOT
     tree_len: int = 0
     digest: bytes = b""  # genome_digest of the genome; outlives the buffer
     fitness: float = math.inf
-    mum_id: int = -1
-    dad_id: int = -1
 
 
 MAX_THREADS = 256  # most breeder threads a run may ask for
@@ -254,13 +253,13 @@ class PooledEngine:
         t0 = time.perf_counter()
         cfg = self.config
         plan = BreedingPlan(outcome)
-        new_pop = [Individual(mum_id=m, dad_id=d) for m, d in zip(outcome.mum_ids, outcome.dad_ids)]
+        new_pop = [Individual() for _ in range(cfg.popsize)]
         # childless members count too: their fitness outlives their buffers
         scores = {ind.digest: ind.fitness for ind in self.pop}
         self.pool.reset_peak()
         # infertile parents give their buffers back before any worker starts
         for ind, kids in zip(self.pop, plan.children):
-            if kids is None:
+            if not kids:
                 self.pool.release(ind)
 
         nworkers = self.pool.workers
@@ -275,6 +274,8 @@ class PooledEngine:
                     tallies[w] = self._worker_loop(draws, plan, new_pop, scores)
                 except BaseException as exc:  # propagate fatal errors to master
                     errors.append(exc)
+                    with self.lock:
+                        plan.cancel()  # the other workers stop at their next claim
 
             threads = [
                 threading.Thread(target=run_worker, args=(w,), name=f"breeder-{w}")
@@ -301,7 +302,7 @@ class PooledEngine:
             fitnesses=[ind.fitness for ind in self.pop],
             pool_used_peak=self.pool.peak,
             pool_max_used=self.pool.max_used,
-            allocated_slots=self.pool.allocated,
+            allocated_slots=self.pool.max_used,
             total_opcodes=opcodes,
             fitness_reused=reused,
             wall_time=wall,
@@ -323,6 +324,7 @@ class PooledEngine:
         cfg = self.config
         pool = self.pool
         pop = self.pop
+        mums, dads = plan.mums, plan.dads
         opcodes = 0
         reused = 0
         while True:
@@ -331,8 +333,8 @@ class PooledEngine:
             if s is None:
                 break
             child = new_pop[s]
-            mum = pop[child.mum_id]
-            dad = pop[child.dad_id]
+            mum = pop[mums[s]]
+            dad = pop[dads[s]]
             child_buf = pool.buffer(child.slot_id)
             child.tree_len = subtree_crossover(
                 pool.buffer(mum.slot_id), mum.tree_len, pool.buffer(dad.slot_id), dad.tree_len,
@@ -340,7 +342,7 @@ class PooledEngine:
             )
             child.digest = genome_digest(child_buf, child.tree_len)
             with self.lock:
-                book_child(plan, pool, pop, s, child)
+                book_child(plan, pool, pop, s)
             fitness = scores.get(child.digest)
             if fitness is None:
                 fitness = self.problem.fitness(child_buf, child.tree_len)
@@ -364,15 +366,14 @@ def claim_child(plan: BreedingPlan, pool: BufferPool, new_pop: list[Individual])
     return s
 
 
-def book_child(plan: BreedingPlan, pool: BufferPool, pop: list[Individual],
-               s: int, child: Individual) -> None:
+def book_child(plan: BreedingPlan, pool: BufferPool, pop: list[Individual], s: int) -> None:
     """The BOOK lock section: strike the finished child s off both parents.
 
     A parent left with one outstanding child promotes it to chain 1; a
     parent left with none gives its buffer back. The caller holds the
     engine lock.
     """
-    for parent in (child.mum_id, child.dad_id):
+    for parent in (plan.mums[s], plan.dads[s]):
         left, last = plan.rem_child(parent, s)
         if left == 1:
             plan.move21(s, last)

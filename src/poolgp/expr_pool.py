@@ -6,7 +6,9 @@ buffer per population member plus up to two parents held by each in-flight
 crossover. Threads beyond popsize would have no child to breed, so they are
 never started and get no headroom. Free slots are kept on a singly linked
 index chain so acquire/release are O(1) and buffer storage, once allocated,
-is reused for the rest of the run.
+is reused for the rest of the run. The chain is LIFO over a never-used
+ascending tail, so storage is allocated only when every allocated slot is
+in use: `max_used` slots have storage.
 
 Slot index 0 is reserved as the "no buffer" sentinel; real slots are
 1..capacity. A per-slot in-use flag makes release refuse any slot that is
@@ -14,10 +16,9 @@ not currently handed out, so a stale handle to a freed slot cannot link it
 into the free chain twice.
 
 The pool is the one source of its usage figures: `used` now, `max_used`
-over the run, `peak` since the last `reset_peak` (the engine resets it at
-the start of each generation) and `allocated` storage. It is not
-thread-safe on its own: callers mutate it only inside the engine's single
-lock.
+over the run and `peak` since the last `reset_peak` (the engine resets it
+at the start of each generation). It is not thread-safe on its own:
+callers mutate it only inside the engine's single lock.
 """
 
 from __future__ import annotations
@@ -65,7 +66,6 @@ class BufferPool:
         self.used = 0
         self.peak = 0
         self.max_used = 0
-        self.allocated = 0
 
     def acquire(self, who) -> int:
         """Hand the next free slot to `who`, allocating its storage on first use.
@@ -81,7 +81,6 @@ class BufferPool:
             )
         if self.slots[head] is None:
             self.slots[head] = bytearray(self.buffer_bytes)
-            self.allocated += 1
         who.slot_id = head
         self.chainhead = self.chain[head]
         if not 0 <= self.chainhead <= self.capacity:
@@ -119,16 +118,3 @@ class BufferPool:
         if buf is None:
             raise InvariantError(f"slot {slot} has no storage")
         return buf
-
-    def free_chain(self) -> list[int]:
-        """Slots reachable from the chain head, in chain order (for checks)."""
-        out = []
-        seen = set()
-        i = self.chainhead
-        while i != 0:
-            if i in seen or not 1 <= i <= self.capacity:
-                raise InvariantError(f"corrupt free chain at slot {i}")
-            seen.add(i)
-            out.append(i)
-            i = self.chain[i]
-        return out

@@ -44,14 +44,6 @@ def subtree_end(code, start: int) -> int:
     return i
 
 
-def tree_is_complete(code, length: int) -> bool:
-    """True when the arity walk from cell 0 ends exactly at `length`."""
-    try:
-        return length > 0 and subtree_end(code, 0) == length
-    except IndexError:
-        return False
-
-
 def random_tree(rng, depth_limit: int, buf) -> int:
     """Grow a random tree into `buf`, returning its encoded length.
 

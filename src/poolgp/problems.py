@@ -26,6 +26,7 @@ class Problem:
     def num_cases(self) -> int:
         return len(self.inputs)
 
+    @np.errstate(over="ignore")  # finite errors can still sum past float64's range
     def fitness(self, code, length: int) -> float:
         pred = genome.evaluate(code, length, self.inputs)
         err = float(np.abs(pred - self.targets).sum())

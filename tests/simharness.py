@@ -9,9 +9,13 @@ so the schedules explored here check the code that ships. Fitness
 evaluation only reads the child's own buffer, which nothing can release
 mid-generation, so it is not a separate step. A scheduler picks which
 worker advances next; `explore_all` walks every interleaving, checking
-after each step that the plan chains are intact, the pool conserves its
+after each step that the plan's queues are intact, the pool conserves its
 slots, and no crossover ever reads a parent buffer that was released (or
 recycled) after the child was claimed.
+
+The checks that read the plan's and the pool's internals (`queues`,
+`check_integrity`, `free_chain`, `tree_is_complete`) live here, not in the
+package: only tests use them.
 """
 
 from __future__ import annotations
@@ -21,9 +25,57 @@ import random
 from poolgp.breeding_plan import NIL, BreedingPlan, SelectionOutcome
 from poolgp.engine import Individual, book_child, child_stream, claim_child, draw_points
 from poolgp.expr_pool import NO_SLOT, BufferPool
-from poolgp.genome import random_tree, subtree_crossover, tree_is_complete
+from poolgp.genome import random_tree, subtree_crossover, subtree_end
 
 CLAIM, CROSS, BOOK = "claim", "cross", "book"
+
+
+def queues(plan: BreedingPlan) -> tuple[list[int], list[int]]:
+    """(chain 1, class-2 queue): the children each would hand out, in claim order.
+
+    Chain 1 is cut one entry past the population size, so a cycle shows as
+    a too-long chain instead of a hang.
+    """
+    chain1 = []
+    i = plan.chainhd1
+    while i != NIL and len(chain1) <= len(plan.status):
+        chain1.append(i)
+        i = plan.forw[i]
+    return chain1, [s for s in plan.queue2[plan.next2:] if plan.status[s] == 2]
+
+
+def check_integrity(plan: BreedingPlan) -> str | None:
+    """None if the plan is sound, else its first violation.
+
+    Chain 1 must hold each status-1 child once, and the class-2 queue past
+    its cursor each status-2 child, in ascending order.
+    """
+    chain1, chain2 = queues(plan)
+    for chain, cls in ((sorted(chain1), 1), (chain2, 2)):
+        queued = [s for s, c in enumerate(plan.status) if c == cls]
+        if chain != queued:
+            return f"chain {cls} holds {chain} but status-{cls} children are {queued}"
+    return None
+
+
+def free_chain(pool: BufferPool) -> list[int]:
+    """Slots reachable from the pool's free-chain head, in chain order."""
+    out, seen = [], set()
+    i = pool.chainhead
+    while i != 0:
+        assert 1 <= i <= pool.capacity and i not in seen, f"corrupt free chain at slot {i}"
+        seen.add(i)
+        out.append(i)
+        i = pool.chain[i]
+    return out
+
+
+def tree_is_complete(code, length: int) -> bool:
+    """True when the arity walk from cell 0 ends exactly at `length`."""
+    try:
+        return length > 0 and subtree_end(code, 0) == length
+    except IndexError:
+        return False
 
 
 class WorkerModel:
@@ -71,12 +123,10 @@ class BreedingSim:
         self.draws = draw_points(rng, popsize)
         outcome = SelectionOutcome([m for m, _ in pairs], [d for _, d in pairs])
         self.plan = BreedingPlan(outcome)
-        self.new_pop = [
-            Individual(mum_id=m, dad_id=d) for m, d in zip(outcome.mum_ids, outcome.dad_ids)
-        ]
+        self.new_pop = [Individual() for _ in range(popsize)]
         self.pool.reset_peak()
         for ind, kids in zip(self.pop, self.plan.children):
-            if kids is None:
+            if not kids:
                 self.pool.release(ind)
         self.workers = [WorkerModel() for _ in range(nworkers)]
         self.claims: list[tuple[int, bool, bool]] = []  # (child, was_class2, chain1_empty)
@@ -116,26 +166,25 @@ class BreedingSim:
 
     def _step_claim(self, st: WorkerModel) -> None:
         h1 = self.plan.chainhd1
-        h2 = self.plan.chainhd2
+        chain2 = queues(self.plan)[1]
         s = claim_child(self.plan, self.pool, self.new_pop)
         if s is None:
             st.done = True
             return
         was_class2 = s != h1
         if was_class2:
-            assert s == h2
+            assert s == chain2[0]
         self.claims.append((s, was_class2, h1 == NIL))
-        child = self.new_pop[s]
         st.child = s
-        st.mum_slot = self.pop[child.mum_id].slot_id
-        st.dad_slot = self.pop[child.dad_id].slot_id
+        st.mum_slot = self.pop[self.plan.mums[s]].slot_id
+        st.dad_slot = self.pop[self.plan.dads[s]].slot_id
         st.phase = CROSS
 
     def _step_cross(self, st: WorkerModel, draws) -> None:
         s = st.child
         child = self.new_pop[s]
-        mum = self.pop[child.mum_id]
-        dad = self.pop[child.dad_id]
+        mum = self.pop[self.plan.mums[s]]
+        dad = self.pop[self.plan.dads[s]]
         # the property under test: parents still own the buffers recorded at claim
         assert mum.slot_id == st.mum_slot != NO_SLOT, (
             f"child {s}: mum buffer released before crossover read it"
@@ -152,16 +201,16 @@ class BreedingSim:
         st.phase = BOOK
 
     def _step_book(self, st: WorkerModel) -> None:
-        book_child(self.plan, self.pool, self.pop, st.child, self.new_pop[st.child])
+        book_child(self.plan, self.pool, self.pop, st.child)
         self.books += 1
         st.phase = CLAIM
 
     # -- invariants ---------------------------------------------------------
 
     def verify_quiescent(self) -> None:
-        report = self.plan.check_integrity()
+        report = check_integrity(self.plan)
         assert report is None, report
-        free = self.pool.free_chain()
+        free = free_chain(self.pool)
         assert self.pool.used + len(free) == self.pool.capacity
         owned = [i.slot_id for i in self.pop if i.slot_id != NO_SLOT]
         owned += [i.slot_id for i in self.new_pop if i.slot_id != NO_SLOT]
@@ -171,11 +220,10 @@ class BreedingSim:
         popsize = len(self.pop)
         assert self.finished()
         assert self.pool.used == popsize, "old population not fully released"
-        assert self.plan.chainhd1 == NIL and self.plan.chainhd2 == NIL
+        assert queues(self.plan) == ([], [])
         assert sorted(s for s, _, _ in self.claims) == list(range(popsize))
         assert self.books == popsize
-        for arr in self.plan.children:
-            assert arr is None or all(e == NIL for e in arr)
+        assert not any(self.plan.children)
         for child in self.new_pop:
             assert child.slot_id != NO_SLOT
             assert tree_is_complete(self.pool.buffer(child.slot_id), child.tree_len)

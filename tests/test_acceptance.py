@@ -14,7 +14,14 @@ from poolgp.engine import Individual, RunConfig, run_evolution
 from poolgp.expr_pool import BufferPool
 from poolgp.metrics import parse_csv
 from poolgp.naive import run_evolution_naive
-from simharness import BreedingSim, explore_all, random_walk, tiny_population_scenarios
+from simharness import (
+    BreedingSim,
+    check_integrity,
+    explore_all,
+    queues,
+    random_walk,
+    tiny_population_scenarios,
+)
 
 
 def config(m, threads, generations, seed):
@@ -97,8 +104,7 @@ def test_hand_traced_operation_tables():
     # build_plan: three children, parent edge counts 3/2/1
     outcome = SelectionOutcome([0, 0, 1], [1, 0, 2])
     plan = BreedingPlan(outcome)  # parent edge counts 3/2/1
-    assert plan.chain1_list() == [2]
-    assert plan.chain2_list() == [0, 1]
+    assert queues(plan) == ([2], [0, 1])
     assert plan.children[0] == [0, 1, 1]
     assert plan.children[1] == [0, 2]
     assert plan.children[2] == [2]
@@ -108,10 +114,10 @@ def test_hand_traced_operation_tables():
 
     # rem_child: (list, child) -> (after, remaining, last)
     rem_table = [
-        ([3, -1, 7], 7, [3, -1, -1], 1, 3),
-        ([5, 5], 5, [-1, 5], 1, 5),  # self-crossover: one instance only
-        ([4], 4, [-1], 0, -1),
-        ([2, 3, 4], 3, [2, -1, 4], 2, -1),
+        ([3, 7], 7, [3], 1, 3),
+        ([5, 5], 5, [5], 1, 5),  # self-crossover: one instance only
+        ([4], 4, [], 0, -1),
+        ([2, 3, 4], 3, [2, 4], 2, -1),
     ]
     for entries, child, after, remaining, last in rem_table:
         p = BreedingPlan(SelectionOutcome([s for s in range(8)], [s for s in range(8)]))
@@ -119,20 +125,19 @@ def test_hand_traced_operation_tables():
         assert p.rem_child(0, child) == (remaining, last)
         assert p.children[0] == after
 
-    # move21: unlink child 1 from chain2 [0,1,5], push onto chain1
+    # move21: take child 1 out of the class-2 queue [0,1,5], push onto chain1
     pairs = [(0, 1), (0, 1), (2, 0), (3, 0), (4, 0), (0, 1), (6, 0), (7, 0)]
     out = SelectionOutcome([m for m, _ in pairs], [d for _, d in pairs])
     p = BreedingPlan(out)
-    assert p.chain2_list() == [0, 1, 5]
+    assert queues(p)[1] == [0, 1, 5]
     p.move21(7, 1)
-    assert p.chain2_list() == [0, 5]
-    assert p.forw[0] == 5 and p.back[5] == 0
+    assert queues(p) == ([1, 2, 3, 4, 6, 7], [0, 5])
     assert p.chainhd1 == 1 and p.status[1] == 1
-    before = (list(p.forw), list(p.back), list(p.status), p.chainhd1, p.chainhd2)
+    before = (list(p.forw), list(p.status), p.chainhd1, p.next2)
     p.move21(5, 5)  # active child: ignored
     p.move21(7, 2)  # already class 1: ignored
-    assert (list(p.forw), list(p.back), list(p.status), p.chainhd1, p.chainhd2) == before
-    assert p.check_integrity() is None
+    assert (list(p.forw), list(p.status), p.chainhd1, p.next2) == before
+    assert check_integrity(p) is None
     print("\nPASS operation traces: acquire/release, build_plan, rem_child, move21")
 
 

@@ -1,5 +1,7 @@
 """Engine-level tests: selection, breeding traces, determinism, memory envelope."""
 
+import hashlib
+import itertools
 import math
 import random
 import struct
@@ -12,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from poolgp import engine
-from poolgp.breeding_plan import SelectionOutcome
+from poolgp.breeding_plan import BreedingPlan, SelectionOutcome
 from poolgp.engine import (
     MAX_THREADS,
     POINTS_PER_CHILD,
@@ -246,6 +248,68 @@ def test_self_permutation_generation_peaks_at_m_plus_one():
     assert engine.pool.used == 2
 
 
+def record_claims(monkeypatch, log):
+    """Append every claim_next result to `log` (claims run under the engine lock)."""
+    claim_next = BreedingPlan.claim_next
+
+    def recording(plan):
+        s = claim_next(plan)
+        log.append(s)
+        return s
+
+    monkeypatch.setattr(BreedingPlan, "claim_next", recording)
+
+
+def test_claim_order_is_pinned(monkeypatch):
+    # the order the plan hands out children decides which buffers are live
+    # when, so a change to it must be deliberate
+    claims = []
+    record_claims(monkeypatch, claims)
+    run_evolution(RunConfig(popsize=64, nthreads=0, generations=6, buffer_bytes=63,
+                            max_initial_depth=4, seed=3))
+    assert len(claims) == 5 * 65  # 64 children and a final None per generation
+    assert claims[:8] == [1, 3, 35, 52, 57, 61, 0, 2]  # class 1 first
+    text = " ".join("-" if s is None else str(s) for s in claims)
+    assert hashlib.sha256(text.encode()).hexdigest().startswith("1f553eb9feff825bb2cd5ab3")
+
+
+class FailingProblem(CountingProblem):
+    """Raises one exception object on its k-th fitness call."""
+
+    def __init__(self, inner, k):
+        super().__init__(inner)
+        self.count = itertools.count(1)  # next() is atomic, unlike len() then append
+        self.k = k
+        self.error = RuntimeError("fitness failed on purpose")
+
+    def fitness(self, code, length):
+        if next(self.count) == self.k:
+            raise self.error
+        return self.inner.fitness(code, length)
+
+
+def test_failing_worker_stops_the_others(monkeypatch):
+    log = []
+    record_claims(monkeypatch, log)
+    cancel = BreedingPlan.cancel
+
+    def logged_cancel(plan):
+        log.append("cancel")
+        cancel(plan)
+
+    monkeypatch.setattr(BreedingPlan, "cancel", logged_cancel)
+    # generation 0 scores at most 400 genomes, so call 450 comes from a breeder
+    problem = FailingProblem(get_problem("quartic"), k=450)
+    cfg = RunConfig(popsize=400, nthreads=4, generations=5, buffer_bytes=63,
+                    max_initial_depth=4, seed=1)
+    with pytest.raises(RuntimeError) as excinfo:
+        run_evolution(cfg, problem)
+    assert excinfo.value is problem.error
+    assert log.count("cancel") == 1
+    assert all(s is None for s in log[log.index("cancel") + 1:])
+    assert not [t for t in threading.enumerate() if t.name.startswith("breeder-")]
+
+
 def test_generations_one_is_just_the_random_population():
     result = run_evolution(small_config(generations=1))
     assert len(result.stats) == 1
@@ -366,7 +430,7 @@ def test_pool_max_used_is_monotone():
 def test_allocated_slots_never_exceed_high_water():
     result = run_evolution(small_config(generations=10))
     for row in result.stats:
-        assert row.allocated_slots <= row.pool_max_used <= result.capacity
+        assert row.allocated_slots == row.pool_max_used <= result.capacity
         assert row.pool_used_peak <= row.pool_max_used
 
 

@@ -24,8 +24,8 @@ from poolgp.genome import (
     random_tree,
     subtree_crossover,
     subtree_end,
-    tree_is_complete,
 )
+from simharness import tree_is_complete
 
 C = {v: CONST_BASE + i for i, v in enumerate(CONSTANTS)}  # constant value -> opcode
 

@@ -27,7 +27,7 @@ def test_harness_detects_premature_release():
             super()._step_claim(st)
             if st.done:
                 return
-            mum = self.pop[self.new_pop[st.child].mum_id]
+            mum = self.pop[self.plan.mums[st.child]]
             if mum.slot_id != NO_SLOT:
                 self.pool.release(mum)  # bug on purpose: free before crossover
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from poolgp.genome import ADD, CONST_BASE, CONSTANTS, DIV, MUL, VAR_X
+from poolgp.genome import ADD, CONST_BASE, CONSTANTS, DIV, MUL, VAR_X, evaluate
 from poolgp.problems import get_problem
 
 C1 = CONST_BASE + CONSTANTS.index(1.0)
@@ -57,6 +57,28 @@ def test_overflowing_genome_ranks_as_worst_fitness():
         tree = [MUL] + tree + tree
     p = get_problem("quartic")
     assert p.fitness(bytes(tree), len(tree)) == math.inf
+
+
+def power_of_reciprocal(n):
+    """(1/x)^n in prefix order, built by repeated squaring."""
+    base = [DIV, C1, VAR_X]
+    if n == 1:
+        return base
+    half = power_of_reciprocal(n // 2)
+    square = [MUL] + half + half
+    return [MUL] + square + base if n % 2 else square
+
+
+def test_error_sum_overflow_ranks_as_worst_fitness_without_warning():
+    # every prediction of (1/x)^241 is finite (19^241 < 1.8e308 at x = ±1/19),
+    # but their absolute errors sum past float64's range
+    tree = power_of_reciprocal(241)
+    assert len(tree) == 963
+    code = bytearray(1024)  # the default buffer_bytes
+    code[:len(tree)] = tree
+    p = get_problem("quartic")
+    assert np.isfinite(evaluate(code, len(tree), p.inputs)).all()
+    assert p.fitness(code, len(tree)) == math.inf  # RuntimeWarning is an error here
 
 
 def test_opcode_accounting():
