@@ -1,29 +1,31 @@
 """Generational GP engine with a bounded genome-buffer footprint.
 
-One generation works in two phases. The master draws every child's parents
+One generation works in three phases. The master draws every child's parents
 by tournament and every child's crossover points, builds the plan that
 holds each child's parents and class (class 1: some parent has exactly one
 outstanding child; class 2+: both parents have more) and each parent's
 children, and releases the buffers of childless parents. Workers then
 claim children in class-priority order, breed each by subtree crossover
-into a pool buffer, strike the child off both parents (releasing a parent's
-buffer the moment its last child exists), and evaluate fitness.
+into a pool buffer and strike the child off both parents, releasing a
+parent's buffer the moment its last child exists. Once every worker has
+joined, the master scores the new population.
 
-Each member carries a 16-byte digest of its genome. Before breeding, the
-master maps every parent's digest to its fitness; a child whose genome
-equals a parent-population genome takes that fitness instead of being
-evaluated again. Whether a child hits depends only on its genome and the
-parents, never on the schedule, and workers only read the table.
+Each member carries a 16-byte digest of its genome. The master scores
+children in child order through one table that starts as every parent's
+digest mapped to its fitness: a child found there takes that fitness, and
+any other child is evaluated once and added, so a later sibling with the
+same genome takes its fitness too. The master alone scores, so which
+children hit depends only on the genomes, never on the schedule.
 
 Everything shared (pool, plan) is mutated only inside one lock, in two
 sections: `claim_child` and `book_child`, which the schedule tests drive
-too. Crossover and fitness evaluation run outside the lock. A worker that
-raises cancels the plan, so the others stop at their next claim. All
-randomness comes from one master stream seeded by the run seed: it grows
-generation 0, then draws each generation's tournaments and crossover points
-in bulk before breeding starts. Each child reads only its own block of
-crossover points, so results are identical for any thread count, including
-the serial two-population reference engine.
+too. Crossover runs outside the lock. A worker that raises cancels the
+plan, so the others stop at their next claim. All randomness comes from
+one master stream seeded by the run seed: it grows generation 0, then
+draws each generation's tournaments and crossover points in bulk before
+breeding starts. Each child reads only its own block of crossover points,
+so results are identical for any thread count, including the serial
+two-population reference engine.
 """
 
 from __future__ import annotations
@@ -87,10 +89,13 @@ class RunConfig:
             raise ValueError("tournament_size must be >= 1")
         if self.max_initial_depth < 1:
             raise ValueError("max_initial_depth must be >= 1")
-        if 2 ** self.max_initial_depth - 1 > self.buffer_bytes:
+        # bit lengths, not 2**depth: a huge depth must not build a huge integer
+        deepest = (self.buffer_bytes + 1).bit_length() - 1
+        if self.max_initial_depth > deepest:
             raise ValueError(
                 f"buffer_bytes={self.buffer_bytes} cannot hold an initial tree of "
-                f"depth {self.max_initial_depth} (needs {2 ** self.max_initial_depth - 1})"
+                f"depth {self.max_initial_depth} (needs 2**{self.max_initial_depth} - 1 "
+                f"cells; the deepest that fits is {deepest})"
             )
 
 
@@ -230,18 +235,9 @@ class PooledEngine:
             ind.tree_len = grow_initial_genome(self.master_rng, s, cfg.max_initial_depth, buf)
             ind.digest = genome_digest(buf, ind.tree_len)
             self.pop.append(ind)
-        # duplicate random trees are scored once, the first in member order
-        scores: dict[bytes, float] = {}
-        opcodes = 0
-        for ind in self.pop:
-            fitness = scores.get(ind.digest)
-            if fitness is None:
-                fitness = scores[ind.digest] = self.problem.fitness(
-                    self.pool.buffer(ind.slot_id), ind.tree_len)
-                opcodes += self.problem.opcodes_per_eval(ind.tree_len)
-            ind.fitness = fitness
+        opcodes, reused = self._score({})  # duplicate random trees are scored once
         span = time.perf_counter() - t0
-        self._record(0, opcodes, cfg.popsize - len(scores), span, [span])
+        self._record(0, opcodes, reused, span, [span])
 
     def run_generation(self, g: int) -> None:
         """Replace the whole population with its children (generation g)."""
@@ -254,8 +250,6 @@ class PooledEngine:
         cfg = self.config
         plan = BreedingPlan(outcome)
         new_pop = [Individual() for _ in range(cfg.popsize)]
-        # childless members count too: their fitness outlives their buffers
-        scores = {ind.digest: ind.fitness for ind in self.pop}
         self.pool.reset_peak()
         # infertile parents give their buffers back before any worker starts
         for ind, kids in zip(self.pop, plan.children):
@@ -263,15 +257,15 @@ class PooledEngine:
                 self.pool.release(ind)
 
         nworkers = self.pool.workers
-        tallies: list[tuple[float, int, int]] = [(0.0, 0, 0)] * nworkers
+        busy = [0.0] * nworkers
         if cfg.nthreads == 0:
-            tallies[0] = self._worker_loop(draws, plan, new_pop, scores)
+            busy[0] = self._worker_loop(draws, plan, new_pop)
         else:
             errors: list[BaseException] = []
 
             def run_worker(w: int) -> None:
                 try:
-                    tallies[w] = self._worker_loop(draws, plan, new_pop, scores)
+                    busy[w] = self._worker_loop(draws, plan, new_pop)
                 except BaseException as exc:  # propagate fatal errors to master
                     errors.append(exc)
                     with self.lock:
@@ -290,9 +284,29 @@ class PooledEngine:
 
         if self.pool.used != cfg.popsize:
             raise InvariantError("old population not fully released")
+        # childless members count too: their fitness outlives their buffers
+        parents = {ind.digest: ind.fitness for ind in self.pop}
         self.pop = new_pop
-        busy, ops, reused = zip(*tallies)
-        self._record(g, sum(ops), sum(reused), time.perf_counter() - t0, list(busy))
+        opcodes, reused = self._score(parents)
+        self._record(g, opcodes, reused, time.perf_counter() - t0, busy)
+
+    def _score(self, scores: dict[bytes, float]) -> tuple[int, int]:
+        """Score the population in member order; return (opcodes, fitnesses reused).
+
+        A digest in `scores` gives its fitness; any other genome is evaluated
+        once and added, so later members with that genome reuse it.
+        """
+        opcodes = reused = 0
+        for ind in self.pop:
+            fitness = scores.get(ind.digest)
+            if fitness is None:
+                fitness = scores[ind.digest] = self.problem.fitness(
+                    self.pool.buffer(ind.slot_id), ind.tree_len)
+                opcodes += self.problem.opcodes_per_eval(ind.tree_len)
+            else:
+                reused += 1
+            ind.fitness = fitness
+        return opcodes, reused
 
     def _record(self, g: int, opcodes: int, reused: int, wall: float,
                 busy: list[float]) -> None:
@@ -313,20 +327,13 @@ class PooledEngine:
 
     # -- worker phase -----------------------------------------------------
 
-    def _worker_loop(self, draws: array, plan: BreedingPlan, new_pop: list[Individual],
-                     scores: dict[bytes, float]) -> tuple[float, int, int]:
-        """Breed children until none is left to claim.
-
-        Returns this worker's busy seconds, opcodes interpreted and children
-        whose fitness came from `scores`, which it only reads.
-        """
+    def _worker_loop(self, draws: array, plan: BreedingPlan, new_pop: list[Individual]) -> float:
+        """Breed children until none is left to claim; return busy seconds."""
         t0 = time.perf_counter()
         cfg = self.config
         pool = self.pool
         pop = self.pop
         mums, dads = plan.mums, plan.dads
-        opcodes = 0
-        reused = 0
         while True:
             with self.lock:
                 s = claim_child(plan, pool, new_pop)
@@ -343,14 +350,7 @@ class PooledEngine:
             child.digest = genome_digest(child_buf, child.tree_len)
             with self.lock:
                 book_child(plan, pool, pop, s)
-            fitness = scores.get(child.digest)
-            if fitness is None:
-                fitness = self.problem.fitness(child_buf, child.tree_len)
-                opcodes += self.problem.opcodes_per_eval(child.tree_len)
-            else:
-                reused += 1
-            child.fitness = fitness
-        return time.perf_counter() - t0, opcodes, reused
+        return time.perf_counter() - t0
 
 
 def claim_child(plan: BreedingPlan, pool: BufferPool, new_pop: list[Individual]) -> int | None:

@@ -5,9 +5,9 @@ worker loop's atomic sections: CLAIM (`engine.claim_child`: claim a child
 and acquire its buffer, one lock hold), CROSS (crossover outside the lock),
 BOOK (`engine.book_child`: rem_child x2, promotions, parent releases, one
 lock hold). The lock sections are the engine's own functions, not copies,
-so the schedules explored here check the code that ships. Fitness
-evaluation only reads the child's own buffer, which nothing can release
-mid-generation, so it is not a separate step. A scheduler picks which
+so the schedules explored here check the code that ships. Workers do not
+evaluate fitness: the master scores the generation after every worker has
+joined, so scoring is not a step of the model. A scheduler picks which
 worker advances next; `explore_all` walks every interleaving, checking
 after each step that the plan's queues are intact, the pool conserves its
 slots, and no crossover ever reads a parent buffer that was released (or

@@ -42,6 +42,11 @@ def test_unknown_flag_is_a_usage_error(capsys):
 def test_bad_depth_for_buffer_is_a_configuration_error(capsys):
     assert main(["--popsize", "4", "--buffer-bytes", "31"]) == 2
     assert "configuration error" in capsys.readouterr().err
+    # a huge depth gets the same message, naming the deepest tree that fits
+    assert main(["--popsize", "4", "--max-initial-depth", "20000"]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "depth 20000" in err
+    assert "the deepest that fits is 10" in err
 
 
 def test_thread_count_above_the_cap_starts_no_thread(monkeypatch, capsys):

@@ -62,14 +62,16 @@ def word_for(member, m):
 
 
 class CountingProblem:
-    """Delegating evaluator that records every genome it scores (list.append is atomic)."""
+    """Delegating evaluator that records every genome it scores and on which thread."""
 
     def __init__(self, inner):
         self.inner = inner
         self.calls = []
+        self.threads = []
 
     def fitness(self, code, length):
         self.calls.append(bytes(code[:length]))
+        self.threads.append(threading.current_thread().name)
         return self.inner.fitness(code, length)
 
     def opcodes_per_eval(self, length):
@@ -278,12 +280,13 @@ class FailingProblem(CountingProblem):
 
     def __init__(self, inner, k):
         super().__init__(inner)
-        self.count = itertools.count(1)  # next() is atomic, unlike len() then append
+        self.count = itertools.count(1)
         self.k = k
         self.error = RuntimeError("fitness failed on purpose")
 
     def fitness(self, code, length):
         if next(self.count) == self.k:
+            self.failed_on = threading.current_thread().name
             raise self.error
         return self.inner.fitness(code, length)
 
@@ -298,15 +301,35 @@ def test_failing_worker_stops_the_others(monkeypatch):
         cancel(plan)
 
     monkeypatch.setattr(BreedingPlan, "cancel", logged_cancel)
-    # generation 0 scores at most 400 genomes, so call 450 comes from a breeder
+    error = RuntimeError("crossover failed on purpose")
+    calls = itertools.count(1)  # next() is atomic, unlike len() then append
+    crossover = engine.subtree_crossover
+
+    def failing_crossover(*args):
+        if next(calls) == 450:  # the 50th crossover of generation 2
+            raise error
+        return crossover(*args)
+
+    monkeypatch.setattr(engine, "subtree_crossover", failing_crossover)
+    cfg = RunConfig(popsize=400, nthreads=4, generations=5, buffer_bytes=63,
+                    max_initial_depth=4, seed=1)
+    with pytest.raises(RuntimeError) as excinfo:
+        run_evolution(cfg)
+    assert excinfo.value is error
+    assert log.count("cancel") == 1
+    assert all(s is None for s in log[log.index("cancel") + 1:])
+    assert not [t for t in threading.enumerate() if t.name.startswith("breeder-")]
+
+
+def test_failing_score_phase_raises_its_error():
+    # generation 0 scores at most 400 genomes, so call 450 scores a child
     problem = FailingProblem(get_problem("quartic"), k=450)
     cfg = RunConfig(popsize=400, nthreads=4, generations=5, buffer_bytes=63,
                     max_initial_depth=4, seed=1)
     with pytest.raises(RuntimeError) as excinfo:
         run_evolution(cfg, problem)
     assert excinfo.value is problem.error
-    assert log.count("cancel") == 1
-    assert all(s is None for s in log[log.index("cancel") + 1:])
+    assert problem.failed_on == threading.main_thread().name
     assert not [t for t in threading.enumerate() if t.name.startswith("breeder-")]
 
 
@@ -349,21 +372,23 @@ def test_same_seed_same_stats_except_wall_clock():
     assert [zero_wall_clock(r) for r in a.stats] == [zero_wall_clock(r) for r in b.stats]
 
 
-def test_each_child_evaluated_exactly_once_per_generation():
-    # a child is scored unless its genome is in the parent population;
-    # generation 0 scores each distinct random genome once
-    cfg = small_config(nthreads=3, generations=5)
+def test_each_distinct_new_genome_scored_once_in_child_order():
+    # a genome not in the parent population is scored at its first
+    # occurrence in child order; later siblings with it reuse that fitness
+    cfg = small_config(popsize=16, nthreads=3, generations=5)
     problem = CountingProblem(get_problem("quartic"))
-    reused = 0
+    reused = sibling_hits = 0
     for parents, pop, scored, row in generations_scored(cfg, problem):
-        if row.generation == 0:
-            assert sorted(scored) == sorted(set(pop))
-        else:
-            known = set(parents)
-            assert sorted(scored) == sorted(code for code in pop if code not in known)
+        known = set(parents)
+        new = [code for code in pop if code not in known]
+        assert scored == list(dict.fromkeys(new))
         assert row.fitness_reused == cfg.popsize - len(scored)
         reused += row.fitness_reused
+        if row.generation > 0:
+            sibling_hits += len(new) - len(scored)
     assert reused > 0
+    assert sibling_hits > 0
+    assert problem.threads and not [t for t in problem.threads if t.startswith("breeder-")]
 
 
 def test_reused_fitness_equals_the_oracle_on_a_copy_heavy_run():
@@ -434,19 +459,20 @@ def test_allocated_slots_never_exceed_high_water():
         assert row.pool_used_peak <= row.pool_max_used
 
 
-def test_workers_clamped_to_popsize():
+def test_workers_clamped_to_popsize(monkeypatch):
     # 8 threads on 4 members: only 4 breeders, capacity M + 2*4, not M + 2*8
-    class ThreadCountingProblem(CountingProblem):
-        def fitness(self, code, length):
-            alive = sum(t.name.startswith("breeder-") for t in threading.enumerate())
-            self.calls.append(alive)
-            return self.inner.fitness(code, length)
+    alive = []
+    crossover = engine.subtree_crossover
 
-    problem = ThreadCountingProblem(get_problem("quartic"))
-    result = run_evolution(small_config(popsize=4, nthreads=8, generations=5), problem)
+    def counting_crossover(*args):
+        alive.append(sum(t.name.startswith("breeder-") for t in threading.enumerate()))
+        return crossover(*args)
+
+    monkeypatch.setattr(engine, "subtree_crossover", counting_crossover)
+    result = run_evolution(small_config(popsize=4, nthreads=8, generations=5))
     assert result.capacity == 12
     assert result.peak_buffers <= 12
-    assert 0 < max(problem.calls) <= 4
+    assert 0 < max(alive) <= 4
     assert all(len(row.worker_busy_times) == 4 for row in result.stats[1:])
 
 
