@@ -14,10 +14,10 @@ from .engine import (
     run_evolution,
 )
 from .errors import InvariantError
-from .expr_pool import BufferPool, PoolExhaustedError
+from .expr_pool import BufferPool
 from .metrics import GenerationStats, emit_csv
 from .naive import NaiveEngine, run_evolution_naive
-from .problems import PROBLEMS, Problem, get_problem
+from .problems import QUARTIC, Problem
 
 __all__ = [
     "BreedingPlan",
@@ -27,14 +27,12 @@ __all__ = [
     "Individual",
     "InvariantError",
     "NaiveEngine",
-    "PROBLEMS",
-    "PoolExhaustedError",
     "PooledEngine",
     "Problem",
+    "QUARTIC",
     "RunConfig",
     "SelectionOutcome",
     "emit_csv",
-    "get_problem",
     "run_evolution",
     "run_evolution_naive",
 ]

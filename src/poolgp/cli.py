@@ -7,9 +7,8 @@ import sys
 
 from . import metrics
 from .engine import RunConfig, run_evolution
-from .expr_pool import PoolExhaustedError, worker_count
+from .expr_pool import worker_count
 from .naive import run_evolution_naive
-from .problems import PROBLEMS
 
 
 def _positive_int(text: str) -> int:
@@ -45,8 +44,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="tournament size for parent selection (default 7)")
     parser.add_argument("--engine", choices=("pooled", "naive"), default="pooled",
                         help="pooled = bounded-memory engine, naive = two-population reference")
-    parser.add_argument("--problem", choices=sorted(PROBLEMS), default="quartic",
-                        help="fitness problem (default quartic)")
     parser.add_argument("--max-initial-depth", type=_positive_int, default=6,
                         help="largest ramped depth for the random first generation (default 6)")
     parser.add_argument("--csv", metavar="PATH", default=None,
@@ -75,7 +72,6 @@ def main(argv: list[str] | None = None) -> int:
         buffer_bytes=args.buffer_bytes,
         tournament_size=args.tournament_size,
         seed=args.seed,
-        problem=args.problem,
         max_initial_depth=args.max_initial_depth,
     )
     try:
@@ -84,14 +80,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"poolgp: configuration error: {exc}", file=sys.stderr)
         return 2
 
-    try:
-        if args.engine == "naive":
-            result = run_evolution_naive(config)
-        else:
-            result = run_evolution(config)
-    except PoolExhaustedError as exc:
-        print(f"poolgp: fatal: {exc}", file=sys.stderr)
-        return 1
+    if args.engine == "naive":
+        result = run_evolution_naive(config)
+    else:
+        result = run_evolution(config)
 
     status = 0
     if args.csv is not None:

@@ -46,7 +46,7 @@ from .breeding_plan import BreedingPlan, SelectionOutcome
 from .errors import InvariantError
 from .expr_pool import NO_SLOT, BufferPool
 from .genome import CROSSOVER_ATTEMPTS, random_tree, subtree_crossover
-from .problems import Problem, get_problem
+from .problems import QUARTIC, Problem
 
 
 @dataclass
@@ -70,7 +70,6 @@ class RunConfig:
     buffer_bytes: int = 1024
     tournament_size: int = 7
     seed: int = 1
-    problem: str = "quartic"
     max_initial_depth: int = 6
 
     def validate(self) -> None:
@@ -196,10 +195,10 @@ def grow_initial_genome(rng, index: int, max_depth: int, buf) -> int:
 class PooledEngine:
     """Breeds each generation in place using the reusable buffer pool."""
 
-    def __init__(self, config: RunConfig, problem: Problem | None = None):
+    def __init__(self, config: RunConfig, problem: Problem = QUARTIC):
         config.validate()
         self.config = config
-        self.problem = problem if problem is not None else get_problem(config.problem)
+        self.problem = problem
         self.pool = BufferPool(config.popsize, config.nthreads, config.buffer_bytes)
         self.lock = threading.Lock()
         self.master_rng = random.Random(config.seed)
@@ -316,7 +315,6 @@ class PooledEngine:
             fitnesses=[ind.fitness for ind in self.pop],
             pool_used_peak=self.pool.peak,
             pool_max_used=self.pool.max_used,
-            allocated_slots=self.pool.max_used,
             total_opcodes=opcodes,
             fitness_reused=reused,
             wall_time=wall,
@@ -381,6 +379,6 @@ def book_child(plan: BreedingPlan, pool: BufferPool, pop: list[Individual], s: i
             pool.release(pop[parent])
 
 
-def run_evolution(config: RunConfig, problem: Problem | None = None) -> EvolutionResult:
+def run_evolution(config: RunConfig, problem: Problem = QUARTIC) -> EvolutionResult:
     """Build the pool, evolve for config.generations, return population and stats."""
     return PooledEngine(config, problem).run()

@@ -64,7 +64,6 @@ def record_generation(
     fitnesses: list[float],
     pool_used_peak: int,
     pool_max_used: int,
-    allocated_slots: int,
     total_opcodes: int,
     fitness_reused: int,
     wall_time: float,
@@ -79,7 +78,7 @@ def record_generation(
         max_tree_size=max(tree_sizes),
         pool_used_peak=pool_used_peak,
         pool_max_used=pool_max_used,
-        allocated_slots=allocated_slots,
+        allocated_slots=pool_max_used,
         best_fitness=min(fitnesses),
         mean_fitness=sum(fitnesses) / len(fitnesses),
         total_opcodes_evaluated=total_opcodes,

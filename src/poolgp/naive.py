@@ -23,16 +23,16 @@ from .engine import (
     grow_initial_genome,
 )
 from .genome import subtree_crossover
-from .problems import Problem, get_problem
+from .problems import QUARTIC, Problem
 
 
 class NaiveEngine:
     """Separate old and new populations, replaced wholesale each generation."""
 
-    def __init__(self, config: RunConfig, problem: Problem | None = None):
+    def __init__(self, config: RunConfig, problem: Problem = QUARTIC):
         config.validate()
         self.config = config
-        self.problem = problem if problem is not None else get_problem(config.problem)
+        self.problem = problem
         self.master_rng = random.Random(config.seed)
         self.genomes: list[bytearray] = []
         self.lens: list[int] = []
@@ -102,7 +102,6 @@ class NaiveEngine:
             fitnesses=list(self.fitnesses),
             pool_used_peak=peak,
             pool_max_used=self.max_live,
-            allocated_slots=self.max_live,
             total_opcodes=opcodes,
             fitness_reused=0,  # the oracle evaluates every member
             wall_time=wall,
@@ -112,5 +111,5 @@ class NaiveEngine:
         self.fitness_history.append(list(self.fitnesses))
 
 
-def run_evolution_naive(config: RunConfig, problem: Problem | None = None) -> EvolutionResult:
+def run_evolution_naive(config: RunConfig, problem: Problem = QUARTIC) -> EvolutionResult:
     return NaiveEngine(config, problem).run()

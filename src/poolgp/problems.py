@@ -1,4 +1,4 @@
-"""Built-in fitness problems: fixed training tables for symbolic regression."""
+"""The built-in fitness problem: a fixed training table for symbolic regression."""
 
 from __future__ import annotations
 
@@ -18,7 +18,6 @@ class Problem:
     Non-finite totals (overflow, nan from wild arithmetic) rank as +inf.
     """
 
-    name: str
     inputs: np.ndarray
     targets: np.ndarray
 
@@ -43,16 +42,7 @@ def _quartic() -> Problem:
     targets = np.polyval((1.0, 1.0, 1.0, 1.0, 0.0), xs)
     xs.setflags(write=False)
     targets.setflags(write=False)
-    return Problem(name="quartic", inputs=xs, targets=targets)
+    return Problem(inputs=xs, targets=targets)
 
 
-PROBLEMS: dict[str, Problem] = {p.name: p for p in (_quartic(),)}
-
-
-def get_problem(name: str) -> Problem:
-    try:
-        return PROBLEMS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown problem {name!r}; available: {sorted(PROBLEMS)}"
-        ) from None
+QUARTIC = _quartic()  # the problem every run scores against unless given another

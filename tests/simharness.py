@@ -14,7 +14,7 @@ slots, and no crossover ever reads a parent buffer that was released (or
 recycled) after the child was claimed.
 
 The checks that read the plan's and the pool's internals (`queues`,
-`check_integrity`, `free_chain`, `tree_is_complete`) live here, not in the
+`check_integrity`, `free_slots`, `tree_is_complete`) live here, not in the
 package: only tests use them.
 """
 
@@ -58,15 +58,12 @@ def check_integrity(plan: BreedingPlan) -> str | None:
     return None
 
 
-def free_chain(pool: BufferPool) -> list[int]:
-    """Slots reachable from the pool's free-chain head, in chain order."""
-    out, seen = [], set()
-    i = pool.chainhead
-    while i != 0:
-        assert 1 <= i <= pool.capacity and i not in seen, f"corrupt free chain at slot {i}"
-        seen.add(i)
-        out.append(i)
-        i = pool.chain[i]
+def free_slots(pool: BufferPool) -> list[int]:
+    """The pool's free slots in the order acquire hands them out (stack top first)."""
+    out = pool.free[::-1]
+    for i in out:
+        assert 1 <= i <= pool.capacity, f"free slot {i} outside 1..{pool.capacity}"
+    assert len(set(out)) == len(out), f"a slot is free twice: {out}"
     return out
 
 
@@ -210,7 +207,7 @@ class BreedingSim:
     def verify_quiescent(self) -> None:
         report = check_integrity(self.plan)
         assert report is None, report
-        free = free_chain(self.pool)
+        free = free_slots(self.pool)
         assert self.pool.used + len(free) == self.pool.capacity
         owned = [i.slot_id for i in self.pop if i.slot_id != NO_SLOT]
         owned += [i.slot_id for i in self.new_pop if i.slot_id != NO_SLOT]

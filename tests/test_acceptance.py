@@ -80,7 +80,7 @@ def test_pooled_engine_equals_naive_oracle():
 
 def test_hand_traced_operation_tables():
     """Hand-traced operation tables, exact match."""
-    # acquire/release: (op, who) -> expected (slot, chainhead, used, max_used)
+    # acquire/release: (op, who) -> expected (slot, stack top or 0, used, max_used)
     pool = BufferPool(1, 1, 4)
     a, b, c = Individual(), Individual(), Individual()
     trace = [
@@ -99,7 +99,8 @@ def test_hand_traced_operation_tables():
         else:
             pool.release(who)
             assert who.slot_id == 0
-        assert (pool.chainhead, pool.used, pool.max_used) == (head, used, max_used)
+        top = pool.free[-1] if pool.free else 0
+        assert (top, pool.used, pool.max_used) == (head, used, max_used)
 
     # build_plan: three children, parent edge counts 3/2/1
     outcome = SelectionOutcome([0, 0, 1], [1, 0, 2])

@@ -22,7 +22,6 @@ def test_defaults_mirror_reference_run():
     assert args.threads is None  # filled to 8 at run time
     assert args.tournament_size == 7
     assert args.engine == "pooled"
-    assert args.problem == "quartic"
 
 
 def test_zero_popsize_is_a_usage_error(capsys):

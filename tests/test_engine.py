@@ -27,7 +27,7 @@ from poolgp.engine import (
     run_evolution,
 )
 from poolgp.naive import run_evolution_naive
-from poolgp.problems import get_problem
+from poolgp.problems import QUARTIC
 
 
 class ScriptedRng:
@@ -323,7 +323,7 @@ def test_failing_worker_stops_the_others(monkeypatch):
 
 def test_failing_score_phase_raises_its_error():
     # generation 0 scores at most 400 genomes, so call 450 scores a child
-    problem = FailingProblem(get_problem("quartic"), k=450)
+    problem = FailingProblem(QUARTIC, k=450)
     cfg = RunConfig(popsize=400, nthreads=4, generations=5, buffer_bytes=63,
                     max_initial_depth=4, seed=1)
     with pytest.raises(RuntimeError) as excinfo:
@@ -344,7 +344,7 @@ def test_generations_one_is_just_the_random_population():
 def test_population_size_and_evaluation_count_constant():
     # only interpreted genomes count; a generation of copies reads 0
     cfg = small_config()
-    problem = CountingProblem(get_problem("quartic"))
+    problem = CountingProblem(QUARTIC)
     rows = 0
     for _, pop, scored, row in generations_scored(cfg, problem):
         assert len(pop) == cfg.popsize
@@ -376,7 +376,7 @@ def test_each_distinct_new_genome_scored_once_in_child_order():
     # a genome not in the parent population is scored at its first
     # occurrence in child order; later siblings with it reuse that fitness
     cfg = small_config(popsize=16, nthreads=3, generations=5)
-    problem = CountingProblem(get_problem("quartic"))
+    problem = CountingProblem(QUARTIC)
     reused = sibling_hits = 0
     for parents, pop, scored, row in generations_scored(cfg, problem):
         known = set(parents)

@@ -10,17 +10,12 @@ import pytest
 from poolgp import expr_pool
 from poolgp.engine import Individual
 from poolgp.errors import InvariantError
-from poolgp.expr_pool import NO_SLOT, BufferPool, PoolExhaustedError
-from simharness import free_chain
+from poolgp.expr_pool import NO_SLOT, BufferPool
+from simharness import free_slots
 
 
 def make_pool(popsize=1, nthreads=1, buffer_bytes=4):
     return BufferPool(popsize, nthreads, buffer_bytes)
-
-
-def allocated(pool):
-    """Slots that have storage: each gets its buffer on first acquire."""
-    return sum(buf is not None for buf in pool.slots)
 
 
 def test_capacity_formula_reference_run():
@@ -37,10 +32,8 @@ def test_capacity_formula_serial():
 def test_smallest_pool_chain_layout():
     pool = BufferPool(1, 1, 4)
     assert pool.capacity == 3
-    assert pool.chainhead == 1
-    assert free_chain(pool) == [1, 2, 3]
-    assert pool.chain[3] == 0  # end of chain
-    assert pool.slots == [None, None, None, None]  # nothing allocated yet
+    assert pool.free == [3, 2, 1]  # stack top last: slot 1 goes first
+    assert free_slots(pool) == [1, 2, 3]
 
 
 @pytest.mark.parametrize("popsize,nthreads,buffer_bytes", [
@@ -59,7 +52,7 @@ def test_acquire_trace_fresh_pool():
     slot = pool.acquire(who)
     assert slot == 1
     assert who.slot_id == 1
-    assert pool.chainhead == 2
+    assert free_slots(pool) == [2, 3]
     assert pool.used == 1
     assert pool.max_used == 1
 
@@ -69,7 +62,7 @@ def test_acquire_after_release_reuses_released_slot():
     inds = [Individual() for _ in range(3)]
     for ind in inds:
         pool.acquire(ind)
-    assert pool.chainhead == 0
+    assert pool.free == []
     pool.release(inds[1])  # gives slot 2 back
     assert pool.used == 2
     who = Individual()
@@ -81,7 +74,7 @@ def test_exhaustion_is_fatal():
     pool = make_pool()
     for _ in range(3):
         pool.acquire(Individual())
-    with pytest.raises(PoolExhaustedError):
+    with pytest.raises(InvariantError):
         pool.acquire(Individual())
 
 
@@ -89,10 +82,9 @@ def test_release_trace():
     pool = make_pool()
     a, b = Individual(), Individual()
     pool.acquire(a)  # slot 1
-    pool.acquire(b)  # slot 2, chainhead now 3
+    pool.acquire(b)  # slot 2, slot 3 now on top
     pool.release(a)
-    assert pool.chain[1] == 3
-    assert pool.chainhead == 1
+    assert free_slots(pool) == [1, 3]
     assert pool.used == 1
     assert a.slot_id == NO_SLOT
 
@@ -102,9 +94,9 @@ def test_release_is_idempotent():
     a = Individual()
     pool.acquire(a)
     pool.release(a)
-    snapshot = (pool.chainhead, list(pool.chain), pool.used, pool.max_used)
+    snapshot = (list(pool.free), pool.used, pool.max_used)
     pool.release(a)  # second release of the same individual: no state change
-    assert (pool.chainhead, list(pool.chain), pool.used, pool.max_used) == snapshot
+    assert (list(pool.free), pool.used, pool.max_used) == snapshot
 
 
 def test_release_then_acquire_is_lifo():
@@ -120,35 +112,18 @@ def test_usage_counters_lifecycle():
     pool = make_pool()
 
     def stats():
-        return pool.used, pool.peak, pool.max_used, allocated(pool)
+        return pool.used, pool.peak, pool.max_used
 
-    assert stats() == (0, 0, 0, 0)
+    assert stats() == (0, 0, 0)
     a = Individual()
     pool.acquire(a)
     pool.acquire(Individual())
-    assert stats() == (2, 2, 2, 2)
+    assert stats() == (2, 2, 2)
     pool.release(a)
     pool.reset_peak()  # a new peak window starts at the current use
-    assert stats() == (1, 1, 2, 2)
+    assert stats() == (1, 1, 2)
     pool.acquire(Individual())
-    # LIFO reuse means the same storage serves again: no new allocation
-    assert stats() == (2, 2, 2, 2)
-
-
-def test_lazy_allocation_never_exceeds_high_water():
-    pool = BufferPool(4, 2, 8)
-    rng = random.Random(42)
-    held = []
-    for _ in range(500):
-        if held and rng.random() < 0.5:
-            pool.release(held.pop(rng.randrange(len(held))))
-        elif pool.used < pool.capacity:
-            ind = Individual()
-            pool.acquire(ind)
-            held.append(ind)
-        # the free chain is LIFO over a never-used tail, so storage is only
-        # ever added when every allocated slot is in use
-        assert allocated(pool) == pool.max_used <= pool.capacity
+    assert stats() == (2, 2, 2)
 
 
 def test_conservation_and_no_aliasing_under_random_traffic():
@@ -164,7 +139,7 @@ def test_conservation_and_no_aliasing_under_random_traffic():
             ind = Individual()
             pool.acquire(ind)
             held.append(ind)
-        free = free_chain(pool)
+        free = free_slots(pool)
         assert pool.used + len(free) == pool.capacity
         owned = [ind.slot_id for ind in held]
         assert sorted(owned + free) == list(range(1, pool.capacity + 1))
@@ -193,7 +168,7 @@ def test_release_of_foreign_slot_is_invariant_violation():
         with pytest.raises(InvariantError):
             pool.release(stranger)
     assert pool.used == 1  # a rejected release changes nothing
-    assert free_chain(pool) == [2, 3]
+    assert free_slots(pool) == [2, 3]
 
 
 def test_release_with_nothing_in_use_is_invariant_violation():
@@ -207,8 +182,8 @@ def test_release_with_nothing_in_use_is_invariant_violation():
 
 
 def test_stale_handle_release_while_others_in_use_is_invariant_violation():
-    # without a per-slot in-use flag this release linked slot 1 into the
-    # free chain twice, and the next two acquires both got slot 1
+    # without a per-slot in-use flag this release pushed slot 1 onto the
+    # free stack twice, and the next two acquires both got slot 1
     pool = BufferPool(3, 1, 8)
     a, b = Individual(), Individual()
     pool.acquire(a)
@@ -223,16 +198,14 @@ def test_stale_handle_release_while_others_in_use_is_invariant_violation():
     assert len({b.slot_id, c.slot_id, d.slot_id}) == 3
 
 
-def test_buffer_of_unallocated_slot_is_invariant_violation():
+def test_every_buffer_is_built_up_front():
+    pool = BufferPool(4, 2, 8)
+    bufs = [pool.buffer(slot) for slot in range(1, pool.capacity + 1)]
+    assert len({id(buf) for buf in bufs}) == pool.capacity == 8
+    assert all(buf == bytearray(8) for buf in bufs)
+    assert pool.used == pool.max_used == 0
     with pytest.raises(InvariantError):
-        make_pool().buffer(1)
-
-
-def test_corrupt_chain_head_is_invariant_violation():
-    pool = make_pool()
-    pool.chain[1] = pool.capacity + 5
-    with pytest.raises(InvariantError):
-        pool.acquire(Individual())
+        pool.buffer(NO_SLOT)
 
 
 def test_pool_invariants_hold_under_python_optimize():

@@ -60,13 +60,13 @@ def test_record_generation_populates_all_fields():
         fitnesses=[4.0, 2.0, 8.0],
         pool_used_peak=5,
         pool_max_used=6,
-        allocated_slots=6,
         total_opcodes=60,
         fitness_reused=2,
         wall_time=0.25,
         busy_times=[0.2, 0.1],
     )
     assert row.fitness_reused == 2
+    assert row.allocated_slots == row.pool_max_used == 6
     assert row.mean_tree_size == 3.0
     assert row.max_tree_size == 5
     assert row.best_fitness == 2.0
@@ -77,7 +77,7 @@ def test_record_generation_populates_all_fields():
 def test_empty_population_raises_under_python_optimize():
     src = Path(metrics.__file__).resolve().parents[1]
     empty = dict(generation=0, tree_sizes=[], fitnesses=[], pool_used_peak=0,
-                 pool_max_used=0, allocated_slots=0, total_opcodes=0, fitness_reused=0,
+                 pool_max_used=0, total_opcodes=0, fitness_reused=0,
                  wall_time=0.0, busy_times=[])
     script = (
         "import sys\n"

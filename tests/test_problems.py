@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from poolgp.genome import ADD, CONST_BASE, CONSTANTS, DIV, MUL, VAR_X, evaluate
-from poolgp.problems import get_problem
+from poolgp.problems import QUARTIC
 
 C1 = CONST_BASE + CONSTANTS.index(1.0)
 C0 = CONST_BASE + CONSTANTS.index(0.0)
@@ -18,7 +18,7 @@ PERFECT_QUARTIC = bytes([
 
 
 def test_quartic_table_shape():
-    p = get_problem("quartic")
+    p = QUARTIC
     assert p.num_cases == 20
     assert p.inputs[0] == -1.0 and p.inputs[-1] == 1.0
     steps = np.diff(p.inputs)
@@ -26,24 +26,24 @@ def test_quartic_table_shape():
 
 
 def test_quartic_targets_are_the_polynomial():
-    p = get_problem("quartic")
+    p = QUARTIC
     want = p.inputs**4 + p.inputs**3 + p.inputs**2 + p.inputs
     assert np.allclose(p.targets, want, atol=1e-12)
 
 
 def test_perfect_solution_has_zero_fitness():
-    p = get_problem("quartic")
+    p = QUARTIC
     assert p.fitness(PERFECT_QUARTIC, len(PERFECT_QUARTIC)) == 0.0
 
 
 def test_single_variable_fitness_is_sum_abs_error():
-    p = get_problem("quartic")
+    p = QUARTIC
     want = float(np.sum(np.abs(p.inputs - p.targets)))
     assert p.fitness(bytes([VAR_X]), 1) == pytest.approx(want)
 
 
 def test_protected_division_keeps_zero_denominators_finite():
-    p = get_problem("quartic")
+    p = QUARTIC
     code = bytes([DIV, C1, C0])  # 1/0 evaluates to 1
     assert p.fitness(code, len(code)) == pytest.approx(
         float(np.sum(np.abs(1.0 - p.targets)))
@@ -55,7 +55,7 @@ def test_overflowing_genome_ranks_as_worst_fitness():
     tree = [DIV, C1, VAR_X]
     for _ in range(8):
         tree = [MUL] + tree + tree
-    p = get_problem("quartic")
+    p = QUARTIC
     assert p.fitness(bytes(tree), len(tree)) == math.inf
 
 
@@ -76,16 +76,11 @@ def test_error_sum_overflow_ranks_as_worst_fitness_without_warning():
     assert len(tree) == 963
     code = bytearray(1024)  # the default buffer_bytes
     code[:len(tree)] = tree
-    p = get_problem("quartic")
+    p = QUARTIC
     assert np.isfinite(evaluate(code, len(tree), p.inputs)).all()
     assert p.fitness(code, len(tree)) == math.inf  # RuntimeWarning is an error here
 
 
 def test_opcode_accounting():
-    p = get_problem("quartic")
+    p = QUARTIC
     assert p.opcodes_per_eval(13) == 13 * 20
-
-
-def test_unknown_problem_rejected():
-    with pytest.raises(ValueError):
-        get_problem("nonesuch")
