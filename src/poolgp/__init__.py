@@ -16,7 +16,7 @@ from .engine import (
 from .errors import InvariantError
 from .expr_pool import BufferPool
 from .metrics import GenerationStats, emit_csv
-from .naive import NaiveEngine, run_evolution_naive
+from .naive import run_evolution_naive
 from .problems import QUARTIC, Problem
 
 __all__ = [
@@ -26,7 +26,6 @@ __all__ = [
     "GenerationStats",
     "Individual",
     "InvariantError",
-    "NaiveEngine",
     "PooledEngine",
     "Problem",
     "QUARTIC",

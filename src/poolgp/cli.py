@@ -11,41 +11,32 @@ from .expr_pool import worker_count
 from .naive import run_evolution_naive
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
-
-
-def _nonnegative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
-
-
 def build_parser() -> argparse.ArgumentParser:
+    defaults = RunConfig()  # RunConfig.validate checks every value at run time
     parser = argparse.ArgumentParser(
         prog="poolgp",
         description="Generational GP with a bounded genome-buffer footprint "
         "(pooled engine) or the plain two-population scheme (naive engine).",
     )
-    parser.add_argument("--popsize", type=_positive_int, default=500,
-                        help="population size M (default 500)")
-    parser.add_argument("--threads", type=_nonnegative_int, default=None,
-                        help="breeder threads; 0 runs breeding inline (default 8)")
-    parser.add_argument("--generations", type=_positive_int, default=20,
-                        help="total generations including the random first one (default 20)")
-    parser.add_argument("--seed", type=int, default=1, help="master random seed (default 1)")
-    parser.add_argument("--buffer-bytes", type=_positive_int, default=1024,
-                        help="fixed size of every genome buffer (default 1024)")
-    parser.add_argument("--tournament-size", type=_positive_int, default=7,
-                        help="tournament size for parent selection (default 7)")
+    parser.add_argument("--popsize", type=int, default=defaults.popsize,
+                        help="population size M (default %(default)s)")
+    parser.add_argument("--threads", type=int, default=None,
+                        help="breeder threads; 0 runs breeding inline "
+                        f"(default {defaults.nthreads})")
+    parser.add_argument("--generations", type=int, default=defaults.generations,
+                        help="total generations including the random first one "
+                        "(default %(default)s)")
+    parser.add_argument("--seed", type=int, default=defaults.seed,
+                        help="master random seed (default %(default)s)")
+    parser.add_argument("--buffer-bytes", type=int, default=defaults.buffer_bytes,
+                        help="fixed size of every genome buffer (default %(default)s)")
+    parser.add_argument("--tournament-size", type=int, default=defaults.tournament_size,
+                        help="tournament size for parent selection (default %(default)s)")
     parser.add_argument("--engine", choices=("pooled", "naive"), default="pooled",
                         help="pooled = bounded-memory engine, naive = two-population reference")
-    parser.add_argument("--max-initial-depth", type=_positive_int, default=6,
-                        help="largest ramped depth for the random first generation (default 6)")
+    parser.add_argument("--max-initial-depth", type=int, default=defaults.max_initial_depth,
+                        help="largest ramped depth for the random first generation "
+                        "(default %(default)s)")
     parser.add_argument("--csv", metavar="PATH", default=None,
                         help="write per-generation statistics to this CSV file")
     parser.add_argument("--zero-time", action="store_true",
@@ -60,7 +51,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     threads_given = args.threads is not None
-    threads = args.threads if threads_given else 8
+    threads = args.threads if threads_given else RunConfig().nthreads
     if args.engine == "naive" and threads_given and not args.quiet:
         print("warning: --engine naive is single-threaded; ignoring --threads",
               file=sys.stderr)

@@ -10,12 +10,13 @@ into a pool buffer and strike the child off both parents, releasing a
 parent's buffer the moment its last child exists. Once every worker has
 joined, the master scores the new population.
 
-Each member carries a 16-byte digest of its genome. The master scores
-children in child order through one table that starts as every parent's
-digest mapped to its fitness: a child found there takes that fitness, and
-any other child is evaluated once and added, so a later sibling with the
-same genome takes its fitness too. The master alone scores, so which
-children hit depends only on the genomes, never on the schedule.
+Each member carries a 16-byte digest of its genome, which only the score
+pass writes. The pass takes children in child order through a table that
+starts as every parent's digest mapped to its fitness: a child found there
+takes that fitness, and any other child is evaluated once and added, so a
+later sibling with the same genome takes its fitness too. The master alone
+scores, so which children hit depends only on the genomes, never on the
+schedule.
 
 Everything shared (pool, plan) is mutated only inside one lock, in two
 sections: `claim_child` and `book_child`, which the schedule tests drive
@@ -55,7 +56,7 @@ class Individual:
 
     slot_id: int = NO_SLOT
     tree_len: int = 0
-    digest: bytes = b""  # genome_digest of the genome; outlives the buffer
+    digest: bytes = b""  # genome_digest, set by the score pass; outlives the buffer
     fitness: float = math.inf
 
 
@@ -65,7 +66,7 @@ MAX_THREADS = 256  # most breeder threads a run may ask for
 @dataclass
 class RunConfig:
     popsize: int = 500
-    nthreads: int = 8
+    nthreads: int = 0  # inline breeding: extra threads only add GIL contention
     generations: int = 20  # total generations including the random first one
     buffer_bytes: int = 1024
     tournament_size: int = 7
@@ -188,10 +189,6 @@ def initial_depth(index: int, max_depth: int) -> int:
     return 2 + index % (max_depth - 1)
 
 
-def grow_initial_genome(rng, index: int, max_depth: int, buf) -> int:
-    return random_tree(rng, initial_depth(index, max_depth), buf)
-
-
 class PooledEngine:
     """Breeds each generation in place using the reusable buffer pool."""
 
@@ -231,8 +228,8 @@ class PooledEngine:
             ind = Individual()
             self.pool.acquire(ind)
             buf = self.pool.buffer(ind.slot_id)
-            ind.tree_len = grow_initial_genome(self.master_rng, s, cfg.max_initial_depth, buf)
-            ind.digest = genome_digest(buf, ind.tree_len)
+            ind.tree_len = random_tree(
+                self.master_rng, initial_depth(s, cfg.max_initial_depth), buf)
             self.pop.append(ind)
         opcodes, reused = self._score({})  # duplicate random trees are scored once
         span = time.perf_counter() - t0
@@ -297,10 +294,11 @@ class PooledEngine:
         """
         opcodes = reused = 0
         for ind in self.pop:
+            buf = self.pool.buffer(ind.slot_id)
+            ind.digest = genome_digest(buf, ind.tree_len)
             fitness = scores.get(ind.digest)
             if fitness is None:
-                fitness = scores[ind.digest] = self.problem.fitness(
-                    self.pool.buffer(ind.slot_id), ind.tree_len)
+                fitness = scores[ind.digest] = self.problem.fitness(buf, ind.tree_len)
                 opcodes += self.problem.opcodes_per_eval(ind.tree_len)
             else:
                 reused += 1
@@ -340,12 +338,10 @@ class PooledEngine:
             child = new_pop[s]
             mum = pop[mums[s]]
             dad = pop[dads[s]]
-            child_buf = pool.buffer(child.slot_id)
             child.tree_len = subtree_crossover(
                 pool.buffer(mum.slot_id), mum.tree_len, pool.buffer(dad.slot_id), dad.tree_len,
-                child_buf, cfg.buffer_bytes, child_stream(draws, s),
+                pool.buffer(child.slot_id), cfg.buffer_bytes, child_stream(draws, s),
             )
-            child.digest = genome_digest(child_buf, child.tree_len)
             with self.lock:
                 book_child(plan, pool, pop, s)
         return time.perf_counter() - t0

@@ -92,7 +92,6 @@ class BufferPool:
 
     def buffer(self, slot: int) -> bytearray:
         """Backing storage of a slot."""
-        buf = self.slots[slot]
-        if buf is None:
-            raise InvariantError(f"slot {slot} has no storage")
-        return buf
+        if not 1 <= slot <= self.capacity:
+            raise InvariantError(f"slot {slot} outside 1..{self.capacity} has no storage")
+        return self.slots[slot]

@@ -6,7 +6,7 @@ import pytest
 
 from poolgp import metrics
 from poolgp.cli import build_parser, main
-from poolgp.engine import MAX_THREADS
+from poolgp.engine import MAX_THREADS, RunConfig
 
 FAST = ["--popsize", "8", "--generations", "4", "--buffer-bytes", "63",
         "--max-initial-depth", "4", "--seed", "5"]
@@ -16,19 +16,22 @@ def summary_fields(line):
     return dict(pair.split("=", 1) for pair in line.split())
 
 
-def test_defaults_mirror_reference_run():
+def test_defaults_mirror_reference_run(capsys):
     args = build_parser().parse_args([])
     assert args.popsize == 500
-    assert args.threads is None  # filled to 8 at run time
+    assert args.threads is None  # filled from RunConfig at run time
     assert args.tournament_size == 7
     assert args.engine == "pooled"
+    assert RunConfig().nthreads == 0
+    assert main(FAST) == 0
+    fields = summary_fields(capsys.readouterr().out.strip().splitlines()[-1])
+    assert fields["threads"] == "0"
+    assert fields["capacity"] == "10"  # inline breeding: M + 2
 
 
 def test_zero_popsize_is_a_usage_error(capsys):
-    with pytest.raises(SystemExit) as exc:
-        build_parser().parse_args(["--popsize", "0"])
-    assert exc.value.code == 2
-    assert "--popsize" in capsys.readouterr().err
+    assert main(FAST + ["--popsize", "0"]) == 2
+    assert "popsize" in capsys.readouterr().err
 
 
 def test_unknown_flag_is_a_usage_error(capsys):

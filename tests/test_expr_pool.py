@@ -204,8 +204,14 @@ def test_every_buffer_is_built_up_front():
     assert len({id(buf) for buf in bufs}) == pool.capacity == 8
     assert all(buf == bytearray(8) for buf in bufs)
     assert pool.used == pool.max_used == 0
-    with pytest.raises(InvariantError):
-        pool.buffer(NO_SLOT)
+
+
+def test_buffer_of_slot_outside_pool_is_invariant_violation():
+    pool = BufferPool(4, 2, 8)
+    # -1 used to index from the end and return slot `capacity`'s live buffer
+    for slot in (NO_SLOT, -1, -pool.capacity, pool.capacity + 1):
+        with pytest.raises(InvariantError):
+            pool.buffer(slot)
 
 
 def test_pool_invariants_hold_under_python_optimize():

@@ -2,6 +2,7 @@
 
 from poolgp.engine import RunConfig, run_evolution
 from poolgp.naive import run_evolution_naive
+from poolgp.problems import QUARTIC
 
 
 def config(**overrides):
@@ -26,8 +27,16 @@ def test_naive_breeding_holds_two_populations():
     assert naive.capacity == 2 * cfg.popsize
     assert naive.peak_buffers == 2 * cfg.popsize
     assert naive.stats[0].pool_used_peak == cfg.popsize  # no breeding yet
+    assert naive.stats[0].pool_max_used == cfg.popsize
     for row in naive.stats[1:]:
-        assert row.pool_used_peak == 2 * cfg.popsize
+        assert row.pool_used_peak == row.pool_max_used == 2 * cfg.popsize
+    # every member of every generation is interpreted, none reused
+    for row in naive.stats:
+        total_cells = round(row.mean_tree_size * cfg.popsize)
+        assert row.total_opcodes_evaluated == total_cells * QUARTIC.num_cases
+        assert row.fitness_reused == 0
+    sizes = [len(genome) for genome in naive.genomes]
+    assert naive.stats[-1].total_opcodes_evaluated == sum(sizes) * QUARTIC.num_cases
 
 
 def test_generations_one_identical_without_breeding():
