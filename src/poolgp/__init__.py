@@ -5,7 +5,7 @@ popsize + 2 * min(max(1, nthreads), popsize) genome buffers at once, plus a
 naive two-population reference engine used as its correctness oracle.
 """
 
-from .breeding_plan import BreedingPlan, SelectionOutcome
+from .breeding_plan import BreedingPlan
 from .engine import (
     EvolutionResult,
     Individual,
@@ -30,7 +30,6 @@ __all__ = [
     "Problem",
     "QUARTIC",
     "RunConfig",
-    "SelectionOutcome",
     "emit_csv",
     "run_evolution",
     "run_evolution_naive",

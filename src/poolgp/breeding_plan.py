@@ -14,49 +14,35 @@ yields the remaining children in order with no unlinking.
 
 Each parent also carries a list of its child ids, built in child order: its
 length is the parent's outstanding child count, and the plan is the only
-place that count lives. The plan also keeps every child's parents.
+place that count lives. The plan also keeps every child's parents, as the
+two plain lists the tournaments drew.
 
 No internal locking: every operation runs inside the engine lock.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import InvariantError
 
 NIL = -1  # end of chain 1; "no sole survivor" from rem_child
 
 
-@dataclass
-class SelectionOutcome:
-    """Chosen parents for every child of the next generation.
+class BreedingPlan:
+    """Work queues, parentage and children lists for one generation of crossovers.
 
-    mum_ids[s] and dad_ids[s] index the current population. They may be
-    equal: self-crossover is allowed and makes the child appear twice in
-    that parent's children list.
+    mums[s] and dads[s] index the current population. They may be equal:
+    self-crossover lists the child twice in that parent's children.
     """
 
-    mum_ids: list[int]
-    dad_ids: list[int]
-
-    def __post_init__(self):
-        if len(self.mum_ids) != len(self.dad_ids):
+    def __init__(self, mums: list[int], dads: list[int]):
+        n = len(mums)
+        if len(dads) != n:
             raise ValueError("mum_ids and dad_ids must have equal length")
-        n = len(self.mum_ids)
-        for s in range(n):
-            if not (0 <= self.mum_ids[s] < n and 0 <= self.dad_ids[s] < n):
-                raise ValueError(f"parent index out of range for child {s}")
-
-
-class BreedingPlan:
-    """Work queues, parentage and children lists for one generation of crossovers."""
-
-    def __init__(self, outcome: SelectionOutcome):
-        self.mums = mums = outcome.mum_ids
-        self.dads = dads = outcome.dad_ids
+        self.mums, self.dads = mums, dads
         children: list[list[int]] = [[] for _ in mums]
         for s, (m, d) in enumerate(zip(mums, dads)):
+            if not (0 <= m < n and 0 <= d < n):
+                raise ValueError(f"parent index out of range for child {s}")
             children[m].append(s)
             children[d].append(s)
         self.children = children

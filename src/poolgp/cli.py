@@ -50,9 +50,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
 
-    threads_given = args.threads is not None
-    threads = args.threads if threads_given else RunConfig().nthreads
-    if args.engine == "naive" and threads_given and not args.quiet:
+    threads = RunConfig().nthreads  # the naive engine runs and is checked with this
+    if args.threads is not None and args.engine == "pooled":
+        threads = args.threads
+    elif args.threads is not None and not args.quiet:
         print("warning: --engine naive is single-threaded; ignoring --threads",
               file=sys.stderr)
 

@@ -18,15 +18,16 @@ later sibling with the same genome takes its fitness too. The master alone
 scores, so which children hit depends only on the genomes, never on the
 schedule.
 
-Everything shared (pool, plan) is mutated only inside one lock, in two
-sections: `claim_child` and `book_child`, which the schedule tests drive
-too. Crossover runs outside the lock. A worker that raises cancels the
-plan, so the others stop at their next claim. All randomness comes from
-one master stream seeded by the run seed: it grows generation 0, then
-draws each generation's tournaments and crossover points in bulk before
-breeding starts. Each child reads only its own block of crossover points,
-so results are identical for any thread count, including the serial
-two-population reference engine.
+Everything shared (pool, plan) is mutated only inside one lock, taken
+once per claim by `next_child`: it books the worker's finished child, then
+claims the next, so a generation takes it M + workers times. The schedule
+tests drive that same function. Crossover runs outside the lock. A worker
+that raises cancels the plan, so the others stop at their next claim. All
+randomness comes from one master stream seeded by the run seed: it grows
+generation 0, then draws each generation's tournaments and crossover
+points in bulk before breeding starts. Each child reads only its own
+POINTS_PER_CHILD words, so results are identical for any thread count,
+including the serial two-population reference engine.
 """
 
 from __future__ import annotations
@@ -43,10 +44,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import metrics
-from .breeding_plan import BreedingPlan, SelectionOutcome
+from .breeding_plan import BreedingPlan
 from .errors import InvariantError
 from .expr_pool import NO_SLOT, BufferPool
-from .genome import CROSSOVER_ATTEMPTS, random_tree, subtree_crossover
+from .genome import POINTS_PER_CHILD, random_tree, subtree_crossover
 from .problems import QUARTIC, Problem
 
 
@@ -61,6 +62,7 @@ class Individual:
 
 
 MAX_THREADS = 256  # most breeder threads a run may ask for
+TOURNAMENT_BLOCK = 16384  # most tournament entrants drawn and ranked at once
 
 
 @dataclass
@@ -87,6 +89,10 @@ class RunConfig:
             raise ValueError("buffer_bytes must be >= 1")
         if self.tournament_size < 1:
             raise ValueError("tournament_size must be >= 1")
+        if self.tournament_size > TOURNAMENT_BLOCK:
+            # a tournament is ranked in one block, at about 37 bytes per entrant
+            raise ValueError(f"tournament_size must be <= {TOURNAMENT_BLOCK}, "
+                             f"got {self.tournament_size}")
         if self.max_initial_depth < 1:
             raise ValueError("max_initial_depth must be >= 1")
         # bit lengths, not 2**depth: a huge depth must not build a huge integer
@@ -109,11 +115,7 @@ class EvolutionResult:
     peak_buffers: int  # most live at once across the run
 
 
-TOURNAMENT_BLOCK = 16384  # most tournament entrants drawn and ranked at once
-POINTS_PER_CHILD = 2 * CROSSOVER_ATTEMPTS  # a mum and a dad point per attempt
-
-
-def draw_outcome(rng, fitnesses, k: int) -> tuple[SelectionOutcome, array]:
+def draw_outcome(rng, fitnesses, k: int) -> tuple[list[int], list[int], array]:
     """Draw a generation's parents and crossover points from the master stream.
 
     Runs 2M best-of-k tournaments, mum then dad for each child in child
@@ -123,7 +125,8 @@ def draw_outcome(rng, fitnesses, k: int) -> tuple[SelectionOutcome, array]:
     fitness wins and ties go to the lowest index. Blocking keeps the numpy
     temporaries small for any M. A NaN fitness ranks as +inf.
 
-    Then draws every child's crossover points (see `child_stream`).
+    Then draws every child's crossover points (see `child_stream`), and
+    returns (mums, dads, points).
     """
     m = len(fitnesses)
     fit = np.array(fitnesses, dtype=np.float64)
@@ -139,7 +142,7 @@ def draw_outcome(rng, fitnesses, k: int) -> tuple[SelectionOutcome, array]:
         ties = entrant_fit == entrant_fit.min(axis=1, keepdims=True)
         winners[start:start + n] = np.where(ties, entrants, m).min(axis=1)
     picks = winners.tolist()
-    return SelectionOutcome(picks[0::2], picks[1::2]), draw_points(rng, m)
+    return picks[0::2], picks[1::2], draw_points(rng, m)
 
 
 def draw_points(rng, popsize: int) -> array:
@@ -150,31 +153,14 @@ def draw_points(rng, popsize: int) -> array:
     return points
 
 
-class PointCursor:
-    """Reads one child's crossover draws in order, as `randrange` results."""
+def child_stream(draws: array, child: int) -> array:
+    """One child's crossover words: only its own POINTS_PER_CHILD draws.
 
-    __slots__ = ("cells", "next")
-
-    def __init__(self, cells: array):
-        self.cells = cells
-        self.next = 0
-
-    def randrange(self, n: int) -> int:
-        """The next draw u scaled into [0, n) as (u * n) >> 32 (bias below n / 2**32)."""
-        u = self.cells[self.next]
-        self.next += 1
-        return (u * n) >> 32
-
-
-def child_stream(draws: array, child: int) -> PointCursor:
-    """The random stream one child's crossover reads.
-
-    It covers only this child's own POINTS_PER_CHILD draws, so the genome a
-    child gets does not depend on which worker breeds it or when, and
-    reading past them raises IndexError.
+    So the genome a child gets does not depend on which worker breeds it,
+    or when.
     """
     start = POINTS_PER_CHILD * child
-    return PointCursor(draws[start:start + POINTS_PER_CHILD])
+    return draws[start:start + POINTS_PER_CHILD]
 
 
 def genome_digest(buf, length: int) -> bytes:
@@ -238,13 +224,12 @@ class PooledEngine:
     def run_generation(self, g: int) -> None:
         """Replace the whole population with its children (generation g)."""
         fitnesses = [ind.fitness for ind in self.pop]
-        outcome, draws = draw_outcome(self.master_rng, fitnesses, self.config.tournament_size)
-        self._breed(outcome, draws, g)
+        self._breed(*draw_outcome(self.master_rng, fitnesses, self.config.tournament_size), g)
 
-    def _breed(self, outcome: SelectionOutcome, draws: array, g: int) -> None:
+    def _breed(self, mums: list[int], dads: list[int], draws: array, g: int) -> None:
         t0 = time.perf_counter()
         cfg = self.config
-        plan = BreedingPlan(outcome)
+        plan = BreedingPlan(mums, dads)
         new_pop = [Individual() for _ in range(cfg.popsize)]
         self.pool.reset_peak()
         # infertile parents give their buffers back before any worker starts
@@ -330,11 +315,12 @@ class PooledEngine:
         pool = self.pool
         pop = self.pop
         mums, dads = plan.mums, plan.dads
+        s = None
         while True:
             with self.lock:
-                s = claim_child(plan, pool, new_pop)
+                s = next_child(plan, pool, pop, new_pop, s)
             if s is None:
-                break
+                return time.perf_counter() - t0
             child = new_pop[s]
             mum = pop[mums[s]]
             dad = pop[dads[s]]
@@ -342,37 +328,31 @@ class PooledEngine:
                 pool.buffer(mum.slot_id), mum.tree_len, pool.buffer(dad.slot_id), dad.tree_len,
                 pool.buffer(child.slot_id), cfg.buffer_bytes, child_stream(draws, s),
             )
-            with self.lock:
-                book_child(plan, pool, pop, s)
-        return time.perf_counter() - t0
 
 
-def claim_child(plan: BreedingPlan, pool: BufferPool, new_pop: list[Individual]) -> int | None:
-    """The CLAIM lock section: take the next child by class and give it a buffer.
+def next_child(plan: BreedingPlan, pool: BufferPool, pop: list[Individual],
+               new_pop: list[Individual], done: int | None) -> int | None:
+    """The lock section: book the finished child `done`, then claim the next.
 
-    Returns the child's index, or None when every child is taken. The
-    caller holds the engine lock. Its parents' buffers stay put until this
-    child is booked, so the crossover may read them outside the lock.
+    Booking strikes `done` (None before a worker's first claim) off both
+    parents: a parent left with one outstanding child promotes it to chain
+    1, and a parent left with none gives its buffer back. The claim takes
+    the next child by class and gives it a buffer; it returns None when
+    every child is taken. The caller holds the engine lock. The claimed
+    child's parents keep their buffers until it is booked, so its crossover
+    may read them outside the lock.
     """
+    if done is not None:
+        for parent in (plan.mums[done], plan.dads[done]):
+            left, last = plan.rem_child(parent, done)
+            if left == 1:
+                plan.move21(done, last)
+            elif left == 0:
+                pool.release(pop[parent])
     s = plan.claim_next()
     if s is not None:
         pool.acquire(new_pop[s])
     return s
-
-
-def book_child(plan: BreedingPlan, pool: BufferPool, pop: list[Individual], s: int) -> None:
-    """The BOOK lock section: strike the finished child s off both parents.
-
-    A parent left with one outstanding child promotes it to chain 1; a
-    parent left with none gives its buffer back. The caller holds the
-    engine lock.
-    """
-    for parent in (plan.mums[s], plan.dads[s]):
-        left, last = plan.rem_child(parent, s)
-        if left == 1:
-            plan.move21(s, last)
-        elif left == 0:
-            pool.release(pop[parent])
 
 
 def run_evolution(config: RunConfig, problem: Problem = QUARTIC) -> EvolutionResult:

@@ -4,6 +4,10 @@ A genome is a sequence of one-byte opcodes laid out in prefix (Polish)
 order inside a fixed-length buffer. Four arity-2 arithmetic functions, one
 input variable and a small table of constants keep every node in a single
 byte, so subtree extents fall out of a plain arity walk.
+
+Crossover reads its points from POINTS_PER_CHILD uint32 words per child, a
+mum word and a dad word per attempt; word u picks node (u * n) >> 32 of an
+n-node tree, so 0 picks the root and 2**32 - 1 the last node.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ TERMINALS = (VAR_X,) + tuple(CONST_BASE + i for i in range(len(CONSTANTS)))
 PRIMITIVES = FUNCTIONS + TERMINALS
 
 CROSSOVER_ATTEMPTS = 10
+POINTS_PER_CHILD = 2 * CROSSOVER_ATTEMPTS  # a mum and a dad word per attempt
 
 
 def arity(op: int) -> int:
@@ -73,17 +78,17 @@ def random_tree(rng, depth_limit: int, buf) -> int:
 
 
 def subtree_crossover(mum, mum_len: int, dad, dad_len: int,
-                      child, capacity: int, rng) -> int:
+                      child, capacity: int, points) -> int:
     """Copy mum into `child` with one mum subtree replaced by one dad subtree.
 
-    Crossover points are uniform over node positions. If the offspring would
-    not fit in `capacity` cells, new points are drawn up to a bounded number
-    of attempts; after that the child is a verbatim copy of mum. Parents are
-    only read.
+    Attempt i takes its mum and dad points from words 2i and 2i + 1 of
+    `points` (see the module docstring). If the offspring would not fit in
+    `capacity` cells, the next attempt tries; after CROSSOVER_ATTEMPTS the
+    child is a verbatim copy of mum. Parents are only read.
     """
-    for _ in range(CROSSOVER_ATTEMPTS):
-        mp = rng.randrange(mum_len)
-        dp = rng.randrange(dad_len)
+    for i in range(0, POINTS_PER_CHILD, 2):
+        mp = (points[i] * mum_len) >> 32
+        dp = (points[i + 1] * dad_len) >> 32
         m_end = subtree_end(mum, mp)
         d_end = subtree_end(dad, dp)
         new_len = mum_len - (m_end - mp) + (d_end - dp)

@@ -3,7 +3,7 @@
 Keeps the whole parent generation and the whole child generation alive at
 once (2M buffers during breeding), creating children in plain ascending
 order and evaluating every one of them. The master stream, the bulk draw
-of parents and crossover points, the per-child point cursors, crossover and
+of parents and crossover points, the per-child point words, crossover and
 fitness are the same code the pooled engine uses, so for a given seed and
 config the two engines must produce identical populations; this engine
 exists to be the easy-to-trust side of that comparison.
@@ -41,9 +41,9 @@ def run_evolution_naive(config: RunConfig, problem: Problem = QUARTIC) -> Evolut
             ]
             live = m
         else:
-            outcome, draws = draw_outcome(rng, fitnesses, config.tournament_size)
+            mums, dads, draws = draw_outcome(rng, fitnesses, config.tournament_size)
             child_lens = []
-            for s, (mum, dad) in enumerate(zip(outcome.mum_ids, outcome.dad_ids)):
+            for s, (mum, dad) in enumerate(zip(mums, dads)):
                 child_lens.append(subtree_crossover(
                     genomes[mum], lens[mum], genomes[dad], lens[dad],
                     children[s], config.buffer_bytes, child_stream(draws, s),

@@ -1,17 +1,17 @@
 """Step-driven model of the breeding phase for schedule exploration.
 
 Drives the real BufferPool, BreedingPlan and crossover code through the
-worker loop's atomic sections: CLAIM (`engine.claim_child`: claim a child
-and acquire its buffer, one lock hold), CROSS (crossover outside the lock),
-BOOK (`engine.book_child`: rem_child x2, promotions, parent releases, one
-lock hold). The lock sections are the engine's own functions, not copies,
-so the schedules explored here check the code that ships. Workers do not
-evaluate fitness: the master scores the generation after every worker has
-joined, so scoring is not a step of the model. A scheduler picks which
-worker advances next; `explore_all` walks every interleaving, checking
-after each step that the plan's queues are intact, the pool conserves its
-slots, and no crossover ever reads a parent buffer that was released (or
-recycled) after the child was claimed.
+worker loop's two steps: HOLD (`engine.next_child` in one lock hold: book
+the worker's finished child by rem_child x2, promotions and parent
+releases, then claim the next child and acquire its buffer) and CROSS
+(crossover outside the lock). The lock section is the engine's own
+function, not a copy, so the schedules explored here check the code that
+ships. Workers do not evaluate fitness: the master scores the generation
+after every worker has joined, so scoring is not a step of the model. A
+scheduler picks which worker advances next; `explore_all` walks every
+interleaving, checking after each step that the plan's queues are intact,
+the pool conserves its slots, and no crossover ever reads a parent buffer
+that was released (or recycled) after the child was claimed.
 
 The checks that read the plan's and the pool's internals (`queues`,
 `check_integrity`, `free_slots`, `tree_is_complete`) live here, not in the
@@ -22,12 +22,12 @@ from __future__ import annotations
 
 import random
 
-from poolgp.breeding_plan import NIL, BreedingPlan, SelectionOutcome
-from poolgp.engine import Individual, book_child, child_stream, claim_child, draw_points
+from poolgp.breeding_plan import NIL, BreedingPlan
+from poolgp.engine import Individual, child_stream, draw_points, next_child
 from poolgp.expr_pool import NO_SLOT, BufferPool
 from poolgp.genome import random_tree, subtree_crossover, subtree_end
 
-CLAIM, CROSS, BOOK = "claim", "cross", "book"
+HOLD, CROSS = "hold", "cross"
 
 
 def queues(plan: BreedingPlan) -> tuple[list[int], list[int]]:
@@ -67,6 +67,11 @@ def free_slots(pool: BufferPool) -> list[int]:
     return out
 
 
+def word_for(node: int, n: int) -> int:
+    """The smallest 32-bit draw that picks `node` of `n`: (u * n) >> 32 == node."""
+    return -((-node << 32) // n)
+
+
 def tree_is_complete(code, length: int) -> bool:
     """True when the arity walk from cell 0 ends exactly at `length`."""
     try:
@@ -77,8 +82,8 @@ def tree_is_complete(code, length: int) -> bool:
 
 class WorkerModel:
     def __init__(self):
-        self.phase = CLAIM
-        self.child = -1
+        self.phase = HOLD
+        self.child = None  # the claimed child, booked by the next HOLD
         self.mum_slot = NO_SLOT
         self.dad_slot = NO_SLOT
         self.done = False
@@ -118,8 +123,7 @@ class BreedingSim:
         # the scripted parentage stands in for the tournaments; the crossover
         # points come from the same master stream, as in the engines
         self.draws = draw_points(rng, popsize)
-        outcome = SelectionOutcome([m for m, _ in pairs], [d for _, d in pairs])
-        self.plan = BreedingPlan(outcome)
+        self.plan = BreedingPlan([m for m, _ in pairs], [d for _, d in pairs])
         self.new_pop = [Individual() for _ in range(popsize)]
         self.pool.reset_peak()
         for ind, kids in zip(self.pop, self.plan.children):
@@ -151,30 +155,32 @@ class BreedingSim:
     def step(self, w: int) -> None:
         st = self.workers[w]
         assert not st.done
-        if st.phase == CLAIM:
-            self._step_claim(st)
-        elif st.phase == CROSS:
-            self._step_cross(st, self.draws)
+        if st.phase == HOLD:
+            self._step_hold(st)
         else:
-            self._step_book(st)
+            self._step_cross(st, self.draws)
         self.verify_quiescent()
 
-    # -- the three atomic sections of the worker loop ----------------------
+    # -- the two steps of the worker loop ----------------------------------
 
-    def _step_claim(self, st: WorkerModel) -> None:
-        h1 = self.plan.chainhd1
-        chain2 = queues(self.plan)[1]
-        s = claim_child(self.plan, self.pool, self.new_pop)
+    def _step_hold(self, st: WorkerModel) -> None:
+        plan = self.plan
+        next2 = plan.next2  # only a class-2 claim moves the cursor
+        s = next_child(plan, self.pool, self.pop, self.new_pop, st.child)
+        if st.child is not None:
+            self.books += 1
+        st.child = s
         if s is None:
             st.done = True
             return
-        was_class2 = s != h1
+        was_class2 = plan.next2 != next2
         if was_class2:
-            assert s == chain2[0]
-        self.claims.append((s, was_class2, h1 == NIL))
-        st.child = s
-        st.mum_slot = self.pop[self.plan.mums[s]].slot_id
-        st.dad_slot = self.pop[self.plan.dads[s]].slot_id
+            # claimed at the cursor: no class-2 child before it is left
+            assert all(t > s for t in queues(plan)[1]), (s, queues(plan))
+        # a class-2 claim leaves chain 1 as it found it: empty, if it was correct
+        self.claims.append((s, was_class2, plan.chainhd1 == NIL))
+        st.mum_slot = self.pop[plan.mums[s]].slot_id
+        st.dad_slot = self.pop[plan.dads[s]].slot_id
         st.phase = CROSS
 
     def _step_cross(self, st: WorkerModel, draws) -> None:
@@ -189,18 +195,12 @@ class BreedingSim:
         assert dad.slot_id == st.dad_slot != NO_SLOT, (
             f"child {s}: dad buffer released before crossover read it"
         )
-        rng = child_stream(draws, s)
         child.tree_len = subtree_crossover(
             self.pool.buffer(mum.slot_id), mum.tree_len,
             self.pool.buffer(dad.slot_id), dad.tree_len,
-            self.pool.buffer(child.slot_id), self.buffer_bytes, rng,
+            self.pool.buffer(child.slot_id), self.buffer_bytes, child_stream(draws, s),
         )
-        st.phase = BOOK
-
-    def _step_book(self, st: WorkerModel) -> None:
-        book_child(self.plan, self.pool, self.pop, st.child)
-        self.books += 1
-        st.phase = CLAIM
+        st.phase = HOLD
 
     # -- invariants ---------------------------------------------------------
 

@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from poolgp.breeding_plan import BreedingPlan, SelectionOutcome
+from poolgp.breeding_plan import BreedingPlan
 from poolgp.engine import Individual, RunConfig, run_evolution
 from poolgp.expr_pool import BufferPool
 from poolgp.metrics import parse_csv
@@ -103,8 +103,7 @@ def test_hand_traced_operation_tables():
         assert (top, pool.used, pool.max_used) == (head, used, max_used)
 
     # build_plan: three children, parent edge counts 3/2/1
-    outcome = SelectionOutcome([0, 0, 1], [1, 0, 2])
-    plan = BreedingPlan(outcome)  # parent edge counts 3/2/1
+    plan = BreedingPlan([0, 0, 1], [1, 0, 2])  # parent edge counts 3/2/1
     assert queues(plan) == ([2], [0, 1])
     assert plan.children[0] == [0, 1, 1]
     assert plan.children[1] == [0, 2]
@@ -121,15 +120,14 @@ def test_hand_traced_operation_tables():
         ([2, 3, 4], 3, [2, 4], 2, -1),
     ]
     for entries, child, after, remaining, last in rem_table:
-        p = BreedingPlan(SelectionOutcome([s for s in range(8)], [s for s in range(8)]))
+        p = BreedingPlan(list(range(8)), list(range(8)))
         p.children[0] = list(entries)
         assert p.rem_child(0, child) == (remaining, last)
         assert p.children[0] == after
 
     # move21: take child 1 out of the class-2 queue [0,1,5], push onto chain1
     pairs = [(0, 1), (0, 1), (2, 0), (3, 0), (4, 0), (0, 1), (6, 0), (7, 0)]
-    out = SelectionOutcome([m for m, _ in pairs], [d for _, d in pairs])
-    p = BreedingPlan(out)
+    p = BreedingPlan([m for m, _ in pairs], [d for _, d in pairs])
     assert queues(p)[1] == [0, 1, 5]
     p.move21(7, 1)
     assert queues(p) == ([1, 2, 3, 4, 6, 7], [0, 5])

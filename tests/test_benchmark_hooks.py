@@ -38,6 +38,8 @@ def test_traced_run_sees_every_hook_and_changes_no_result():
     assert counters["release.childless"] + counters["release.early"] == children
     layers = tracing.raw_layer_totals(tracer)
     assert layers["engine.lock.hold.n"] == layers["engine.lock.wait.n"] > 0
+    # one hold per claim: each child, then the None that ends each worker
+    assert layers["engine.lock.hold.n"] == (cfg.generations - 1) * (cfg.popsize + cfg.nthreads)
     # every real evaluation goes through the traced names; reused fitness does not
     opcodes = sum(row.total_opcodes_evaluated for row in traced.stats)
     reused = sum(row.fitness_reused for row in traced.stats)

@@ -8,14 +8,14 @@ from pathlib import Path
 import pytest
 
 from poolgp import breeding_plan
-from poolgp.breeding_plan import NIL, BreedingPlan, SelectionOutcome
+from poolgp.breeding_plan import NIL, BreedingPlan
 from poolgp.errors import InvariantError
 from simharness import check_integrity, queues
 
 
 def plan_from(pairs):
     """Build a plan from [(mum, dad), ...] child parentage."""
-    return BreedingPlan(SelectionOutcome([m for m, _ in pairs], [d for _, d in pairs]))
+    return BreedingPlan([m for m, _ in pairs], [d for _, d in pairs])
 
 
 def test_build_plan_three_child_trace():
@@ -45,8 +45,10 @@ def test_build_plan_self_crossover_permutation_all_class2():
 
 
 def test_outcome_rejects_out_of_range_parent():
-    with pytest.raises(ValueError):
-        SelectionOutcome([0, 3], [1, 1])
+    with pytest.raises(ValueError, match="parent index out of range for child 1"):
+        BreedingPlan([0, 3], [1, 1])
+    with pytest.raises(ValueError, match="must have equal length"):
+        BreedingPlan([0, 1], [1])
 
 
 def test_claim_order_is_chain1_then_chain2():
@@ -205,11 +207,11 @@ def test_plan_invariants_hold_under_python_optimize():
     src = Path(breeding_plan.__file__).resolve().parents[1]
     script = (
         "import sys\n"
-        "from poolgp.breeding_plan import BreedingPlan, SelectionOutcome\n"
+        "from poolgp.breeding_plan import BreedingPlan\n"
         "from poolgp.errors import InvariantError\n"
         "if not sys.flags.optimize:\n"
         "    sys.exit(2)\n"
-        "plan = BreedingPlan(SelectionOutcome([0, 0, 1], [1, 0, 2]))\n"
+        "plan = BreedingPlan([0, 0, 1], [1, 0, 2])\n"
         "try:\n"
         "    plan.rem_child(2, 0)\n"
         "    sys.exit(3)\n"

@@ -4,9 +4,9 @@ import threading
 
 import pytest
 
-from poolgp import metrics
+from poolgp import engine, metrics
 from poolgp.cli import build_parser, main
-from poolgp.engine import MAX_THREADS, RunConfig
+from poolgp.engine import MAX_THREADS, TOURNAMENT_BLOCK, RunConfig
 
 FAST = ["--popsize", "8", "--generations", "4", "--buffer-bytes", "63",
         "--max-initial-depth", "4", "--seed", "5"]
@@ -63,6 +63,25 @@ def test_thread_count_above_the_cap_starts_no_thread(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "configuration error" in err and f"<= {MAX_THREADS}" in err
     assert started == []
+
+
+def test_tournament_size_above_the_block_draws_nothing(monkeypatch, capsys):
+    def refuse_draw(*args):
+        raise AssertionError("draw_outcome called")
+
+    monkeypatch.setattr(engine, "draw_outcome", refuse_draw)
+    assert main(FAST + ["--tournament-size", str(TOURNAMENT_BLOCK + 1)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and f"<= {TOURNAMENT_BLOCK}" in err
+    assert main(FAST + ["--tournament-size", str(10**9)]) == 2
+
+
+def test_naive_ignores_a_thread_count_above_the_cap(capsys):
+    assert main(FAST + ["--engine", "naive", "--threads", str(MAX_THREADS + 44)]) == 0
+    captured = capsys.readouterr()
+    assert "ignoring --threads" in captured.err
+    assert "configuration error" not in captured.err
+    assert summary_fields(captured.out.strip().splitlines()[-1])["engine"] == "naive"
 
 
 def test_pooled_run_summary_and_exit_code(capsys):

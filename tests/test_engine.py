@@ -14,10 +14,9 @@ from pathlib import Path
 import pytest
 
 from poolgp import engine
-from poolgp.breeding_plan import BreedingPlan, SelectionOutcome
+from poolgp.breeding_plan import BreedingPlan
 from poolgp.engine import (
     MAX_THREADS,
-    POINTS_PER_CHILD,
     TOURNAMENT_BLOCK,
     PooledEngine,
     RunConfig,
@@ -26,8 +25,10 @@ from poolgp.engine import (
     initial_depth,
     run_evolution,
 )
+from poolgp.genome import POINTS_PER_CHILD
 from poolgp.naive import run_evolution_naive
 from poolgp.problems import QUARTIC
+from simharness import word_for
 
 
 class ScriptedRng:
@@ -54,11 +55,6 @@ class RecordingRng(random.Random):
     def randbytes(self, n):
         self.requests.append(n)
         return super().randbytes(n)
-
-
-def word_for(member, m):
-    """The smallest 32-bit draw that picks `member` of `m`: (u * m) >> 32 == member."""
-    return -((-member << 32) // m)
 
 
 class CountingProblem:
@@ -105,24 +101,24 @@ def small_config(**overrides):
 
 
 def test_tournament_picks_best_of_draws():
-    outcome, _ = draw_outcome(ScriptedRng([0, word_for(2, 3)]), [3.0, 1.0, 2.0], 2)
-    assert outcome.mum_ids == [2, 0, 0]
-    assert outcome.dad_ids == [0, 0, 0]
+    mums, dads, _ = draw_outcome(ScriptedRng([0, word_for(2, 3)]), [3.0, 1.0, 2.0], 2)
+    assert mums == [2, 0, 0]
+    assert dads == [0, 0, 0]
 
 
 def test_tournament_k1_is_the_single_draw():
     picks = [4, 1, 0, 5, 3, 3, 2, 0, 5, 5, 1, 4]  # mum, dad of child 0, then child 1, ...
     rng = ScriptedRng([word_for(i, 6) for i in picks])
-    outcome, _ = draw_outcome(rng, [5.0] * 6, 1)
-    assert outcome.mum_ids == picks[0::2]
-    assert outcome.dad_ids == picks[1::2]
+    mums, dads, _ = draw_outcome(rng, [5.0] * 6, 1)
+    assert mums == picks[0::2]
+    assert dads == picks[1::2]
 
 
 def test_tournament_ties_break_to_lowest_index():
     rng = ScriptedRng([word_for(i, 6) for i in (5, 3, 4)] + [word_for(5, 6)] * 33)
-    outcome, _ = draw_outcome(rng, [7.0] * 6, 3)
-    assert outcome.mum_ids == [3] + [5] * 5
-    assert outcome.dad_ids == [5] * 6
+    mums, dads, _ = draw_outcome(rng, [7.0] * 6, 3)
+    assert mums == [3] + [5] * 5
+    assert dads == [5] * 6
 
 
 def reference_draw(rng, fitnesses, k):
@@ -158,11 +154,8 @@ def test_draw_outcome_matches_pure_python_best_of_k(m, k):
     fitnesses = [math.inf if v % 5 == 4 else float(v % 3) for v in range(m)]
     ours, ref = random.Random(m * 31 + k), random.Random(m * 31 + k)
     for _ in range(2):
-        outcome, points = draw_outcome(ours, fitnesses, k)
-        mums, dads, ref_points = reference_draw(ref, fitnesses, k)
-        assert outcome.mum_ids == mums
-        assert outcome.dad_ids == dads
-        assert points.tolist() == ref_points
+        mums, dads, points = draw_outcome(ours, fitnesses, k)
+        assert (mums, dads, points.tolist()) == reference_draw(ref, fitnesses, k)
     assert ours.getstate() == ref.getstate()
 
 
@@ -185,35 +178,18 @@ def test_draw_outcome_never_ranks_more_than_a_block_at_once():
 
 def test_child_stream_reads_only_its_own_cells():
     draws = array("I", range(3 * POINTS_PER_CHILD))
-    cursor = child_stream(draws, 1)
-    # n = 2**32 returns each draw unscaled
-    got = [cursor.randrange(2 ** 32) for _ in range(POINTS_PER_CHILD)]
-    assert got == list(range(POINTS_PER_CHILD, 2 * POINTS_PER_CHILD))
-    with pytest.raises(IndexError):
-        cursor.randrange(2 ** 32)  # the next child's cells are not reachable
-
-
-def test_child_stream_randrange_stays_below_n():
-    top = array("I", [2 ** 32 - 1] * POINTS_PER_CHILD)
-    bottom = array("I", [0] * POINTS_PER_CHILD)
-    for n in (1, 2, 3, 31, 127, 2 ** 31 + 1, 2 ** 32):
-        assert child_stream(top, 0).randrange(n) == n - 1
-        assert child_stream(bottom, 0).randrange(n) == 0
+    assert child_stream(draws, 1).tolist() == list(range(POINTS_PER_CHILD, 2 * POINTS_PER_CHILD))
 
 
 def test_equal_master_states_give_equal_points():
     fitnesses = [float(v % 4) for v in range(50)]
     a, b = random.Random(7), random.Random(8)
     b.setstate(a.getstate())
-    outcome_a, draws_a = draw_outcome(a, fitnesses, 3)
-    outcome_b, draws_b = draw_outcome(b, fitnesses, 3)
-    assert outcome_a == outcome_b
-    for s in range(50):
-        ca, cb = child_stream(draws_a, s), child_stream(draws_b, s)
-        assert [ca.randrange(97) for _ in range(POINTS_PER_CHILD)] == [
-            cb.randrange(97) for _ in range(POINTS_PER_CHILD)]
-    _, draws_other = draw_outcome(random.Random(9), fitnesses, 3)
-    assert draws_other != draws_a
+    mums, dads, draws = draw_outcome(a, fitnesses, 3)
+    assert draw_outcome(b, fitnesses, 3) == (mums, dads, draws)
+    assert len(draws) == POINTS_PER_CHILD * 50
+    _, _, draws_other = draw_outcome(random.Random(9), fitnesses, 3)
+    assert draws_other != draws
 
 
 def test_initial_depth_ramp():
@@ -230,6 +206,9 @@ def test_config_validation():
         RunConfig(generations=0).validate()
     with pytest.raises(ValueError):
         RunConfig(tournament_size=0).validate()
+    RunConfig(tournament_size=TOURNAMENT_BLOCK).validate()
+    with pytest.raises(ValueError, match=f"<= {TOURNAMENT_BLOCK}"):
+        RunConfig(tournament_size=TOURNAMENT_BLOCK + 1).validate()
     RunConfig(nthreads=MAX_THREADS).validate()
     with pytest.raises(ValueError):
         RunConfig(nthreads=MAX_THREADS + 1).validate()
@@ -245,7 +224,7 @@ def test_self_permutation_generation_peaks_at_m_plus_one():
                                        max_initial_depth=2, buffer_bytes=7))
     engine._init_generation_zero()
     draws = array("I", bytes(4 * POINTS_PER_CHILD * 2))
-    engine._breed(SelectionOutcome([0, 1], [0, 1]), draws, 1)
+    engine._breed([0, 1], [0, 1], draws, 1)
     assert engine.stats[1].pool_used_peak == 3  # M + 1 exactly
     assert engine.pool.used == 2
 

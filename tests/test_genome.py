@@ -6,6 +6,7 @@ import subprocess
 import sys
 import threading
 import warnings
+from array import array
 from pathlib import Path
 
 import numpy as np
@@ -19,13 +20,14 @@ from poolgp.genome import (
     CONSTANTS,
     DIV,
     MUL,
+    POINTS_PER_CHILD,
     SUB,
     VAR_X,
     random_tree,
     subtree_crossover,
     subtree_end,
 )
-from simharness import tree_is_complete
+from simharness import tree_is_complete, word_for
 
 C = {v: CONST_BASE + i for i, v in enumerate(CONSTANTS)}  # constant value -> opcode
 
@@ -48,14 +50,13 @@ def ref_eval(code, pos, x):
     return (1.0 if b == 0 else a / b), pos
 
 
-class FixedRng:
-    """randrange stub returning a fixed value (clamped into range)."""
+def words(*values):
+    """One child's crossover words: `values`, the last one repeated to fill the block."""
+    return array("I", values + values[-1:] * (POINTS_PER_CHILD - len(values)))
 
-    def __init__(self, value=0):
-        self.value = value
 
-    def randrange(self, n):
-        return min(self.value, n - 1)
+def random_words(rng):
+    return array("I", [rng.getrandbits(32) for _ in range(POINTS_PER_CHILD)])
 
 
 def test_depth_one_tree_is_a_single_terminal():
@@ -101,14 +102,14 @@ def test_crossover_on_terminal_mum_yields_a_dad_subtree():
     child = bytearray(8)
     rng = random.Random(5)
     for _ in range(50):
-        n = subtree_crossover(mum, 1, dad, 5, child, 8, rng)
+        n = subtree_crossover(mum, 1, dad, 5, child, 8, random_words(rng))
         assert bytes(child[:n]) in all_subtrees(dad, 5)
 
 
 def test_crossover_same_point_on_same_parent_is_identity():
     tree = bytearray([ADD, MUL, VAR_X, VAR_X, C[1.0]])
     child = bytearray(8)
-    n = subtree_crossover(tree, 5, tree, 5, child, 8, FixedRng(1))
+    n = subtree_crossover(tree, 5, tree, 5, child, 8, words(word_for(1, 5)))
     assert n == 5
     assert child[:5] == tree[:5]
 
@@ -118,9 +119,27 @@ def test_crossover_oversize_every_attempt_falls_back_to_mum():
     dad = bytearray([ADD, MUL, VAR_X, VAR_X, C[1.0]])
     child = bytearray(3)
     # point 0 on both sides every attempt: offspring is all of dad, too big
-    n = subtree_crossover(mum, 3, dad, 5, child, 3, FixedRng(0))
+    n = subtree_crossover(mum, 3, dad, 5, child, 3, words(0))
     assert n == 3
     assert child[:3] == mum[:3]
+
+
+def test_crossover_point_words_scale_to_root_and_last_node():
+    # a left comb (ADD ADD ... x 1 1 ...) ends in a terminal for any odd length
+    dad = bytearray([C[0.5]])
+    for n in (1, 3, 31, 127, 1023):
+        half = n // 2
+        mum = bytearray([ADD] * half + [VAR_X] + [C[1.0]] * half)
+        child = bytearray(n)
+        # word 2**32 - 1 picks the last node: mum's final terminal becomes dad
+        assert subtree_crossover(mum, n, dad, 1, child, n, words(2 ** 32 - 1)) == n
+        assert child == mum[:-1] + dad
+        # word 0 picks the root: the child is all of dad
+        assert subtree_crossover(mum, n, dad, 1, child, n, words(0)) == 1
+        assert child[:1] == dad
+        # the mum word picks the mum point and the dad word the dad point
+        assert subtree_crossover(dad, 1, mum, n, child, n, words(0, 2 ** 32 - 1)) == 1
+        assert child[:1] == mum[-1:]
 
 
 def test_crossover_result_always_fits_and_is_complete():
@@ -131,7 +150,7 @@ def test_crossover_result_always_fits_and_is_complete():
         mn = random_tree(rng, 4, mum)
         dn = random_tree(rng, 4, dad)
         child = bytearray(cap)
-        n = subtree_crossover(mum, mn, dad, dn, child, cap, rng)
+        n = subtree_crossover(mum, mn, dad, dn, child, cap, random_words(rng))
         assert 1 <= n <= cap
         assert tree_is_complete(child, n)
 
@@ -142,7 +161,7 @@ def test_crossover_reads_parents_only():
     dad = bytearray([MUL, VAR_X, VAR_X] + [0] * 5)
     mum_before, dad_before = bytes(mum), bytes(dad)
     child = bytearray(8)
-    subtree_crossover(mum, 3, dad, 3, child, 8, rng)
+    subtree_crossover(mum, 3, dad, 3, child, 8, random_words(rng))
     assert bytes(mum) == mum_before and bytes(dad) == dad_before
 
 
