@@ -16,7 +16,9 @@ starts as every parent's digest mapped to its fitness: a child found there
 takes that fitness, and any other child is evaluated once and added, so a
 later sibling with the same genome takes its fitness too. The master alone
 scores, so which children hit depends only on the genomes, never on the
-schedule.
+schedule. The pass enters numpy's float-error state once
+(`float_errors_ignored`); neither `evaluate` nor `Problem.fitness` sets one
+per genome.
 
 Everything shared (pool, plan) is mutated only inside one lock, taken
 once per claim by `next_child`: it books the worker's finished child, then
@@ -47,7 +49,7 @@ from . import metrics
 from .breeding_plan import BreedingPlan
 from .errors import InvariantError
 from .expr_pool import NO_SLOT, BufferPool
-from .genome import POINTS_PER_CHILD, random_tree, subtree_crossover
+from .genome import POINTS_PER_CHILD, float_errors_ignored, random_tree, subtree_crossover
 from .problems import QUARTIC, Problem
 
 
@@ -278,16 +280,19 @@ class PooledEngine:
         once and added, so later members with that genome reuse it.
         """
         opcodes = reused = 0
-        for ind in self.pop:
-            buf = self.pool.buffer(ind.slot_id)
-            ind.digest = genome_digest(buf, ind.tree_len)
-            fitness = scores.get(ind.digest)
-            if fitness is None:
-                fitness = scores[ind.digest] = self.problem.fitness(buf, ind.tree_len)
-                opcodes += self.problem.opcodes_per_eval(ind.tree_len)
-            else:
-                reused += 1
-            ind.fitness = fitness
+        buffer = self.pool.buffer
+        fitness_of = self.problem.fitness
+        with float_errors_ignored():  # one error state for the whole pass
+            for ind in self.pop:
+                buf = buffer(ind.slot_id)
+                ind.digest = genome_digest(buf, ind.tree_len)
+                fitness = scores.get(ind.digest)
+                if fitness is None:
+                    fitness = scores[ind.digest] = fitness_of(buf, ind.tree_len)
+                    opcodes += self.problem.opcodes_per_eval(ind.tree_len)
+                else:
+                    reused += 1
+                ind.fitness = fitness
         return opcodes, reused
 
     def _record(self, g: int, opcodes: int, reused: int, wall: float,
@@ -313,6 +318,7 @@ class PooledEngine:
         t0 = time.perf_counter()
         cfg = self.config
         pool = self.pool
+        buffer = pool.buffer
         pop = self.pop
         mums, dads = plan.mums, plan.dads
         s = None
@@ -325,8 +331,8 @@ class PooledEngine:
             mum = pop[mums[s]]
             dad = pop[dads[s]]
             child.tree_len = subtree_crossover(
-                pool.buffer(mum.slot_id), mum.tree_len, pool.buffer(dad.slot_id), dad.tree_len,
-                pool.buffer(child.slot_id), cfg.buffer_bytes, child_stream(draws, s),
+                buffer(mum.slot_id), mum.tree_len, buffer(dad.slot_id), dad.tree_len,
+                buffer(child.slot_id), cfg.buffer_bytes, child_stream(draws, s),
             )
 
 

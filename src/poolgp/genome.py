@@ -58,10 +58,12 @@ def random_tree(rng, depth_limit: int, buf) -> int:
     """
     if depth_limit < 1:
         raise ValueError(f"depth_limit must be >= 1, got {depth_limit}")
+    # grow in preorder from an explicit stack: a recursive closure names
+    # itself, a reference cycle that keeps `buf` alive until gc runs
     pos = 0
-
-    def grow(depth: int) -> None:
-        nonlocal pos
+    pending = [1]  # depths of the nodes still to grow, the next one on top
+    while pending:
+        depth = pending.pop()
         if depth >= depth_limit:
             op = TERMINALS[rng.randrange(len(TERMINALS))]
         elif depth == 1:
@@ -70,10 +72,7 @@ def random_tree(rng, depth_limit: int, buf) -> int:
             op = PRIMITIVES[rng.randrange(len(PRIMITIVES))]
         buf[pos] = op
         pos += 1
-        for _ in range(arity(op)):
-            grow(depth + 1)
-
-    grow(1)
+        pending += [depth + 1] * arity(op)  # both children sit one level down
     return pos
 
 
@@ -101,7 +100,17 @@ def subtree_crossover(mum, mum_len: int, dad, dad_len: int,
     return mum_len
 
 
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def float_errors_ignored() -> np.errstate:
+    """A fresh context that silences numpy's float errors on this thread.
+
+    Enter it once around a whole score pass: `evaluate` and
+    `Problem.fitness` set no error state of their own. Fresh on every call,
+    because an errstate object cannot be entered twice; numpy keeps the
+    state per thread, so a thread that scores must enter it itself.
+    """
+    return np.errstate(over="ignore", invalid="ignore", divide="ignore")
+
+
 def evaluate(code, length: int, x: np.ndarray) -> np.ndarray:
     """Interpret a genome over a vector of input points.
 
@@ -111,8 +120,9 @@ def evaluate(code, length: int, x: np.ndarray) -> np.ndarray:
     operation keeps its operand order, so the bits are those of the
     all-array evaluation. Returns the prediction per input point as a fresh
     float64 array of `x`'s shape, or `x` itself for the bare-variable tree,
-    so treat it as read-only. Overflow, 0/0 and x/0 raise no warning: the
-    error state is set for the whole call (numpy keeps it per thread).
+    so treat it as read-only. Runs under the caller's numpy error state:
+    overflow, 0/0 and x/0 warn unless the caller entered
+    `float_errors_ignored()`, as every score pass does.
     """
     if not 0 <= length <= len(code):
         raise InvariantError(f"length {length} outside a buffer of {len(code)} cells")
@@ -139,7 +149,8 @@ def evaluate(code, length: int, x: np.ndarray) -> np.ndarray:
             else:
                 # a / b is a fresh array; b == 0 is exactly where b != 0 fails
                 out = a / b
-                out[b == 0] = 1.0
+                if np.count_nonzero(b) != b.size:
+                    out[b == 0] = 1.0
                 push(out)
     if len(stack) != 1:
         raise InvariantError("incomplete prefix encoding")

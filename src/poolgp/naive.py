@@ -16,7 +16,7 @@ import time
 
 from . import metrics
 from .engine import EvolutionResult, RunConfig, child_stream, draw_outcome, initial_depth
-from .genome import random_tree, subtree_crossover
+from .genome import float_errors_ignored, random_tree, subtree_crossover
 from .problems import QUARTIC, Problem
 
 
@@ -52,7 +52,8 @@ def run_evolution_naive(config: RunConfig, problem: Problem = QUARTIC) -> Evolut
         peak = max(peak, live)
         # the old population is discarded only now, after the generation is complete
         genomes, lens = children, child_lens
-        fitnesses = [problem.fitness(buf, n) for buf, n in zip(genomes, lens)]
+        with float_errors_ignored():
+            fitnesses = [problem.fitness(buf, n) for buf, n in zip(genomes, lens)]
         wall = time.perf_counter() - t0
         stats.append(metrics.record_generation(
             generation=g,

@@ -4,8 +4,10 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines. All comparisons are exact unless a criterion says otherwise.
 """
 
+import gc
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -64,6 +66,41 @@ def test_serial_mode_needs_m_plus_two():
         assert result.peak_buffers <= m + 2
         peaks[m] = result.peak_buffers
     print(f"\nPASS serial limit: capacity=M+2, peaks={peaks}")
+
+
+def traced_peak(run, cfg):
+    """Run with the cyclic collector off; return (result, peak bytes allocated).
+
+    With gc off, a buffer is freed only when its last reference goes, so the
+    peak does not depend on when the collector would have run.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        return run(cfg), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        if was_enabled:
+            gc.enable()
+
+
+def test_memory_bound_in_bytes():
+    """The bound holds for memory, not only for the buffer counter."""
+    m, buffer_bytes, slack = 200, 65536, 2 ** 20
+    peaks = {}
+    for name, run, threads in (("threads 0", run_evolution, 0),
+                               ("threads 2", run_evolution, 2),
+                               ("naive", run_evolution_naive, 0)):
+        cfg = RunConfig(popsize=m, nthreads=threads, generations=4,
+                        buffer_bytes=buffer_bytes, seed=3)
+        result, peaks[name] = traced_peak(run, cfg)
+        assert peaks[name] <= result.capacity * buffer_bytes + slack, (name, peaks)
+    # the oracle's capacity is 2M, and it does hold both populations while breeding
+    assert peaks["naive"] >= 2 * m * buffer_bytes, peaks
+    mib = {k: round(v / 2 ** 20, 2) for k, v in peaks.items()}
+    print(f"\nPASS bound in bytes: traced peaks {mib} MiB at "
+          f"{buffer_bytes}-byte buffers")
 
 
 def test_pooled_engine_equals_naive_oracle():

@@ -11,6 +11,7 @@ import threading
 from array import array
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from poolgp import engine
@@ -27,7 +28,7 @@ from poolgp.engine import (
 )
 from poolgp.genome import POINTS_PER_CHILD
 from poolgp.naive import run_evolution_naive
-from poolgp.problems import QUARTIC
+from poolgp.problems import QUARTIC, Problem
 from simharness import word_for
 
 
@@ -310,6 +311,24 @@ def test_failing_score_phase_raises_its_error():
     assert excinfo.value is problem.error
     assert problem.failed_on == threading.main_thread().name
     assert not [t for t in threading.enumerate() if t.name.startswith("breeder-")]
+
+
+def test_score_passes_silence_float_errors_for_every_engine():
+    # evaluate and fitness set no error state of their own; the score pass of
+    # each engine must. Random trees over these inputs overflow (x*x at ±1e200)
+    # and hit 0/0, x/0 and inf - inf, and RuntimeWarning is an error in tier-1.
+    inputs = np.array([1e200, -1e200, 0.0, -0.0, 1.0, -0.5])
+    targets = np.array([1.0, -1.0, 0.0, 0.5, 2.0, -0.25])
+    wild = Problem(inputs=inputs, targets=targets)
+    cfg = RunConfig(popsize=60, nthreads=0, generations=5, buffer_bytes=63,
+                    max_initial_depth=4, tournament_size=3, seed=5)
+    oracle = run_evolution_naive(cfg, wild)
+    assert any(f == math.inf for gen in oracle.fitness_history for f in gen)
+    for threads in (0, 2):
+        cfg.nthreads = threads
+        result = run_evolution(cfg, wild)
+        assert result.genomes == oracle.genomes
+        assert result.fitness_history == oracle.fitness_history
 
 
 def test_generations_one_is_just_the_random_population():

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import threading
 import warnings
+import weakref
 from array import array
 from pathlib import Path
 
@@ -23,6 +24,7 @@ from poolgp.genome import (
     POINTS_PER_CHILD,
     SUB,
     VAR_X,
+    float_errors_ignored,
     random_tree,
     subtree_crossover,
     subtree_end,
@@ -72,6 +74,19 @@ def test_depth_limit_bounds_size():
         n = random_tree(random.Random(seed), 3, buf)
         assert 1 <= n <= 7
         assert tree_is_complete(buf, n)
+
+
+def test_random_tree_leaves_no_reference_to_its_buffer():
+    # no reference cycle may hold the buffer: it dies on del, without gc.collect()
+    class Buffer(bytearray):  # a bytearray takes no weakref; a subclass does
+        pass
+
+    buf = Buffer(127)
+    n = random_tree(random.Random(4), 7, buf)
+    assert n > 1
+    alive = weakref.ref(buf)
+    del buf
+    assert alive() is None
 
 
 def test_random_tree_deterministic_for_fixed_seed():
@@ -186,7 +201,8 @@ def test_evaluate_matches_reference_on_random_trees():
     for _ in range(200):
         buf = bytearray(127)
         n = random_tree(rng, 6, buf)
-        got = genome.evaluate(buf, n, xs)
+        with float_errors_ignored():
+            got = genome.evaluate(buf, n, xs)
         for j, x in enumerate(xs):
             want, end = ref_eval(buf, 0, float(x))
             assert end == n
@@ -203,7 +219,8 @@ def test_evaluate_is_bit_exact_against_reference():
     for _ in range(300):
         buf = bytearray(127)
         n = random_tree(rng, rng.randrange(1, 8), buf)
-        got = genome.evaluate(buf, n, xs)
+        with float_errors_ignored():
+            got = genome.evaluate(buf, n, xs)
         assert got.dtype == np.float64 and got.shape == xs.shape
         for j, x in enumerate(xs):
             want, _ = ref_eval(buf, 0, float(x))
@@ -250,6 +267,8 @@ def old_protected_div(a, b):
 
 def test_evaluate_array_division_is_bit_exact_with_the_masked_divide():
     x1 = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 1.0, -2.5, 5e-324, 1e300, -0.5])
+    no_zero = np.array([np.nan, np.inf, -np.inf, 1.0, -2.5, 5e-324, 1e300, -0.5, 3.0, -1e-300])
+    neg_zero = np.array([-0.0, -1.0, 0.5, -0.0, 2.0, -0.0, 1.0, -3.0, -0.0, 4.0])
     cases = [  # genome, the same operations with the old protected division
         ([DIV, C[0.5], VAR_X], lambda x: old_protected_div(0.5, x)),
         ([DIV, C[-1.0], VAR_X], lambda x: old_protected_div(-1.0, x)),
@@ -258,10 +277,18 @@ def test_evaluate_array_division_is_bit_exact_with_the_masked_divide():
         ([DIV, VAR_X, MUL, VAR_X, VAR_X], lambda x: old_protected_div(x, x * x)),
         ([DIV, SUB, C[0.0], VAR_X, MUL, VAR_X, C[0.0]],
          lambda x: old_protected_div(0.0 - x, x * 0.0)),
+        # denominators that are zero only through arithmetic
+        ([DIV, C[1.0], SUB, VAR_X, VAR_X], lambda x: old_protected_div(1.0, x - x)),
+        ([DIV, VAR_X, MUL, VAR_X, C[0.0]], lambda x: old_protected_div(x, x * 0.0)),
+        # a signed-zero denominator: (-1 * 0) * x is -0.0 wherever x > 0
+        ([DIV, VAR_X, MUL, MUL, C[-1.0], C[0.0], VAR_X],
+         lambda x: old_protected_div(x, -0.0 * x)),
     ]
-    for x in (x1, x1.reshape(2, 5)):
+    # no_zero skips the mask on a bare-x denominator; neg_zero needs it for -0.0 alone
+    for x in (x1, x1.reshape(2, 5), no_zero, neg_zero):
         for code, ref in cases:
-            got = genome.evaluate(bytes(code), len(code), x)
+            with float_errors_ignored():
+                got = genome.evaluate(bytes(code), len(code), x)
             with np.errstate(over="ignore", invalid="ignore"):
                 want = ref(x)
             assert got.shape == x.shape
@@ -280,20 +307,22 @@ def test_evaluate_overflow_emits_no_runtime_warning():
 
     def run_all():
         try:
-            for code in genomes:
-                genome.evaluate(bytes(code), len(code), x)
+            with float_errors_ignored():  # numpy's error state is per thread
+                for code in genomes:
+                    genome.evaluate(bytes(code), len(code), x)
         except RuntimeWarning as exc:
             caught.append(exc)
 
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         run_all()
-        worker = threading.Thread(target=run_all)  # numpy's error state is per thread
+        worker = threading.Thread(target=run_all)  # enters the state itself
         worker.start()
         worker.join(timeout=30)
     assert not worker.is_alive()
     assert caught == []
-    got = genome.evaluate(bytes(genomes[0]), 3, x)
+    with float_errors_ignored():
+        got = genome.evaluate(bytes(genomes[0]), 3, x)
     assert got[0] == got[1] == math.inf
 
 

@@ -8,14 +8,41 @@ import poolgp
 PACKAGE = Path(poolgp.__file__).resolve().parent
 
 
-def test_package_has_no_bare_assert():
-    # `python -O` strips assert statements; invariants raise InvariantError instead
+def parsed_modules():
     modules = sorted(PACKAGE.glob("*.py"))
     assert modules
+    return [(path, ast.parse(path.read_text(), filename=str(path))) for path in modules]
+
+
+def name_of(node) -> str | None:
+    """`errstate` for `np.errstate`, `numpy.errstate` or a bare `errstate`; else None."""
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.Name):
+        return node.id
+    return None
+
+
+def test_package_has_no_bare_assert():
+    # `python -O` strips assert statements; invariants raise InvariantError instead
     found = [
         f"{path.name}:{node.lineno}"
-        for path in modules
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        for path, tree in parsed_modules()
+        for node in ast.walk(tree)
         if isinstance(node, ast.Assert)
     ]
+    assert found == []
+
+
+def test_package_sets_no_per_call_or_lasting_float_error_state():
+    # a decorator enters numpy's error state on every call, where the score
+    # pass enters it once; seterr would change it past the end of the call
+    found = []
+    for path, tree in parsed_modules():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                found += [f"{path.name}:{d.lineno} @errstate" for d in node.decorator_list
+                          if name_of(d.func if isinstance(d, ast.Call) else d) == "errstate"]
+            if name_of(node) == "seterr":
+                found.append(f"{path.name}:{node.lineno} seterr")
     assert found == []
