@@ -15,6 +15,7 @@ from .engine import (
 )
 from .errors import InvariantError
 from .expr_pool import BufferPool
+from .genome import float_errors_ignored
 from .metrics import GenerationStats, emit_csv
 from .naive import run_evolution_naive
 from .problems import QUARTIC, Problem
@@ -31,6 +32,7 @@ __all__ = [
     "QUARTIC",
     "RunConfig",
     "emit_csv",
+    "float_errors_ignored",
     "run_evolution",
     "run_evolution_naive",
 ]

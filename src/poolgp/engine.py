@@ -280,15 +280,13 @@ class PooledEngine:
         once and added, so later members with that genome reuse it.
         """
         opcodes = reused = 0
-        buffer = self.pool.buffer
-        fitness_of = self.problem.fitness
         with float_errors_ignored():  # one error state for the whole pass
             for ind in self.pop:
-                buf = buffer(ind.slot_id)
+                buf = self.pool.buffer(ind.slot_id)
                 ind.digest = genome_digest(buf, ind.tree_len)
                 fitness = scores.get(ind.digest)
                 if fitness is None:
-                    fitness = scores[ind.digest] = fitness_of(buf, ind.tree_len)
+                    fitness = scores[ind.digest] = self.problem.fitness(buf, ind.tree_len)
                     opcodes += self.problem.opcodes_per_eval(ind.tree_len)
                 else:
                     reused += 1
@@ -318,7 +316,6 @@ class PooledEngine:
         t0 = time.perf_counter()
         cfg = self.config
         pool = self.pool
-        buffer = pool.buffer
         pop = self.pop
         mums, dads = plan.mums, plan.dads
         s = None
@@ -331,8 +328,8 @@ class PooledEngine:
             mum = pop[mums[s]]
             dad = pop[dads[s]]
             child.tree_len = subtree_crossover(
-                buffer(mum.slot_id), mum.tree_len, buffer(dad.slot_id), dad.tree_len,
-                buffer(child.slot_id), cfg.buffer_bytes, child_stream(draws, s),
+                pool.buffer(mum.slot_id), mum.tree_len, pool.buffer(dad.slot_id), dad.tree_len,
+                pool.buffer(child.slot_id), cfg.buffer_bytes, child_stream(draws, s),
             )
 
 

@@ -149,8 +149,7 @@ def evaluate(code, length: int, x: np.ndarray) -> np.ndarray:
             else:
                 # a / b is a fresh array; b == 0 is exactly where b != 0 fails
                 out = a / b
-                if np.count_nonzero(b) != b.size:
-                    out[b == 0] = 1.0
+                out[b == 0] = 1.0
                 push(out)
     if len(stack) != 1:
         raise InvariantError("incomplete prefix encoding")

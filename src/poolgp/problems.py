@@ -29,12 +29,12 @@ class Problem:
         """The genome's summed absolute error, or +inf when it is not finite.
 
         Runs under the caller's numpy error state, like `genome.evaluate`:
-        enter `genome.float_errors_ignored()` around the calls, since wild
+        enter `poolgp.float_errors_ignored()` around the calls, since wild
         arithmetic overflows and finite errors can still sum past float64's
         range.
         """
         pred = genome.evaluate(code, length, self.inputs)
-        err = float(np.add.reduce(np.abs(pred - self.targets)))
+        err = float(np.abs(pred - self.targets).sum())
         return err if math.isfinite(err) else math.inf
 
     def opcodes_per_eval(self, length: int) -> int:

@@ -284,7 +284,7 @@ def test_evaluate_array_division_is_bit_exact_with_the_masked_divide():
         ([DIV, VAR_X, MUL, MUL, C[-1.0], C[0.0], VAR_X],
          lambda x: old_protected_div(x, -0.0 * x)),
     ]
-    # no_zero skips the mask on a bare-x denominator; neg_zero needs it for -0.0 alone
+    # no_zero leaves nothing to mask on a bare-x denominator; neg_zero's only zeros are -0.0
     for x in (x1, x1.reshape(2, 5), no_zero, neg_zero):
         for code, ref in cases:
             with float_errors_ignored():

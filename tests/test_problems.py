@@ -13,8 +13,8 @@ from poolgp.genome import (
     MUL,
     VAR_X,
     evaluate,
-    float_errors_ignored,
 )
+from poolgp import float_errors_ignored  # public: how a caller scores outside a run
 from poolgp.problems import QUARTIC
 
 C1 = CONST_BASE + CONSTANTS.index(1.0)
