@@ -100,7 +100,7 @@ def main(argv: list[str] | None = None) -> int:
             f"generations={config.generations} seed={config.seed} "
             f"capacity={result.capacity} peak_buffers={result.peak_buffers} "
             f"bound={result.capacity} "
-            f"effective_cores={cores:.2f} best_fitness={min(result.fitnesses)!r}"
+            f"effective_cores={cores:.2f} best_fitness={min(result.fitness_history[-1])!r}"
         )
     return status
 

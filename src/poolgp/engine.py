@@ -10,15 +10,16 @@ into a pool buffer and strike the child off both parents, releasing a
 parent's buffer the moment its last child exists. Once every worker has
 joined, the master scores the new population.
 
-Each member carries a 16-byte digest of its genome, which only the score
-pass writes. The pass takes children in child order through a table that
-starts as every parent's digest mapped to its fitness: a child found there
-takes that fitness, and any other child is evaluated once and added, so a
-later sibling with the same genome takes its fitness too. The master alone
-scores, so which children hit depends only on the genomes, never on the
-schedule. The pass enters numpy's float-error state once
-(`float_errors_ignored`); neither `evaluate` nor `Problem.fitness` sets one
-per genome.
+Only the score pass produces fitness. It takes members in child order and
+yields the generation's fitness list, which is the history row and the next
+tournaments' input with no copy, and `scores`, a table of each member's
+16-byte genome digest and its fitness. A child whose digest is in the
+parents' table, or that an earlier sibling has, takes that fitness; any
+other child is evaluated once. The new table holds exactly the members'
+digests and is the next pass's parent table. The master alone scores, so
+which children hit depends only on the genomes, never on the schedule. The
+pass enters numpy's float-error state once (`float_errors_ignored`);
+neither `evaluate` nor `Problem.fitness` sets one per genome.
 
 Everything shared (pool, plan) is mutated only inside one lock, taken
 once per claim by `next_child`: it books the worker's finished child, then
@@ -35,7 +36,6 @@ including the serial two-population reference engine.
 from __future__ import annotations
 
 import hashlib
-import math
 import random
 import sys
 import threading
@@ -55,12 +55,10 @@ from .problems import QUARTIC, Problem
 
 @dataclass
 class Individual:
-    """Per-member accounting: buffer handle, genome digest, fitness."""
+    """One member's buffer handle; its fitness and digest live with the score pass."""
 
     slot_id: int = NO_SLOT
     tree_len: int = 0
-    digest: bytes = b""  # genome_digest, set by the score pass; outlives the buffer
-    fitness: float = math.inf
 
 
 MAX_THREADS = 256  # most breeder threads a run may ask for
@@ -110,8 +108,7 @@ class RunConfig:
 @dataclass
 class EvolutionResult:
     genomes: list[bytes]
-    fitnesses: list[float]
-    fitness_history: list[list[float]]  # one list of M fitnesses per generation
+    fitness_history: list[list[float]]  # one list of M fitnesses per generation; [-1] is final
     stats: list[metrics.GenerationStats]
     capacity: int  # genome buffers the engine ever owns
     peak_buffers: int  # most live at once across the run
@@ -188,18 +185,20 @@ class PooledEngine:
         self.lock = threading.Lock()
         self.master_rng = random.Random(config.seed)
         self.pop: list[Individual] = []
+        self.scores: dict[bytes, float] = {}  # genome digest -> fitness, current members only
         self.stats: list[metrics.GenerationStats] = []
         self.fitness_history: list[list[float]] = []
 
     # -- master phase -----------------------------------------------------
 
     def run(self) -> EvolutionResult:
+        if self.pool.max_used:
+            raise RuntimeError("this PooledEngine has already run; build a new one per run")
         self._init_generation_zero()
         for g in range(1, self.config.generations):
             self.run_generation(g)
         return EvolutionResult(
             genomes=[self.genome_bytes(ind) for ind in self.pop],
-            fitnesses=[ind.fitness for ind in self.pop],
             fitness_history=self.fitness_history,
             stats=self.stats,
             capacity=self.pool.capacity,
@@ -219,14 +218,14 @@ class PooledEngine:
             ind.tree_len = random_tree(
                 self.master_rng, initial_depth(s, cfg.max_initial_depth), buf)
             self.pop.append(ind)
-        opcodes, reused = self._score({})  # duplicate random trees are scored once
+        opcodes, reused = self._score()  # duplicate random trees are scored once
         span = time.perf_counter() - t0
         self._record(0, opcodes, reused, span, [span])
 
     def run_generation(self, g: int) -> None:
         """Replace the whole population with its children (generation g)."""
-        fitnesses = [ind.fitness for ind in self.pop]
-        self._breed(*draw_outcome(self.master_rng, fitnesses, self.config.tournament_size), g)
+        self._breed(*draw_outcome(self.master_rng, self.fitness_history[-1],
+                                  self.config.tournament_size), g)
 
     def _breed(self, mums: list[int], dads: list[int], draws: array, g: int) -> None:
         t0 = time.perf_counter()
@@ -254,10 +253,8 @@ class PooledEngine:
                     with self.lock:
                         plan.cancel()  # the other workers stop at their next claim
 
-            threads = [
-                threading.Thread(target=run_worker, args=(w,), name=f"breeder-{w}")
-                for w in range(nworkers)
-            ]
+            threads = [threading.Thread(target=run_worker, args=(w,), name=f"breeder-{w}")
+                       for w in range(nworkers)]
             for t in threads:
                 t.start()
             for t in threads:
@@ -267,47 +264,49 @@ class PooledEngine:
 
         if self.pool.used != cfg.popsize:
             raise InvariantError("old population not fully released")
-        # childless members count too: their fitness outlives their buffers
-        parents = {ind.digest: ind.fitness for ind in self.pop}
         self.pop = new_pop
-        opcodes, reused = self._score(parents)
+        opcodes, reused = self._score()
         self._record(g, opcodes, reused, time.perf_counter() - t0, busy)
 
-    def _score(self, scores: dict[bytes, float]) -> tuple[int, int]:
+    def _score(self) -> tuple[int, int]:
         """Score the population in member order; return (opcodes, fitnesses reused).
 
-        A digest in `scores` gives its fitness; any other genome is evaluated
-        once and added, so later members with that genome reuse it.
+        A digest held by a parent (`self.scores`) or an earlier member gives its
+        fitness; any other genome is evaluated. Appends the history row, and
+        leaves `self.scores` holding exactly this generation's digests.
         """
+        parents = self.scores
+        scores, fitnesses = {}, []
         opcodes = reused = 0
         with float_errors_ignored():  # one error state for the whole pass
             for ind in self.pop:
                 buf = self.pool.buffer(ind.slot_id)
-                ind.digest = genome_digest(buf, ind.tree_len)
-                fitness = scores.get(ind.digest)
+                digest = genome_digest(buf, ind.tree_len)
+                fitness = parents.get(digest, scores.get(digest))
                 if fitness is None:
-                    fitness = scores[ind.digest] = self.problem.fitness(buf, ind.tree_len)
+                    fitness = self.problem.fitness(buf, ind.tree_len)
                     opcodes += self.problem.opcodes_per_eval(ind.tree_len)
                 else:
                     reused += 1
-                ind.fitness = fitness
+                scores[digest] = fitness
+                fitnesses.append(fitness)
+        self.scores = scores
+        self.fitness_history.append(fitnesses)
         return opcodes, reused
 
     def _record(self, g: int, opcodes: int, reused: int, wall: float,
                 busy: list[float]) -> None:
-        row = metrics.record_generation(
+        self.stats.append(metrics.record_generation(
             generation=g,
             tree_sizes=[ind.tree_len for ind in self.pop],
-            fitnesses=[ind.fitness for ind in self.pop],
+            fitnesses=self.fitness_history[-1],
             pool_used_peak=self.pool.peak,
             pool_max_used=self.pool.max_used,
             total_opcodes=opcodes,
             fitness_reused=reused,
             wall_time=wall,
             busy_times=busy,
-        )
-        self.stats.append(row)
-        self.fitness_history.append([ind.fitness for ind in self.pop])
+        ))
 
     # -- worker phase -----------------------------------------------------
 

@@ -69,7 +69,6 @@ def run_evolution_naive(config: RunConfig, problem: Problem = QUARTIC) -> Evolut
         history.append(fitnesses)
     return EvolutionResult(
         genomes=[bytes(buf[:n]) for buf, n in zip(genomes, lens)],
-        fitnesses=list(fitnesses),
         fitness_history=history,
         stats=stats,
         capacity=2 * m,

@@ -23,6 +23,7 @@ from poolgp.engine import (
     RunConfig,
     child_stream,
     draw_outcome,
+    genome_digest,
     initial_depth,
     run_evolution,
 )
@@ -79,7 +80,8 @@ def generations_scored(cfg, problem):
     """Step a pooled run one generation at a time.
 
     Yields, per generation: the parent genomes (none for generation 0), the
-    new genomes, the genomes `problem` scored meanwhile, and the stats row.
+    new genomes, the genomes `problem` scored meanwhile, the stats row and
+    the engine.
     """
     eng = PooledEngine(cfg, problem)
     parents = []
@@ -90,7 +92,7 @@ def generations_scored(cfg, problem):
         else:
             eng.run_generation(g)
         pop = [eng.genome_bytes(ind) for ind in eng.pop]
-        yield parents, pop, problem.calls[before:], eng.stats[g]
+        yield parents, pop, problem.calls[before:], eng.stats[g], eng
         parents = pop
 
 
@@ -344,7 +346,7 @@ def test_population_size_and_evaluation_count_constant():
     cfg = small_config()
     problem = CountingProblem(QUARTIC)
     rows = 0
-    for _, pop, scored, row in generations_scored(cfg, problem):
+    for _, pop, scored, row, _ in generations_scored(cfg, problem):
         assert len(pop) == cfg.popsize
         assert row.total_opcodes_evaluated == sum(
             problem.opcodes_per_eval(len(code)) for code in scored)
@@ -359,6 +361,14 @@ def test_same_seed_same_results():
     b = run_evolution(cfg)
     assert a.genomes == b.genomes
     assert a.fitness_history == b.fitness_history
+
+
+def test_second_run_of_one_engine_is_refused():
+    eng = PooledEngine(small_config())
+    eng.run()
+    with pytest.raises(RuntimeError, match="already run"):
+        eng.run()
+    assert len(eng.stats) == eng.config.generations  # the refused run changed nothing
 
 
 def test_same_seed_same_stats_except_wall_clock():
@@ -376,11 +386,14 @@ def test_each_distinct_new_genome_scored_once_in_child_order():
     cfg = small_config(popsize=16, nthreads=3, generations=5)
     problem = CountingProblem(QUARTIC)
     reused = sibling_hits = 0
-    for parents, pop, scored, row in generations_scored(cfg, problem):
+    for parents, pop, scored, row, eng in generations_scored(cfg, problem):
         known = set(parents)
         new = [code for code in pop if code not in known]
         assert scored == list(dict.fromkeys(new))
         assert row.fitness_reused == cfg.popsize - len(scored)
+        # the next pass's parent table: this generation's digests, no stale keys
+        digests = [genome_digest(code, len(code)) for code in pop]
+        assert eng.scores == dict(zip(digests, eng.fitness_history[-1]))
         reused += row.fitness_reused
         if row.generation > 0:
             sibling_hits += len(new) - len(scored)
