@@ -4,6 +4,8 @@ import math
 import random
 import subprocess
 import sys
+import threading
+import warnings
 import weakref
 from array import array
 from pathlib import Path
@@ -191,16 +193,6 @@ def test_evaluate_hand_cases():
     assert np.array_equal(got, np.ones_like(x))
     got = genome.evaluate(bytes([DIV, VAR_X, C[0.5]]), 3, x)
     assert np.array_equal(got, x / 0.5)
-    # under the score pass's error state, overflow, x/0, inf - inf and
-    # inf / inf give values, never a RuntimeWarning (an error in tier-1)
-    big = np.array([1e200, -1e200, 0.0])
-    with float_errors_ignored():
-        got = genome.evaluate(bytes([MUL, VAR_X, VAR_X]), 3, big)
-        for code in ([DIV, VAR_X, DIV, C[0.5], VAR_X],
-                     [SUB, MUL, VAR_X, VAR_X, MUL, VAR_X, VAR_X],
-                     [DIV, MUL, VAR_X, VAR_X, MUL, VAR_X, VAR_X]):
-            genome.evaluate(bytes(code), len(code), big)
-    assert got[0] == got[1] == math.inf
 
 
 def test_evaluate_matches_reference_on_random_trees():
@@ -301,6 +293,37 @@ def test_evaluate_array_division_is_bit_exact_with_the_masked_divide():
                 want = ref(x)
             assert got.shape == x.shape
             assert np.array_equal(got.view(np.int64), want.view(np.int64)), code
+
+
+def test_evaluate_overflow_emits_no_runtime_warning():
+    x = np.array([1e200, -1e200, 0.0])
+    genomes = [
+        [MUL, VAR_X, VAR_X],  # overflow
+        [DIV, VAR_X, DIV, C[0.5], VAR_X],  # overflow and x/0
+        [SUB, MUL, VAR_X, VAR_X, MUL, VAR_X, VAR_X],  # inf - inf
+        [DIV, MUL, VAR_X, VAR_X, MUL, VAR_X, VAR_X],  # inf / inf
+    ]
+    caught = []
+
+    def run_all():
+        try:
+            with float_errors_ignored():  # numpy's error state is per thread
+                for code in genomes:
+                    genome.evaluate(bytes(code), len(code), x)
+        except RuntimeWarning as exc:
+            caught.append(exc)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        run_all()
+        worker = threading.Thread(target=run_all)  # enters the state itself
+        worker.start()
+        worker.join(timeout=30)
+    assert not worker.is_alive()
+    assert caught == []
+    with float_errors_ignored():
+        got = genome.evaluate(bytes(genomes[0]), 3, x)
+    assert got[0] == got[1] == math.inf
 
 
 def test_evaluate_rejects_length_outside_buffer():
