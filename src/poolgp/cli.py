@@ -7,7 +7,6 @@ import sys
 
 from . import metrics
 from .engine import RunConfig, run_evolution
-from .expr_pool import worker_count
 from .naive import run_evolution_naive
 
 
@@ -89,12 +88,11 @@ def main(argv: list[str] | None = None) -> int:
             status = 1
 
     if not args.quiet:
-        nworkers = worker_count(config.popsize, config.nthreads) if args.engine == "pooled" else 1
         breeding = result.stats[1:]
         mean_idle = (
             sum(row.idle_fraction for row in breeding) / len(breeding) if breeding else 0.0
         )
-        cores = metrics.effective_cores(nworkers, mean_idle)
+        cores = metrics.effective_cores(len(result.stats[-1].worker_busy_times), mean_idle)
         print(
             f"engine={args.engine} popsize={config.popsize} threads={threads} "
             f"generations={config.generations} seed={config.seed} "

@@ -1,14 +1,15 @@
 """Generational GP engine with a bounded genome-buffer footprint.
 
-One generation works in three phases. The master draws every child's parents
-by tournament and every child's crossover points, builds the plan that
-holds each child's parents and class (class 1: some parent has exactly one
+`run_generation` runs one generation in three phases, and its clock and
+stats row cover all three. The master draws every child's parents by
+tournament and every child's crossover points, builds the plan that holds
+each child's parents and class (class 1: some parent has exactly one
 outstanding child; class 2+: both parents have more) and each parent's
 children, and releases the buffers of childless parents. Workers then
 claim children in class-priority order, breed each by subtree crossover
 into a pool buffer and strike the child off both parents, releasing a
 parent's buffer the moment its last child exists. Once every worker has
-joined, the master scores the new population.
+joined, the master scores the new population and appends its rows.
 
 Only the score pass produces fitness. It takes members in child order and
 yields the generation's fitness list, which is the history row and the next
@@ -24,13 +25,15 @@ neither `evaluate` nor `Problem.fitness` sets one per genome.
 Everything shared (pool, plan) is mutated only inside one lock, taken
 once per claim by `next_child`: it books the worker's finished child, then
 claims the next, so a generation takes it M + workers times. The schedule
-tests drive that same function. Crossover runs outside the lock. A worker
-that raises cancels the plan, so the others stop at their next claim. All
-randomness comes from one master stream seeded by the run seed: it grows
-generation 0, then draws each generation's tournaments and crossover
-points in bulk before breeding starts. Each child reads only its own
-POINTS_PER_CHILD words, so results are identical for any thread count,
-including the serial two-population reference engine.
+tests drive that same function. Crossover runs outside the lock. Every
+worker, inline (nthreads 0) or threaded, runs `run_worker`: one that raises
+cancels the plan, so the others stop at their next claim, and the master
+re-raises the first error. All randomness comes from one master stream
+seeded by the run seed: it grows generation 0, then draws each
+generation's tournaments and crossover points in bulk before breeding
+starts. Each child reads only its own POINTS_PER_CHILD words, so results
+are identical for any thread count, including the serial two-population
+reference engine.
 """
 
 from __future__ import annotations
@@ -218,18 +221,14 @@ class PooledEngine:
             ind.tree_len = random_tree(
                 self.master_rng, initial_depth(s, cfg.max_initial_depth), buf)
             self.pop.append(ind)
-        opcodes, reused = self._score()  # duplicate random trees are scored once
-        span = time.perf_counter() - t0
-        self._record(0, opcodes, reused, span, [span])
+        self._score(0, t0)  # duplicate random trees are scored once
 
     def run_generation(self, g: int) -> None:
         """Replace the whole population with its children (generation g)."""
-        self._breed(*draw_outcome(self.master_rng, self.fitness_history[-1],
-                                  self.config.tournament_size), g)
-
-    def _breed(self, mums: list[int], dads: list[int], draws: array, g: int) -> None:
         t0 = time.perf_counter()
         cfg = self.config
+        mums, dads, draws = draw_outcome(self.master_rng, self.fitness_history[-1],
+                                         cfg.tournament_size)
         plan = BreedingPlan(mums, dads)
         new_pop = [Individual() for _ in range(cfg.popsize)]
         self.pool.reset_peak()
@@ -238,42 +237,39 @@ class PooledEngine:
             if not kids:
                 self.pool.release(ind)
 
-        nworkers = self.pool.workers
-        busy = [0.0] * nworkers
+        busy = [0.0] * self.pool.workers
+        errors: list[BaseException] = []
+
+        def run_worker(w: int) -> None:
+            try:
+                busy[w] = self._worker_loop(draws, plan, new_pop)
+            except BaseException as exc:  # propagate fatal errors to master
+                errors.append(exc)
+                with self.lock:
+                    plan.cancel()  # the other workers stop at their next claim
+
         if cfg.nthreads == 0:
-            busy[0] = self._worker_loop(draws, plan, new_pop)
+            run_worker(0)
         else:
-            errors: list[BaseException] = []
-
-            def run_worker(w: int) -> None:
-                try:
-                    busy[w] = self._worker_loop(draws, plan, new_pop)
-                except BaseException as exc:  # propagate fatal errors to master
-                    errors.append(exc)
-                    with self.lock:
-                        plan.cancel()  # the other workers stop at their next claim
-
             threads = [threading.Thread(target=run_worker, args=(w,), name=f"breeder-{w}")
-                       for w in range(nworkers)]
+                       for w in range(len(busy))]
             for t in threads:
                 t.start()
             for t in threads:
                 t.join()
-            if errors:
-                raise errors[0]
-
+        if errors:
+            raise errors[0]
         if self.pool.used != cfg.popsize:
             raise InvariantError("old population not fully released")
         self.pop = new_pop
-        opcodes, reused = self._score()
-        self._record(g, opcodes, reused, time.perf_counter() - t0, busy)
+        self._score(g, t0, busy)
 
-    def _score(self) -> tuple[int, int]:
-        """Score the population in member order; return (opcodes, fitnesses reused).
+    def _score(self, g: int, t0: float, busy: list[float] | None = None) -> None:
+        """Score the population in member order, then append generation g's rows.
 
         A digest held by a parent (`self.scores`) or an earlier member gives its
-        fitness; any other genome is evaluated. Appends the history row, and
-        leaves `self.scores` holding exactly this generation's digests.
+        fitness; any other genome is evaluated. The row times the span from t0;
+        `busy=None` (generation 0) counts that whole span as the master's work.
         """
         parents = self.scores
         scores, fitnesses = {}, []
@@ -292,20 +288,17 @@ class PooledEngine:
                 fitnesses.append(fitness)
         self.scores = scores
         self.fitness_history.append(fitnesses)
-        return opcodes, reused
-
-    def _record(self, g: int, opcodes: int, reused: int, wall: float,
-                busy: list[float]) -> None:
+        wall = time.perf_counter() - t0
         self.stats.append(metrics.record_generation(
             generation=g,
             tree_sizes=[ind.tree_len for ind in self.pop],
-            fitnesses=self.fitness_history[-1],
+            fitnesses=fitnesses,
             pool_used_peak=self.pool.peak,
             pool_max_used=self.pool.max_used,
             total_opcodes=opcodes,
             fitness_reused=reused,
             wall_time=wall,
-            busy_times=busy,
+            busy_times=[wall] if busy is None else busy,
         ))
 
     # -- worker phase -----------------------------------------------------

@@ -95,6 +95,13 @@ def test_pooled_run_summary_and_exit_code(capsys):
     assert "best_fitness" in fields
 
 
+def test_effective_cores_counts_only_workers_that_ran(capsys):
+    # one generation is the random population: only the master worked
+    assert main(FAST + ["--generations", "1", "--threads", "4"]) == 0
+    fields = summary_fields(capsys.readouterr().out.strip().splitlines()[-1])
+    assert fields["effective_cores"] == "1.00"
+
+
 def test_summary_bound_for_m50_two_threads(capsys):
     assert main(["--popsize", "50", "--threads", "2", "--generations", "5",
                  "--buffer-bytes", "63", "--max-initial-depth", "4"]) == 0
@@ -139,10 +146,12 @@ def test_zero_time_flag_zeroes_wall_clock_fields(tmp_path):
 
 
 def test_zero_time_runs_are_byte_identical(tmp_path):
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    a, b, c = tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "c.csv"
     assert main(FAST + ["--threads", "1", "--csv", str(a), "--zero-time"]) == 0
     assert main(FAST + ["--threads", "4", "--csv", str(b), "--zero-time"]) == 0
+    assert main(FAST + ["--threads", "0", "--csv", str(c), "--zero-time"]) == 0
     ta, tb = a.read_bytes(), b.read_bytes()
+    assert c.read_bytes() == ta  # one breeder, inline or threaded: one schedule
     # pool peaks may differ across thread counts; fitness columns may not
     for ra, rb in zip(metrics.parse_csv(a), metrics.parse_csv(b)):
         assert ra.best_fitness == rb.best_fitness

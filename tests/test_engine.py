@@ -8,6 +8,7 @@ import struct
 import subprocess
 import sys
 import threading
+import time
 from array import array
 from pathlib import Path
 
@@ -220,16 +221,17 @@ def test_config_validation():
         RunConfig(buffer_bytes=31, max_initial_depth=6).validate()
 
 
-def test_self_permutation_generation_peaks_at_m_plus_one():
+def test_self_permutation_generation_peaks_at_m_plus_one(monkeypatch):
     # two members, each the sole parent of one child, bred by one worker:
     # every child buffer is acquired while only its own parent is still live
-    engine = PooledEngine(small_config(popsize=2, nthreads=1, generations=2,
-                                       max_initial_depth=2, buffer_bytes=7))
-    engine._init_generation_zero()
+    eng = PooledEngine(small_config(popsize=2, nthreads=1, generations=2,
+                                    max_initial_depth=2, buffer_bytes=7))
+    eng._init_generation_zero()
     draws = array("I", bytes(4 * POINTS_PER_CHILD * 2))
-    engine._breed([0, 1], [0, 1], draws, 1)
-    assert engine.stats[1].pool_used_peak == 3  # M + 1 exactly
-    assert engine.pool.used == 2
+    monkeypatch.setattr(engine, "draw_outcome", lambda *args: ([0, 1], [0, 1], draws))
+    eng.run_generation(1)
+    assert eng.stats[1].pool_used_peak == 3  # M + 1 exactly
+    assert eng.pool.used == 2
 
 
 def record_claims(monkeypatch, log):
@@ -273,7 +275,9 @@ class FailingProblem(CountingProblem):
         return self.inner.fitness(code, length)
 
 
-def test_failing_worker_stops_the_others(monkeypatch):
+@pytest.mark.parametrize("nthreads", [0, 4])
+def test_failing_worker_stops_the_others(monkeypatch, nthreads):
+    # inline breeding takes the same error path as the breeder threads
     log = []
     record_claims(monkeypatch, log)
     cancel = BreedingPlan.cancel
@@ -293,7 +297,7 @@ def test_failing_worker_stops_the_others(monkeypatch):
         return crossover(*args)
 
     monkeypatch.setattr(engine, "subtree_crossover", failing_crossover)
-    cfg = RunConfig(popsize=400, nthreads=4, generations=5, buffer_bytes=63,
+    cfg = RunConfig(popsize=400, nthreads=nthreads, generations=5, buffer_bytes=63,
                     max_initial_depth=4, seed=1)
     with pytest.raises(RuntimeError) as excinfo:
         run_evolution(cfg)
@@ -448,6 +452,19 @@ def test_serial_mode_runs_inline_with_m_plus_two_capacity():
     assert result.capacity == cfg.popsize + 2
     assert result.peak_buffers <= cfg.popsize + 2
     assert all(len(row.worker_busy_times) == 1 for row in result.stats)
+
+
+def test_generation_wall_time_includes_the_tournaments(monkeypatch):
+    # a breeding row's clock starts before the master draws, as naive's does
+    draw = engine.draw_outcome
+
+    def slow_draw(*args):
+        time.sleep(0.05)
+        return draw(*args)
+
+    monkeypatch.setattr(engine, "draw_outcome", slow_draw)
+    result = run_evolution(small_config(nthreads=0, generations=3))
+    assert all(row.generation_wall_time >= 0.05 for row in result.stats[1:])
 
 
 def test_worker_busy_list_has_one_entry_per_thread():
