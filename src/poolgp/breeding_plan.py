@@ -7,10 +7,11 @@ parents give their buffers back as early as possible.
 
 Class 1 is a stack linked through `forw` from `chainhd1`: it starts as the
 ascending class-1 children, and a promoted child (move21) is pushed on top.
-Class 2+ is `queue2`, the ascending class-2 children, read through the
-cursor `next2`. A class-2 child leaves it only by a claim at the cursor or
-by promotion (status 1), so skipping entries whose status is no longer 2
-yields the remaining children in order with no unlinking.
+Class 2+ is no separate structure: it is every child whose `status` is
+still 2, read in ascending child order by the cursor `next2`, a child
+index. A class-2 child leaves it only by a claim at the cursor or by
+promotion (status 1), so no child before the cursor has status 2, and
+skipping the others yields the remaining class-2 children in order.
 
 Each parent also carries a list of its child ids, built in child order: its
 length is the parent's outstanding child count, and the plan is the only
@@ -55,14 +56,14 @@ class BreedingPlan:
         for a, b in zip(queue1, queue1[1:]):
             self.forw[a] = b
         self.chainhd1 = queue1[0] if queue1 else NIL
-        self.queue2 = [s for s, c in enumerate(status) if c == 2]
-        self.next2 = 0
+        self.next2 = 0  # no class-2 child below this index
 
     def claim_next(self) -> int | None:
-        """Take the next child to create: chain 1 first, else the class-2 queue.
+        """Take the next child to create: chain 1 first, else the lowest class-2 child.
 
+        The class-2 child is the first with status 2 at or after `next2`.
         Marks the child claimed (status 0) so no other worker picks it up.
-        Returns None when both queues are empty and the worker should stop.
+        Returns None when no child is left to claim and the worker should stop.
         """
         status = self.status
         s = self.chainhd1
@@ -71,22 +72,20 @@ class BreedingPlan:
                 raise InvariantError(f"child {s} on chain 1 has status {status[s]}")
             self.chainhd1 = self.forw[s]
         else:
-            queue2 = self.queue2
-            i = self.next2
-            while i < len(queue2) and status[queue2[i]] != 2:
-                i += 1  # promoted since the queue was built
-            if i == len(queue2):
-                self.next2 = i
+            s = self.next2
+            while s < len(status) and status[s] != 2:
+                s += 1  # class 1 from the start, promoted, or claimed
+            if s == len(status):
+                self.next2 = s
                 return None
-            s = queue2[i]
-            self.next2 = i + 1
+            self.next2 = s + 1
         status[s] = 0
         return s
 
     def cancel(self) -> None:
-        """Empty both queues, so every later claim_next returns None."""
+        """Empty chain 1 and put `next2` past the last child: claims return None."""
         self.chainhd1 = NIL
-        self.next2 = len(self.queue2)
+        self.next2 = len(self.status)
 
     def rem_child(self, parent: int, s: int) -> tuple[int, int]:
         """Remove one occurrence of child s from a parent's children list.

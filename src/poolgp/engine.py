@@ -39,6 +39,7 @@ reference engine.
 from __future__ import annotations
 
 import hashlib
+import os
 import random
 import sys
 import threading
@@ -90,6 +91,13 @@ class RunConfig:
             raise ValueError("generations must be >= 1")
         if self.buffer_bytes < 1:
             raise ValueError("buffer_bytes must be >= 1")
+        # the pool builds every buffer up front: refuse more than physical memory
+        if {"SC_PAGE_SIZE", "SC_PHYS_PAGES"} <= getattr(os, "sysconf_names", {}).keys():
+            ram = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+            if self.popsize * self.buffer_bytes > ram:
+                raise ValueError(
+                    f"popsize={self.popsize} x buffer_bytes={self.buffer_bytes} bytes of "
+                    f"genome buffers exceeds this machine's {ram} bytes of physical memory")
         if self.tournament_size < 1:
             raise ValueError("tournament_size must be >= 1")
         if self.tournament_size > TOURNAMENT_BLOCK:
@@ -201,15 +209,12 @@ class PooledEngine:
         for g in range(1, self.config.generations):
             self.run_generation(g)
         return EvolutionResult(
-            genomes=[self.genome_bytes(ind) for ind in self.pop],
+            genomes=[bytes(self.pool.buffer(ind.slot_id)[:ind.tree_len]) for ind in self.pop],
             fitness_history=self.fitness_history,
             stats=self.stats,
             capacity=self.pool.capacity,
             peak_buffers=self.pool.max_used,
         )
-
-    def genome_bytes(self, ind: Individual) -> bytes:
-        return bytes(self.pool.buffer(ind.slot_id)[:ind.tree_len])
 
     def _init_generation_zero(self) -> None:
         t0 = time.perf_counter()

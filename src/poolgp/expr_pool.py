@@ -27,11 +27,6 @@ from .errors import InvariantError
 NO_SLOT = 0  # sentinel slot id meaning "holds no buffer"
 
 
-def worker_count(popsize: int, nthreads: int) -> int:
-    """Breeders a run uses: one when inline (nthreads 0), never more than children."""
-    return min(max(1, nthreads), popsize)
-
-
 class BufferPool:
     """Genome buffers built up front, handed out from a free-slot stack."""
 
@@ -42,7 +37,7 @@ class BufferPool:
             raise ValueError(f"buffer_bytes must be >= 1, got {buffer_bytes}")
         if nthreads < 0:
             raise ValueError(f"nthreads must be >= 0, got {nthreads}")
-        self.workers = worker_count(popsize, nthreads)
+        self.workers = min(max(1, nthreads), popsize)  # breeders the run uses
         self.capacity = popsize + 2 * self.workers
         # index 0 unused in every per-slot array so slot ids start at 1
         self.slots = [None] + [bytearray(buffer_bytes) for _ in range(self.capacity)]

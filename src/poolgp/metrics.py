@@ -26,17 +26,12 @@ class GenerationStats:
     idle_fraction: float
 
 
-# how a column of each annotated type is written to the CSV and read back
-CODECS = {
-    "int": (str, int),
-    "float": (repr, float),
-    "list[float]": (
-        lambda values: ";".join(map(repr, values)),
-        lambda cell: [float(t) for t in cell.split(";") if t],
-    ),
-}
-COLUMNS = [(f.name, *CODECS[f.type]) for f in dataclasses.fields(GenerationStats)]
-FIELDS = [name for name, _, _ in COLUMNS]
+FIELDS = [f.name for f in dataclasses.fields(GenerationStats)]
+
+
+def csv_cell(value) -> str:
+    """One CSV cell: repr of an int or float, ';'-joined reprs of a list."""
+    return ";".join(map(repr, value)) if isinstance(value, list) else repr(value)
 
 
 def idle_fraction(busy_times: list[float]) -> float:
@@ -100,24 +95,11 @@ def zero_wall_clock(row: GenerationStats) -> GenerationStats:
 
 
 def emit_csv(series: list[GenerationStats], path) -> None:
-    """Write header plus one row per generation; busy times ';'-joined."""
+    """Write header plus one row per generation, each cell from `csv_cell`."""
     if not series:
         raise ValueError("refusing to emit an empty stats series")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(FIELDS)
         for row in series:
-            writer.writerow([fmt(getattr(row, name)) for name, fmt, _ in COLUMNS])
-
-
-def parse_csv(path) -> list[GenerationStats]:
-    """Read back a file produced by emit_csv."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != FIELDS:
-            raise ValueError(f"unexpected CSV header: {header}")
-        return [
-            GenerationStats(**{name: parse(cell) for (name, _, parse), cell in zip(COLUMNS, rec)})
-            for rec in reader
-        ]
+            writer.writerow([csv_cell(getattr(row, name)) for name in FIELDS])

@@ -31,24 +31,25 @@ HOLD, CROSS = "hold", "cross"
 
 
 def queues(plan: BreedingPlan) -> tuple[list[int], list[int]]:
-    """(chain 1, class-2 queue): the children each would hand out, in claim order.
+    """(chain 1, class 2): the children each would hand out, in claim order.
 
     Chain 1 is cut one entry past the population size, so a cycle shows as
-    a too-long chain instead of a hang.
+    a too-long chain instead of a hang. Class 2 is every status-2 child from
+    the cursor `next2` on.
     """
     chain1 = []
     i = plan.chainhd1
     while i != NIL and len(chain1) <= len(plan.status):
         chain1.append(i)
         i = plan.forw[i]
-    return chain1, [s for s in plan.queue2[plan.next2:] if plan.status[s] == 2]
+    return chain1, [s for s in range(plan.next2, len(plan.status)) if plan.status[s] == 2]
 
 
 def check_integrity(plan: BreedingPlan) -> str | None:
     """None if the plan is sound, else its first violation.
 
-    Chain 1 must hold each status-1 child once, and the class-2 queue past
-    its cursor each status-2 child, in ascending order.
+    Chain 1 must hold each status-1 child once, and no status-2 child may sit
+    before the class-2 cursor.
     """
     chain1, chain2 = queues(plan)
     for chain, cls in ((sorted(chain1), 1), (chain2, 2)):

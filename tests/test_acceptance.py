@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines. All comparisons are exact unless a criterion says otherwise.
 """
 
+import csv
 import gc
 import random
 import time
@@ -14,7 +15,6 @@ import pytest
 from poolgp.breeding_plan import BreedingPlan
 from poolgp.engine import Individual, RunConfig, run_evolution
 from poolgp.expr_pool import BufferPool
-from poolgp.metrics import parse_csv
 from poolgp.naive import run_evolution_naive
 from simharness import (
     BreedingSim,
@@ -162,7 +162,7 @@ def test_hand_traced_operation_tables():
         assert p.rem_child(0, child) == (remaining, last)
         assert p.children[0] == after
 
-    # move21: take child 1 out of the class-2 queue [0,1,5], push onto chain1
+    # move21: take child 1 out of class 2 [0,1,5], push onto chain1
     pairs = [(0, 1), (0, 1), (2, 0), (3, 0), (4, 0), (0, 1), (6, 0), (7, 0)]
     p = BreedingPlan([m for m, _ in pairs], [d for _, d in pairs])
     assert queues(p)[1] == [0, 1, 5]
@@ -224,9 +224,9 @@ def test_desk_scale_smoke_run(tmp_path):
     emit_csv(result.stats, path)
     elapsed = time.perf_counter() - t0
     assert elapsed < 300.0, f"smoke run took {elapsed:.1f}s"
-    series = parse_csv(path)
-    assert len(series) == 50
-    peaks = [row.pool_max_used for row in series]
+    with open(path, newline="") as fh:
+        peaks = [int(row["pool_max_used"]) for row in csv.DictReader(fh)]
+    assert len(peaks) == 50
     assert peaks == sorted(peaks)  # non-decreasing
     assert peaks[-1] <= result.capacity == 516
     print(f"\nPASS smoke run: 50 generations in {elapsed:.1f}s, "

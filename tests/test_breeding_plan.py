@@ -138,7 +138,7 @@ def test_move21_unlinks_interior_and_heads_chain1():
     assert plan.chainhd1 == 1
     assert plan.status[1] == 1
     assert check_integrity(plan) is None
-    # claims skip the promoted child where it sat in the class-2 queue
+    # class-2 claims skip the promoted child where it sat in child order
     assert [plan.claim_next() for _ in range(9)] == [1, 2, 3, 4, 6, 7, 0, 5, None]
 
 

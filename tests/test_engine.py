@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import math
+import os
 import random
 import struct
 import subprocess
@@ -92,7 +93,7 @@ def generations_scored(cfg, problem):
             eng._init_generation_zero()
         else:
             eng.run_generation(g)
-        pop = [eng.genome_bytes(ind) for ind in eng.pop]
+        pop = [bytes(eng.pool.buffer(ind.slot_id)[:ind.tree_len]) for ind in eng.pop]
         yield parents, pop, problem.calls[before:], eng.stats[g], eng
         parents = pop
 
@@ -219,6 +220,27 @@ def test_config_validation():
     with pytest.raises(ValueError):
         # depth-6 initial trees cannot fit 31-byte buffers
         RunConfig(buffer_bytes=31, max_initial_depth=6).validate()
+
+
+@pytest.mark.skipif(
+    not {"SC_PAGE_SIZE", "SC_PHYS_PAGES"} <= getattr(os, "sysconf_names", {}).keys(),
+    reason="no physical memory size on this platform")
+def test_config_validation_rejects_buffers_beyond_physical_memory():
+    for cfg in (RunConfig(popsize=10**12), RunConfig(buffer_bytes=10**11),
+                RunConfig(popsize=10**9, buffer_bytes=1024)):
+        with pytest.raises(ValueError, match=r"popsize=\d+ x buffer_bytes=\d+.*physical memory"):
+            cfg.validate()
+
+
+def test_memory_check_compares_popsize_times_buffer_bytes(monkeypatch):
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 1000}  # 4096000 bytes
+    monkeypatch.setattr(os, "sysconf_names", pages, raising=False)
+    monkeypatch.setattr(os, "sysconf", pages.__getitem__, raising=False)
+    RunConfig(popsize=4000, buffer_bytes=1024).validate()  # exactly the memory size
+    with pytest.raises(ValueError, match="popsize=4001 x buffer_bytes=1024"):
+        RunConfig(popsize=4001, buffer_bytes=1024).validate()
+    monkeypatch.setattr(os, "sysconf_names", {"SC_PAGE_SIZE": 30})  # no page count
+    RunConfig(popsize=10**12).validate()  # no figure to check against
 
 
 def test_self_permutation_generation_peaks_at_m_plus_one(monkeypatch):

@@ -1,4 +1,4 @@
-"""Metrics tests: idle accounting and CSV round trips."""
+"""Metrics tests: idle accounting and CSV output."""
 
 import math
 import subprocess
@@ -96,14 +96,16 @@ def test_empty_population_raises_under_python_optimize():
     assert proc.returncode == 0, proc.stderr
 
 
-def test_csv_round_trip(tmp_path):
-    series = [make_row(0), make_row(1, best_fitness=math.inf, worker_busy_times=[])]
+def test_csv_rows_are_exact_text(tmp_path):
+    series = [make_row(0, best_fitness=math.inf, mean_fitness=0.1),
+              make_row(1, worker_busy_times=[])]
     path = tmp_path / "stats.csv"
     metrics.emit_csv(series, path)
-    lines = path.read_text().splitlines()
-    assert len(lines) == 3  # header + one row per generation
-    assert lines[0].split(",")[0] == "generation"
-    assert metrics.parse_csv(path) == series
+    assert path.read_text().splitlines() == [
+        ",".join(metrics.FIELDS),
+        "0,3.5,9,11,12,12,inf,0.1,1234,7,0.5,0.4;0.3,0.125",
+        "1,3.5,9,11,12,12,1.25,4.75,1234,7,0.5,,0.125",
+    ]
 
 
 def test_csv_trailing_newline_and_field_count(tmp_path):
