@@ -104,7 +104,7 @@ def float_errors_ignored() -> np.errstate:
     """A fresh context that silences numpy's float errors on this thread.
 
     Enter it once around a whole score pass: `evaluate` and
-    `Problem.fitness` set no error state of their own. Fresh on every call,
+    `Problem.fitness` set none per genome. Fresh on every call,
     because an errstate object cannot be entered twice; numpy keeps the
     state per thread, so a thread that scores must enter it itself.
     """
@@ -114,26 +114,34 @@ def float_errors_ignored() -> np.errstate:
 def evaluate(code, length: int, x: np.ndarray) -> np.ndarray:
     """Interpret a genome over a vector of input points.
 
-    Right-to-left scan with a value stack: terminals push, functions combine
-    the top two entries. Constants stay Python floats until combined with
-    `x`, so constant-only subtrees cost scalar arithmetic; every array
-    operation keeps its operand order, so the bits are those of the
-    all-array evaluation. Returns the prediction per input point as a fresh
-    float64 array of `x`'s shape, or `x` itself for the bare-variable tree,
-    so treat it as read-only. Runs under the caller's numpy error state:
-    overflow, 0/0 and x/0 warn unless the caller entered
-    `float_errors_ignored()`, as every score pass does.
+    Right-to-left scan with a value stack: terminals push their float64
+    vector from the table of `x`, functions combine the top two entries, a
+    function of two terminals is one lookup. The result, maybe a shared
+    table vector, is read-only. Overflow and inf/inf warn outside
+    `float_errors_ignored()`, which every score pass enters; x/0 never warns.
     """
     if not 0 <= length <= len(code):
         raise InvariantError(f"length {length} outside a buffer of {len(code)} cells")
-    stack: list[np.ndarray | float] = []
+    table = _table
+    if x.tobytes() != table[0] or x.shape != table[1] or x.dtype != table[2]:
+        table = _table_of(x)
+    return _interpret(code, length, table[3], table[4])
+
+
+def _interpret(code, length: int, terms: list, pairs: list | None) -> np.ndarray:
+    """`evaluate` over the given terminal vectors (by opcode) and pair vectors."""
+    stack: list[np.ndarray] = []
     push = stack.append
     pop = stack.pop
+    b_op = a_op = 0  # opcodes of the last two pushes while both are terminals, else 0
     for op in reversed(code[:length]):
-        if op == VAR_X:
-            push(x)
-        elif op >= CONST_BASE:
-            push(CONSTANTS[op - CONST_BASE])
+        if op >= VAR_X:
+            push(terms[op])
+            b_op, a_op = a_op, op
+            continue
+        if b_op and pairs is not None:
+            pop()
+            stack[-1] = pairs[op << 8 | b_op << 4 | a_op]
         else:
             a = pop()
             b = pop()
@@ -143,15 +151,48 @@ def evaluate(code, length: int, x: np.ndarray) -> np.ndarray:
                 push(a - b)
             elif op == MUL:
                 push(a * b)
-            elif b.__class__ is float:
-                # same test as the array mask: 0.0 and -0.0 give 1, nan divides
-                push(a / b if b != 0 else 1.0)
+            elif np.count_nonzero(b) == b.size:
+                push(a / b)
             else:
-                # a / b is a fresh array; b == 0 is exactly where b != 0 fails
-                out = a / b
-                out[b == 0] = 1.0
-                push(out)
+                # astype(bool) is b != 0: 0.0 and -0.0 give 1, nan divides
+                push(np.divide(a, b, out=np.ones(b.shape), where=b.astype(bool)))
+        b_op = a_op = 0
     if len(stack) != 1:
         raise InvariantError("incomplete prefix encoding")
-    root = stack[0]
-    return np.full_like(x, root) if root.__class__ is float else root
+    return stack[0]
+
+
+# A table holds pair vectors only while their 144 * x.nbytes fit in TABLE_BYTES
+# (23 KB at 20 cases, 1.2 GB at 10**6). _table is the last input vector's key
+# (bytes, shape, dtype), terminal vectors by opcode and pair vectors; keyed by
+# content, so no write into x between calls meets a stale table.
+TABLE_BYTES = 1 << 20
+_table: tuple = (None,) * 5
+
+
+def frozen(values) -> np.ndarray:
+    """A float64 copy of `values` over bytes: not even setflags(write=True) makes it writable."""
+    a = np.asarray(values, dtype=np.float64)
+    return np.frombuffer(a.tobytes(), np.float64).reshape(a.shape)
+
+
+def _table_of(x: np.ndarray) -> tuple:
+    """Build and keep the table of `x`, whose pairs[f << 8 | b << 4 | a] is f(a, b).
+
+    A float64 `x` costs no terminal copy: its vector views the key's bytes,
+    and a constant's is a broadcast view. The interpreter computes every pair.
+    """
+    global _table
+    data = x.tobytes()
+    terms = [None] * CONST_BASE + [np.broadcast_to(frozen(c), x.shape) for c in CONSTANTS]
+    xv = np.frombuffer(data, x.dtype).reshape(x.shape)
+    terms[VAR_X] = xv if xv.dtype == np.float64 else frozen(xv)
+    triples = [(f, a, b) for f in FUNCTIONS for a in TERMINALS for b in TERMINALS]
+    pairs = None
+    if len(triples) * terms[VAR_X].nbytes <= TABLE_BYTES:
+        pairs = [None] * (len(FUNCTIONS) << 8)
+        with float_errors_ignored():  # no genome asked for these nodes' overflow
+            for f, a, b in triples:
+                pairs[f << 8 | b << 4 | a] = frozen(_interpret(bytes((f, a, b)), 3, terms, None))
+    _table = table = (data, x.shape, x.dtype, terms, pairs)
+    return table  # not _table, which another thread may have replaced since

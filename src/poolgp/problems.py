@@ -15,11 +15,16 @@ class Problem:
     """A pure fitness evaluator over a fixed table of training cases.
 
     Fitness is the sum of absolute errors across the table; lower is better.
-    Non-finite totals (overflow, nan from wild arithmetic) rank as +inf.
+    Non-finite totals (overflow, nan from wild arithmetic) rank as +inf. It
+    scores against read-only float64 copies of `inputs` and `targets`.
     """
 
     inputs: np.ndarray
     targets: np.ndarray
+
+    def __post_init__(self):  # a frozen dataclass: set the copies through object
+        object.__setattr__(self, "inputs", genome.frozen(self.inputs))
+        object.__setattr__(self, "targets", genome.frozen(self.targets))
 
     @property
     def num_cases(self) -> int:
@@ -34,7 +39,7 @@ class Problem:
         range.
         """
         pred = genome.evaluate(code, length, self.inputs)
-        err = float(np.abs(pred - self.targets).sum())
+        err = float(np.add.reduce(abs(pred - self.targets), None))  # axis None, as .sum()
         return err if math.isfinite(err) else math.inf
 
     def opcodes_per_eval(self, length: int) -> int:
@@ -42,13 +47,7 @@ class Problem:
         return length * self.num_cases
 
 
-def _quartic() -> Problem:
-    # x^4 + x^3 + x^2 + x on 20 evenly spaced points over [-1, 1]
-    xs = np.linspace(-1.0, 1.0, 20)
-    targets = np.polyval((1.0, 1.0, 1.0, 1.0, 0.0), xs)
-    xs.setflags(write=False)
-    targets.setflags(write=False)
-    return Problem(inputs=xs, targets=targets)
-
-
-QUARTIC = _quartic()  # the problem every run scores against unless given another
+# x^4 + x^3 + x^2 + x on 20 evenly spaced points over [-1, 1]: the problem
+# every run scores against unless given another
+_xs = np.linspace(-1.0, 1.0, 20)
+QUARTIC = Problem(inputs=_xs, targets=np.polyval((1.0, 1.0, 1.0, 1.0, 0.0), _xs))

@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import threading
+import tracemalloc
 import warnings
 import weakref
 from array import array
@@ -23,12 +24,14 @@ from poolgp.genome import (
     MUL,
     POINTS_PER_CHILD,
     SUB,
+    TABLE_BYTES,
     VAR_X,
     float_errors_ignored,
     random_tree,
     subtree_crossover,
     subtree_end,
 )
+from poolgp.problems import Problem
 from simharness import tree_is_complete, word_for
 
 C = {v: CONST_BASE + i for i, v in enumerate(CONSTANTS)}  # constant value -> opcode
@@ -50,6 +53,48 @@ def ref_eval(code, pos, x):
     if op == MUL:
         return a * b, pos
     return (1.0 if b == 0 else a / b), pos
+
+
+def scalar_array_evaluate(code, length, x):
+    """The interpreter before terminal tables, kept as the bit-for-bit oracle.
+
+    Constants stay Python floats, so constant-only subtrees are scalar
+    arithmetic, and a constant root is widened to x's shape at the end.
+    """
+    stack = []
+    for op in reversed(code[:length]):
+        if op == VAR_X:
+            stack.append(x)
+        elif op >= CONST_BASE:
+            stack.append(CONSTANTS[op - CONST_BASE])
+        else:
+            a = stack.pop()
+            b = stack.pop()
+            if op == ADD:
+                stack.append(a + b)
+            elif op == SUB:
+                stack.append(a - b)
+            elif op == MUL:
+                stack.append(a * b)
+            elif b.__class__ is float:
+                stack.append(a / b if b != 0 else 1.0)
+            else:
+                out = a / b
+                out[b == 0] = 1.0
+                stack.append(out)
+    root = stack[0]
+    return np.full_like(x, root) if root.__class__ is float else root
+
+
+def oracle_fitness(code, length, x, targets):
+    """Problem.fitness as it was: the oracle's prediction, summed with .sum()."""
+    err = float(np.abs(scalar_array_evaluate(code, length, x) - targets).sum())
+    return err if math.isfinite(err) else math.inf
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
 def words(*values):
@@ -324,6 +369,129 @@ def test_evaluate_overflow_emits_no_runtime_warning():
     with float_errors_ignored():
         got = genome.evaluate(bytes(genomes[0]), 3, x)
     assert got[0] == got[1] == math.inf
+
+
+SPECIAL_X = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1e300, -1e300,
+                      1.0, -1.0, 0.5, -0.5, 0.25, 3.0, -2.0])
+
+
+def test_evaluate_and_fitness_are_bit_identical_to_the_scalar_array_oracle():
+    # every (function, terminal, terminal) node comes from the table, every
+    # other node from array arithmetic; the oracle did scalar arithmetic on
+    # constant-only subtrees and masked x/0 after dividing
+    finite = SPECIAL_X[np.isfinite(SPECIAL_X)]
+    buf = bytearray(127)
+    for x in (SPECIAL_X, finite, np.linspace(-1.0, 1.0, 20)):
+        p = Problem(inputs=x, targets=np.linspace(-2.0, 2.0, x.size))
+        rng = random.Random(2024)
+        with float_errors_ignored():
+            for i in range(2000):
+                n = random_tree(rng, 1 + i % 7, buf)
+                want = scalar_array_evaluate(buf, n, p.inputs)
+                assert same_bits(genome.evaluate(buf, n, p.inputs), want), bytes(buf[:n])
+                got = p.fitness(buf, n)
+                assert same_bits(got, oracle_fitness(buf, n, p.inputs, p.targets))
+
+
+TABLE_GENOMES = [  # a terminal, a pair, and deeper trees over both
+    [VAR_X], [C[0.5]], [ADD, VAR_X, C[1.0]], [DIV, VAR_X, VAR_X],
+    [MUL, ADD, VAR_X, C[0.5], SUB, VAR_X, VAR_X],
+    [DIV, C[1.0], ADD, VAR_X, MUL, VAR_X, C[-0.5]],
+]
+
+
+def assert_matches_oracle(x):
+    """Every TABLE_GENOMES result over x equals the oracle's over a fresh copy of x."""
+    fresh = x.copy()
+    with float_errors_ignored():
+        for code in TABLE_GENOMES:
+            got = genome.evaluate(bytes(code), len(code), x)
+            assert same_bits(got, scalar_array_evaluate(bytes(code), len(code), fresh)), code
+
+
+def test_evaluate_sees_writes_into_a_writable_x():
+    x = np.linspace(-1.0, 1.0, 9)
+    assert_matches_oracle(x)
+    x[3] = 7.0  # same array object, new content
+    x *= -1.0
+    assert_matches_oracle(x)
+
+
+def test_evaluate_sees_writes_into_a_once_read_only_x():
+    # the read-only flag is no promise: setflags(write=True) takes it back
+    x = np.linspace(-1.0, 1.0, 9)
+    x.setflags(write=False)
+    assert_matches_oracle(x)
+    x.setflags(write=True)
+    x[:] = np.arange(9.0)
+    assert_matches_oracle(x)
+
+
+def test_table_backed_results_reject_writes():
+    x = np.linspace(-1.0, 1.0, 6)
+    for code in ([C[0.5]], [ADD, VAR_X, C[1.0]], [VAR_X]):  # constant, pair, variable root
+        got = genome.evaluate(bytes(code), len(code), x)
+        with pytest.raises(ValueError):
+            got[0] = 5.0
+        with pytest.raises(ValueError):
+            got.setflags(write=True)
+    assert_matches_oracle(x)
+
+
+def test_evaluate_on_many_cases_keeps_the_table_within_budget():
+    # 144 pair vectors of 10**5 cases would take 115 MB; past TABLE_BYTES
+    # the table holds only x's bytes (800 KB) and the broadcast constants
+    x = np.random.default_rng(5).standard_normal(10 ** 5)
+    x[::97] = 0.0
+    genome.evaluate(bytes([VAR_X]), 1, np.zeros(1))  # drop any earlier table
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert_matches_oracle(x)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held <= TABLE_BYTES
+    assert held < x.nbytes + 2 ** 16  # no pair vectors, no second copy of x
+
+
+def test_threads_over_different_inputs_each_get_their_own_bits():
+    # one table is shared: threads that interleave over different inputs must
+    # never compute with each other's vectors. More threads than cores, a
+    # common start, frequent switches, and 900 cases, at which numpy releases
+    # the interpreter lock inside each operation of a table build
+    rng = random.Random(8)
+    trees = []
+    for _ in range(30):
+        buf = bytearray(63)
+        trees.append(bytes(buf[:random_tree(rng, 5, buf)]))
+    inputs = [np.linspace(-1.0, 1.0, 900) * k for k in (1.0, 2.0, -3.0, 0.5)]
+
+    def bits(x):
+        with float_errors_ignored():  # numpy's error state is per thread
+            return [genome.evaluate(t, len(t), x).tobytes() for t in trees]
+
+    want = [bits(x) for x in inputs]
+    got = [[] for _ in inputs]
+    start = threading.Barrier(len(inputs))
+
+    def run(i):
+        start.wait(timeout=30)
+        for _ in range(5):
+            got[i].append(bits(inputs[i]))
+
+    workers = [threading.Thread(target=run, args=(i,)) for i in range(len(inputs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    assert got == [[w] * 5 for w in want]
 
 
 def test_evaluate_rejects_length_outside_buffer():

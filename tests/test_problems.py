@@ -15,7 +15,7 @@ from poolgp.genome import (
     evaluate,
 )
 from poolgp import float_errors_ignored  # public: how a caller scores outside a run
-from poolgp.problems import QUARTIC
+from poolgp.problems import QUARTIC, Problem
 
 C1 = CONST_BASE + CONSTANTS.index(1.0)
 C0 = CONST_BASE + CONSTANTS.index(0.0)
@@ -90,6 +90,26 @@ def test_error_sum_overflow_ranks_as_worst_fitness_without_warning():
     with float_errors_ignored():  # RuntimeWarning is an error outside it
         assert np.isfinite(evaluate(code, len(tree), p.inputs)).all()
         assert p.fitness(code, len(tree)) == math.inf
+
+
+def test_integer_inputs_do_not_truncate_constant_predictions():
+    # a constant 0.5 over integer inputs once became np.full_like(int_x, 0.5): zeros
+    p = Problem(inputs=np.arange(4), targets=np.full(4, 0.5))
+    assert p.fitness(bytes([CONST_BASE + CONSTANTS.index(0.5)]), 1) == 0.0
+    assert p.fitness(bytes([VAR_X]), 1) == 0.5 + 0.5 + 1.5 + 2.5
+
+
+def test_problem_scores_against_its_own_read_only_copies():
+    inputs, targets = np.linspace(-1.0, 1.0, 5), np.zeros(5)
+    p = Problem(inputs=inputs, targets=targets)
+    before = p.fitness(bytes([VAR_X]), 1)
+    inputs[:] = 100.0
+    targets[:] = -100.0
+    assert p.fitness(bytes([VAR_X]), 1) == before == 3.0
+    for a in (p.inputs, p.targets):
+        assert a.dtype == np.float64
+        with pytest.raises(ValueError):
+            a.setflags(write=True)
 
 
 def test_opcode_accounting():

@@ -3,6 +3,8 @@
 import re
 from pathlib import Path
 
+from poolgp.cli import main
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
@@ -15,3 +17,16 @@ def test_library_use_block_runs(capsys):
     capacity, peak, best = capsys.readouterr().out.split()
     assert int(peak) <= int(capacity)
     assert float(best) >= 0.0
+
+
+def test_command_line_example_prints_its_summary_line(capsys, monkeypatch, tmp_path):
+    text = README.read_text()
+    section = text[text.index("## Command line"):]
+    block = re.search(r"Example:\n\n```\n(.*?)```", section, re.DOTALL).group(1)
+    command, output = block.split("\n", 1)
+    argv = command.split()
+    assert argv[:2] == ["$", "poolgp"]
+    monkeypatch.chdir(tmp_path)  # the example writes its CSV to the working directory
+    assert main(argv[2:]) == 0
+    want = " ".join(output.replace("\\\n", " ").split())  # continuation lines joined
+    assert capsys.readouterr().out.strip() == want
