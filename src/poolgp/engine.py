@@ -209,7 +209,7 @@ class PooledEngine:
         for g in range(1, self.config.generations):
             self.run_generation(g)
         return EvolutionResult(
-            genomes=[bytes(self.pool.buffer(ind.slot_id)[:ind.tree_len]) for ind in self.pop],
+            genomes=[bytes(self.pool.slots[ind.slot_id][:ind.tree_len]) for ind in self.pop],
             fitness_history=self.fitness_history,
             stats=self.stats,
             capacity=self.pool.capacity,
@@ -221,8 +221,7 @@ class PooledEngine:
         cfg = self.config
         for s in range(cfg.popsize):
             ind = Individual()
-            self.pool.acquire(ind)
-            buf = self.pool.buffer(ind.slot_id)
+            buf = self.pool.slots[self.pool.acquire(ind)]
             ind.tree_len = random_tree(
                 self.master_rng, initial_depth(s, cfg.max_initial_depth), buf)
             self.pop.append(ind)
@@ -276,12 +275,12 @@ class PooledEngine:
         fitness; any other genome is evaluated. The row times the span from t0;
         `busy=None` (generation 0) counts that whole span as the master's work.
         """
-        parents = self.scores
+        parents, slots = self.scores, self.pool.slots
         scores, fitnesses = {}, []
         opcodes = reused = 0
         with float_errors_ignored():  # one error state for the whole pass
             for ind in self.pop:
-                buf = self.pool.buffer(ind.slot_id)
+                buf = slots[ind.slot_id]
                 digest = genome_digest(buf, ind.tree_len)
                 fitness = parents.get(digest, scores.get(digest))
                 if fitness is None:
@@ -312,7 +311,7 @@ class PooledEngine:
         """Breed children until none is left to claim; return busy seconds."""
         t0 = time.perf_counter()
         cfg = self.config
-        pool = self.pool
+        pool, slots = self.pool, self.pool.slots
         pop = self.pop
         mums, dads = plan.mums, plan.dads
         s = None
@@ -325,8 +324,8 @@ class PooledEngine:
             mum = pop[mums[s]]
             dad = pop[dads[s]]
             child.tree_len = subtree_crossover(
-                pool.buffer(mum.slot_id), mum.tree_len, pool.buffer(dad.slot_id), dad.tree_len,
-                pool.buffer(child.slot_id), cfg.buffer_bytes, child_stream(draws, s),
+                slots[mum.slot_id], mum.tree_len, slots[dad.slot_id], dad.tree_len,
+                slots[child.slot_id], cfg.buffer_bytes, child_stream(draws, s),
             )
 
 

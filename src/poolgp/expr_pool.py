@@ -9,10 +9,11 @@ pool holds exactly the bound from the start. Free slots sit on one list
 used as a stack, so acquire/release are O(1). It starts as capacity..1, so
 a fresh pool hands out slot 1 first and a released slot comes back next.
 
-Slot index 0 is reserved as the "no buffer" sentinel; real slots are
-1..capacity. A per-slot in-use flag makes release refuse any slot that is
-not currently handed out, so a stale handle to a freed slot cannot push it
-onto the free stack twice.
+`slots[s]` is slot s's buffer; callers index the list directly. Real slots
+are 1..capacity, and `slots[0]` is None, the "no buffer" sentinel, so a
+read through a released handle fails at once. A per-slot in-use flag makes
+release refuse any slot not currently handed out, so a stale handle to a
+freed slot cannot push it onto the free stack twice.
 
 The pool is the one source of its usage figures: `used` now, `max_used`
 over the run and `peak` since the last `reset_peak` (the engine resets it
@@ -28,7 +29,7 @@ NO_SLOT = 0  # sentinel slot id meaning "holds no buffer"
 
 
 class BufferPool:
-    """Genome buffers built up front, handed out from a free-slot stack."""
+    """Buffers `slots[1..capacity]` built up front (`slots[0]` is None), on a free stack."""
 
     def __init__(self, popsize: int, nthreads: int, buffer_bytes: int):
         if popsize < 1:
@@ -84,9 +85,3 @@ class BufferPool:
         self.free.append(slot)
         self.used -= 1
         who.slot_id = NO_SLOT
-
-    def buffer(self, slot: int) -> bytearray:
-        """Backing storage of a slot."""
-        if not 1 <= slot <= self.capacity:
-            raise InvariantError(f"slot {slot} outside 1..{self.capacity} has no storage")
-        return self.slots[slot]

@@ -16,15 +16,21 @@ class Problem:
 
     Fitness is the sum of absolute errors across the table; lower is better.
     Non-finite totals (overflow, nan from wild arithmetic) rank as +inf. It
-    scores against read-only float64 copies of `inputs` and `targets`.
+    scores against read-only float64 copies of `inputs` and `targets`, both
+    1-D, of one shape and at least one case; any other table is refused
+    here rather than broadcast into a wrong fitness later.
     """
 
     inputs: np.ndarray
     targets: np.ndarray
 
     def __post_init__(self):  # a frozen dataclass: set the copies through object
-        object.__setattr__(self, "inputs", genome.frozen(self.inputs))
-        object.__setattr__(self, "targets", genome.frozen(self.targets))
+        inputs, targets = genome.frozen(self.inputs), genome.frozen(self.targets)
+        if inputs.ndim != 1 or not inputs.size or targets.shape != inputs.shape:
+            raise ValueError(f"need 1-D inputs of at least one case and targets of the same "
+                             f"shape, got inputs {inputs.shape} and targets {targets.shape}")
+        object.__setattr__(self, "inputs", inputs)
+        object.__setattr__(self, "targets", targets)
 
     @property
     def num_cases(self) -> int:

@@ -118,8 +118,7 @@ class BreedingSim:
         rng = random.Random(seed)
         for s in range(popsize):
             ind = Individual()
-            self.pool.acquire(ind)
-            ind.tree_len = random_tree(rng, init_depth, self.pool.buffer(ind.slot_id))
+            ind.tree_len = random_tree(rng, init_depth, self.pool.slots[self.pool.acquire(ind)])
             self.pop.append(ind)
         # the scripted parentage stands in for the tournaments; the crossover
         # points come from the same master stream, as in the engines
@@ -196,10 +195,10 @@ class BreedingSim:
         assert dad.slot_id == st.dad_slot != NO_SLOT, (
             f"child {s}: dad buffer released before crossover read it"
         )
+        slots = self.pool.slots
         child.tree_len = subtree_crossover(
-            self.pool.buffer(mum.slot_id), mum.tree_len,
-            self.pool.buffer(dad.slot_id), dad.tree_len,
-            self.pool.buffer(child.slot_id), self.buffer_bytes, child_stream(draws, s),
+            slots[mum.slot_id], mum.tree_len, slots[dad.slot_id], dad.tree_len,
+            slots[child.slot_id], self.buffer_bytes, child_stream(draws, s),
         )
         st.phase = HOLD
 
@@ -224,16 +223,14 @@ class BreedingSim:
         assert not any(self.plan.children)
         for child in self.new_pop:
             assert child.slot_id != NO_SLOT
-            assert tree_is_complete(self.pool.buffer(child.slot_id), child.tree_len)
+            assert tree_is_complete(self.pool.slots[child.slot_id], child.tree_len)
         for s, was_class2, chain1_empty in self.claims:
             assert not was_class2 or chain1_empty, (
                 f"class-2 child {s} claimed while chain 1 was not empty"
             )
 
     def result_genomes(self) -> list[bytes]:
-        return [
-            bytes(self.pool.buffer(c.slot_id)[:c.tree_len]) for c in self.new_pop
-        ]
+        return [bytes(self.pool.slots[c.slot_id][:c.tree_len]) for c in self.new_pop]
 
 
 def explore_all(make_sim) -> tuple[int, int]:

@@ -1,18 +1,27 @@
 """The traced benchmark run instruments poolgp from outside; keep its hooks working."""
 
 import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 from poolgp import engine
 from poolgp.engine import PooledEngine, RunConfig, run_evolution
+from poolgp.naive import run_evolution_naive
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def load_tracing():
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+def load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def load_tracing():
+    return load_perfbench("tracing")
 
 
 def test_traced_run_sees_every_hook_and_changes_no_result():
@@ -45,3 +54,30 @@ def test_traced_run_sees_every_hook_and_changes_no_result():
     reused = sum(row.fitness_reused for row in traced.stats)
     assert counters["evaluate.opcodes"] == opcodes > 0
     assert calls["problems.fitness"] == cfg.popsize * cfg.generations - reused
+
+
+def one_run(request):
+    """The benchmark's run child on `request`: its last printed JSON line."""
+    proc = subprocess.run([sys.executable, str(PERFBENCH / "one_run.py"), json.dumps(request)],
+                          cwd=PERFBENCH.parent, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def test_benchmark_run_child_reports_what_run_py_reads():
+    # perfbench/run.py reads these fields of every untraced child; a change
+    # that breaks one must fail here, not only inside the benchmark
+    common = load_perfbench("common")
+    fields = dict(popsize=16, nthreads=2, generations=3, buffer_bytes=63,
+                  max_initial_depth=4, seed=1)
+    out = one_run({"config": fields, "trace": 0})
+    oracle = run_evolution_naive(RunConfig(**fields))
+    assert out["fitness"] == common.fitness_digests(oracle.fitness_history)
+    assert out["genomes"] == common.genome_digest(oracle.genomes)
+    assert out["capacity"] == 20
+    assert out["peak_buffers"] <= out["capacity"]
+    assert len(out["gen_s"]) == 3
+    assert out["children"] == 32
+    assert all(17 <= peak <= 20 for peak in out["pool_used_peak"][1:])
+    assert {"run_s", "setup_s", "opcodes", "allocated", "effective_cores", "maxrss_mib"} <= out.keys()
+    assert one_run({"config": fields, "setup_only": True})["setup_s"] > 0

@@ -93,7 +93,7 @@ def generations_scored(cfg, problem):
             eng._init_generation_zero()
         else:
             eng.run_generation(g)
-        pop = [bytes(eng.pool.buffer(ind.slot_id)[:ind.tree_len]) for ind in eng.pop]
+        pop = [bytes(eng.pool.slots[ind.slot_id][:ind.tree_len]) for ind in eng.pop]
         yield parents, pop, problem.calls[before:], eng.stats[g], eng
         parents = pop
 

@@ -87,6 +87,7 @@ def test_release_trace():
     assert free_slots(pool) == [1, 3]
     assert pool.used == 1
     assert a.slot_id == NO_SLOT
+    assert pool.slots[a.slot_id] is None  # the released handle reaches no buffer
 
 
 def test_release_is_idempotent():
@@ -149,14 +150,14 @@ def test_buffer_storage_is_reused_not_reallocated():
     pool = make_pool(buffer_bytes=8)
     a = Individual()
     pool.acquire(a)
-    first = pool.buffer(a.slot_id)
+    first = pool.slots[a.slot_id]
     first[0] = 99
     pool.release(a)
     b = Individual()
     pool.acquire(b)
     # same backing object, stale contents and all
-    assert pool.buffer(b.slot_id) is first
-    assert pool.buffer(b.slot_id)[0] == 99
+    assert pool.slots[b.slot_id] is first
+    assert pool.slots[b.slot_id][0] == 99
 
 
 def test_release_of_foreign_slot_is_invariant_violation():
@@ -200,18 +201,13 @@ def test_stale_handle_release_while_others_in_use_is_invariant_violation():
 
 def test_every_buffer_is_built_up_front():
     pool = BufferPool(4, 2, 8)
-    bufs = [pool.buffer(slot) for slot in range(1, pool.capacity + 1)]
+    bufs = pool.slots[1:]
     assert len({id(buf) for buf in bufs}) == pool.capacity == 8
     assert all(buf == bytearray(8) for buf in bufs)
     assert pool.used == pool.max_used == 0
-
-
-def test_buffer_of_slot_outside_pool_is_invariant_violation():
-    pool = BufferPool(4, 2, 8)
-    # -1 used to index from the end and return slot `capacity`'s live buffer
-    for slot in (NO_SLOT, -1, -pool.capacity, pool.capacity + 1):
-        with pytest.raises(InvariantError):
-            pool.buffer(slot)
+    # slot 0 is the "no buffer" sentinel: a read through a released handle fails
+    assert len(pool.slots) == pool.capacity + 1
+    assert pool.slots[NO_SLOT] is None
 
 
 def test_pool_invariants_hold_under_python_optimize():

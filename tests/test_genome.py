@@ -458,8 +458,10 @@ def test_evaluate_on_many_cases_keeps_the_table_within_budget():
 def test_threads_over_different_inputs_each_get_their_own_bits():
     # one table is shared: threads that interleave over different inputs must
     # never compute with each other's vectors. More threads than cores, a
-    # common start, frequent switches, and 900 cases, at which numpy releases
-    # the interpreter lock inside each operation of a table build
+    # common start, and 900 cases, at which numpy releases the interpreter
+    # lock inside each operation of a table build. The short switch interval
+    # does not make switches frequent (the lock still changes hands about
+    # once per 10 ms), so the next test forces the harmful interleaving
     rng = random.Random(8)
     trees = []
     for _ in range(30):
@@ -492,6 +494,48 @@ def test_threads_over_different_inputs_each_get_their_own_bits():
         sys.setswitchinterval(interval)
     assert not any(w.is_alive() for w in workers)
     assert got == [[w] * 5 for w in want]
+
+
+def test_a_table_rebuilt_by_another_thread_mid_evaluate_changes_no_result():
+    # thread A has built the table of xa when thread B rebuilds the shared
+    # table over xb; A must still compute over the table it built, not re-read
+    # the shared one
+    code = bytes([ADD, MUL, VAR_X, VAR_X, SUB, VAR_X, C[1.0]])  # x*x + (x - 1)
+    xa, xb = np.linspace(-1.0, 1.0, 20), np.linspace(-3.0, 2.0, 20)
+    with float_errors_ignored():
+        want_a = genome.evaluate(code, len(code), xa).tobytes()
+        want_b = genome.evaluate(code, len(code), xb).tobytes()  # the table is xb's now
+    assert want_a != want_b
+    build = genome._table_of
+    built, rebuilt = threading.Event(), threading.Event()
+    waited, got_a = [], []
+
+    def table_of(x):
+        table = build(x)
+        if x is xa:  # thread A waits here until B has replaced the shared table
+            built.set()
+            waited.append(rebuilt.wait(timeout=30))
+        return table
+
+    def run_a():
+        with float_errors_ignored():
+            got_a.append(genome.evaluate(code, len(code), xa).tobytes())
+
+    a = threading.Thread(target=run_a)
+    genome._table_of = table_of
+    try:
+        a.start()
+        assert built.wait(timeout=30)
+        with float_errors_ignored():
+            got_b = genome.evaluate(code, len(code), xb).tobytes()
+        rebuilt.set()
+        a.join(timeout=30)
+    finally:
+        genome._table_of = build
+        rebuilt.set()  # never leave A waiting, whatever failed
+    assert not a.is_alive()
+    assert waited == [True]
+    assert got_a == [want_a] and got_b == want_b
 
 
 def test_evaluate_rejects_length_outside_buffer():

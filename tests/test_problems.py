@@ -115,3 +115,16 @@ def test_problem_scores_against_its_own_read_only_copies():
 def test_opcode_accounting():
     p = QUARTIC
     assert p.opcodes_per_eval(13) == 13 * 20
+
+
+@pytest.mark.parametrize("inputs, targets", [
+    (np.linspace(-1.0, 1.0, 20), np.zeros((20, 1))),  # was a silent 20 x 20 broadcast
+    (np.linspace(-1.0, 1.0, 20), np.zeros(1)),  # broadcast one target to every case
+    (np.linspace(-1.0, 1.0, 20), np.zeros(3)),  # failed only at the first fitness call
+    (np.zeros((20, 2)), np.zeros((20, 2))),  # opcodes_per_eval counted rows, not cases
+    (np.zeros(0), np.zeros(0)),  # no case to score against
+])
+def test_problem_refuses_a_malformed_table_at_construction(inputs, targets):
+    with pytest.raises(ValueError) as info:
+        Problem(inputs=inputs, targets=targets)
+    assert str(inputs.shape) in str(info.value) and str(targets.shape) in str(info.value)
