@@ -5,8 +5,8 @@ Children waiting to be created by crossover are queued by class: class 1
 parents have two or more). Workers drain class 1 first, so single-child
 parents give their buffers back as early as possible.
 
-Class 1 is a stack linked through `forw` from `chainhd1`: it starts as the
-ascending class-1 children, and a promoted child (move21) is pushed on top.
+Class 1 is the list `chain1` used as a stack (top: `chainhd1`): the class-1
+children, lowest on top, then each promoted child (move21) pushed on top.
 Class 2+ is no separate structure: it is every child whose `status` is
 still 2, read in ascending child order by the cursor `next2`, a child
 index. A class-2 child leaves it only by a claim at the cursor or by
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from .errors import InvariantError
 
-NIL = -1  # end of chain 1; "no sole survivor" from rem_child
+NIL = -1  # chain 1 is empty; "no sole survivor" from rem_child
 
 
 class BreedingPlan:
@@ -38,7 +38,7 @@ class BreedingPlan:
     def __init__(self, mums: list[int], dads: list[int]):
         n = len(mums)
         if len(dads) != n:
-            raise ValueError("mum_ids and dad_ids must have equal length")
+            raise ValueError("mums and dads must have equal length")
         self.mums, self.dads = mums, dads
         children: list[list[int]] = [[] for _ in mums]
         for s, (m, d) in enumerate(zip(mums, dads)):
@@ -51,12 +51,13 @@ class BreedingPlan:
             1 if len(children[m]) == 1 or len(children[d]) == 1 else 2
             for m, d in zip(mums, dads)
         ]
-        queue1 = [s for s, c in enumerate(status) if c == 1]
-        self.forw = [NIL] * len(mums)
-        for a, b in zip(queue1, queue1[1:]):
-            self.forw[a] = b
-        self.chainhd1 = queue1[0] if queue1 else NIL
+        self.chain1 = [s for s in range(n - 1, -1, -1) if status[s] == 1]
         self.next2 = 0  # no class-2 child below this index
+
+    @property
+    def chainhd1(self) -> int:
+        """The child the next claim takes from chain 1, or NIL when it is empty."""
+        return self.chain1[-1] if self.chain1 else NIL
 
     def claim_next(self) -> int | None:
         """Take the next child to create: chain 1 first, else the lowest class-2 child.
@@ -66,11 +67,10 @@ class BreedingPlan:
         Returns None when no child is left to claim and the worker should stop.
         """
         status = self.status
-        s = self.chainhd1
-        if s != NIL:
+        if self.chain1:
+            s = self.chain1.pop()
             if status[s] != 1:
                 raise InvariantError(f"child {s} on chain 1 has status {status[s]}")
-            self.chainhd1 = self.forw[s]
         else:
             s = self.next2
             while s < len(status) and status[s] != 2:
@@ -84,7 +84,7 @@ class BreedingPlan:
 
     def cancel(self) -> None:
         """Empty chain 1 and put `next2` past the last child: claims return None."""
-        self.chainhd1 = NIL
+        self.chain1.clear()
         self.next2 = len(self.status)
 
     def rem_child(self, parent: int, s: int) -> tuple[int, int]:
@@ -111,5 +111,4 @@ class BreedingPlan:
         if active == s or self.status[s] != 2:
             return
         self.status[s] = 1
-        self.forw[s] = self.chainhd1
-        self.chainhd1 = s
+        self.chain1.append(s)

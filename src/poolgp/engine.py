@@ -22,11 +22,12 @@ which children hit depends only on the genomes, never on the schedule. The
 pass enters numpy's float-error state once (`float_errors_ignored`);
 neither `evaluate` nor `Problem.fitness` sets one per genome.
 
-Everything shared (pool, plan) is mutated only inside one lock, taken
-once per claim by `next_child`: it books the worker's finished child, then
-claims the next, so a generation takes it M + workers times. The schedule
-tests drive that same function. Crossover runs outside the lock. Every
-worker, inline (nthreads 0) or threaded, runs `run_worker`: one that raises
+One `Breeding` holds a generation's breeding and does its set-up. Shared
+state (pool, plan) changes only inside one lock, taken once per claim by
+`Breeding.next_child`, which books the worker's finished child and claims
+the next: M + workers holds a generation. `Breeding.breed` crosses over
+outside it; the schedule tests step these same two methods. Every worker,
+inline (nthreads 0) or threaded, runs `run_worker`: one that raises
 cancels the plan, so the others stop at their next claim, and the master
 re-raises the first error. All randomness comes from one master stream
 seeded by the run seed: it grows generation 0, then draws each
@@ -39,6 +40,7 @@ reference engine.
 from __future__ import annotations
 
 import hashlib
+import operator
 import os
 import random
 import sys
@@ -80,17 +82,19 @@ class RunConfig:
     max_initial_depth: int = 6
 
     def validate(self) -> None:
-        if self.popsize < 1:
-            raise ValueError("popsize must be >= 1")
-        if self.nthreads < 0:
-            raise ValueError("nthreads must be >= 0 (0 = run breeding inline)")
+        # numpy ints pass operator.index; floats, which could pass the limits below, do not
+        for name, least in (("popsize", 1), ("nthreads", 0), ("generations", 1), ("buffer_bytes", 1),
+                            ("tournament_size", 1), ("max_initial_depth", 1)):
+            value = getattr(self, name)
+            try:
+                operator.index(value)
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {value!r}") from None
+            if value < least:
+                raise ValueError(f"{name} must be >= {least}, got {value}")
         if self.nthreads > MAX_THREADS:
             # one OS thread per breeder; a typo must not start thousands
             raise ValueError(f"nthreads must be <= {MAX_THREADS}, got {self.nthreads}")
-        if self.generations < 1:
-            raise ValueError("generations must be >= 1")
-        if self.buffer_bytes < 1:
-            raise ValueError("buffer_bytes must be >= 1")
         # the pool builds every buffer up front: refuse more than physical memory
         if {"SC_PAGE_SIZE", "SC_PHYS_PAGES"} <= getattr(os, "sysconf_names", {}).keys():
             ram = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
@@ -98,16 +102,12 @@ class RunConfig:
                 raise ValueError(
                     f"popsize={self.popsize} x buffer_bytes={self.buffer_bytes} bytes of "
                     f"genome buffers exceeds this machine's {ram} bytes of physical memory")
-        if self.tournament_size < 1:
-            raise ValueError("tournament_size must be >= 1")
         if self.tournament_size > TOURNAMENT_BLOCK:
             # a tournament is ranked in one block, at about 37 bytes per entrant
             raise ValueError(f"tournament_size must be <= {TOURNAMENT_BLOCK}, "
                              f"got {self.tournament_size}")
-        if self.max_initial_depth < 1:
-            raise ValueError("max_initial_depth must be >= 1")
         # bit lengths, not 2**depth: a huge depth must not build a huge integer
-        deepest = (self.buffer_bytes + 1).bit_length() - 1
+        deepest = (operator.index(self.buffer_bytes) + 1).bit_length() - 1
         if self.max_initial_depth > deepest:
             raise ValueError(
                 f"buffer_bytes={self.buffer_bytes} cannot hold an initial tree of "
@@ -185,6 +185,58 @@ def initial_depth(index: int, max_depth: int) -> int:
     return 2 + index % (max_depth - 1)
 
 
+class Breeding:
+    """One generation's breeding: its plan, the children's handles and the two worker steps.
+
+    Building it sets the generation up: the plan, one empty handle per child,
+    a fresh pool peak, and childless parents' buffers given back.
+    """
+
+    def __init__(self, pool: BufferPool, pop: list[Individual], mums: list[int],
+                 dads: list[int], draws: array, buffer_bytes: int):
+        self.pool, self.pop, self.draws, self.buffer_bytes = pool, pop, draws, buffer_bytes
+        self.plan = plan = BreedingPlan(mums, dads)
+        self.new_pop = [Individual() for _ in mums]
+        pool.reset_peak()
+        # infertile parents give their buffers back before any worker starts
+        for ind, kids in zip(pop, plan.children):
+            if not kids:
+                pool.release(ind)
+
+    def next_child(self, done: int | None) -> int | None:
+        """The lock section: book the finished child `done`, then claim the next.
+
+        Booking strikes `done` (None before a worker's first claim) off both
+        parents: a parent left with one outstanding child promotes it to chain
+        1, and a parent left with none gives its buffer back. The claim takes
+        the next child by class and gives it a buffer; it returns None when
+        every child is taken. The caller holds the engine lock. The claimed
+        child's parents keep their buffers until it is booked, so `breed` may
+        read them outside the lock.
+        """
+        plan = self.plan
+        if done is not None:
+            for parent in (plan.mums[done], plan.dads[done]):
+                left, last = plan.rem_child(parent, done)
+                if left == 1:
+                    plan.move21(done, last)
+                elif left == 0:
+                    self.pool.release(self.pop[parent])
+        s = plan.claim_next()
+        if s is not None:
+            self.pool.acquire(self.new_pop[s])
+        return s
+
+    def breed(self, s: int) -> None:
+        """Write claimed child s into its buffer by crossover of its parents."""
+        slots, pop, plan = self.pool.slots, self.pop, self.plan
+        child, mum, dad = self.new_pop[s], pop[plan.mums[s]], pop[plan.dads[s]]
+        child.tree_len = subtree_crossover(
+            slots[mum.slot_id], mum.tree_len, slots[dad.slot_id], dad.tree_len,
+            slots[child.slot_id], self.buffer_bytes, child_stream(self.draws, s),
+        )
+
+
 class PooledEngine:
     """Breeds each generation in place using the reusable buffer pool."""
 
@@ -233,24 +285,26 @@ class PooledEngine:
         cfg = self.config
         mums, dads, draws = draw_outcome(self.master_rng, self.fitness_history[-1],
                                          cfg.tournament_size)
-        plan = BreedingPlan(mums, dads)
-        new_pop = [Individual() for _ in range(cfg.popsize)]
-        self.pool.reset_peak()
-        # infertile parents give their buffers back before any worker starts
-        for ind, kids in zip(self.pop, plan.children):
-            if not kids:
-                self.pool.release(ind)
-
+        breeding = Breeding(self.pool, self.pop, mums, dads, draws, cfg.buffer_bytes)
         busy = [0.0] * self.pool.workers
         errors: list[BaseException] = []
 
         def run_worker(w: int) -> None:
+            start = time.perf_counter()
+            next_child, breed = breeding.next_child, breeding.breed
             try:
-                busy[w] = self._worker_loop(draws, plan, new_pop)
+                s = None
+                while True:
+                    with self.lock:
+                        s = next_child(s)
+                    if s is None:
+                        break
+                    breed(s)
+                busy[w] = time.perf_counter() - start
             except BaseException as exc:  # propagate fatal errors to master
                 errors.append(exc)
                 with self.lock:
-                    plan.cancel()  # the other workers stop at their next claim
+                    breeding.plan.cancel()  # the other workers stop at their next claim
 
         if cfg.nthreads == 0:
             run_worker(0)
@@ -265,7 +319,7 @@ class PooledEngine:
             raise errors[0]
         if self.pool.used != cfg.popsize:
             raise InvariantError("old population not fully released")
-        self.pop = new_pop
+        self.pop = breeding.new_pop
         self._score(g, t0, busy)
 
     def _score(self, g: int, t0: float, busy: list[float] | None = None) -> None:
@@ -304,54 +358,6 @@ class PooledEngine:
             wall_time=wall,
             busy_times=[wall] if busy is None else busy,
         ))
-
-    # -- worker phase -----------------------------------------------------
-
-    def _worker_loop(self, draws: array, plan: BreedingPlan, new_pop: list[Individual]) -> float:
-        """Breed children until none is left to claim; return busy seconds."""
-        t0 = time.perf_counter()
-        cfg = self.config
-        pool, slots = self.pool, self.pool.slots
-        pop = self.pop
-        mums, dads = plan.mums, plan.dads
-        s = None
-        while True:
-            with self.lock:
-                s = next_child(plan, pool, pop, new_pop, s)
-            if s is None:
-                return time.perf_counter() - t0
-            child = new_pop[s]
-            mum = pop[mums[s]]
-            dad = pop[dads[s]]
-            child.tree_len = subtree_crossover(
-                slots[mum.slot_id], mum.tree_len, slots[dad.slot_id], dad.tree_len,
-                slots[child.slot_id], cfg.buffer_bytes, child_stream(draws, s),
-            )
-
-
-def next_child(plan: BreedingPlan, pool: BufferPool, pop: list[Individual],
-               new_pop: list[Individual], done: int | None) -> int | None:
-    """The lock section: book the finished child `done`, then claim the next.
-
-    Booking strikes `done` (None before a worker's first claim) off both
-    parents: a parent left with one outstanding child promotes it to chain
-    1, and a parent left with none gives its buffer back. The claim takes
-    the next child by class and gives it a buffer; it returns None when
-    every child is taken. The caller holds the engine lock. The claimed
-    child's parents keep their buffers until it is booked, so its crossover
-    may read them outside the lock.
-    """
-    if done is not None:
-        for parent in (plan.mums[done], plan.dads[done]):
-            left, last = plan.rem_child(parent, done)
-            if left == 1:
-                plan.move21(done, last)
-            elif left == 0:
-                pool.release(pop[parent])
-    s = plan.claim_next()
-    if s is not None:
-        pool.acquire(new_pop[s])
-    return s
 
 
 def run_evolution(config: RunConfig, problem: Problem = QUARTIC) -> EvolutionResult:

@@ -1,13 +1,14 @@
 """Step-driven model of the breeding phase for schedule exploration.
 
-Drives the real BufferPool, BreedingPlan and crossover code through the
-worker loop's two steps: HOLD (`engine.next_child` in one lock hold: book
-the worker's finished child by rem_child x2, promotions and parent
-releases, then claim the next child and acquire its buffer) and CROSS
-(crossover outside the lock). The lock section is the engine's own
-function, not a copy, so the schedules explored here check the code that
-ships. Workers do not evaluate fitness: the master scores the generation
-after every worker has joined, so scoring is not a step of the model. A
+Builds the engine's own `Breeding` (plan, children's handles, peak reset,
+childless releases) and drives its two worker steps: HOLD
+(`Breeding.next_child` in one lock hold: book the worker's finished child
+by rem_child x2, promotions and parent releases, then claim the next child
+and acquire its buffer) and CROSS (`Breeding.breed`, crossover outside the
+lock). Set-up and steps are the engine's code, not a copy, so the
+schedules explored here check the code that ships. Workers do not
+evaluate fitness: the master scores the generation after every worker has
+joined, so scoring is not a step of the model. A
 scheduler picks which worker advances next; `explore_all` walks every
 interleaving, checking after each step that the plan's queues are intact,
 the pool conserves its slots, and no crossover ever reads a parent buffer
@@ -23,9 +24,9 @@ from __future__ import annotations
 import random
 
 from poolgp.breeding_plan import NIL, BreedingPlan
-from poolgp.engine import Individual, child_stream, draw_points, next_child
+from poolgp.engine import Breeding, Individual, draw_points
 from poolgp.expr_pool import NO_SLOT, BufferPool
-from poolgp.genome import random_tree, subtree_crossover, subtree_end
+from poolgp.genome import random_tree, subtree_end
 
 HOLD, CROSS = "hold", "cross"
 
@@ -33,16 +34,11 @@ HOLD, CROSS = "hold", "cross"
 def queues(plan: BreedingPlan) -> tuple[list[int], list[int]]:
     """(chain 1, class 2): the children each would hand out, in claim order.
 
-    Chain 1 is cut one entry past the population size, so a cycle shows as
-    a too-long chain instead of a hang. Class 2 is every status-2 child from
-    the cursor `next2` on.
+    Chain 1 is its stack read from the top. Class 2 is every status-2 child
+    from the cursor `next2` on.
     """
-    chain1 = []
-    i = plan.chainhd1
-    while i != NIL and len(chain1) <= len(plan.status):
-        chain1.append(i)
-        i = plan.forw[i]
-    return chain1, [s for s in range(plan.next2, len(plan.status)) if plan.status[s] == 2]
+    status = plan.status
+    return plan.chain1[::-1], [s for s in range(plan.next2, len(status)) if status[s] == 2]
 
 
 def check_integrity(plan: BreedingPlan) -> str | None:
@@ -112,27 +108,26 @@ def copy_state(obj):
 class BreedingSim:
     def __init__(self, pairs, nworkers, seed=0, buffer_bytes=31, init_depth=3):
         popsize = len(pairs)
-        self.buffer_bytes = buffer_bytes
-        self.pool = BufferPool(popsize, nworkers, buffer_bytes)
-        self.pop = []
+        pool = BufferPool(popsize, nworkers, buffer_bytes)
+        pop = []
         rng = random.Random(seed)
         for s in range(popsize):
             ind = Individual()
-            ind.tree_len = random_tree(rng, init_depth, self.pool.slots[self.pool.acquire(ind)])
-            self.pop.append(ind)
+            ind.tree_len = random_tree(rng, init_depth, pool.slots[pool.acquire(ind)])
+            pop.append(ind)
         # the scripted parentage stands in for the tournaments; the crossover
         # points come from the same master stream, as in the engines
-        self.draws = draw_points(rng, popsize)
-        self.plan = BreedingPlan([m for m, _ in pairs], [d for _, d in pairs])
-        self.new_pop = [Individual() for _ in range(popsize)]
-        self.pool.reset_peak()
-        for ind, kids in zip(self.pop, self.plan.children):
-            if not kids:
-                self.pool.release(ind)
+        self.breeding = Breeding(pool, pop, [m for m, _ in pairs], [d for _, d in pairs],
+                                 draw_points(rng, popsize), buffer_bytes)
         self.workers = [WorkerModel() for _ in range(nworkers)]
         self.claims: list[tuple[int, bool, bool]] = []  # (child, was_class2, chain1_empty)
         self.books = 0
         self.verify_quiescent()
+
+    pool = property(lambda self: self.breeding.pool)
+    plan = property(lambda self: self.breeding.plan)
+    pop = property(lambda self: self.breeding.pop)
+    new_pop = property(lambda self: self.breeding.new_pop)
 
     # -- scheduling --------------------------------------------------------
 
@@ -144,11 +139,13 @@ class BreedingSim:
 
     def clone(self):
         """Independent copy; workers only hold indices, never object refs."""
-        new = copy_state(self)  # the crossover draws are read-only and shared
-        new.pool = copy_state(self.pool)
-        new.plan = copy_state(self.plan)
-        new.pop = [copy_state(i) for i in self.pop]
-        new.new_pop = [copy_state(i) for i in self.new_pop]
+        new = copy_state(self)
+        # the crossover draws are read-only and shared
+        new.breeding = b = copy_state(self.breeding)
+        b.pool = copy_state(self.pool)
+        b.plan = copy_state(self.plan)
+        b.pop = [copy_state(i) for i in self.pop]
+        b.new_pop = [copy_state(i) for i in self.new_pop]
         new.workers = [copy_state(w) for w in self.workers]
         return new
 
@@ -158,7 +155,7 @@ class BreedingSim:
         if st.phase == HOLD:
             self._step_hold(st)
         else:
-            self._step_cross(st, self.draws)
+            self._step_cross(st)
         self.verify_quiescent()
 
     # -- the two steps of the worker loop ----------------------------------
@@ -166,7 +163,7 @@ class BreedingSim:
     def _step_hold(self, st: WorkerModel) -> None:
         plan = self.plan
         next2 = plan.next2  # only a class-2 claim moves the cursor
-        s = next_child(plan, self.pool, self.pop, self.new_pop, st.child)
+        s = self.breeding.next_child(st.child)
         if st.child is not None:
             self.books += 1
         st.child = s
@@ -183,9 +180,8 @@ class BreedingSim:
         st.dad_slot = self.pop[plan.dads[s]].slot_id
         st.phase = CROSS
 
-    def _step_cross(self, st: WorkerModel, draws) -> None:
+    def _step_cross(self, st: WorkerModel) -> None:
         s = st.child
-        child = self.new_pop[s]
         mum = self.pop[self.plan.mums[s]]
         dad = self.pop[self.plan.dads[s]]
         # the property under test: parents still own the buffers recorded at claim
@@ -195,11 +191,7 @@ class BreedingSim:
         assert dad.slot_id == st.dad_slot != NO_SLOT, (
             f"child {s}: dad buffer released before crossover read it"
         )
-        slots = self.pool.slots
-        child.tree_len = subtree_crossover(
-            slots[mum.slot_id], mum.tree_len, slots[dad.slot_id], dad.tree_len,
-            slots[child.slot_id], self.buffer_bytes, child_stream(draws, s),
-        )
+        self.breeding.breed(s)
         st.phase = HOLD
 
     # -- invariants ---------------------------------------------------------

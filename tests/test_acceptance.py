@@ -169,10 +169,10 @@ def test_hand_traced_operation_tables():
     p.move21(7, 1)
     assert queues(p) == ([1, 2, 3, 4, 6, 7], [0, 5])
     assert p.chainhd1 == 1 and p.status[1] == 1
-    before = (list(p.forw), list(p.status), p.chainhd1, p.next2)
+    before = (list(p.chain1), list(p.status), p.chainhd1, p.next2)
     p.move21(5, 5)  # active child: ignored
     p.move21(7, 2)  # already class 1: ignored
-    assert (list(p.forw), list(p.status), p.chainhd1, p.next2) == before
+    assert (list(p.chain1), list(p.status), p.chainhd1, p.next2) == before
     assert check_integrity(p) is None
     print("\nPASS operation traces: acquire/release, build_plan, rem_child, move21")
 

@@ -47,7 +47,7 @@ def test_build_plan_self_crossover_permutation_all_class2():
 def test_outcome_rejects_out_of_range_parent():
     with pytest.raises(ValueError, match="parent index out of range for child 1"):
         BreedingPlan([0, 3], [1, 1])
-    with pytest.raises(ValueError, match="must have equal length"):
+    with pytest.raises(ValueError, match="^mums and dads must have equal length$"):
         BreedingPlan([0, 1], [1])
 
 
@@ -126,7 +126,7 @@ def move_fixture():
 
 def snapshot(plan):
     return (
-        list(plan.forw), list(plan.status), plan.chainhd1, plan.next2,
+        list(plan.chain1), list(plan.status), plan.chainhd1, plan.next2,
         [list(c) for c in plan.children],
     )
 
@@ -201,6 +201,35 @@ def test_cancel_leaves_nothing_to_claim():
     assert queues(plan) == ([], [])
     assert plan.claim_next() is None
     assert plan.claim_next() is None
+
+
+def test_chainhd1_predicts_every_claim():
+    # the traced run tells class-1 from class-2 claims by chainhd1 alone
+    rng = random.Random(19)
+    promoted = cancelled = 0
+    for _ in range(300):
+        m = rng.randrange(1, 30)
+        plan = plan_from([(rng.randrange(m), rng.randrange(m)) for _ in range(m)])
+        cancel_at, s = rng.randrange(m + 1), NIL
+        for claims in range(m + 1):
+            class2 = [t for t, c in enumerate(plan.status) if c == 2]
+            if class2 and rng.random() < 0.5:
+                plan.move21(s, rng.choice(class2))
+                promoted += 1
+            if claims == cancel_at:
+                plan.cancel()
+                cancelled += 1
+            head, next2 = plan.chainhd1, plan.next2
+            s = plan.claim_next()
+            if s is None:
+                assert head == NIL
+                break
+            assert head in (NIL, s)
+            assert (head == NIL) == (plan.next2 != next2)
+        assert plan.claim_next() is None
+    assert promoted and cancelled
+    with pytest.raises(AttributeError):
+        plan.chainhd1 = 0
 
 
 def test_plan_invariants_hold_under_python_optimize():

@@ -222,6 +222,16 @@ def test_config_validation():
         RunConfig(buffer_bytes=31, max_initial_depth=6).validate()
 
 
+@pytest.mark.parametrize("field", ["popsize", "nthreads", "generations", "buffer_bytes",
+                                   "tournament_size", "max_initial_depth"])
+def test_config_validation_rejects_non_integer_fields(field):
+    value = getattr(RunConfig(), field)
+    for bad in (value + 0.5, float(value), str(value)):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            RunConfig(**{field: bad}).validate()
+    RunConfig(**{field: np.int64(value)}).validate()  # numpy ints still run
+
+
 @pytest.mark.skipif(
     not {"SC_PAGE_SIZE", "SC_PHYS_PAGES"} <= getattr(os, "sysconf_names", {}).keys(),
     reason="no physical memory size on this platform")
