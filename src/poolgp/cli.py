@@ -5,7 +5,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import metrics
+from . import genome, metrics
 from .engine import RunConfig, run_evolution
 from .naive import run_evolution_naive
 
@@ -98,7 +98,8 @@ def main(argv: list[str] | None = None) -> int:
             f"generations={config.generations} seed={config.seed} "
             f"capacity={result.capacity} peak_buffers={result.peak_buffers} "
             f"bound={result.capacity} "
-            f"effective_cores={cores:.2f} best_fitness={min(result.fitness_history[-1])!r}"
+            f"effective_cores={cores:.2f} evaluator={genome.evaluator()} "
+            f"best_fitness={min(result.fitness_history[-1])!r}"
         )
     return status
 

@@ -12,8 +12,11 @@ n-node tree, so 0 picks the root and 2**32 - 1 the last node.
 
 from __future__ import annotations
 
+import ctypes
+
 import numpy as np
 
+from . import _kernel
 from .errors import InvariantError
 
 # function opcodes, all arity 2
@@ -112,62 +115,79 @@ def float_errors_ignored() -> np.errstate:
 
 
 def evaluate(code, length: int, x: np.ndarray) -> np.ndarray:
-    """Interpret a genome over a vector of input points.
+    """Interpret a genome over a vector of input points, to the same bits on either path.
 
-    Right-to-left scan with a value stack: terminals push their float64
-    vector from the table of `x`, functions combine the top two entries, a
-    function of two terminals is one lookup. The result, maybe a shared
-    table vector, is read-only. Overflow and inf/inf warn outside
-    `float_errors_ignored()`, which every score pass enters; x/0 never warns.
+    Right-to-left scan with a value stack of float64 vectors, in the C kernel
+    when it loaded: a fresh writable result, and no warning. Otherwise in
+    numpy (`_interpret`): a result, maybe a shared table vector, that is
+    read-only, and overflow and inf/inf warn outside `float_errors_ignored()`.
+    x/0 never warns. A malformed genome raises InvariantError.
     """
     if not 0 <= length <= len(code):
         raise InvariantError(f"length {length} outside a buffer of {len(code)} cells")
     table = _table
     if x.tobytes() != table[0] or x.shape != table[1] or x.dtype != table[2]:
         table = _table_of(x)
-    return _interpret(code, length, table[3], table[4])
+    kernel = _native
+    if kernel is None:
+        return _interpret(code, length, table[3], table[4])
+    out = table[5]()  # the kernel reads the table's immutable copy of x, writes only `out`
+    status = kernel(bytes(code[:length]), length, table[6], len(out), out)
+    if status:
+        raise InvariantError(_kernel.ERRORS[status])
+    got = np.frombuffer(out)
+    return got if got.shape == table[1] else got.reshape(table[1])
+
+
+def evaluator() -> str:
+    """Which interpreter `evaluate` runs: "c" for the kernel, else "numpy"."""
+    return "numpy" if _native is None else "c"
 
 
 def _interpret(code, length: int, terms: list, pairs: list | None) -> np.ndarray:
-    """`evaluate` over the given terminal vectors (by opcode) and pair vectors."""
+    """`evaluate` in numpy over the given terminal vectors (by opcode) and pair vectors."""
     stack: list[np.ndarray] = []
     push = stack.append
     pop = stack.pop
     b_op = a_op = 0  # opcodes of the last two pushes while both are terminals, else 0
-    for op in reversed(code[:length]):
-        if op >= VAR_X:
-            push(terms[op])
-            b_op, a_op = a_op, op
-            continue
-        if b_op and pairs is not None:
-            pop()
-            stack[-1] = pairs[op << 8 | b_op << 4 | a_op]
-        else:
-            a = pop()
-            b = pop()
-            if op == ADD:
-                push(a + b)
-            elif op == SUB:
-                push(a - b)
-            elif op == MUL:
-                push(a * b)
-            elif np.count_nonzero(b) == b.size:
-                push(a / b)
+    try:
+        for op in reversed(code[:length]):
+            if op >= VAR_X:
+                push(terms[op])
+                b_op, a_op = a_op, op
+                continue
+            if b_op and pairs is not None:
+                pop()
+                stack[-1] = pairs[op << 8 | b_op << 4 | a_op]
             else:
-                # astype(bool) is b != 0: 0.0 and -0.0 give 1, nan divides
-                push(np.divide(a, b, out=np.ones(b.shape), where=b.astype(bool)))
-        b_op = a_op = 0
+                a = pop()
+                b = pop()
+                if op == ADD:
+                    push(a + b)
+                elif op == SUB:
+                    push(a - b)
+                elif op == MUL:
+                    push(a * b)
+                elif np.count_nonzero(b) == b.size:
+                    push(a / b)
+                else:
+                    # astype(bool) is b != 0: 0.0 and -0.0 give 1, nan divides
+                    push(np.divide(a, b, out=np.ones(b.shape), where=b.astype(bool)))
+            b_op = a_op = 0
+    except IndexError:  # terms[op] past the last terminal, or pop() from an empty stack
+        raise InvariantError(_kernel.ERRORS[1 if op >= len(terms) else 2]) from None
     if len(stack) != 1:
-        raise InvariantError("incomplete prefix encoding")
+        raise InvariantError(_kernel.ERRORS[3])
     return stack[0]
 
 
 # A table holds pair vectors only while their 144 * x.nbytes fit in TABLE_BYTES
 # (23 KB at 20 cases, 1.2 GB at 10**6). _table is the last input vector's key
-# (bytes, shape, dtype), terminal vectors by opcode and pair vectors; keyed by
-# content, so no write into x between calls meets a stale table.
+# (bytes, shape, dtype), terminal vectors by opcode, pair vectors, the kernel's
+# output type and the address of x's immutable float64 copy; keyed by content,
+# so no write into x between calls meets a stale table.
 TABLE_BYTES = 1 << 20
-_table: tuple = (None,) * 5
+_table: tuple = (None,) * 7
 
 
 def frozen(values) -> np.ndarray:
@@ -194,5 +214,10 @@ def _table_of(x: np.ndarray) -> tuple:
         with float_errors_ignored():  # no genome asked for these nodes' overflow
             for f, a, b in triples:
                 pairs[f << 8 | b << 4 | a] = frozen(_interpret(bytes((f, a, b)), 3, terms, None))
-    _table = table = (data, x.shape, x.dtype, terms, pairs)
+    out_type = ctypes.c_double * terms[VAR_X].size
+    _table = table = (data, x.shape, x.dtype, terms, pairs, out_type, terms[VAR_X].ctypes.data)
     return table  # not _table, which another thread may have replaced since
+
+
+# the C kernel's function, or None where it could not be built or loaded
+_native = _kernel.load(CONSTANTS)

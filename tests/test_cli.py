@@ -6,7 +6,7 @@ import threading
 
 import pytest
 
-from poolgp import engine
+from poolgp import engine, genome
 from poolgp.cli import build_parser, main
 from poolgp.engine import MAX_THREADS, TOURNAMENT_BLOCK, RunConfig
 
@@ -116,7 +116,13 @@ def test_pooled_run_summary_and_exit_code(capsys):
     assert fields["capacity"] == "12"
     assert int(fields["peak_buffers"]) <= int(fields["bound"]) == 12
     assert 0.0 <= float(fields["effective_cores"]) <= 2.0
+    assert fields["evaluator"] == genome.evaluator()
     assert "best_fitness" in fields
+
+
+def test_summary_names_the_evaluator_that_ran(capsys, numpy_evaluator):
+    assert main(FAST) == 0
+    assert summary_fields(capsys.readouterr().out.strip().splitlines()[-1])["evaluator"] == "numpy"
 
 
 def test_effective_cores_counts_only_workers_that_ran(capsys):

@@ -427,7 +427,8 @@ def test_evaluate_sees_writes_into_a_once_read_only_x():
     assert_matches_oracle(x)
 
 
-def test_table_backed_results_reject_writes():
+def test_table_backed_results_reject_writes(numpy_evaluator):
+    # only the numpy path hands out shared table vectors
     x = np.linspace(-1.0, 1.0, 6)
     for code in ([C[0.5]], [ADD, VAR_X, C[1.0]], [VAR_X]):  # constant, pair, variable root
         got = genome.evaluate(bytes(code), len(code), x)
@@ -436,6 +437,33 @@ def test_table_backed_results_reject_writes():
         with pytest.raises(ValueError):
             got.setflags(write=True)
     assert_matches_oracle(x)
+
+
+@pytest.mark.skipif(genome.evaluator() != "c", reason="no C kernel on this machine")
+def test_kernel_results_are_fresh_writable_arrays():
+    x = np.linspace(-1.0, 1.0, 6)
+    x_bytes = x.tobytes()
+    for code in ([C[0.5]], [ADD, VAR_X, C[1.0]], [VAR_X]):  # constant, pair, variable root
+        got = genome.evaluate(bytes(code), len(code), x)
+        want = got.copy()
+        got[:] = 5.0
+        assert x.tobytes() == x_bytes
+        assert same_bits(genome.evaluate(bytes(code), len(code), x), want)
+    assert_matches_oracle(x)
+
+
+def test_kernel_and_numpy_paths_give_the_same_bits(monkeypatch):
+    rng = random.Random(31)
+    buf = bytearray(127)
+    for x in (SPECIAL_X, SPECIAL_X.reshape(4, 4), np.linspace(-1.0, 1.0, 20), np.arange(5)):
+        with float_errors_ignored():
+            for i in range(500):
+                n = random_tree(rng, 1 + i % 7, buf)
+                got = genome.evaluate(buf, n, x)
+                with monkeypatch.context() as m:
+                    m.setattr(genome, "_native", None)
+                    want = genome.evaluate(buf, n, x)
+                assert got.shape == x.shape and same_bits(got, want), bytes(buf[:n])
 
 
 def test_evaluate_on_many_cases_keeps_the_table_within_budget():
@@ -545,6 +573,23 @@ def test_evaluate_rejects_length_outside_buffer():
             genome.evaluate(bytes([ADD, VAR_X, VAR_X]), length, x)
 
 
+MALFORMED = [  # incomplete, a function short of operands, an opcode past the last terminal
+    [], [VAR_X, VAR_X], [ADD, VAR_X, VAR_X, C[1.0]], [ADD], [ADD, VAR_X], [SUB, ADD, VAR_X, C[0.5]],
+    [200], [ADD, VAR_X, CONST_BASE + len(CONSTANTS)], [255, VAR_X, VAR_X],
+]
+
+
+@pytest.mark.parametrize("path", ["kernel", "numpy"])
+def test_every_malformed_genome_raises_invariant_error(path, request):
+    if path == "numpy":
+        request.getfixturevalue("numpy_evaluator")
+    for x in (np.linspace(-1.0, 1.0, 20), np.zeros(0), np.zeros(3)):
+        for code in MALFORMED:
+            buf = bytearray(code) + bytes(8)  # cells past the length are never read
+            with pytest.raises(InvariantError):
+                genome.evaluate(buf, len(code), x)
+
+
 def test_incomplete_encoding_raises_under_python_optimize():
     src = Path(genome.__file__).resolve().parents[1]
     script = (
@@ -557,6 +602,11 @@ def test_incomplete_encoding_raises_under_python_optimize():
         "    genome.random_tree(random.Random(1), 0, bytearray(8))\n"
         "    sys.exit(4)\n"
         "except ValueError:\n"
+        "    pass\n"
+        "try:\n"
+        "    genome.evaluate(bytes([genome.ADD, genome.VAR_X]), 2, np.zeros(3))\n"
+        "    sys.exit(5)\n"
+        "except InvariantError:\n"
         "    pass\n"
         "try:\n"
         "    genome.evaluate(bytes([genome.VAR_X, genome.VAR_X]), 2, np.zeros(3))\n"

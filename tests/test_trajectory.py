@@ -1,7 +1,7 @@
 """Golden trajectory: a small big-tree run must keep its exact results.
 
 The digests were taken before the evaluator moved to precomputed terminal
-and pair vectors. Any change to the interpreter, selection, crossover or
+and pair vectors, and before the C kernel; both evaluators must keep them. Any change to the interpreter, selection, crossover or
 scoring that moves a single bit of a fitness or a genome fails here; a
 deliberate change of trajectory updates them and says so.
 """
@@ -28,8 +28,16 @@ def digests(result):
     return fitness.hexdigest(), genomes.hexdigest()
 
 
-@pytest.mark.parametrize("run, nthreads", [(run_evolution, 0), (run_evolution, 2),
-                                           (run_evolution_naive, 0)])
-def test_bigtree_shaped_run_keeps_its_golden_digests(run, nthreads):
+RUNS = [(run_evolution, 0), (run_evolution, 2), (run_evolution_naive, 0)]
+
+
+# each run on the C kernel, when it loaded, and again in numpy
+@pytest.mark.parametrize("run, nthreads, evaluator", [
+    pytest.param(run, nthreads, evaluator, id=f"{run.__name__}-{nthreads}{suffix}")
+    for evaluator, suffix in (("default", ""), ("numpy", "-numpy")) for run, nthreads in RUNS
+])
+def test_bigtree_shaped_run_keeps_its_golden_digests(run, nthreads, evaluator, request):
+    if evaluator == "numpy":
+        request.getfixturevalue("numpy_evaluator")
     result = run(RunConfig(nthreads=nthreads, **CONFIG))
     assert digests(result) == (FITNESS_SHA256, GENOMES_SHA256)
