@@ -82,15 +82,16 @@ class RunConfig:
     max_initial_depth: int = 6
 
     def validate(self) -> None:
-        # numpy ints pass operator.index; floats, which could pass the limits below, do not
+        # numpy ints pass operator.index; floats, which could pass the limits below, do not,
+        # nor does a seed of None, which random.Random would take from OS entropy
         for name, least in (("popsize", 1), ("nthreads", 0), ("generations", 1), ("buffer_bytes", 1),
-                            ("tournament_size", 1), ("max_initial_depth", 1)):
+                            ("tournament_size", 1), ("max_initial_depth", 1), ("seed", None)):
             value = getattr(self, name)
             try:
                 operator.index(value)
             except TypeError:
                 raise ValueError(f"{name} must be an integer, got {value!r}") from None
-            if value < least:
+            if least is not None and value < least:
                 raise ValueError(f"{name} must be >= {least}, got {value}")
         if self.nthreads > MAX_THREADS:
             # one OS thread per breeder; a typo must not start thousands
@@ -246,7 +247,7 @@ class PooledEngine:
         self.problem = problem
         self.pool = BufferPool(config.popsize, config.nthreads, config.buffer_bytes)
         self.lock = threading.Lock()
-        self.master_rng = random.Random(config.seed)
+        self.master_rng = random.Random(operator.index(config.seed))  # takes no numpy int
         self.pop: list[Individual] = []
         self.scores: dict[bytes, float] = {}  # genome digest -> fitness, current members only
         self.stats: list[metrics.GenerationStats] = []

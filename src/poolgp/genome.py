@@ -119,9 +119,9 @@ def evaluate(code, length: int, x: np.ndarray) -> np.ndarray:
 
     Right-to-left scan with a value stack of float64 vectors, in the C kernel
     when it loaded: a fresh writable result, and no warning. Otherwise in
-    numpy (`_interpret`): a result, maybe a shared table vector, that is
-    read-only, and overflow and inf/inf warn outside `float_errors_ignored()`.
-    x/0 never warns. A malformed genome raises InvariantError.
+    numpy (`_interpret`): a fresh result unless the root is a terminal, whose
+    shared vector is read-only, and overflow and inf/inf warn outside
+    `float_errors_ignored()`. x/0 never warns. A malformed genome raises InvariantError.
     """
     if not 0 <= length <= len(code):
         raise InvariantError(f"length {length} outside a buffer of {len(code)} cells")
@@ -130,9 +130,9 @@ def evaluate(code, length: int, x: np.ndarray) -> np.ndarray:
         table = _table_of(x)
     kernel = _native
     if kernel is None:
-        return _interpret(code, length, table[3], table[4])
-    out = table[5]()  # the kernel reads the table's immutable copy of x, writes only `out`
-    status = kernel(bytes(code[:length]), length, table[6], len(out), out)
+        return _interpret(code, length, table[3])
+    out = table[4]()  # the kernel reads the table's immutable copy of x, writes only `out`
+    status = kernel(bytes(code[:length]), length, table[5], len(out), out)
     if status:
         raise InvariantError(_kernel.ERRORS[status])
     got = np.frombuffer(out)
@@ -144,36 +144,29 @@ def evaluator() -> str:
     return "numpy" if _native is None else "c"
 
 
-def _interpret(code, length: int, terms: list, pairs: list | None) -> np.ndarray:
-    """`evaluate` in numpy over the given terminal vectors (by opcode) and pair vectors."""
+def _interpret(code, length: int, terms: list) -> np.ndarray:
+    """`evaluate` in numpy over the given terminal vectors (by opcode): the reference and fallback."""
     stack: list[np.ndarray] = []
     push = stack.append
     pop = stack.pop
-    b_op = a_op = 0  # opcodes of the last two pushes while both are terminals, else 0
     try:
         for op in reversed(code[:length]):
             if op >= VAR_X:
                 push(terms[op])
-                b_op, a_op = a_op, op
                 continue
-            if b_op and pairs is not None:
-                pop()
-                stack[-1] = pairs[op << 8 | b_op << 4 | a_op]
+            a = pop()
+            b = pop()
+            if op == ADD:
+                push(a + b)
+            elif op == SUB:
+                push(a - b)
+            elif op == MUL:
+                push(a * b)
+            elif np.count_nonzero(b) == b.size:
+                push(a / b)
             else:
-                a = pop()
-                b = pop()
-                if op == ADD:
-                    push(a + b)
-                elif op == SUB:
-                    push(a - b)
-                elif op == MUL:
-                    push(a * b)
-                elif np.count_nonzero(b) == b.size:
-                    push(a / b)
-                else:
-                    # astype(bool) is b != 0: 0.0 and -0.0 give 1, nan divides
-                    push(np.divide(a, b, out=np.ones(b.shape), where=b.astype(bool)))
-            b_op = a_op = 0
+                # astype(bool) is b != 0: 0.0 and -0.0 give 1, nan divides
+                push(np.divide(a, b, out=np.ones(b.shape), where=b.astype(bool)))
     except IndexError:  # terms[op] past the last terminal, or pop() from an empty stack
         raise InvariantError(_kernel.ERRORS[1 if op >= len(terms) else 2]) from None
     if len(stack) != 1:
@@ -181,13 +174,11 @@ def _interpret(code, length: int, terms: list, pairs: list | None) -> np.ndarray
     return stack[0]
 
 
-# A table holds pair vectors only while their 144 * x.nbytes fit in TABLE_BYTES
-# (23 KB at 20 cases, 1.2 GB at 10**6). _table is the last input vector's key
-# (bytes, shape, dtype), terminal vectors by opcode, pair vectors, the kernel's
-# output type and the address of x's immutable float64 copy; keyed by content,
-# so no write into x between calls meets a stale table.
-TABLE_BYTES = 1 << 20
-_table: tuple = (None,) * 7
+# _table is the last input vector's key (bytes, shape, dtype), terminal
+# vectors by opcode, the kernel's output type and the address of x's
+# immutable float64 copy; keyed by content, so no write into x between calls
+# meets a stale table.
+_table: tuple = (None,) * 6
 
 
 def frozen(values) -> np.ndarray:
@@ -197,25 +188,18 @@ def frozen(values) -> np.ndarray:
 
 
 def _table_of(x: np.ndarray) -> tuple:
-    """Build and keep the table of `x`, whose pairs[f << 8 | b << 4 | a] is f(a, b).
+    """Build and keep the table of `x`.
 
     A float64 `x` costs no terminal copy: its vector views the key's bytes,
-    and a constant's is a broadcast view. The interpreter computes every pair.
+    and a constant's is a broadcast view.
     """
     global _table
     data = x.tobytes()
     terms = [None] * CONST_BASE + [np.broadcast_to(frozen(c), x.shape) for c in CONSTANTS]
     xv = np.frombuffer(data, x.dtype).reshape(x.shape)
     terms[VAR_X] = xv if xv.dtype == np.float64 else frozen(xv)
-    triples = [(f, a, b) for f in FUNCTIONS for a in TERMINALS for b in TERMINALS]
-    pairs = None
-    if len(triples) * terms[VAR_X].nbytes <= TABLE_BYTES:
-        pairs = [None] * (len(FUNCTIONS) << 8)
-        with float_errors_ignored():  # no genome asked for these nodes' overflow
-            for f, a, b in triples:
-                pairs[f << 8 | b << 4 | a] = frozen(_interpret(bytes((f, a, b)), 3, terms, None))
     out_type = ctypes.c_double * terms[VAR_X].size
-    _table = table = (data, x.shape, x.dtype, terms, pairs, out_type, terms[VAR_X].ctypes.data)
+    _table = table = (data, x.shape, x.dtype, terms, out_type, terms[VAR_X].ctypes.data)
     return table  # not _table, which another thread may have replaced since
 
 

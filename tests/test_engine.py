@@ -223,13 +223,20 @@ def test_config_validation():
 
 
 @pytest.mark.parametrize("field", ["popsize", "nthreads", "generations", "buffer_bytes",
-                                   "tournament_size", "max_initial_depth"])
+                                   "tournament_size", "max_initial_depth", "seed"])
 def test_config_validation_rejects_non_integer_fields(field):
     value = getattr(RunConfig(), field)
-    for bad in (value + 0.5, float(value), str(value)):
+    for bad in (value + 0.5, float(value), str(value), None):
         with pytest.raises(ValueError, match=f"^{field} must be an integer"):
             RunConfig(**{field: bad}).validate()
     RunConfig(**{field: np.int64(value)}).validate()  # numpy ints still run
+
+
+def test_a_numpy_integer_seed_runs_like_the_same_int():
+    cfg = dict(popsize=20, generations=3, buffer_bytes=63, max_initial_depth=4)
+    want = run_evolution(RunConfig(seed=5, **cfg)).genomes
+    assert run_evolution(RunConfig(seed=np.int64(5), **cfg)).genomes == want
+    assert run_evolution_naive(RunConfig(seed=np.int64(5), **cfg)).genomes == want
 
 
 @pytest.mark.skipif(

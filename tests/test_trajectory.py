@@ -34,10 +34,8 @@ RUNS = [(run_evolution, 0), (run_evolution, 2), (run_evolution_naive, 0)]
 # each run on the C kernel, when it loaded, and again in numpy
 @pytest.mark.parametrize("run, nthreads, evaluator", [
     pytest.param(run, nthreads, evaluator, id=f"{run.__name__}-{nthreads}{suffix}")
-    for evaluator, suffix in (("default", ""), ("numpy", "-numpy")) for run, nthreads in RUNS
-])
-def test_bigtree_shaped_run_keeps_its_golden_digests(run, nthreads, evaluator, request):
-    if evaluator == "numpy":
-        request.getfixturevalue("numpy_evaluator")
+    for evaluator, suffix in (("c", ""), ("numpy", "-numpy")) for run, nthreads in RUNS
+], indirect=["evaluator"])
+def test_bigtree_shaped_run_keeps_its_golden_digests(run, nthreads, evaluator):
     result = run(RunConfig(nthreads=nthreads, **CONFIG))
     assert digests(result) == (FITNESS_SHA256, GENOMES_SHA256)
