@@ -12,8 +12,6 @@ n-node tree, so 0 picks the root and 2**32 - 1 the last node.
 
 from __future__ import annotations
 
-import ctypes
-
 import numpy as np
 
 from . import _kernel
@@ -128,15 +126,12 @@ def evaluate(code, length: int, x: np.ndarray) -> np.ndarray:
     table = _table
     if x.tobytes() != table[0] or x.shape != table[1] or x.dtype != table[2]:
         table = _table_of(x)
-    kernel = _native
-    if kernel is None:
+    if _native is None:
         return _interpret(code, length, table[3])
-    out = table[4]()  # the kernel reads the table's immutable copy of x, writes only `out`
-    status = kernel(bytes(code[:length]), length, table[5], len(out), out)
-    if status:
+    out = np.empty(table[1])  # the kernel reads the table's immutable copy of x, writes only `out`
+    if status := _native.evaluate(code, length, table[3][VAR_X], out):
         raise InvariantError(_kernel.ERRORS[status])
-    got = np.frombuffer(out)
-    return got if got.shape == table[1] else got.reshape(table[1])
+    return out
 
 
 def evaluator() -> str:
@@ -174,11 +169,10 @@ def _interpret(code, length: int, terms: list) -> np.ndarray:
     return stack[0]
 
 
-# _table is the last input vector's key (bytes, shape, dtype), terminal
-# vectors by opcode, the kernel's output type and the address of x's
-# immutable float64 copy; keyed by content, so no write into x between calls
-# meets a stale table.
-_table: tuple = (None,) * 6
+# _table is the last input vector's key (bytes, shape, dtype) and terminal
+# vectors by opcode, x's immutable float64 copy among them; keyed by content,
+# so no write into x between calls meets a stale table.
+_table: tuple = (None,) * 4
 
 
 def frozen(values) -> np.ndarray:
@@ -198,10 +192,9 @@ def _table_of(x: np.ndarray) -> tuple:
     terms = [None] * CONST_BASE + [np.broadcast_to(frozen(c), x.shape) for c in CONSTANTS]
     xv = np.frombuffer(data, x.dtype).reshape(x.shape)
     terms[VAR_X] = xv if xv.dtype == np.float64 else frozen(xv)
-    out_type = ctypes.c_double * terms[VAR_X].size
-    _table = table = (data, x.shape, x.dtype, terms, out_type, terms[VAR_X].ctypes.data)
+    _table = table = (data, x.shape, x.dtype, terms)
     return table  # not _table, which another thread may have replaced since
 
 
-# the C kernel's function, or None where it could not be built or loaded
+# the C kernel's module, or None where it could not be built or loaded
 _native = _kernel.load(CONSTANTS)

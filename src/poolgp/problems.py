@@ -39,12 +39,14 @@ class Problem:
     def fitness(self, code, length: int) -> float:
         """The genome's summed absolute error, or +inf when it is not finite.
 
-        Runs under the caller's numpy error state, like `genome.evaluate`:
-        enter `poolgp.float_errors_ignored()` around the calls, since wild
-        arithmetic overflows and finite errors can still sum past float64's
-        range.
+        The C kernel never warns. Without it, this runs under the caller's
+        numpy error state, like `genome.evaluate`: enter
+        `poolgp.float_errors_ignored()` around the calls, since wild arithmetic
+        overflows and finite errors can still sum past float64's range.
         """
         pred = genome.evaluate(code, length, self.inputs)
+        if genome._native is not None:  # the kernel sums in C, to numpy's bits
+            return genome._native.abs_error(pred, self.targets)
         err = float(np.add.reduce(abs(pred - self.targets), None))  # axis None, as .sum()
         return err if math.isfinite(err) else math.inf
 

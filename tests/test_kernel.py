@@ -1,9 +1,12 @@
-"""The C kernel's cache: what is built where, what is loaded, and the numpy fallback.
+"""The C kernel: what is built where, what is loaded, the numpy fallback, and its two functions.
 
-Each case imports poolgp in a fresh process over its own empty cache
-directory, runs pooled against naive there and reports the evaluator.
+The cache cases build into their own empty cache directory, most of them by
+importing poolgp in a fresh process that runs pooled against naive there and
+reports the evaluator. The others call the loaded module's `evaluate` and
+`abs_error` directly, against numpy's bits and past the ends of buffers.
 """
 
+import math
 import os
 import shlex
 import stat
@@ -12,9 +15,12 @@ import sys
 import sysconfig
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from poolgp import genome
+from poolgp import _kernel, genome
+from poolgp.genome import ADD, CONSTANTS, MUL, VAR_X, float_errors_ignored
+from poolgp.problems import Problem
 
 SRC = Path(genome.__file__).resolve().parents[1]
 SCRIPT = (
@@ -67,3 +73,118 @@ def test_a_kernel_others_could_rewrite_is_never_loaded(tmp_path):
         assert evaluator_in_fresh_process(cache) == "numpy", oct(mode)
         target.chmod(0o700)
     assert evaluator_in_fresh_process(cache) == "c"
+
+
+@needs_kernel
+def test_a_kernel_built_for_another_abi_is_never_reused(tmp_path, monkeypatch):
+    # the file's hash and suffix cover the interpreter's EXT_SUFFIX, so one
+    # Python never loads a module built for another
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    assert _kernel.load(CONSTANTS) is not None
+    (first,) = (tmp_path / "poolgp").iterdir()
+    built = first.stat().st_mtime_ns
+    config_var = sysconfig.get_config_var
+    monkeypatch.setattr(sysconfig, "get_config_var", lambda name: (
+        ".cpython-00-other.so" if name == "EXT_SUFFIX" else config_var(name)))
+    assert _kernel.load(CONSTANTS) is not None  # the compiler still builds for this one
+    (other,) = set((tmp_path / "poolgp").iterdir()) - {first}
+    assert other.name.endswith(".cpython-00-other.so")
+    assert first.stat().st_mtime_ns == built
+
+
+def test_without_python_headers_the_build_fails_and_nothing_is_reused(tmp_path, monkeypatch):
+    # the hash also covers the include directory: one without Python.h builds
+    # nothing and loads nothing, so the run falls back to numpy
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    assert (_kernel.load(CONSTANTS) is None) == (genome.evaluator() == "numpy")
+    before = sorted((tmp_path / "cache" / "poolgp").iterdir())
+    paths = sysconfig.get_paths
+    monkeypatch.setattr(sysconfig, "get_paths",
+                        lambda *a, **k: dict(paths(*a, **k), include=str(tmp_path)))
+    assert _kernel.load(CONSTANTS) is None
+    assert sorted((tmp_path / "cache" / "poolgp").iterdir()) == before
+
+
+SPECIAL = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1e300, -1e300])
+
+
+def error_tables():
+    """(pred, targets) pairs over all three branches of numpy's pairwise sum and special values."""
+    rng = np.random.default_rng(22)
+    for n in (1, 7, 8, 20, 128, 129, 400):  # < 8, 8 to 128 and > 128 terms
+        # magnitudes from 1e-8 to 1e8, so the order of the additions shows in the bits
+        yield rng.standard_normal(n) * 10.0 ** rng.integers(-8, 9, n), rng.standard_normal(n)
+    finite = SPECIAL[np.isfinite(SPECIAL)]
+    for values in (SPECIAL, finite):  # each value against each
+        pred, targets = np.meshgrid(values, values)
+        yield pred.ravel(), targets.ravel()
+    yield np.full(3, 1.5e308), np.zeros(3)  # finite errors whose sum overflows
+
+
+def numpy_abs_error(pred, targets):
+    """`Problem.fitness`'s numpy tail: the sum of |pred - targets|, inf where not finite."""
+    with float_errors_ignored():
+        err = float(np.add.reduce(abs(pred - targets), None))
+    return err if math.isfinite(err) else math.inf
+
+
+def bits(value):
+    return np.float64(value).view(np.int64)
+
+
+@needs_kernel
+def test_abs_error_sums_in_numpys_order_to_the_bit():
+    tables = list(error_tables())
+    rng = np.random.default_rng(5)
+    tables += [(rng.standard_normal(n) * 1e6, rng.standard_normal(n))
+               for n in rng.integers(1, 400, 200)]
+    in_order = 0
+    for pred, targets in tables:
+        want = numpy_abs_error(pred, targets)
+        assert bits(genome._native.abs_error(pred, targets)) == bits(want), len(pred)
+        with float_errors_ignored():
+            in_order += bits(sum(abs(pred - targets).tolist())) != bits(want)
+    assert in_order > 0  # a plain left-to-right sum would fail this test
+    assert genome._native.abs_error(np.full(3, 1.5e308), np.zeros(3)) == math.inf
+
+
+def test_fitness_sums_like_numpy_on_either_evaluator(evaluator):
+    half = CONSTANTS.index(0.5) + genome.CONST_BASE
+    for x, targets in error_tables():
+        p = Problem(inputs=x, targets=targets)
+        with float_errors_ignored():
+            for code, pred in (([VAR_X], x), ([MUL, VAR_X, half], x * 0.5),
+                               ([ADD, VAR_X, VAR_X], x + x)):
+                got = p.fitness(bytes(code), len(code))
+                assert bits(got) == bits(numpy_abs_error(pred, targets)), (code, len(x))
+
+
+@needs_kernel
+def test_the_kernel_never_reads_or_writes_past_a_buffer():
+    kernel = genome._native
+    # the cell past the code's view is an opcode past the last terminal, so a
+    # read past the view would report status 1, not refuse with status 5
+    code = memoryview(bytearray([ADD, VAR_X, VAR_X, 255]))[:3]
+    x, out = np.linspace(-1.0, 1.0, 4), np.empty(4)
+    assert kernel.evaluate(code, 3, x, out) == 0 and out.tolist() == (x + x).tolist()
+    for length in (4, 5, -1, 2 ** 40):
+        assert kernel.evaluate(code, length, x, out) == 5, length
+    with pytest.raises(OverflowError):
+        kernel.evaluate(code, 2 ** 70, x, out)
+    sentinel = np.full(6, 7.0)
+    for short_or_long in (sentinel[:3], sentinel[:5]):
+        assert kernel.evaluate(code, 3, x, short_or_long) == 5
+    assert sentinel.tolist() == [7.0] * 6
+    # the term past each view is nan: a read past either would give inf
+    pred, targets = np.array([1.0, 2.0, 3.0, np.nan]), np.array([0.0, 0.0, 0.0, np.nan, np.nan])
+    assert kernel.abs_error(pred[:3], targets[:3]) == 6.0
+    for p, t in ((pred[:3], targets[:4]), (pred[:4], targets[:3]), (pred[:0], targets[:1])):
+        with pytest.raises(ValueError):
+            kernel.abs_error(p, t)
+    # a strided view, a read-only out, a length that is no integer and a wrong count raise
+    for args in ((code, 3, np.linspace(-1.0, 1.0, 8)[::2], out),
+                 (code, 3, x, np.frombuffer(bytes(32))), (code, 3.0, x, out), (code, 3, x)):
+        with pytest.raises((TypeError, ValueError, BufferError)):
+            kernel.evaluate(*args)
+    with pytest.raises(TypeError):
+        kernel.abs_error(pred)
