@@ -11,15 +11,10 @@ into a pool buffer and strike the child off both parents, releasing a
 parent's buffer the moment its last child exists. Once every worker has
 joined, the master scores the new population and appends its rows.
 
-Only the score pass produces fitness. It takes members in child order and
-yields the generation's fitness list, which is the history row and the next
-tournaments' input with no copy, and `scores`, a table of each member's
-16-byte genome digest and its fitness. A child whose digest is in the
-parents' table, or that an earlier sibling has, takes that fitness; any
-other child is evaluated once. The new table holds exactly the members'
-digests and is the next pass's parent table. The master alone scores, so
-which children hit depends only on the genomes, never on the schedule. The
-pass enters numpy's float-error state once (`float_errors_ignored`);
+Only the score pass produces fitness. The master evaluates every member
+once, in member order, as the naive engine does, and the fitness list it
+yields is the history row and the next tournaments' input with no copy.
+The pass enters numpy's float-error state once (`float_errors_ignored`);
 neither `evaluate` nor `Problem.fitness` sets one per genome.
 
 One `Breeding` holds a generation's breeding and does its set-up. Shared
@@ -39,7 +34,6 @@ reference engine.
 
 from __future__ import annotations
 
-import hashlib
 import operator
 import os
 import random
@@ -61,7 +55,7 @@ from .problems import QUARTIC, Problem
 
 @dataclass
 class Individual:
-    """One member's buffer handle; its fitness and digest live with the score pass."""
+    """One member's buffer handle; its fitness lives with the score pass."""
 
     slot_id: int = NO_SLOT
     tree_len: int = 0
@@ -174,11 +168,6 @@ def child_stream(draws: array, child: int) -> array:
     return draws[start:start + POINTS_PER_CHILD]
 
 
-def genome_digest(buf, length: int) -> bytes:
-    """The fitness-table key of the genome in buf[:length] (16-byte BLAKE2b)."""
-    return hashlib.blake2b(buf[:length], digest_size=16).digest()
-
-
 def initial_depth(index: int, max_depth: int) -> int:
     """Ramp initial tree depths across the population (2..max, or all 1)."""
     if max_depth == 1:
@@ -249,7 +238,6 @@ class PooledEngine:
         self.lock = threading.Lock()
         self.master_rng = random.Random(operator.index(config.seed))  # takes no numpy int
         self.pop: list[Individual] = []
-        self.scores: dict[bytes, float] = {}  # genome digest -> fitness, current members only
         self.stats: list[metrics.GenerationStats] = []
         self.fitness_history: list[list[float]] = []
 
@@ -278,7 +266,7 @@ class PooledEngine:
             ind.tree_len = random_tree(
                 self.master_rng, initial_depth(s, cfg.max_initial_depth), buf)
             self.pop.append(ind)
-        self._score(0, t0)  # duplicate random trees are scored once
+        self._score(0, t0)
 
     def run_generation(self, g: int) -> None:
         """Replace the whole population with its children (generation g)."""
@@ -324,38 +312,24 @@ class PooledEngine:
         self._score(g, t0, busy)
 
     def _score(self, g: int, t0: float, busy: list[float] | None = None) -> None:
-        """Score the population in member order, then append generation g's rows.
+        """Score every member in member order, then append generation g's rows.
 
-        A digest held by a parent (`self.scores`) or an earlier member gives its
-        fitness; any other genome is evaluated. The row times the span from t0;
-        `busy=None` (generation 0) counts that whole span as the master's work.
+        The row times the span from t0; `busy=None` (generation 0) counts that
+        whole span as the master's work.
         """
-        parents, slots = self.scores, self.pool.slots
-        scores, fitnesses = {}, []
-        opcodes = reused = 0
+        slots, fitness = self.pool.slots, self.problem.fitness
         with float_errors_ignored():  # one error state for the whole pass
-            for ind in self.pop:
-                buf = slots[ind.slot_id]
-                digest = genome_digest(buf, ind.tree_len)
-                fitness = parents.get(digest, scores.get(digest))
-                if fitness is None:
-                    fitness = self.problem.fitness(buf, ind.tree_len)
-                    opcodes += self.problem.opcodes_per_eval(ind.tree_len)
-                else:
-                    reused += 1
-                scores[digest] = fitness
-                fitnesses.append(fitness)
-        self.scores = scores
+            fitnesses = [fitness(slots[ind.slot_id], ind.tree_len) for ind in self.pop]
         self.fitness_history.append(fitnesses)
         wall = time.perf_counter() - t0
+        lens = [ind.tree_len for ind in self.pop]
         self.stats.append(metrics.record_generation(
             generation=g,
-            tree_sizes=[ind.tree_len for ind in self.pop],
+            tree_sizes=lens,
             fitnesses=fitnesses,
             pool_used_peak=self.pool.peak,
             pool_max_used=self.pool.max_used,
-            total_opcodes=opcodes,
-            fitness_reused=reused,
+            total_opcodes=sum(self.problem.opcodes_per_eval(n) for n in lens),
             wall_time=wall,
             busy_times=[wall] if busy is None else busy,
         ))

@@ -20,7 +20,6 @@ class GenerationStats:
     best_fitness: float
     mean_fitness: float
     total_opcodes_evaluated: int
-    fitness_reused: int
     generation_wall_time: float
     worker_busy_times: list[float]
     idle_fraction: float
@@ -60,7 +59,6 @@ def record_generation(
     pool_used_peak: int,
     pool_max_used: int,
     total_opcodes: int,
-    fitness_reused: int,
     wall_time: float,
     busy_times: list[float],
 ) -> GenerationStats:
@@ -77,7 +75,6 @@ def record_generation(
         best_fitness=min(fitnesses),
         mean_fitness=sum(fitnesses) / len(fitnesses),
         total_opcodes_evaluated=total_opcodes,
-        fitness_reused=fitness_reused,
         generation_wall_time=wall_time,
         worker_busy_times=list(busy_times),
         idle_fraction=idle_fraction(busy_times),

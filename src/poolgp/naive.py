@@ -63,7 +63,6 @@ def run_evolution_naive(config: RunConfig, problem: Problem = QUARTIC) -> Evolut
             pool_used_peak=live,
             pool_max_used=peak,
             total_opcodes=sum(problem.opcodes_per_eval(n) for n in lens),
-            fitness_reused=0,  # the oracle evaluates every member
             wall_time=wall,
             busy_times=[wall],
         ))

@@ -49,11 +49,10 @@ def test_traced_run_sees_every_hook_and_changes_no_result():
     assert layers["engine.lock.hold.n"] == layers["engine.lock.wait.n"] > 0
     # one hold per claim: each child, then the None that ends each worker
     assert layers["engine.lock.hold.n"] == (cfg.generations - 1) * (cfg.popsize + cfg.nthreads)
-    # every real evaluation goes through the traced names; reused fitness does not
+    # every member of every generation is evaluated through the traced names
     opcodes = sum(row.total_opcodes_evaluated for row in traced.stats)
-    reused = sum(row.fitness_reused for row in traced.stats)
     assert counters["evaluate.opcodes"] == opcodes > 0
-    assert calls["problems.fitness"] == cfg.popsize * cfg.generations - reused
+    assert calls["problems.fitness"] == cfg.popsize * cfg.generations
 
 
 def one_run(request):

@@ -25,7 +25,6 @@ from poolgp.engine import (
     RunConfig,
     child_stream,
     draw_outcome,
-    genome_digest,
     initial_depth,
     run_evolution,
 )
@@ -81,12 +80,10 @@ class CountingProblem:
 def generations_scored(cfg, problem):
     """Step a pooled run one generation at a time.
 
-    Yields, per generation: the parent genomes (none for generation 0), the
-    new genomes, the genomes `problem` scored meanwhile, the stats row and
-    the engine.
+    Yields, per generation: the new genomes, the genomes `problem` scored
+    meanwhile and the stats row.
     """
     eng = PooledEngine(cfg, problem)
-    parents = []
     for g in range(cfg.generations):
         before = len(problem.calls)
         if g == 0:
@@ -94,8 +91,7 @@ def generations_scored(cfg, problem):
         else:
             eng.run_generation(g)
         pop = [bytes(eng.pool.slots[ind.slot_id][:ind.tree_len]) for ind in eng.pop]
-        yield parents, pop, problem.calls[before:], eng.stats[g], eng
-        parents = pop
+        yield pop, problem.calls[before:], eng.stats[g]
 
 
 def small_config(**overrides):
@@ -385,11 +381,11 @@ def test_generations_one_is_just_the_random_population():
 
 
 def test_population_size_and_evaluation_count_constant():
-    # only interpreted genomes count; a generation of copies reads 0
+    # each row counts the opcodes of the genomes the generation interpreted
     cfg = small_config()
     problem = CountingProblem(QUARTIC)
     rows = 0
-    for _, pop, scored, row, _ in generations_scored(cfg, problem):
+    for pop, scored, row in generations_scored(cfg, problem):
         assert len(pop) == cfg.popsize
         assert row.total_opcodes_evaluated == sum(
             problem.opcodes_per_eval(len(code)) for code in scored)
@@ -423,29 +419,19 @@ def test_same_seed_same_stats_except_wall_clock():
     assert [zero_wall_clock(r) for r in a.stats] == [zero_wall_clock(r) for r in b.stats]
 
 
-def test_each_distinct_new_genome_scored_once_in_child_order():
-    # a genome not in the parent population is scored at its first
-    # occurrence in child order; later siblings with it reuse that fitness
+def test_every_member_scored_once_in_member_order_on_the_master():
+    # repeated genomes, within a generation or from a parent, are scored again
     cfg = small_config(popsize=16, nthreads=3, generations=5)
     problem = CountingProblem(QUARTIC)
-    reused = sibling_hits = 0
-    for parents, pop, scored, row, eng in generations_scored(cfg, problem):
-        known = set(parents)
-        new = [code for code in pop if code not in known]
-        assert scored == list(dict.fromkeys(new))
-        assert row.fitness_reused == cfg.popsize - len(scored)
-        # the next pass's parent table: this generation's digests, no stale keys
-        digests = [genome_digest(code, len(code)) for code in pop]
-        assert eng.scores == dict(zip(digests, eng.fitness_history[-1]))
-        reused += row.fitness_reused
-        if row.generation > 0:
-            sibling_hits += len(new) - len(scored)
-    assert reused > 0
-    assert sibling_hits > 0
+    repeats = 0
+    for pop, scored, _ in generations_scored(cfg, problem):
+        assert scored == pop
+        repeats += len(pop) - len(set(pop))
+    assert repeats > 0
     assert problem.threads and not [t for t in problem.threads if t.startswith("breeder-")]
 
 
-def test_reused_fitness_equals_the_oracle_on_a_copy_heavy_run():
+def test_copy_heavy_run_equals_the_oracle():
     # tiny trees in tiny buffers: many children repeat a parent genome
     cfg = small_config(popsize=6, nthreads=2, generations=30, buffer_bytes=7,
                        max_initial_depth=2)
@@ -453,18 +439,31 @@ def test_reused_fitness_equals_the_oracle_on_a_copy_heavy_run():
     naive = run_evolution_naive(cfg)
     assert pooled.genomes == naive.genomes
     assert pooled.fitness_history == naive.fitness_history
-    assert sum(row.fitness_reused for row in pooled.stats) > 0
-    assert all(row.fitness_reused == 0 for row in naive.stats)
 
 
-def test_evaluation_counts_do_not_depend_on_thread_count():
-    counts = {
-        n: [(row.total_opcodes_evaluated, row.fitness_reused)
-            for row in run_evolution(small_config(nthreads=n, generations=10)).stats]
-        for n in (0, 1, 4)
-    }
-    assert counts[0] == counts[1] == counts[4]
-    assert sum(reused for _, reused in counts[0]) > 0
+def test_evaluation_counts_equal_the_oracle_at_any_thread_count():
+    cfg = small_config(generations=10)
+    oracle = [row.total_opcodes_evaluated for row in run_evolution_naive(cfg).stats]
+    for n in (0, 1, 4):
+        cfg.nthreads = n
+        assert [row.total_opcodes_evaluated for row in run_evolution(cfg).stats] == oracle
+
+
+def test_stats_rows_equal_the_oracle_but_for_pool_columns():
+    from poolgp.metrics import zero_wall_clock
+
+    # the pool columns measure each engine's own buffers; the zeroed busy
+    # list holds one entry per worker, so its length follows the thread count
+    own = ("pool_used_peak", "pool_max_used", "allocated_slots", "worker_busy_times")
+    cfg = small_config(generations=10)
+
+    def shared(rows):
+        return [{k: v for k, v in vars(zero_wall_clock(r)).items() if k not in own} for r in rows]
+
+    oracle = shared(run_evolution_naive(cfg).stats)
+    for n in (0, 2):
+        cfg.nthreads = n
+        assert shared(run_evolution(cfg).stats) == oracle
 
 
 def test_thread_count_does_not_change_results():

@@ -22,7 +22,6 @@ def make_row(gen=0, **overrides):
         best_fitness=1.25,
         mean_fitness=4.75,
         total_opcodes_evaluated=1234,
-        fitness_reused=7,
         generation_wall_time=0.5,
         worker_busy_times=[0.4, 0.3],
         idle_fraction=0.125,
@@ -61,11 +60,9 @@ def test_record_generation_populates_all_fields():
         pool_used_peak=5,
         pool_max_used=6,
         total_opcodes=60,
-        fitness_reused=2,
         wall_time=0.25,
         busy_times=[0.2, 0.1],
     )
-    assert row.fitness_reused == 2
     assert row.allocated_slots == row.pool_max_used == 6
     assert row.mean_tree_size == 3.0
     assert row.max_tree_size == 5
@@ -77,8 +74,7 @@ def test_record_generation_populates_all_fields():
 def test_empty_population_raises_under_python_optimize():
     src = Path(metrics.__file__).resolve().parents[1]
     empty = dict(generation=0, tree_sizes=[], fitnesses=[], pool_used_peak=0,
-                 pool_max_used=0, total_opcodes=0, fitness_reused=0,
-                 wall_time=0.0, busy_times=[])
+                 pool_max_used=0, total_opcodes=0, wall_time=0.0, busy_times=[])
     script = (
         "import sys\n"
         "from poolgp import metrics\n"
@@ -103,8 +99,8 @@ def test_csv_rows_are_exact_text(tmp_path):
     metrics.emit_csv(series, path)
     assert path.read_text().splitlines() == [
         ",".join(metrics.FIELDS),
-        "0,3.5,9,11,12,12,inf,0.1,1234,7,0.5,0.4;0.3,0.125",
-        "1,3.5,9,11,12,12,1.25,4.75,1234,7,0.5,,0.125",
+        "0,3.5,9,11,12,12,inf,0.1,1234,0.5,0.4;0.3,0.125",
+        "1,3.5,9,11,12,12,1.25,4.75,1234,0.5,,0.125",
     ]
 
 

@@ -29,11 +29,10 @@ def test_naive_breeding_holds_two_populations():
     assert naive.stats[0].pool_max_used == cfg.popsize
     for row in naive.stats[1:]:
         assert row.pool_used_peak == row.pool_max_used == 2 * cfg.popsize
-    # every member of every generation is interpreted, none reused
+    # every member of every generation is interpreted
     for row in naive.stats:
         total_cells = round(row.mean_tree_size * cfg.popsize)
         assert row.total_opcodes_evaluated == total_cells * QUARTIC.num_cases
-        assert row.fitness_reused == 0
     sizes = [len(genome) for genome in naive.genomes]
     assert naive.stats[-1].total_opcodes_evaluated == sum(sizes) * QUARTIC.num_cases
 
