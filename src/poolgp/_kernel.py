@@ -6,6 +6,7 @@ Where `load` finds no kernel, `genome.evaluate` runs its numpy interpreter and
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import importlib.machinery
 import importlib.util
@@ -122,6 +123,7 @@ FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")  # no fused a*b + c: nu
 ERRORS = {1: "opcode out of range", 2: "a function node without two operands",
           3: "incomplete prefix encoding", 4: "no memory for the value stack",
           5: "length past the code buffer, or out not the size of x"}  # by status
+KEPT = 4  # kernel files a cache keeps: two checkouts that alternate both stay built
 
 
 def load(constants):
@@ -144,6 +146,11 @@ def load(constants):
         loader.exec_module(module)  # multi-phase init: the module stays out of sys.modules
     except (OSError, ImportError):
         return None
+    with contextlib.suppress(OSError):  # another process may be pruning the same files
+        os.utime(path)  # kept as the most recently used
+        others = sorted(set(cache.glob("kernel-*")) - {path}, key=os.path.getmtime, reverse=True)
+        for old in others[KEPT - 1:]:
+            old.unlink(missing_ok=True)
     return module
 
 

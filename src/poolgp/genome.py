@@ -12,6 +12,8 @@ n-node tree, so 0 picks the root and 2**32 - 1 the last node.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from . import _kernel
@@ -115,21 +117,18 @@ def float_errors_ignored() -> np.errstate:
 def evaluate(code, length: int, x: np.ndarray) -> np.ndarray:
     """Interpret a genome over a vector of input points, to the same bits on either path.
 
-    Right-to-left scan with a value stack of float64 vectors, in the C kernel
-    when it loaded: a fresh writable result, and no warning. Otherwise in
-    numpy (`_interpret`): a fresh result unless the root is a terminal, whose
-    shared vector is read-only, and overflow and inf/inf warn outside
-    `float_errors_ignored()`. x/0 never warns. A malformed genome raises InvariantError.
+    A right-to-left scan over x as float64, in the C kernel when it loaded, else in numpy
+    (`_interpret`). The result is a fresh writable array of x's shape (numpy may give a 0-d
+    x a float64 scalar); nothing of x is kept. Only numpy warns, on overflow and inf/inf
+    outside `float_errors_ignored()`. A malformed genome raises InvariantError.
     """
     if not 0 <= length <= len(code):
         raise InvariantError(f"length {length} outside a buffer of {len(code)} cells")
-    table = _table
-    if x.tobytes() != table[0] or x.shape != table[1] or x.dtype != table[2]:
-        table = _table_of(x)
+    x = np.asarray(x, dtype=np.float64, order="C")  # no copy of a float64 vector: Problem.inputs
     if _native is None:
-        return _interpret(code, length, table[3])
-    out = np.empty(table[1])  # the kernel reads the table's immutable copy of x, writes only `out`
-    if status := _native.evaluate(code, length, table[3][VAR_X], out):
+        return _interpret(code, length, x)
+    out = np.empty(x.shape)
+    if status := _native.evaluate(code, length, x, out):
         raise InvariantError(_kernel.ERRORS[status])
     return out
 
@@ -139,18 +138,17 @@ def evaluator() -> str:
     return "numpy" if _native is None else "c"
 
 
-def _interpret(code, length: int, terms: list) -> np.ndarray:
-    """`evaluate` in numpy over the given terminal vectors (by opcode): the reference and fallback."""
+def _interpret(code, length: int, x: np.ndarray) -> np.ndarray:
+    """`evaluate` in numpy over float64 x and the constant vectors: the reference and fallback."""
+    consts = _constants(x.shape)
     stack: list[np.ndarray] = []
-    push = stack.append
-    pop = stack.pop
+    push, pop = stack.append, stack.pop
     try:
         for op in reversed(code[:length]):
             if op >= VAR_X:
-                push(terms[op])
+                push(x if op == VAR_X else consts[op - CONST_BASE])
                 continue
-            a = pop()
-            b = pop()
+            a, b = pop(), pop()  # a is the top, the first operand
             if op == ADD:
                 push(a + b)
             elif op == SUB:
@@ -162,17 +160,11 @@ def _interpret(code, length: int, terms: list) -> np.ndarray:
             else:
                 # astype(bool) is b != 0: 0.0 and -0.0 give 1, nan divides
                 push(np.divide(a, b, out=np.ones(b.shape), where=b.astype(bool)))
-    except IndexError:  # terms[op] past the last terminal, or pop() from an empty stack
-        raise InvariantError(_kernel.ERRORS[1 if op >= len(terms) else 2]) from None
+    except IndexError:  # an opcode past the last constant, or pop() from an empty stack
+        raise InvariantError(_kernel.ERRORS[1 if op >= VAR_X else 2]) from None
     if len(stack) != 1:
         raise InvariantError(_kernel.ERRORS[3])
-    return stack[0]
-
-
-# _table is the last input vector's key (bytes, shape, dtype) and terminal
-# vectors by opcode, x's immutable float64 copy among them; keyed by content,
-# so no write into x between calls meets a stale table.
-_table: tuple = (None,) * 4
+    return stack[0].copy() if length == 1 else stack[0]  # a terminal root is x or a shared constant
 
 
 def frozen(values) -> np.ndarray:
@@ -181,19 +173,10 @@ def frozen(values) -> np.ndarray:
     return np.frombuffer(a.tobytes(), np.float64).reshape(a.shape)
 
 
-def _table_of(x: np.ndarray) -> tuple:
-    """Build and keep the table of `x`.
-
-    A float64 `x` costs no terminal copy: its vector views the key's bytes,
-    and a constant's is a broadcast view.
-    """
-    global _table
-    data = x.tobytes()
-    terms = [None] * CONST_BASE + [np.broadcast_to(frozen(c), x.shape) for c in CONSTANTS]
-    xv = np.frombuffer(data, x.dtype).reshape(x.shape)
-    terms[VAR_X] = xv if xv.dtype == np.float64 else frozen(xv)
-    _table = table = (data, x.shape, x.dtype, terms)
-    return table  # not _table, which another thread may have replaced since
+@functools.lru_cache
+def _constants(shape: tuple) -> tuple:
+    """Each constant broadcast to `shape`: immutable, so shared by every call of that shape."""
+    return tuple(np.broadcast_to(frozen(c), shape) for c in CONSTANTS)
 
 
 # the C kernel's module, or None where it could not be built or loaded

@@ -58,9 +58,9 @@ def test_the_kernel_is_built_once_into_a_private_cache(tmp_path):
     (kernel,) = (cache / "poolgp").iterdir()
     assert stat.S_IMODE((cache / "poolgp").stat().st_mode) == 0o700
     assert not kernel.stat().st_mode & (stat.S_IWGRP | stat.S_IWOTH)
-    built = kernel.stat().st_mtime_ns
+    built = kernel.stat().st_ino  # a build moves a new file in; a load only touches it
     assert evaluator_in_fresh_process(cache) == "c"
-    assert kernel.stat().st_mtime_ns == built  # loaded, not built again
+    assert kernel.stat().st_ino == built  # loaded, not built again
 
 
 @needs_kernel
@@ -90,6 +90,31 @@ def test_a_kernel_built_for_another_abi_is_never_reused(tmp_path, monkeypatch):
     (other,) = set((tmp_path / "poolgp").iterdir()) - {first}
     assert other.name.endswith(".cpython-00-other.so")
     assert first.stat().st_mtime_ns == built
+
+
+@needs_kernel
+def test_the_cache_keeps_only_the_most_recently_used_kernels(tmp_path, monkeypatch):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    cache = tmp_path / "poolgp"
+    cache.mkdir(mode=0o700)
+    stale = [cache / f"kernel-stale{i}.so" for i in range(10)]
+    for i, path in enumerate(stale):
+        path.write_bytes(b"")
+        os.utime(path, (1e9 + i, 1e9 + i))  # 2001, stale9 the most recent
+    (cache / "notes.txt").write_bytes(b"")
+    assert _kernel.load(CONSTANTS) is not None
+    (live,) = set(cache.glob("kernel-*")) - set(stale)
+    assert {p.name for p in cache.iterdir()} == {
+        live.name, "notes.txt", *(p.name for p in stale[len(stale) + 1 - _kernel.KEPT:])}
+    # two sources in turn, as two checkouts run in alternation: each reuses its file
+    other = tuple(c + 1.0 for c in CONSTANTS)
+    assert _kernel.load(other) is not None
+    (built,) = set(cache.glob("kernel-*")) - set(stale) - {live}
+    kept = {p: p.stat().st_ino for p in (live, built)}
+    for constants in (CONSTANTS, other, CONSTANTS, other):
+        assert _kernel.load(constants) is not None
+    assert {p: p.stat().st_ino for p in (live, built)} == kept
+    assert len(list(cache.glob("kernel-*"))) == _kernel.KEPT
 
 
 def test_without_python_headers_the_build_fails_and_nothing_is_reused(tmp_path, monkeypatch):

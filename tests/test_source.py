@@ -46,3 +46,15 @@ def test_package_sets_no_per_call_or_lasting_float_error_state():
             if name_of(node) == "seterr":
                 found.append(f"{path.name}:{node.lineno} seterr")
     assert found == []
+
+
+def test_package_rebinds_no_module_global():
+    # breeder threads share every module, so a module global that a function
+    # rebinds is mutable state shared between them
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path, tree in parsed_modules()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Global, ast.Nonlocal))
+    ]
+    assert found == []
