@@ -10,6 +10,19 @@ from .engine import RunConfig, run_evolution
 from .naive import run_evolution_naive
 
 
+# each RunConfig setting's flag, in --help order: flag -> (field, help); its default is RunConfig's
+SETTINGS = {
+    "--popsize": ("popsize", "population size M"),
+    "--threads": ("nthreads", "breeder threads; 0 runs breeding inline"),
+    "--generations": ("generations", "total generations including the random first one"),
+    "--seed": ("seed", "master random seed"),
+    "--buffer-bytes": ("buffer_bytes", "fixed size of every genome buffer"),
+    "--tournament-size": ("tournament_size", "tournament size for parent selection"),
+    "--max-initial-depth": ("max_initial_depth", "largest ramped depth for the random first "
+                            "generation"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     defaults = RunConfig()  # RunConfig.validate checks every value at run time
     parser = argparse.ArgumentParser(
@@ -17,25 +30,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Generational GP with a bounded genome-buffer footprint "
         "(pooled engine) or the plain two-population scheme (naive engine).",
     )
-    parser.add_argument("--popsize", type=int, default=defaults.popsize,
-                        help="population size M (default %(default)s)")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="breeder threads; 0 runs breeding inline "
-                        f"(default {defaults.nthreads})")
-    parser.add_argument("--generations", type=int, default=defaults.generations,
-                        help="total generations including the random first one "
-                        "(default %(default)s)")
-    parser.add_argument("--seed", type=int, default=defaults.seed,
-                        help="master random seed (default %(default)s)")
-    parser.add_argument("--buffer-bytes", type=int, default=defaults.buffer_bytes,
-                        help="fixed size of every genome buffer (default %(default)s)")
-    parser.add_argument("--tournament-size", type=int, default=defaults.tournament_size,
-                        help="tournament size for parent selection (default %(default)s)")
-    parser.add_argument("--engine", choices=("pooled", "naive"), default="pooled",
-                        help="pooled = bounded-memory engine, naive = two-population reference")
-    parser.add_argument("--max-initial-depth", type=int, default=defaults.max_initial_depth,
-                        help="largest ramped depth for the random first generation "
-                        "(default %(default)s)")
+    for flag, (field, text) in SETTINGS.items():
+        if flag == "--max-initial-depth":  # --help has always listed --engine here
+            parser.add_argument("--engine", choices=("pooled", "naive"), default="pooled", help=(
+                "pooled = bounded-memory engine, naive = two-population reference"))
+        # None means "not given", so the field keeps RunConfig's default
+        parser.add_argument(flag, type=int, dest=field, metavar=flag[2:].upper().replace("-", "_"),
+                            help=f"{text} (default {getattr(defaults, field)})")
     parser.add_argument("--csv", metavar="PATH", default=None,
                         help="write per-generation statistics to this CSV file")
     parser.add_argument("--zero-time", action="store_true",
@@ -46,35 +47,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-
-    threads = RunConfig().nthreads  # the naive engine runs and is checked with this
-    if args.threads is not None and args.engine == "pooled":
-        threads = args.threads
-    elif args.threads is not None and not args.quiet:
-        print("warning: --engine naive is single-threaded; ignoring --threads",
-              file=sys.stderr)
-
-    config = RunConfig(
-        popsize=args.popsize,
-        nthreads=threads,
-        generations=args.generations,
-        buffer_bytes=args.buffer_bytes,
-        tournament_size=args.tournament_size,
-        seed=args.seed,
-        max_initial_depth=args.max_initial_depth,
-    )
+    args = build_parser().parse_args(argv)
+    given = {field: v for field, _ in SETTINGS.values() if (v := getattr(args, field)) is not None}
+    # the naive engine runs, and is checked, with RunConfig's thread count
+    if args.engine == "naive" and given.pop("nthreads", None) is not None and not args.quiet:
+        print("warning: --engine naive is single-threaded; ignoring --threads", file=sys.stderr)
+    config = RunConfig(**given)
     try:
         config.validate()
     except ValueError as exc:
         print(f"poolgp: configuration error: {exc}", file=sys.stderr)
         return 2
 
-    if args.engine == "naive":
-        result = run_evolution_naive(config)
-    else:
-        result = run_evolution(config)
+    result = (run_evolution_naive if args.engine == "naive" else run_evolution)(config)
 
     status = 0
     if args.csv is not None:
@@ -94,7 +79,7 @@ def main(argv: list[str] | None = None) -> int:
         )
         cores = metrics.effective_cores(len(result.stats[-1].worker_busy_times), mean_idle)
         print(
-            f"engine={args.engine} popsize={config.popsize} threads={threads} "
+            f"engine={args.engine} popsize={config.popsize} threads={config.nthreads} "
             f"generations={config.generations} seed={config.seed} "
             f"capacity={result.capacity} peak_buffers={result.peak_buffers} "
             f"bound={result.capacity} "

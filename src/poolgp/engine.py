@@ -48,7 +48,7 @@ import numpy as np
 from . import metrics
 from .breeding_plan import BreedingPlan
 from .errors import InvariantError
-from .expr_pool import NO_SLOT, BufferPool
+from .expr_pool import NO_SLOT, BufferPool, pool_capacity
 from .genome import POINTS_PER_CHILD, float_errors_ignored, random_tree, subtree_crossover
 from .problems import QUARTIC, Problem
 
@@ -93,10 +93,9 @@ class RunConfig:
         # the pool builds every buffer up front: refuse more than physical memory
         if {"SC_PAGE_SIZE", "SC_PHYS_PAGES"} <= getattr(os, "sysconf_names", {}).keys():
             ram = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-            if self.popsize * self.buffer_bytes > ram:
-                raise ValueError(
-                    f"popsize={self.popsize} x buffer_bytes={self.buffer_bytes} bytes of "
-                    f"genome buffers exceeds this machine's {ram} bytes of physical memory")
+            if (n := pool_capacity(self.popsize, self.nthreads)) * self.buffer_bytes > ram:
+                raise ValueError(f"popsize={self.popsize} x buffer_bytes={self.buffer_bytes}: {n} "
+                                 f"buffers exceed this machine's {ram} bytes of physical memory")
         if self.tournament_size > TOURNAMENT_BLOCK:
             # a tournament is ranked in one block, at about 37 bytes per entrant
             raise ValueError(f"tournament_size must be <= {TOURNAMENT_BLOCK}, "
@@ -183,8 +182,8 @@ class Breeding:
     """
 
     def __init__(self, pool: BufferPool, pop: list[Individual], mums: list[int],
-                 dads: list[int], draws: array, buffer_bytes: int):
-        self.pool, self.pop, self.draws, self.buffer_bytes = pool, pop, draws, buffer_bytes
+                 dads: list[int], draws: array):
+        self.pool, self.pop, self.draws = pool, pop, draws
         self.plan = plan = BreedingPlan(mums, dads)
         self.new_pop = [Individual() for _ in mums]
         pool.reset_peak()
@@ -218,12 +217,12 @@ class Breeding:
         return s
 
     def breed(self, s: int) -> None:
-        """Write claimed child s into its buffer by crossover of its parents."""
+        """Write claimed child s into its buffer by crossover of its parents, within its length."""
         slots, pop, plan = self.pool.slots, self.pop, self.plan
         child, mum, dad = self.new_pop[s], pop[plan.mums[s]], pop[plan.dads[s]]
         child.tree_len = subtree_crossover(
             slots[mum.slot_id], mum.tree_len, slots[dad.slot_id], dad.tree_len,
-            slots[child.slot_id], self.buffer_bytes, child_stream(self.draws, s),
+            out := slots[child.slot_id], len(out), child_stream(self.draws, s),
         )
 
 
@@ -274,7 +273,7 @@ class PooledEngine:
         cfg = self.config
         mums, dads, draws = draw_outcome(self.master_rng, self.fitness_history[-1],
                                          cfg.tournament_size)
-        breeding = Breeding(self.pool, self.pop, mums, dads, draws, cfg.buffer_bytes)
+        breeding = Breeding(self.pool, self.pop, mums, dads, draws)
         busy = [0.0] * self.pool.workers
         errors: list[BaseException] = []
 

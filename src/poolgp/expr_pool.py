@@ -28,6 +28,11 @@ from .errors import InvariantError
 NO_SLOT = 0  # sentinel slot id meaning "holds no buffer"
 
 
+def pool_capacity(popsize: int, nthreads: int) -> int:
+    """Buffers a pool for this run builds: one per member, two per breeder the run uses."""
+    return popsize + 2 * min(max(1, nthreads), popsize)
+
+
 class BufferPool:
     """Buffers `slots[1..capacity]` built up front (`slots[0]` is None), on a free stack."""
 
@@ -38,8 +43,8 @@ class BufferPool:
             raise ValueError(f"buffer_bytes must be >= 1, got {buffer_bytes}")
         if nthreads < 0:
             raise ValueError(f"nthreads must be >= 0, got {nthreads}")
-        self.workers = min(max(1, nthreads), popsize)  # breeders the run uses
-        self.capacity = popsize + 2 * self.workers
+        self.capacity = pool_capacity(popsize, nthreads)
+        self.workers = (self.capacity - popsize) // 2  # breeders the run uses
         # index 0 unused in every per-slot array so slot ids start at 1
         self.slots = [None] + [bytearray(buffer_bytes) for _ in range(self.capacity)]
         self.free = list(range(self.capacity, 0, -1))  # stack top last

@@ -118,9 +118,9 @@ def evaluate(code, length: int, x: np.ndarray) -> np.ndarray:
     """Interpret a genome over a vector of input points, to the same bits on either path.
 
     A right-to-left scan over x as float64, in the C kernel when it loaded, else in numpy
-    (`_interpret`). The result is a fresh writable array of x's shape (numpy may give a 0-d
-    x a float64 scalar); nothing of x is kept. Only numpy warns, on overflow and inf/inf
-    outside `float_errors_ignored()`. A malformed genome raises InvariantError.
+    (`_interpret`). The result is a fresh writable array of x's shape; nothing of x is kept.
+    Only numpy warns, on overflow and inf/inf outside `float_errors_ignored()`. A malformed
+    genome raises InvariantError.
     """
     if not 0 <= length <= len(code):
         raise InvariantError(f"length {length} outside a buffer of {len(code)} cells")
@@ -164,7 +164,8 @@ def _interpret(code, length: int, x: np.ndarray) -> np.ndarray:
         raise InvariantError(_kernel.ERRORS[1 if op >= VAR_X else 2]) from None
     if len(stack) != 1:
         raise InvariantError(_kernel.ERRORS[3])
-    return stack[0].copy() if length == 1 else stack[0]  # a terminal root is x or a shared constant
+    # a terminal root is x or a shared constant; a function over 0-d x gives a numpy scalar
+    return stack[0].copy() if length == 1 else np.asarray(stack[0])
 
 
 def frozen(values) -> np.ndarray:

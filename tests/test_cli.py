@@ -1,13 +1,14 @@
 """CLI tests: argument handling, summary line, exit codes, CSV output."""
 
 import csv
+import dataclasses
 import os
 import threading
 
 import pytest
 
-from poolgp import engine, genome
-from poolgp.cli import build_parser, main
+from poolgp import cli, engine, genome
+from poolgp.cli import SETTINGS, build_parser, main
 from poolgp.engine import MAX_THREADS, TOURNAMENT_BLOCK, RunConfig
 
 FAST = ["--popsize", "8", "--generations", "4", "--buffer-bytes", "63",
@@ -27,15 +28,43 @@ def csv_columns(path, *names):
 
 def test_defaults_mirror_reference_run(capsys):
     args = build_parser().parse_args([])
-    assert args.popsize == 500
-    assert args.threads is None  # filled from RunConfig at run time
-    assert args.tournament_size == 7
+    # every setting flag parses to None, "not given": the run takes RunConfig's default
+    assert [getattr(args, field) for field, _ in SETTINGS.values()] == [None] * len(SETTINGS)
     assert args.engine == "pooled"
     assert RunConfig().nthreads == 0
     assert main(FAST) == 0
     fields = summary_fields(capsys.readouterr().out.strip().splitlines()[-1])
     assert fields["threads"] == "0"
     assert fields["capacity"] == "10"  # inline breeding: M + 2
+
+
+class Ran(Exception):
+    """Raised in place of a run, once main has built and checked its config."""
+
+
+def config_of(monkeypatch, argv):
+    """The RunConfig that `main(argv)` hands the pooled engine, which then does not run."""
+    seen = []
+
+    def capture(config):
+        seen.append(config)
+        raise Ran
+
+    monkeypatch.setattr(cli, "run_evolution", capture)
+    with pytest.raises(Ran):
+        main(argv)
+    return seen[0]
+
+
+def test_flag_table_names_every_run_config_field_once(monkeypatch):
+    fields = [field for field, _ in SETTINGS.values()]
+    assert sorted(fields) == sorted(f.name for f in dataclasses.fields(RunConfig))
+    assert config_of(monkeypatch, []) == RunConfig()
+    # each flag sets its own field
+    values = dict(popsize=11, nthreads=3, generations=2, seed=4, buffer_bytes=63,
+                  tournament_size=5, max_initial_depth=4)
+    argv = [word for flag, (field, _) in SETTINGS.items() for word in (flag, str(values[field]))]
+    assert config_of(monkeypatch, argv) == RunConfig(**values)
 
 
 def test_zero_popsize_is_a_usage_error(capsys):
@@ -87,6 +116,20 @@ def test_buffers_beyond_physical_memory_build_no_pool(monkeypatch, capsys):
         err = capsys.readouterr().err
         assert "configuration error" in err and "physical memory" in err
         assert "popsize=" in err and "buffer_bytes=" in err
+
+
+def test_memory_check_counts_the_pools_two_buffers_per_breeder(monkeypatch, capsys):
+    def refuse_pool(*args):
+        raise AssertionError("BufferPool built")
+
+    pages = {"SC_PAGE_SIZE": 6, "SC_PHYS_PAGES": 100}  # 600 bytes
+    monkeypatch.setattr(os, "sysconf_names", pages, raising=False)
+    monkeypatch.setattr(os, "sysconf", pages.__getitem__, raising=False)
+    monkeypatch.setattr(engine, "BufferPool", refuse_pool)
+    # 8 x 63 = 504 bytes fit, but the inline pool builds 8 + 2 buffers: 630 bytes
+    assert main(["--popsize", "8", "--buffer-bytes", "63"]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "popsize=8 x buffer_bytes=63: 10 buffers" in err
 
 
 def test_tournament_size_above_the_block_draws_nothing(monkeypatch, capsys):

@@ -245,13 +245,14 @@ def test_config_validation_rejects_buffers_beyond_physical_memory():
             cfg.validate()
 
 
-def test_memory_check_compares_popsize_times_buffer_bytes(monkeypatch):
+def test_memory_check_compares_pool_capacity_times_buffer_bytes(monkeypatch):
     pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 1000}  # 4096000 bytes
     monkeypatch.setattr(os, "sysconf_names", pages, raising=False)
     monkeypatch.setattr(os, "sysconf", pages.__getitem__, raising=False)
-    RunConfig(popsize=4000, buffer_bytes=1024).validate()  # exactly the memory size
-    with pytest.raises(ValueError, match="popsize=4001 x buffer_bytes=1024"):
-        RunConfig(popsize=4001, buffer_bytes=1024).validate()
+    # inline breeding: the pool holds M + 2 buffers
+    RunConfig(popsize=3998, buffer_bytes=1024).validate()  # exactly the memory size
+    with pytest.raises(ValueError, match="popsize=3999 x buffer_bytes=1024: 4001 buffers"):
+        RunConfig(popsize=3999, buffer_bytes=1024).validate()
     monkeypatch.setattr(os, "sysconf_names", {"SC_PAGE_SIZE": 30})  # no page count
     RunConfig(popsize=10**12).validate()  # no figure to check against
 

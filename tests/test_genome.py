@@ -426,17 +426,20 @@ def test_evaluate_sees_writes_into_a_once_read_only_x():
 
 
 def test_no_write_into_a_result_reaches_x_or_a_later_result(evaluator):
-    # every result, on either path and whatever the root, is the caller's own array
-    x = np.linspace(-1.0, 1.0, 6)
-    x_bytes = x.tobytes()
-    for code in ([C[0.5]], [ADD, VAR_X, C[1.0]], [VAR_X]):  # constant, pair, variable root
+    # every result, on either path, whatever the root and x's shape, is the caller's own array
+    line = np.linspace(-1.0, 1.0, 6)
+    # constant, pair and variable roots; numpy sums 0-d operands to a scalar, not an array
+    for x, code in ((line, [C[0.5]]), (line, [ADD, VAR_X, C[1.0]]), (line, [VAR_X]),
+                    (np.array(0.5), [ADD, VAR_X, VAR_X])):
+        x_bytes = x.tobytes()
         got = genome.evaluate(bytes(code), len(code), x)
         want = got.copy()
+        assert isinstance(got, np.ndarray) and got.shape == x.shape, code
         assert got.flags.writeable and not np.shares_memory(got, x), code
-        got[:] = 5.0
+        got[...] = 5.0
         assert x.tobytes() == x_bytes
         assert same_bits(genome.evaluate(bytes(code), len(code), x), want)
-    assert_matches_oracle(x)
+    assert_matches_oracle(line)
 
 
 def test_kernel_and_numpy_paths_give_the_same_bits(monkeypatch):
