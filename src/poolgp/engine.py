@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import metrics
+from . import genome, metrics
 from .breeding_plan import BreedingPlan
 from .errors import InvariantError
 from .expr_pool import NO_SLOT, BufferPool, pool_capacity
@@ -126,27 +126,39 @@ def draw_outcome(rng, fitnesses, k: int) -> tuple[list[int], list[int], array]:
     order, in blocks of at most TOURNAMENT_BLOCK entrants (at least one
     tournament). Each block is one `rng.randbytes` call read as
     little-endian uint32; entrant u is member (u * M) >> 32, the lowest
-    fitness wins and ties go to the lowest index. Blocking keeps the numpy
-    temporaries small for any M. A NaN fitness ranks as +inf.
+    fitness wins and ties go to the lowest index. A NaN fitness ranks as
+    +inf. The C kernel's `tournaments` ranks each block where it loaded,
+    else `rank_tournaments` in numpy, whose temporaries the blocks keep
+    small for any M.
 
     Then draws every child's crossover points (see `child_stream`), and
     returns (mums, dads, points).
     """
     m = len(fitnesses)
     fit = np.array(fitnesses, dtype=np.float64)
-    fit[np.isnan(fit)] = np.inf  # NaN would match no row minimum
+    rank = rank_tournaments if genome._native is None else genome._native.tournaments
     rows = 2 * m
     block_rows = max(1, TOURNAMENT_BLOCK // k)
     winners = np.empty(rows, dtype=np.uint64)
     for start in range(0, rows, block_rows):
         n = min(block_rows, rows - start)
-        u = np.frombuffer(rng.randbytes(4 * n * k), dtype="<u4").reshape(n, k)
-        entrants = (u.astype(np.uint64) * m) >> 32
-        entrant_fit = fit[entrants]
-        ties = entrant_fit == entrant_fit.min(axis=1, keepdims=True)
-        winners[start:start + n] = np.where(ties, entrants, m).min(axis=1)
+        rank(rng.randbytes(4 * n * k), fit, k, winners[start:start + n])
     picks = winners.tolist()
     return picks[0::2], picks[1::2], draw_points(rng, m)
+
+
+def rank_tournaments(words: bytes, fit: np.ndarray, k: int, out: np.ndarray) -> None:
+    """Write each tournament's winner into `out`: the kernel's `tournaments` in numpy.
+
+    Row r of `out` is the best of the k entrants that uint32 words r*k to
+    r*k + k - 1 draw (see `draw_outcome`); `fit` is float64, `out` uint64.
+    """
+    u = np.frombuffer(words, dtype="<u4").reshape(len(out), k)
+    entrants = (u.astype(np.uint64) * len(fit)) >> 32
+    entrant_fit = fit[entrants]
+    entrant_fit[np.isnan(entrant_fit)] = np.inf  # NaN would match no row minimum
+    ties = entrant_fit == entrant_fit.min(axis=1, keepdims=True)
+    out[:] = np.where(ties, entrants, len(fit)).min(axis=1)
 
 
 def draw_points(rng, popsize: int) -> array:

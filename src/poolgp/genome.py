@@ -42,8 +42,11 @@ def arity(op: int) -> int:
     return 2 if op < VAR_X else 0
 
 
-def subtree_end(code, start: int) -> int:
-    """Index one past the subtree rooted at `start` (arity walk)."""
+def arity_walk(code, start: int) -> int:
+    """Index one past the subtree rooted at `start`: `subtree_end` where the kernel did not load.
+
+    IndexError where the walk leaves `code`.
+    """
     need = 1
     i = start
     while need:
@@ -182,3 +185,6 @@ def _constants(shape: tuple) -> tuple:
 
 # the C kernel's module, or None where it could not be built or loaded
 _native = _kernel.load(CONSTANTS)
+# index one past the subtree rooted at start: the kernel's arity walk, to the same ints and
+# IndexError, else arity_walk; subtree_crossover looks it up here on every call
+subtree_end = arity_walk if _native is None else _native.subtree_end

@@ -2,20 +2,21 @@ import pytest
 
 from poolgp import genome
 
-# simharness holds the schedule checks; rewrite its asserts like a test
-# module's, so they still run under python -O
-pytest.register_assert_rewrite("simharness")
+# simharness holds the schedule checks and kernel_fuzz the kernel's; rewrite
+# their asserts like a test module's, so they still run under python -O
+pytest.register_assert_rewrite("simharness", "kernel_fuzz")
 
 
 @pytest.fixture
 def numpy_evaluator(monkeypatch):
-    """Evaluate in numpy for one test: the C kernel's handle is None until it ends."""
+    """Turn the C kernel off for one test: numpy evaluates, sums and ranks; Python walks arities."""
     monkeypatch.setattr(genome, "_native", None)
+    monkeypatch.setattr(genome, "subtree_end", genome.arity_walk)
 
 
 @pytest.fixture(params=["c", "numpy"], ids=["kernel", "numpy"])
 def evaluator(request):
-    """Run the test once per interpreter: the C kernel, skipped where it did not load, and numpy."""
+    """Run the test once per path: the C kernel, skipped where it did not load, and numpy."""
     if request.param == "numpy":
         request.getfixturevalue("numpy_evaluator")
     elif genome.evaluator() != "c":

@@ -177,6 +177,20 @@ def test_draw_outcome_never_ranks_more_than_a_block_at_once():
     assert points == 4 * POINTS_PER_CHILD * m
 
 
+@pytest.mark.parametrize("check", [
+    test_tournament_picks_best_of_draws, test_tournament_k1_is_the_single_draw,
+    test_tournament_ties_break_to_lowest_index, test_nan_fitness_ranks_as_infinity,
+    test_draw_outcome_never_ranks_more_than_a_block_at_once,
+], ids=lambda check: check.__name__.removeprefix("test_"))
+def test_draw_outcome_ranks_alike_in_the_kernel_and_in_numpy(evaluator, check):
+    check()
+
+
+def test_draw_outcome_matches_pure_python_best_of_k_in_the_kernel_and_in_numpy(evaluator):
+    for m, k in ((1, 7), (3, 1), (7, 7), (4, 9), (3, TOURNAMENT_BLOCK + 1), (1000, 20), (4000, 3)):
+        test_draw_outcome_matches_pure_python_best_of_k(m, k)
+
+
 def test_child_stream_reads_only_its_own_cells():
     draws = array("I", range(3 * POINTS_PER_CHILD))
     assert child_stream(draws, 1).tolist() == list(range(POINTS_PER_CHILD, 2 * POINTS_PER_CHILD))

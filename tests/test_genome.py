@@ -151,6 +151,18 @@ def test_subtree_end_walks_arities():
     assert not tree_is_complete(code, 4)
 
 
+def test_subtree_end_walks_arities_in_the_kernel_and_in_python(evaluator):
+    code = bytes([SUB, ADD, VAR_X, C[0.5], VAR_X])
+    assert [genome.subtree_end(code, p) for p in range(5)] == [5, 4, 3, 4, 5]
+    assert genome.subtree_end(memoryview(bytearray(code))[1:], 0) == 3
+    for short in (b"", code[:4], bytearray([ADD, VAR_X])):
+        with pytest.raises(IndexError):
+            genome.subtree_end(short, 0)
+    with pytest.raises(IndexError):
+        genome.subtree_end(code, 5)
+    assert (genome.subtree_end is genome.arity_walk) == (evaluator == "numpy")
+
+
 def all_subtrees(code, length):
     return {bytes(code[p:subtree_end(code, p)]) for p in range(length)}
 

@@ -1,20 +1,24 @@
-"""The C kernel: what is built where, what is loaded, the numpy fallback, and its two functions.
+"""The C kernel: what is built where, what is loaded, the numpy fallback, and its four functions.
 
 The cache cases build into their own empty cache directory, most of them by
 importing poolgp in a fresh process that runs pooled against naive there and
-reports the evaluator. The others call the loaded module's `evaluate` and
-`abs_error` directly, against numpy's bits and past the ends of buffers.
+reports the evaluator. The others call the loaded module's functions
+directly, against numpy's bits and past the ends of buffers, or build its
+source into a temporary directory: with every warning an error, and with
+sanitizers under the differential fuzz in kernel_fuzz.py.
 """
 
 import math
 import os
 import shlex
+import shutil
 import stat
 import subprocess
 import sys
 import sysconfig
 from pathlib import Path
 
+import kernel_fuzz
 import numpy as np
 import pytest
 
@@ -23,6 +27,7 @@ from poolgp.genome import ADD, CONSTANTS, MUL, VAR_X, float_errors_ignored
 from poolgp.problems import Problem
 
 SRC = Path(genome.__file__).resolve().parents[1]
+TESTS = Path(__file__).resolve().parent
 SCRIPT = (
     "from poolgp import RunConfig, genome, run_evolution, run_evolution_naive\n"
     "cfg = RunConfig(popsize=20, generations=3, buffer_bytes=63, max_initial_depth=4, seed=3)\n"
@@ -213,3 +218,51 @@ def test_the_kernel_never_reads_or_writes_past_a_buffer():
             kernel.evaluate(*args)
     with pytest.raises(TypeError):
         kernel.abs_error(pred)
+
+
+@needs_kernel
+def test_the_kernel_has_four_functions_and_the_fallback_replaces_each(numpy_evaluator):
+    # a function added to the kernel needs a numpy or Python twin, switched in here
+    assert {name for name in dir(_kernel.load(CONSTANTS)) if not name.startswith("_")} == {
+        "evaluate", "abs_error", "subtree_end", "tournaments"}
+    assert genome._native is None and genome.evaluator() == "numpy"
+    assert genome.subtree_end is genome.arity_walk
+
+
+@needs_kernel
+def test_the_kernel_agrees_with_python_under_a_seeded_differential_fuzz():
+    kernel_fuzz.check_all(genome._native)
+
+
+def compiler():
+    """The C compiler's command, or a skip where there is none."""
+    cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
+    if not shutil.which(cc[0]):
+        pytest.skip(f"no C compiler {cc[0]!r}")
+    return cc
+
+
+@needs_kernel
+def test_the_kernel_builds_without_a_warning(tmp_path):
+    compiler()
+    proc = kernel_fuzz.build(tmp_path / "kernel.so", "-Wall", "-Wextra", "-Werror")
+    assert proc.returncode == 0, proc.stderr
+
+
+@needs_kernel
+def test_the_fuzz_runs_clean_under_address_and_undefined_behaviour_sanitizers(tmp_path):
+    cc = compiler()
+    asan = subprocess.run([*cc, "-print-file-name=libasan.so"], capture_output=True,
+                          text=True).stdout.strip()
+    if not os.path.isabs(asan) or not os.path.exists(asan):
+        pytest.skip("no libasan.so")
+    kernel = tmp_path / "kernel.so"
+    proc = kernel_fuzz.build(kernel, "-fsanitize=address,undefined", "-fno-sanitize-recover=all",
+                             "-fno-omit-frame-pointer")
+    assert proc.returncode == 0, proc.stderr
+    # the interpreter is not instrumented, so the runtime must be loaded first
+    env = dict(os.environ, LD_PRELOAD=asan, ASAN_OPTIONS="detect_leaks=0",
+               PYTHONPATH=os.pathsep.join((str(SRC), str(TESTS))))
+    proc = subprocess.run([sys.executable, str(TESTS / "kernel_fuzz.py"), str(kernel)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0 and proc.stdout.strip() == "kernel fuzz: ok", proc.stderr[-5000:]
