@@ -82,20 +82,35 @@ def random_tree(rng, depth_limit: int, buf) -> int:
     return pos
 
 
-def subtree_crossover(mum, mum_len: int, dad, dad_len: int,
-                      child, capacity: int, points) -> int:
+def python_crossover(mum, mum_len: int, dad, dad_len: int,
+                     child, capacity: int, points) -> int:
     """Copy mum into `child` with one mum subtree replaced by one dad subtree.
 
+    `subtree_crossover` where the kernel did not load, and the kernel's reference.
     Attempt i takes its mum and dad points from words 2i and 2i + 1 of
     `points` (see the module docstring). If the offspring would not fit in
     `capacity` cells, the next attempt tries; after CROSSOVER_ATTEMPTS the
-    child is a verbatim copy of mum. Parents are only read.
+    child is a verbatim copy of mum. Parents are only read, and `child` is
+    never resized: ValueError unless 1 <= mum_len <= len(mum),
+    1 <= dad_len <= len(dad), mum_len <= capacity <= len(child) and `points`
+    holds POINTS_PER_CHILD 4-byte words, such as an array("I"); IndexError
+    where an arity walk leaves its parent's length.
     """
+    with memoryview(points) as view:
+        if view.itemsize != 4 or view.nbytes < 4 * POINTS_PER_CHILD or not (
+                0 < mum_len <= len(mum) and 0 < dad_len <= len(dad)
+                and mum_len <= capacity <= len(child)):
+            raise ValueError("crossover: a length, the capacity or the points out of range")
+        # native uint32 as Python ints, as the kernel reads them: a numpy uint32 word
+        # times the length would wrap at 32 bits
+        words = view.cast("B").cast("I").tolist()
     for i in range(0, POINTS_PER_CHILD, 2):
-        mp = (points[i] * mum_len) >> 32
-        dp = (points[i + 1] * dad_len) >> 32
+        mp = (words[i] * mum_len) >> 32
+        dp = (words[i + 1] * dad_len) >> 32
         m_end = subtree_end(mum, mp)
         d_end = subtree_end(dad, dp)
+        if m_end > mum_len or d_end > dad_len:
+            raise IndexError("crossover walked out of a parent")
         new_len = mum_len - (m_end - mp) + (d_end - dp)
         if new_len <= capacity:
             child[:mp] = mum[:mp]
@@ -144,12 +159,16 @@ def evaluator() -> str:
 def _interpret(code, length: int, x: np.ndarray) -> np.ndarray:
     """`evaluate` in numpy over float64 x and the constant vectors: the reference and fallback."""
     consts = _constants(x.shape)
+    cap = (length + 1) // 2  # the most values a complete encoding holds at once
     stack: list[np.ndarray] = []
     push, pop = stack.append, stack.pop
     try:
         for op in reversed(code[:length]):
             if op >= VAR_X:
-                push(x if op == VAR_X else consts[op - CONST_BASE])
+                value = x if op == VAR_X else consts[op - CONST_BASE]
+                if len(stack) == cap:  # a push past cap, where run() stops too
+                    raise InvariantError(_kernel.ERRORS[3])
+                push(value)
                 continue
             a, b = pop(), pop()  # a is the top, the first operand
             if op == ADD:
@@ -184,7 +203,10 @@ def _constants(shape: tuple) -> tuple:
 
 
 # the C kernel's module, or None where it could not be built or loaded
-_native = _kernel.load(CONSTANTS)
+_native = _kernel.load(CONSTANTS, CROSSOVER_ATTEMPTS)
 # index one past the subtree rooted at start: the kernel's arity walk, to the same ints and
-# IndexError, else arity_walk; subtree_crossover looks it up here on every call
+# IndexError, else arity_walk; python_crossover looks it up here on every call
 subtree_end = arity_walk if _native is None else _native.subtree_end
+# one child by subtree crossover: the kernel's, to the same bytes and exception classes,
+# else python_crossover. The engines import it by name, once.
+subtree_crossover = python_crossover if _native is None else _native.crossover

@@ -1,6 +1,6 @@
 import pytest
 
-from poolgp import genome
+from poolgp import engine, genome, naive
 
 # simharness holds the schedule checks and kernel_fuzz the kernel's; rewrite
 # their asserts like a test module's, so they still run under python -O
@@ -9,9 +9,12 @@ pytest.register_assert_rewrite("simharness", "kernel_fuzz")
 
 @pytest.fixture
 def numpy_evaluator(monkeypatch):
-    """Turn the C kernel off for one test: numpy evaluates, sums and ranks; Python walks arities."""
+    """Turn the C kernel off for one test: numpy evaluates, sums and ranks; Python walks
+    arities and crosses over, also in the engines that imported the crossover by name."""
     monkeypatch.setattr(genome, "_native", None)
     monkeypatch.setattr(genome, "subtree_end", genome.arity_walk)
+    for module in (genome, engine, naive):
+        monkeypatch.setattr(module, "subtree_crossover", genome.python_crossover)
 
 
 @pytest.fixture(params=["c", "numpy"], ids=["kernel", "numpy"])

@@ -1,14 +1,16 @@
 """A seeded differential fuzz of the C kernel against the Python code it stands in for.
 
-`check_all(kernel, seed)` drives a loaded kernel module's four functions:
+`check_all(kernel, seed)` drives a loaded kernel module's five functions:
 
 * `evaluate` against `genome._interpret` on random byte genomes (every opcode,
   and some past the last terminal) over 0-6 cases of special values, and on
   value stacks of `cap * n` just below, at and just above `_kernel.ON_STACK`
   doubles, so that both the on-stack and the malloc branch run to their last
-  double. Both must agree on raise-or-result, and results on every bit;
+  double. Both must name the same fault or give the same bits;
 * `subtree_end` against `genome.arity_walk`, past either end of the code too;
 * `tournaments` against `engine.rank_tournaments`, with ties, NaN and inf;
+* `crossover` against `genome.python_crossover`: the same length or
+  exception class, the same child bytes, and a child never resized;
 * and the refusals of malformed arguments.
 
 tests/test_kernel.py runs it over the cached kernel, and in a subprocess over
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import math
 import random
+from array import array
 import shlex
 import subprocess
 import sys
@@ -33,7 +36,15 @@ import numpy as np
 from poolgp import _kernel, genome
 from poolgp.engine import rank_tournaments
 from poolgp.errors import InvariantError
-from poolgp.genome import CONSTANTS, FUNCTIONS, TERMINALS, float_errors_ignored, random_tree
+from poolgp.genome import (
+    CONSTANTS,
+    CROSSOVER_ATTEMPTS,
+    FUNCTIONS,
+    POINTS_PER_CHILD,
+    TERMINALS,
+    float_errors_ignored,
+    random_tree,
+)
 
 END = TERMINALS[-1] + 1  # the first opcode past the last terminal
 OPCODES = tuple(range(END + 2)) + (255,)
@@ -43,30 +54,29 @@ FITNESSES = (0.0, -0.0, 1.0, 1.0, 2.5, math.inf, -math.inf, math.nan)
 
 
 def build(path, *flags) -> subprocess.CompletedProcess:
-    """Compile the kernel's source with its FLAGS and then `flags` into `path`."""
+    """Compile _kernel.c as `load` does, then with `flags`, into `path`."""
     cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
     include = sysconfig.get_paths()["include"]
-    return subprocess.run([*cc, *_kernel.FLAGS, *flags, f"-I{include}", "-o", str(path),
-                           "-x", "c", "-"], input=_kernel.c_source(CONSTANTS), text=True,
-                          capture_output=True, timeout=120)
+    return subprocess.run([*cc, *_kernel.FLAGS, *_kernel.defines(CONSTANTS, CROSSOVER_ATTEMPTS),
+                           *flags, f"-I{include}", "-o", str(path), str(_kernel.SOURCE)],
+                          text=True, capture_output=True, timeout=120)
 
 
 def kernel_outcome(kernel, code, length, x):
-    """"raise", or the result's bits. A genome malformed twice over may stop
-    the two paths at different faults, so the reason is not compared."""
+    """The fault's name, or the result's bits."""
     out = np.empty(x.shape)
     status = kernel.evaluate(code, length, x, out)
     if status not in (0, *_kernel.ERRORS):
         raise AssertionError(f"status {status}")
-    return "raise" if status else out.view(np.int64).tolist()
+    return _kernel.ERRORS[status] if status else out.view(np.int64).tolist()
 
 
 def numpy_outcome(code, length, x):
     try:
         with float_errors_ignored():
             result = genome._interpret(code, length, x)
-    except InvariantError:
-        return "raise"
+    except InvariantError as fault:
+        return str(fault)
     return np.ascontiguousarray(result, dtype=np.float64).view(np.int64).tolist()
 
 
@@ -143,6 +153,74 @@ def fuzz_tournaments(kernel, rng, count: int) -> None:
         assert fit.tobytes() == before
 
 
+def crossover_outcome(cross, mum, mum_len, dad, dad_len, child, capacity, points):
+    """(the child's length or the exception's class name, the bytes of child's whole buffer,
+    past the end of a view too); child is never resized."""
+    size = len(child)
+    try:
+        result = cross(mum, mum_len, dad, dad_len, child, capacity, points)
+    except Exception as refused:
+        result = type(refused).__name__
+    assert len(child) == size, (size, len(child))
+    return result, bytes(child.obj if isinstance(child, memoryview) else child)
+
+
+def crossover_words(rng) -> array:
+    """One child's words: random, all 0 (every point the root), all 2**32 - 1 (every
+    point the last node) or a mix of the two; one time in ten, a word short or none.
+    An array("I"), as the engines pass, or now and then numpy uint32."""
+    kind = rng.randrange(4)
+    ends = (0, 2 ** 32 - 1)
+    words = array("I", (rng.getrandbits(32) if kind == 0 else ends[kind - 1] if kind < 3
+                        else rng.choice(ends) for _ in range(POINTS_PER_CHILD)))
+    if rng.random() < 0.1:
+        del words[rng.choice((0, POINTS_PER_CHILD - 1)):]
+    return words if rng.random() < 0.8 else np.array(words, np.uint32)
+
+
+def grown(rng, cells: int):
+    """A tree grown into `cells` cells, the rest of them random opcodes: (buffer, length).
+
+    Now and then the length is cut short or pushed past the tree, or past the buffer, so
+    that a walk can leave the parent's length or its buffer; and the buffer is a view
+    that ends two random opcodes short of its own."""
+    buf = bytearray(rng.choice(OPCODES) for _ in range(cells + 2))
+    length = random_tree(rng, rng.randint(1, (cells + 1).bit_length() - 1), buf)
+    if rng.random() < 0.1:
+        length = rng.randint(-1, cells + 1)
+    return memoryview(buf)[:cells] if rng.random() < 0.3 else buf[:cells], length
+
+
+def fuzz_crossover(kernel, rng, count: int) -> None:
+    """`crossover` against `genome.python_crossover`: return value or exception class, and
+    the child's bytes, over grown parents in 31/63/127-cell buffers and capacities below,
+    at and above the offspring, down past mum's length and up past the child's."""
+    for _ in range(count):
+        cells = rng.choice((31, 63, 127))
+        (mum, mum_len), (dad, dad_len) = grown(rng, cells), grown(rng, cells)
+        points = crossover_words(rng)
+        size = rng.choice((cells, cells, rng.randint(1, cells)))
+        fit = crossover_outcome(genome.python_crossover, mum, mum_len, dad, dad_len,
+                                bytearray(size), size, points)[0]
+        offspring = fit if isinstance(fit, int) else mum_len
+        capacity = rng.choice((offspring - 1, offspring, offspring + 1, mum_len - 1, mum_len,
+                               size, size + 1))
+        fill = bytes(rng.choice(OPCODES) for _ in range(size + 2))
+        if rng.random() < 0.05 and 0 < mum_len <= len(mum):  # the child is mum itself
+            runs = [(bytearray(mum),) * 2 for _ in range(2)]
+            size = capacity = len(mum)
+        elif rng.random() < 0.5:  # a view: a write past its end shows in its buffer
+            runs = [(mum, memoryview(bytearray(fill))[:size]) for _ in range(2)]
+        else:
+            runs = [(mum, bytearray(fill[:size])) for _ in range(2)]
+        got, want = (crossover_outcome(cross, parent, mum_len, dad, dad_len, child, capacity,
+                                       points)
+                     for cross, (parent, child) in zip((kernel.crossover,
+                                                        genome.python_crossover), runs))
+        assert got == want, (mum.hex(), mum_len, dad.hex(), dad_len, size, capacity,
+                             points.tolist(), got, want)
+
+
 def check_refusals(kernel) -> None:
     """Malformed arguments raise, and nothing is read or written past a buffer."""
     fit, out = np.zeros(3), np.zeros(2, np.uint64)
@@ -160,6 +238,17 @@ def check_refusals(kernel) -> None:
         except TypeError:
             continue
         raise AssertionError(f"subtree_end took {args!r}")
+    for args in ((b"", 1), (bytes([4]), 1, bytes([4]), 1, bytearray(1), 1)):
+        try:
+            kernel.crossover(*args)
+        except TypeError:
+            continue
+        raise AssertionError(f"crossover took {args!r}")
+    # a length past any buffer, and point words that are bytes: both paths refuse them
+    for args in ((bytes([4]), 2 ** 70, bytes([4]), 1, bytearray(1), 1, array("I", [0] * 20)),
+                 (bytes([4]), 1, bytes([4]), 1, bytearray(1), 1, bytes(80))):
+        for cross in (kernel.crossover, genome.python_crossover):
+            assert crossover_outcome(cross, *args) == ("ValueError", bytes(1)), (cross, args)
     for start in (2 ** 70, -(2 ** 70)):
         try:
             kernel.subtree_end(bytes([4]), start)
@@ -174,6 +263,7 @@ def check_all(kernel, seed: int = 26) -> None:
     fuzz_evaluate(kernel, rng, 15000)
     fuzz_subtree_end(kernel, rng, 10000)
     fuzz_tournaments(kernel, rng, 8000)
+    fuzz_crossover(kernel, rng, 8000)
     check_refusals(kernel)
 
 

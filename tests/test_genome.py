@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from poolgp import genome
+from poolgp import _kernel, genome
 from poolgp.errors import InvariantError
 from poolgp.genome import (
     ADD,
@@ -234,6 +234,41 @@ def test_crossover_reads_parents_only():
     child = bytearray(8)
     subtree_crossover(mum, 3, dad, 3, child, 8, random_words(rng))
     assert bytes(mum) == mum_before and bytes(dad) == dad_before
+
+
+def test_both_crossovers_refuse_bad_input_and_never_resize_the_child(evaluator):
+    mum = bytearray([ADD, VAR_X, C[1.0]])
+    dad = bytearray([ADD, MUL, VAR_X, VAR_X, C[1.0]])
+    cross = genome.subtree_crossover
+    assert (cross is genome.python_crossover) == (evaluator == "numpy")
+    refused = {
+        ValueError: [
+            (mum, 3, dad, 5, bytearray(3), 8, words(0)),  # capacity past the child: it would grow
+            (mum, 3, dad, 5, bytearray(8), 2, words(0)),  # capacity short of the fallback copy
+            (mum, 0, dad, 5, bytearray(8), 8, words(0)),
+            (mum, 4, dad, 5, bytearray(8), 8, words(0)),
+            (mum, 3, dad, 0, bytearray(8), 8, words(0)),
+            (mum, 3, dad, 6, bytearray(8), 8, words(0)),
+            (mum, 3, dad, 5, bytearray(8), 8, words(0)[:POINTS_PER_CHILD - 1]),
+        ],
+        IndexError: [  # the walk from the root leaves the first 2 (then 4) cells
+            (mum, 2, dad, 5, bytearray(8), 8, words(0)),
+            (mum, 3, dad, 4, bytearray(8), 8, words(0)),
+        ],
+    }
+    for error, cases in refused.items():
+        for mum_, mum_len, dad_, dad_len, child, capacity, points in cases:
+            with pytest.raises(error):
+                cross(mum_, mum_len, dad_, dad_len, child, capacity, points)
+            assert child == bytes(len(child)), (mum_len, dad_len, capacity)
+    rng = random.Random(27)
+    for cells in (31, 63, 127):
+        for _ in range(200):
+            mum, dad, child = bytearray(cells), bytearray(cells), bytearray(cells)
+            mn, dn = random_tree(rng, 5, mum), random_tree(rng, 5, dad)
+            capacity = rng.randint(mn, cells)
+            n = cross(mum, mn, dad, dn, child, capacity, random_words(rng))
+            assert len(child) == cells and n <= capacity and tree_is_complete(child, n)
 
 
 def test_evaluate_hand_cases(evaluator):
@@ -532,9 +567,12 @@ def test_evaluate_rejects_length_outside_buffer():
             genome.evaluate(bytes([ADD, VAR_X, VAR_X]), length, x)
 
 
+# malformed twice over: an opcode past the last terminal, and more values than fit
+PAST_CAP_THEN_BAD_OPCODE = [C[-1.0], 0x0b, VAR_X, C[0.0], C[0.5], C[0.5]]  # 05 0b 04 07 08 08
 MALFORMED = [  # incomplete, a function short of operands, an opcode past the last terminal
     [], [VAR_X, VAR_X], [ADD, VAR_X, VAR_X, C[1.0]], [ADD], [ADD, VAR_X], [SUB, ADD, VAR_X, C[0.5]],
     [200], [ADD, VAR_X, CONST_BASE + len(CONSTANTS)], [255, VAR_X, VAR_X],
+    PAST_CAP_THEN_BAD_OPCODE,
 ]
 
 
@@ -544,6 +582,10 @@ def test_every_malformed_genome_raises_invariant_error(evaluator):
             buf = bytearray(code) + bytes(8)  # cells past the length are never read
             with pytest.raises(InvariantError):
                 genome.evaluate(buf, len(code), x)
+        # right to left, the fourth push passes cap = 3 before opcode 0x0b is read: both
+        # paths name that fault
+        with pytest.raises(InvariantError, match=_kernel.ERRORS[3]):
+            genome.evaluate(bytes(PAST_CAP_THEN_BAD_OPCODE), 6, x)
 
 
 def test_incomplete_encoding_raises_under_python_optimize():

@@ -1,4 +1,4 @@
-"""The C kernel: what is built where, what is loaded, the numpy fallback, and its four functions.
+"""The C kernel: what is built where, what is loaded, the numpy fallback, and its five functions.
 
 The cache cases build into their own empty cache directory, most of them by
 importing poolgp in a fresh process that runs pooled against naive there and
@@ -22,8 +22,8 @@ import kernel_fuzz
 import numpy as np
 import pytest
 
-from poolgp import _kernel, genome
-from poolgp.genome import ADD, CONSTANTS, MUL, VAR_X, float_errors_ignored
+from poolgp import _kernel, engine, genome, naive
+from poolgp.genome import ADD, CONSTANTS, CROSSOVER_ATTEMPTS, MUL, VAR_X, float_errors_ignored
 from poolgp.problems import Problem
 
 SRC = Path(genome.__file__).resolve().parents[1]
@@ -35,6 +35,11 @@ SCRIPT = (
     "    raise SystemExit('pooled != naive')\n"
     "print(genome.evaluator())\n"
 )
+def load_kernel(constants):
+    """`_kernel.load` as genome.py calls it, over `constants`."""
+    return _kernel.load(constants, CROSSOVER_ATTEMPTS)
+
+
 needs_kernel = pytest.mark.skipif(genome.evaluator() != "c", reason="no C kernel on this machine")
 
 
@@ -85,13 +90,13 @@ def test_a_kernel_built_for_another_abi_is_never_reused(tmp_path, monkeypatch):
     # the file's hash and suffix cover the interpreter's EXT_SUFFIX, so one
     # Python never loads a module built for another
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-    assert _kernel.load(CONSTANTS) is not None
+    assert load_kernel(CONSTANTS) is not None
     (first,) = (tmp_path / "poolgp").iterdir()
     built = first.stat().st_mtime_ns
     config_var = sysconfig.get_config_var
     monkeypatch.setattr(sysconfig, "get_config_var", lambda name: (
         ".cpython-00-other.so" if name == "EXT_SUFFIX" else config_var(name)))
-    assert _kernel.load(CONSTANTS) is not None  # the compiler still builds for this one
+    assert load_kernel(CONSTANTS) is not None  # the compiler still builds for this one
     (other,) = set((tmp_path / "poolgp").iterdir()) - {first}
     assert other.name.endswith(".cpython-00-other.so")
     assert first.stat().st_mtime_ns == built
@@ -107,17 +112,17 @@ def test_the_cache_keeps_only_the_most_recently_used_kernels(tmp_path, monkeypat
         path.write_bytes(b"")
         os.utime(path, (1e9 + i, 1e9 + i))  # 2001, stale9 the most recent
     (cache / "notes.txt").write_bytes(b"")
-    assert _kernel.load(CONSTANTS) is not None
+    assert load_kernel(CONSTANTS) is not None
     (live,) = set(cache.glob("kernel-*")) - set(stale)
     assert {p.name for p in cache.iterdir()} == {
         live.name, "notes.txt", *(p.name for p in stale[len(stale) + 1 - _kernel.KEPT:])}
     # two sources in turn, as two checkouts run in alternation: each reuses its file
     other = tuple(c + 1.0 for c in CONSTANTS)
-    assert _kernel.load(other) is not None
+    assert load_kernel(other) is not None
     (built,) = set(cache.glob("kernel-*")) - set(stale) - {live}
     kept = {p: p.stat().st_ino for p in (live, built)}
     for constants in (CONSTANTS, other, CONSTANTS, other):
-        assert _kernel.load(constants) is not None
+        assert load_kernel(constants) is not None
     assert {p: p.stat().st_ino for p in (live, built)} == kept
     assert len(list(cache.glob("kernel-*"))) == _kernel.KEPT
 
@@ -126,12 +131,12 @@ def test_without_python_headers_the_build_fails_and_nothing_is_reused(tmp_path, 
     # the hash also covers the include directory: one without Python.h builds
     # nothing and loads nothing, so the run falls back to numpy
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
-    assert (_kernel.load(CONSTANTS) is None) == (genome.evaluator() == "numpy")
+    assert (load_kernel(CONSTANTS) is None) == (genome.evaluator() == "numpy")
     before = sorted((tmp_path / "cache" / "poolgp").iterdir())
     paths = sysconfig.get_paths
     monkeypatch.setattr(sysconfig, "get_paths",
                         lambda *a, **k: dict(paths(*a, **k), include=str(tmp_path)))
-    assert _kernel.load(CONSTANTS) is None
+    assert load_kernel(CONSTANTS) is None
     assert sorted((tmp_path / "cache" / "poolgp").iterdir()) == before
 
 
@@ -221,12 +226,15 @@ def test_the_kernel_never_reads_or_writes_past_a_buffer():
 
 
 @needs_kernel
-def test_the_kernel_has_four_functions_and_the_fallback_replaces_each(numpy_evaluator):
+def test_the_kernel_has_five_functions_and_the_fallback_replaces_each(numpy_evaluator):
     # a function added to the kernel needs a numpy or Python twin, switched in here
-    assert {name for name in dir(_kernel.load(CONSTANTS)) if not name.startswith("_")} == {
-        "evaluate", "abs_error", "subtree_end", "tournaments"}
+    kernel = load_kernel(CONSTANTS)
+    assert {name for name in dir(kernel) if not name.startswith("_")} == {
+        "evaluate", "abs_error", "subtree_end", "tournaments", "crossover"}
     assert genome._native is None and genome.evaluator() == "numpy"
     assert genome.subtree_end is genome.arity_walk
+    for module in (genome, engine, naive):
+        assert module.subtree_crossover is genome.python_crossover, module
 
 
 @needs_kernel

@@ -1,5 +1,7 @@
 """Reference-engine tests: two-population accounting and pooled-engine equality."""
 
+import pytest
+
 from poolgp.engine import RunConfig, run_evolution
 from poolgp.naive import run_evolution_naive
 from poolgp.problems import QUARTIC
@@ -16,6 +18,15 @@ def test_naive_engine_matches_pooled_engine():
     cfg = config()
     pooled = run_evolution(cfg)
     naive = run_evolution_naive(cfg)
+    assert naive.genomes == pooled.genomes
+    assert naive.fitness_history == pooled.fitness_history
+
+
+@pytest.mark.parametrize("nthreads", [0, 1, 2, 8])
+def test_pooled_equals_naive_for_any_thread_count_on_either_crossover(evaluator, nthreads):
+    # 7-cell buffers, as big as the initial trees: some attempts do not fit and retry
+    cfg = config(popsize=24, nthreads=nthreads, buffer_bytes=7, max_initial_depth=3)
+    pooled, naive = run_evolution(cfg), run_evolution_naive(cfg)
     assert naive.genomes == pooled.genomes
     assert naive.fitness_history == pooled.fitness_history
 
