@@ -35,6 +35,8 @@ SCRIPT = (
     "    raise SystemExit('pooled != naive')\n"
     "print(genome.evaluator())\n"
 )
+
+
 def load_kernel(constants):
     """`_kernel.load` as genome.py calls it, over `constants`."""
     return _kernel.load(constants, CROSSOVER_ATTEMPTS)
@@ -268,8 +270,9 @@ def test_the_fuzz_runs_clean_under_address_and_undefined_behaviour_sanitizers(tm
     proc = kernel_fuzz.build(kernel, "-fsanitize=address,undefined", "-fno-sanitize-recover=all",
                              "-fno-omit-frame-pointer")
     assert proc.returncode == 0, proc.stderr
-    # the interpreter is not instrumented, so the runtime must be loaded first
-    env = dict(os.environ, LD_PRELOAD=asan, ASAN_OPTIONS="detect_leaks=0",
+    # the interpreter is not instrumented, so the runtime must be loaded first; and every
+    # Python buffer comes from malloc, not from pymalloc's arenas, where ASan sees no bounds
+    env = dict(os.environ, LD_PRELOAD=asan, ASAN_OPTIONS="detect_leaks=0", PYTHONMALLOC="malloc",
                PYTHONPATH=os.pathsep.join((str(SRC), str(TESTS))))
     proc = subprocess.run([sys.executable, str(TESTS / "kernel_fuzz.py"), str(kernel)], env=env,
                           capture_output=True, text=True, timeout=300)
