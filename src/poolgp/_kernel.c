@@ -2,9 +2,11 @@
 
    The numbers that genome.py owns come in as -D macros from _kernel.defines():
    CONSTANTS_LIST (the constant table), CROSSOVER_ATTEMPTS and ON_STACK. Opcodes are
-   numbered as in genome.py. Each stack value is n doubles, and the top one is a, as in
-   _interpret. A complete encoding of length cells holds at most cap = (length + 1) / 2
-   values at once, so a push past cap is an incomplete one. */
+   numbered as in genome.py. The interpreter's stack holds pointers to rows of n values,
+   and the top one is a, as in _interpret; terminals are never copied. A complete encoding
+   of length cells holds at most cap = (length + 1) / 2 values at once, so a push past cap
+   is an incomplete one. Built at -O3 with -ffp-contract=off: no fused a * b + c, so every
+   result keeps numpy's bits. */
 #include <Python.h>
 #include <stdint.h>
 #if !defined(CONSTANTS_LIST) || !defined(CROSSOVER_ATTEMPTS) || !defined(ON_STACK)
@@ -12,49 +14,73 @@
 #endif
 enum { ADD, SUB, MUL, DIV, VAR_X, CONST_BASE };
 static const double CONSTANTS[] = { CONSTANTS_LIST };
-#define END (CONST_BASE + (int)(sizeof CONSTANTS / sizeof *CONSTANTS))
+#define NCONST ((int)(sizeof CONSTANTS / sizeof *CONSTANTS))
+#define END (CONST_BASE + NCONST)
 
-/* 0, with the root's n values in out, or an ERRORS status. The value stack is cap * n
-   doubles: on the C stack up to ON_STACK (a 127-cell genome over 32 cases), else from
-   malloc. Each node picks its opcode once and runs one plain loop over the n values. */
+/* A cell of run()'s work area: one stack entry, or one double of a row */
+union cell {
+    const double *row;
+    double value;
+};
+_Static_assert(sizeof(union cell) == sizeof(double), "rows of cells are rows of doubles");
+
+/* 0, with the root's n values in out, or an ERRORS status. The stack holds pointers to
+   rows of n doubles: x itself, a constant's row, or the result row of its own depth. So a
+   terminal pushes its row from one table and copies nothing, and a function node writes
+   a op b into the row of b, the deeper operand. The work area is cap stack entries, then
+   cap - 1 result rows and a row per constant, each handed out and filled on the
+   constant's first use in the call: on the C stack up to ON_STACK cells, else from
+   malloc. Function nodes, the common case, are told apart first; each picks its opcode
+   once and runs one plain loop over the n values. */
 static int run(const unsigned char *code, Py_ssize_t length, const double *x, Py_ssize_t n,
                double *out)
 {
-    double local[ON_STACK], *stack = local, *a, *b, c;
-    Py_ssize_t cap = (length + 1) / 2, depth = 0, i, j;
+    union cell local[ON_STACK], *area = local;
+    const double *row[END] = { [VAR_X] = x }, *a, *b;  /* each terminal's row, once known */
+    double *rows, *next, *r;
+    Py_ssize_t cap = (length + 1) / 2, count = cap - 1 + NCONST, depth = 0, i, j;
+    size_t most = (size_t)-1 / 2 / sizeof *area;  /* cells that malloc may be asked for */
     int status = 0;
     if (length < 1)
         return 3;
-    if ((size_t)n > (size_t)-1 / 2 / sizeof(double) / (size_t)cap
-        || (cap * n > ON_STACK && !(stack = malloc(sizeof(double) * (size_t)(cap * n)))))
+    if ((size_t)cap > most || (size_t)n > (most - (size_t)cap) / (size_t)count
+        || (cap + count * n > ON_STACK
+            && !(area = malloc(sizeof *area * (size_t)(cap + count * n)))))
         return 4;
-    for (i = length - 1; i >= 0 && !status; i--) {
+    rows = &area[cap].value, next = rows + (cap - 1) * n;
+    for (i = length - 1; i >= 0; i--) {
         int op = code[i];
-        if (op >= END)
-            status = 1;
-        else if (op >= VAR_X && depth == cap)
-            status = 3;
-        else if (op == VAR_X)
-            memcpy(stack + depth++ * n, x, sizeof(double) * (size_t)n);
-        else if (op > VAR_X)
-            for (b = stack + depth++ * n, c = CONSTANTS[op - CONST_BASE], j = 0; j < n; j++)
-                b[j] = c;
-        else if (depth < 2)
-            status = 2;
-        else {
-            a = stack + --depth * n, b = a - n;
-            switch (op) {
-            case ADD: for (j = 0; j < n; j++) b[j] = a[j] + b[j]; break;
-            case SUB: for (j = 0; j < n; j++) b[j] = a[j] - b[j]; break;
-            case MUL: for (j = 0; j < n; j++) b[j] = a[j] * b[j]; break;
-            default: for (j = 0; j < n; j++) b[j] = b[j] != 0.0 ? a[j] / b[j] : 1.0;
+        if (op < VAR_X) {
+            if (depth < 2) {
+                status = 2;
+                break;
             }
+            a = area[--depth].row, b = area[depth - 1].row;
+            area[depth - 1].row = r = rows + (depth - 1) * n;
+            switch (op) {
+            case ADD: for (j = 0; j < n; j++) r[j] = a[j] + b[j]; break;
+            case SUB: for (j = 0; j < n; j++) r[j] = a[j] - b[j]; break;
+            case MUL: for (j = 0; j < n; j++) r[j] = a[j] * b[j]; break;
+            default: for (j = 0; j < n; j++) r[j] = b[j] != 0.0 ? a[j] / b[j] : 1.0;
+            }
+        }
+        else if (op >= END || depth == cap) {  /* past the last constant, or a push past cap */
+            status = op >= END ? 1 : 3;
+            break;
+        }
+        else {
+            if (!row[op]) {  /* a constant's first use; or x's, where n = 0 lets it be NULL */
+                for (r = next, j = 0; j < n; j++)
+                    r[j] = CONSTANTS[op - CONST_BASE];
+                row[op] = r, next += n;
+            }
+            area[depth++].row = row[op];
         }
     }
     if (!status && depth == 1)
-        memcpy(out, stack, sizeof(double) * (size_t)n);
-    if (stack != local)
-        free(stack);
+        memcpy(out, area[0].row, sizeof(double) * (size_t)n);
+    if (area != local)
+        free(area);
     return status ? status : depth == 1 ? 0 : 3;
 }
 

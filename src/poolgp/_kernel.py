@@ -23,11 +23,11 @@ import sysconfig
 from pathlib import Path
 
 SOURCE = Path(__file__).with_name("_kernel.c")  # shipped as package data
-FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")  # no fused a*b + c: numpy's bits
+FLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off")  # no fused a*b + c: numpy's bits
 ERRORS = {1: "opcode out of range", 2: "a function node without two operands",
-          3: "incomplete prefix encoding", 4: "no memory for the value stack",
+          3: "incomplete prefix encoding", 4: "no memory for the work area",
           5: "length past the code buffer, or out not the size of x"}  # by status
-ON_STACK = 2048  # doubles of value stack that run() keeps on the C stack: 16 KiB
+ON_STACK = 2048  # 8-byte cells of work area that run() keeps on the C stack: 16 KiB
 KEPT = 4  # kernel files a cache keeps: two checkouts that alternate both stay built
 
 

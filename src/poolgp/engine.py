@@ -30,6 +30,11 @@ generation's tournaments and crossover points in bulk before breeding
 starts. Each child reads only its own POINTS_PER_CHILD words, so results
 are identical for any thread count, including the serial two-population
 reference engine.
+
+Members are `Individual` handles: a slot id and a length. Generations 0
+and 1 build M new ones each. After that, a generation's children take the
+handles of the population that the previous breeding emptied: every parent
+gave its buffer back there, so each handle holds none.
 """
 
 from __future__ import annotations
@@ -190,14 +195,15 @@ class Breeding:
     """One generation's breeding: its plan, the children's handles and the two worker steps.
 
     Building it sets the generation up: the plan, one empty handle per child,
-    a fresh pool peak, and childless parents' buffers given back.
+    a fresh pool peak, and childless parents' buffers given back. The handles
+    are `spare`, one per child and each holding no buffer, or new ones.
     """
 
     def __init__(self, pool: BufferPool, pop: list[Individual], mums: list[int],
-                 dads: list[int], draws: array):
+                 dads: list[int], draws: array, spare: list[Individual] | None = None):
         self.pool, self.pop, self.draws = pool, pop, draws
         self.plan = plan = BreedingPlan(mums, dads)
-        self.new_pop = [Individual() for _ in mums]
+        self.new_pop = [Individual() for _ in mums] if spare is None else spare
         pool.reset_peak()
         # infertile parents give their buffers back before any worker starts
         for ind, kids in zip(pop, plan.children):
@@ -249,6 +255,7 @@ class PooledEngine:
         self.lock = threading.Lock()
         self.master_rng = random.Random(operator.index(config.seed))  # takes no numpy int
         self.pop: list[Individual] = []
+        self.spare: list[Individual] | None = None  # last generation's released handles
         self.stats: list[metrics.GenerationStats] = []
         self.fitness_history: list[list[float]] = []
 
@@ -285,7 +292,7 @@ class PooledEngine:
         cfg = self.config
         mums, dads, draws = draw_outcome(self.master_rng, self.fitness_history[-1],
                                          cfg.tournament_size)
-        breeding = Breeding(self.pool, self.pop, mums, dads, draws)
+        breeding = Breeding(self.pool, self.pop, mums, dads, draws, self.spare)
         busy = [0.0] * self.pool.workers
         errors: list[BaseException] = []
 
@@ -319,7 +326,7 @@ class PooledEngine:
             raise errors[0]
         if self.pool.used != cfg.popsize:
             raise InvariantError("old population not fully released")
-        self.pop = breeding.new_pop
+        self.spare, self.pop = self.pop, breeding.new_pop  # every parent gave its buffer back
         self._score(g, t0, busy)
 
     def _score(self, g: int, t0: float, busy: list[float] | None = None) -> None:
@@ -340,7 +347,7 @@ class PooledEngine:
             fitnesses=fitnesses,
             pool_used_peak=self.pool.peak,
             pool_max_used=self.pool.max_used,
-            total_opcodes=sum(self.problem.opcodes_per_eval(n) for n in lens),
+            total_opcodes=self.problem.opcodes_per_eval(sum(lens)),
             wall_time=wall,
             busy_times=[wall] if busy is None else busy,
         ))

@@ -62,7 +62,7 @@ def run_evolution_naive(config: RunConfig, problem: Problem = QUARTIC) -> Evolut
             fitnesses=fitnesses,
             pool_used_peak=live,
             pool_max_used=peak,
-            total_opcodes=sum(problem.opcodes_per_eval(n) for n in lens),
+            total_opcodes=problem.opcodes_per_eval(sum(lens)),
             wall_time=wall,
             busy_times=[wall],
         ))

@@ -51,7 +51,11 @@ class Problem:
         return err if math.isfinite(err) else math.inf
 
     def opcodes_per_eval(self, length: int) -> int:
-        # one opcode per node visit per training case
+        """Opcodes interpreted over the table for `length` cells: one per cell per case.
+
+        Linear in `length`, so the total of many genomes is this of their summed
+        lengths; both engines count a generation's opcodes in one call.
+        """
         return length * self.num_cases
 
 

@@ -4,9 +4,9 @@
 
 * `evaluate` against `genome._interpret` on random byte genomes (every opcode,
   and some past the last terminal) over 0-6 cases of special values, and on
-  value stacks of `cap * n` just below, at and just above `_kernel.ON_STACK`
-  doubles, so that both the on-stack and the malloc branch run to their last
-  double. Both must name the same fault or give the same bits;
+  work areas just inside and just past `_kernel.ON_STACK` cells, so that both
+  the on-stack and the malloc branch run to their last cell. Both must name
+  the same fault or give the same bits, and x must keep its bits;
 * `subtree_end` against `genome.arity_walk`, past either end of the code too;
 * `tournaments` against `engine.rank_tournaments`, with ties, NaN and inf;
 * `crossover` against `genome.python_crossover`: the same length or
@@ -94,20 +94,31 @@ def random_genome(rng) -> bytes:
     return bytes(code)
 
 
-def stack_edges(rng):
-    """(genome, n): stacks of cap * n doubles around ON_STACK, filled to their last value.
+def work_cells(cap: int, n: int) -> int:
+    """The cells of run()'s work area: cap stack entries, cap - 1 result rows of n doubles
+    and a row per constant."""
+    return cap + (cap - 1 + len(CONSTANTS)) * n
 
-    Each complete genome pushes cap values before its first function node pops
-    any; the same genome with one more terminal must be refused before its
-    push past cap.
+
+def stack_edges(rng):
+    """(genome, n): for n = 0-6 cases, the largest work area on the C stack and the
+    smallest past it, each written to its last cell.
+
+    Each genome pushes cap terminals, every constant among them, before its first function
+    node writes result row cap - 2; so every row is handed out, and with n = 0 the last
+    stack entry is the last cell. The same genome with one more terminal must be refused
+    before its push past cap.
     """
-    for cells in (_kernel.ON_STACK - 1, _kernel.ON_STACK, _kernel.ON_STACK + 1):
-        for n in (n for n in range(1, 7) if cells % n == 0):
-            cap = cells // n
+    for n in range(7):
+        last = (_kernel.ON_STACK - (len(CONSTANTS) - 1) * n) // (n + 1)  # the largest that fits
+        assert work_cells(last, n) <= _kernel.ON_STACK < work_cells(last + 1, n)
+        for cap in (last, last + 1):
             functions = bytes(rng.choice(FUNCTIONS) for _ in range(cap - 1))
-            terminals = bytes(rng.choice(TERMINALS) for _ in range(cap))
-            yield functions + terminals, n
-            yield functions + terminals + terminals[:1], n
+            terminals = [rng.choice(TERMINALS) for _ in range(cap - len(CONSTANTS))]
+            terminals += TERMINALS[1:]  # every constant
+            rng.shuffle(terminals)
+            yield functions + bytes(terminals), n
+            yield functions + bytes(terminals + terminals[:1]), n
 
 
 def fuzz_evaluate(kernel, rng, count: int) -> None:
@@ -115,8 +126,10 @@ def fuzz_evaluate(kernel, rng, count: int) -> None:
     for code, n in cases + list(stack_edges(rng)):
         x = np.array([rng.choice(SPECIAL) for _ in range(n)])
         length = len(code) if rng.random() < 0.8 else rng.randint(0, len(code))
+        before = x.tobytes()  # writable, yet the stack's pointers to x must only be read
         got, want = kernel_outcome(kernel, code, length, x), numpy_outcome(code, length, x)
         assert got == want, (code[:length].hex(), x.tolist(), got, want)
+        assert x.tobytes() == before, code[:length].hex()
 
 
 def walk_outcome(walk, code, start):

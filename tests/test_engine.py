@@ -28,6 +28,7 @@ from poolgp.engine import (
     initial_depth,
     run_evolution,
 )
+from poolgp.expr_pool import NO_SLOT
 from poolgp.genome import POINTS_PER_CHILD
 from poolgp.naive import run_evolution_naive
 from poolgp.problems import QUARTIC, Problem
@@ -282,6 +283,29 @@ def test_self_permutation_generation_peaks_at_m_plus_one(monkeypatch):
     eng.run_generation(1)
     assert eng.stats[1].pool_used_peak == 3  # M + 1 exactly
     assert eng.pool.used == 2
+
+
+@pytest.mark.parametrize("nthreads", [0, 2])
+def test_children_take_the_handles_the_breeding_before_emptied(monkeypatch, nthreads):
+    # from generation 2 on, no Individual is built: the children reuse the population that
+    # the previous breeding released, each handle holding no buffer and none a parent
+    spares = []
+
+    class Recording(engine.Breeding):
+        def __init__(self, pool, pop, mums, dads, draws, spare=None):
+            if spare is not None:
+                assert all(ind.slot_id == NO_SLOT for ind in spare)
+                assert not set(map(id, spare)) & set(map(id, pop))
+            spares.append(spare)
+            super().__init__(pool, pop, mums, dads, draws, spare)
+
+    monkeypatch.setattr(engine, "Breeding", Recording)
+    eng = PooledEngine(small_config(popsize=16, nthreads=nthreads, generations=6))
+    eng.run()
+    assert spares[0] is None and None not in spares[1:]
+    assert not set(map(id, eng.pop)) & set(map(id, eng.spare))
+    reused = {id(ind) for spare in spares[1:] for ind in spare}
+    assert reused == set(map(id, eng.pop)) | set(map(id, eng.spare)) and len(reused) == 32
 
 
 def record_claims(monkeypatch, log):

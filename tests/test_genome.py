@@ -473,10 +473,12 @@ def test_evaluate_sees_writes_into_a_once_read_only_x():
 
 
 def test_no_write_into_a_result_reaches_x_or_a_later_result(evaluator):
-    # every result, on either path, whatever the root and x's shape, is the caller's own array
+    # every result, on either path, whatever the root and x's shape, is the caller's own array;
+    # the kernel's stack points at x and at each constant's row, so none of them is written
     line = np.linspace(-1.0, 1.0, 6)
-    # constant, pair and variable roots; numpy sums 0-d operands to a scalar, not an array
+    # constant, pair, variable and constants-only roots; numpy sums 0-d operands to a scalar
     for x, code in ((line, [C[0.5]]), (line, [ADD, VAR_X, C[1.0]]), (line, [VAR_X]),
+                    (line, [MUL, ADD, C[0.5], C[0.5], SUB, C[0.5], C[-1.0]]),
                     (np.array(0.5), [ADD, VAR_X, VAR_X])):
         x_bytes = x.tobytes()
         got = genome.evaluate(bytes(code), len(code), x)

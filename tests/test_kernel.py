@@ -227,6 +227,13 @@ def test_the_kernel_never_reads_or_writes_past_a_buffer():
         kernel.abs_error(pred)
 
 
+def test_the_build_flags_keep_numpys_bits():
+    # no fused a * b + c, no reassociation, and no instructions the cache key does not name:
+    # a kernel built on one host may be loaded on another that shares the cache
+    assert "-ffp-contract=off" in _kernel.FLAGS
+    assert not {"-ffast-math", "-Ofast", "-march=native", "-mfma"} & set(_kernel.FLAGS)
+
+
 @needs_kernel
 def test_the_kernel_has_five_functions_and_the_fallback_replaces_each(numpy_evaluator):
     # a function added to the kernel needs a numpy or Python twin, switched in here
