@@ -6,9 +6,12 @@
    and the top one is a, as in _interpret; terminals are never copied. A complete encoding
    of length cells holds at most cap = (length + 1) / 2 values at once, so a push past cap
    is an incomplete one. Built at -O3 with -ffp-contract=off: no fused a * b + c, so every
-   result keeps numpy's bits. */
+   result keeps numpy's bits. Built against numpy's headers too: evaluate makes its result
+   array through numpy's C API, which the module's exec slot imports. */
 #include <Python.h>
 #include <stdint.h>
+#define NPY_NO_DEPRECATED_API NPY_1_7_API_VERSION
+#include <numpy/arrayobject.h>
 #if !defined(CONSTANTS_LIST) || !defined(CROSSOVER_ATTEMPTS) || !defined(ON_STACK)
 #error "build with the -D flags of poolgp._kernel.defines()"
 #endif
@@ -16,6 +19,7 @@ enum { ADD, SUB, MUL, DIV, VAR_X, CONST_BASE };
 static const double CONSTANTS[] = { CONSTANTS_LIST };
 #define NCONST ((int)(sizeof CONSTANTS / sizeof *CONSTANTS))
 #define END (CONST_BASE + NCONST)
+#define POINTS_PER_CHILD (2 * CROSSOVER_ATTEMPTS)  /* a mum and a dad word per attempt */
 
 /* A cell of run()'s work area: one stack entry, or one double of a row */
 union cell {
@@ -84,23 +88,37 @@ static int run(const unsigned char *code, Py_ssize_t length, const double *x, Py
     return status ? status : depth == 1 ? 0 : 3;
 }
 
-/* evaluate(code, length, x, out) -> 0 with the root's values in out, or an ERRORS status;
-   every buffer is a C-contiguous view, or refused */
+/* evaluate(code, length, x) -> a new float64 array of x's shape holding the root's values,
+   or an ERRORS status; None where x is not an exact, aligned, native-order, C-contiguous
+   float64 ndarray, for the caller to convert. A length outside the code buffer is status 5,
+   however far outside. */
 static PyObject *evaluate(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
 {
-    Py_buffer c = { 0 }, x = { 0 }, out = { 0 };  /* releasing one never taken does nothing */
+    Py_buffer c = { 0 };
+    PyArrayObject *x, *out = NULL;
     Py_ssize_t length;
-    int status = -1;
-    if (nargs != 4)
-        return PyErr_Format(PyExc_TypeError, "evaluate takes 4 arguments");
-    if (((length = PyLong_AsSsize_t(args[1])) != -1 || !PyErr_Occurred())
-        && !PyObject_GetBuffer(args[0], &c, PyBUF_SIMPLE)
-        && !PyObject_GetBuffer(args[2], &x, PyBUF_SIMPLE)
-        && !PyObject_GetBuffer(args[3], &out, PyBUF_WRITABLE))
-        status = length < 0 || length > c.len || out.len != x.len ? 5
-               : run(c.buf, length, x.buf, x.len / (Py_ssize_t)sizeof(double), out.buf);
-    PyBuffer_Release(&c), PyBuffer_Release(&x), PyBuffer_Release(&out);
-    return status < 0 ? NULL : PyLong_FromLong(status);
+    int status = 5;
+    if (nargs != 3)
+        return PyErr_Format(PyExc_TypeError, "evaluate takes 3 arguments");
+    if ((length = PyNumber_AsSsize_t(args[1], NULL)) == -1 && PyErr_Occurred())
+        return NULL;
+    if (!PyArray_CheckExact(args[2]))
+        Py_RETURN_NONE;
+    x = (PyArrayObject *)args[2];
+    if (PyArray_TYPE(x) != NPY_DOUBLE || !PyArray_ISNOTSWAPPED(x) || !PyArray_ISALIGNED(x)
+        || !PyArray_IS_C_CONTIGUOUS(x))
+        Py_RETURN_NONE;
+    if (PyObject_GetBuffer(args[0], &c, PyBUF_SIMPLE))
+        return NULL;
+    if (length >= 0 && length <= c.len
+        && (out = (PyArrayObject *)PyArray_SimpleNew(PyArray_NDIM(x), PyArray_DIMS(x),
+                                                     NPY_DOUBLE))
+        && (status = run(c.buf, length, PyArray_DATA(x), PyArray_SIZE(x), PyArray_DATA(out))))
+        Py_CLEAR(out);
+    PyBuffer_Release(&c);
+    if (out || PyErr_Occurred())
+        return (PyObject *)out;
+    return PyLong_FromLong(status);
 }
 
 /* subtree_end(code, start) -> one past the subtree rooted at start, by an arity walk over
@@ -148,7 +166,7 @@ static Py_ssize_t pick(uint32_t u, Py_ssize_t n)
    swaps mum's subtree at node pick(points[2i], mum_len) for dad's at pick(points[2i + 1],
    dad_len) if the offspring fits in capacity cells; after CROSSOVER_ATTEMPTS the child is
    a copy of mum. ValueError unless 1 <= mum_len <= len(mum), 1 <= dad_len <= len(dad),
-   mum_len <= capacity <= len(child) and points holds 2 * CROSSOVER_ATTEMPTS 4-byte words;
+   mum_len <= capacity <= len(child) and points holds POINTS_PER_CHILD 4-byte words;
    IndexError where a walk leaves its parent's length. So child is never written past
    capacity, and the copies run in Python's order, as memmove, for a child that is a
    parent too. */
@@ -156,7 +174,7 @@ static PyObject *crossover(PyObject *Py_UNUSED(self), PyObject *const *args, Py_
 {
     Py_buffer m = { 0 }, d = { 0 }, c = { 0 }, p = { 0 };
     Py_ssize_t ml, dl, cap, mp, dp, me, de, len = -1;
-    uint32_t w[2 * CROSSOVER_ATTEMPTS];
+    uint32_t w[POINTS_PER_CHILD];
     int i;
     if (nargs != 7)
         return PyErr_Format(PyExc_TypeError, "crossover takes 7 arguments");
@@ -175,7 +193,7 @@ static PyObject *crossover(PyObject *Py_UNUSED(self), PyObject *const *args, Py_
                                               "points out of range");
         else {
             memcpy(w, p.buf, sizeof w);
-            for (i = 0; i < 2 * CROSSOVER_ATTEMPTS; i += 2) {
+            for (i = 0; i < POINTS_PER_CHILD; i += 2) {
                 mp = pick(w[i], ml), dp = pick(w[i + 1], dl);
                 if ((me = walk(mum, mp, ml)) < 0 || (de = walk(dad, dp, dl)) < 0) {
                     PyErr_SetString(PyExc_IndexError, "crossover walked out of a parent");
@@ -188,7 +206,7 @@ static PyObject *crossover(PyObject *Py_UNUSED(self), PyObject *const *args, Py_
                     break;
                 }
             }
-            if (i == 2 * CROSSOVER_ATTEMPTS)
+            if (i == POINTS_PER_CHILD)
                 memmove(out, mum, (size_t)(len = ml));
         }
     }
@@ -196,43 +214,119 @@ static PyObject *crossover(PyObject *Py_UNUSED(self), PyObject *const *args, Py_
     return PyErr_Occurred() ? NULL : PyLong_FromSsize_t(len);
 }
 
-/* tournaments(words, fit, k, out): out[r] (uint64) is the winner of the best of the k
-   entrants that little-endian uint32 words r * k to r * k + k - 1 draw, word u drawing
-   member (u * m) >> 32 of fit's m doubles. The lowest fitness wins, NaN ranking as inf,
-   and ties go to the lowest index. */
-static PyObject *tournaments(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
+/* CPython's Mersenne Twister (Modules/_randommodule.c; M. Matsumoto and T. Nishimura, ACM
+   TOMACS 1998): the state is the 624 words of random.Random.getstate()[1], then the index of
+   the next word to temper, where 624 asks for a twist first. */
+enum { MT_N = 624, MT_M = 397 };
+
+/* the next word of the stream whose state is mt and *index: CPython's genrand_uint32 */
+static uint32_t next_word(uint32_t *mt, Py_ssize_t *index)
 {
-    Py_buffer w = { 0 }, f = { 0 }, out = { 0 };
-    Py_ssize_t k, m, n, r, i;
-    if (nargs != 4)
-        return PyErr_Format(PyExc_TypeError, "tournaments takes 4 arguments");
-    if (((k = PyLong_AsSsize_t(args[2])) != -1 || !PyErr_Occurred())
-        && !PyObject_GetBuffer(args[0], &w, PyBUF_SIMPLE)
+    static const uint32_t mag01[2] = { 0x0U, 0x9908b0dfU };
+    uint32_t y;
+    int kk;
+    if (*index >= MT_N) {
+        for (kk = 0; kk < MT_N - MT_M; kk++) {
+            y = (mt[kk] & 0x80000000U) | (mt[kk + 1] & 0x7fffffffU);
+            mt[kk] = mt[kk + MT_M] ^ (y >> 1) ^ mag01[y & 0x1U];
+        }
+        for (; kk < MT_N - 1; kk++) {
+            y = (mt[kk] & 0x80000000U) | (mt[kk + 1] & 0x7fffffffU);
+            mt[kk] = mt[kk + (MT_M - MT_N)] ^ (y >> 1) ^ mag01[y & 0x1U];
+        }
+        y = (mt[MT_N - 1] & 0x80000000U) | (mt[0] & 0x7fffffffU);
+        mt[MT_N - 1] = mt[MT_M - 1] ^ (y >> 1) ^ mag01[y & 0x1U];
+        *index = 0;
+    }
+    y = mt[(*index)++];
+    y ^= y >> 11;
+    y ^= (y << 7) & 0x9d2c5680U;
+    y ^= (y << 15) & 0xefc60000U;
+    return y ^ (y >> 18);
+}
+
+/* state's 624 words into mt, and its index; -1 with ValueError unless state is a tuple of
+   625 ints, each word below 2**32 and the index from 0 to 624 */
+static Py_ssize_t read_state(PyObject *state, uint32_t *mt)
+{
+    unsigned long long v = 0;
+    Py_ssize_t i = 0;
+    if (PyTuple_Check(state) && PyTuple_GET_SIZE(state) == MT_N + 1)
+        for (; i <= MT_N; i++) {
+            PyObject *item = PyTuple_GET_ITEM(state, i);
+            if (!PyLong_Check(item)
+                || ((v = PyLong_AsUnsignedLongLong(item)) == (unsigned long long)-1
+                    && PyErr_Occurred())
+                || v > (i < MT_N ? UINT32_MAX : MT_N))
+                break;
+            if (i < MT_N)
+                mt[i] = (uint32_t)v;
+        }
+    if (i <= MT_N) {  /* stopped short, or never started */
+        PyErr_Clear();  /* a negative or huge int: OverflowError, refused as a bad state */
+        PyErr_SetString(PyExc_ValueError, "draw: the state is not 624 words and an index");
+        return -1;
+    }
+    return (Py_ssize_t)v;
+}
+
+/* draw(state, fit, k, winners, points) -> the state after: continues the stream of state
+   (see read_state) word by word. winners[r] (uint64) is the winner of tournament r of
+   len(winners) = 2m: the best of the k entrants that the next k words draw, word u drawing
+   member (u * m) >> 32 of fit's m doubles. The lowest fitness wins, NaN ranking as inf, and
+   ties go to the lowest index. Then points (uint32) takes the next POINTS_PER_CHILD * m
+   words. So it reads the words that random.Random.randbytes blocks of whole words would
+   give, in their order, and holds none of them past its entrant. ValueError for a malformed
+   state, k < 1, or winners or points of another size or item size, before any write. */
+static PyObject *draw(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
+{
+    Py_buffer f = { 0 }, w = { 0 }, p = { 0 };
+    uint32_t mt[MT_N];
+    Py_ssize_t index, k, m, r, i;
+    PyObject *after = NULL;
+    if (nargs != 5)
+        return PyErr_Format(PyExc_TypeError, "draw takes 5 arguments");
+    if ((index = read_state(args[0], mt)) >= 0
+        && ((k = PyNumber_AsSsize_t(args[2], NULL)) != -1 || !PyErr_Occurred())
         && !PyObject_GetBuffer(args[1], &f, PyBUF_SIMPLE)
-        && !PyObject_GetBuffer(args[3], &out, PyBUF_WRITABLE)) {
-        const unsigned char *u = w.buf;
+        && !PyObject_GetBuffer(args[3], &w, PyBUF_WRITABLE | PyBUF_FORMAT)
+        && !PyObject_GetBuffer(args[4], &p, PyBUF_WRITABLE | PyBUF_FORMAT)) {
         const double *fit = f.buf;
-        uint64_t *winner = out.buf;
-        m = f.len / (Py_ssize_t)sizeof(double), n = out.len / (Py_ssize_t)sizeof(uint64_t);
-        if (k < 1 || (n && (m < 1 || (uint64_t)m > UINT32_MAX)) || n > PY_SSIZE_T_MAX / 4 / k
-            || w.len != 4 * n * k)
-            PyErr_SetString(PyExc_ValueError, "tournaments: k, words, fit and out disagree");
-        else
-            for (r = 0; r < n; r++) {
+        uint64_t *winner = w.buf;
+        uint32_t *point = p.buf;
+        m = f.len / (Py_ssize_t)sizeof *fit;
+        if (k < 1 || f.len % (Py_ssize_t)sizeof *fit || (uint64_t)m > UINT32_MAX
+            || w.itemsize != sizeof *winner || w.len != (Py_ssize_t)sizeof *winner * 2 * m
+            || p.itemsize != sizeof *point
+            || p.len != (Py_ssize_t)sizeof *point * POINTS_PER_CHILD * m)
+            PyErr_SetString(PyExc_ValueError, "draw: k, fit, winners and points disagree");
+        else {
+            for (r = 0; r < 2 * m; r++) {
                 uint64_t best = 0, e;
                 double low = 0.0, v;
-                for (i = 0; i < k; i++, u += 4) {
-                    e = (((uint64_t)u[0] | (uint64_t)u[1] << 8 | (uint64_t)u[2] << 16
-                          | (uint64_t)u[3] << 24) * (uint64_t)m) >> 32;
+                for (i = 0; i < k; i++) {
+                    e = ((uint64_t)next_word(mt, &index) * (uint64_t)m) >> 32;
                     v = isnan(fit[e]) ? INFINITY : fit[e];
                     if (!i || v < low || (v == low && e < best))
                         best = e, low = v;
                 }
                 winner[r] = best;
             }
+            for (r = 0; r < POINTS_PER_CHILD * m; r++)
+                point[r] = next_word(mt, &index);
+            if ((after = PyTuple_New(MT_N + 1)))
+                for (i = 0; i <= MT_N; i++) {
+                    PyObject *item = PyLong_FromSsize_t(i < MT_N ? (Py_ssize_t)mt[i] : index);
+                    if (!item) {
+                        Py_CLEAR(after);
+                        break;
+                    }
+                    PyTuple_SET_ITEM(after, i, item);
+                }
+        }
     }
-    PyBuffer_Release(&w), PyBuffer_Release(&f), PyBuffer_Release(&out);
-    return PyErr_Occurred() ? NULL : Py_NewRef(Py_None);
+    PyBuffer_Release(&f), PyBuffer_Release(&w), PyBuffer_Release(&p);
+    return after;
 }
 
 /* numpy's pairwise sum of |p - t| (loops_utils.h): 8 accumulators up to 128, halves above */
@@ -273,10 +367,17 @@ static PyMethodDef methods[] = {
     { "evaluate", (PyCFunction)(void (*)(void))evaluate, METH_FASTCALL, NULL },
     { "abs_error", (PyCFunction)(void (*)(void))abs_error, METH_FASTCALL, NULL },
     { "subtree_end", (PyCFunction)(void (*)(void))subtree_end, METH_FASTCALL, NULL },
-    { "tournaments", (PyCFunction)(void (*)(void))tournaments, METH_FASTCALL, NULL },
+    { "draw", (PyCFunction)(void (*)(void))draw, METH_FASTCALL, NULL },
     { "crossover", (PyCFunction)(void (*)(void))crossover, METH_FASTCALL, NULL },
     { NULL },
 };
+/* numpy's C API, for evaluate's result arrays */
+static int exec_module(PyObject *Py_UNUSED(module))
+{
+    import_array1(-1);
+    return 0;
+}
+static PyModuleDef_Slot slots[] = { { Py_mod_exec, (void *)exec_module }, { 0, NULL } };
 static struct PyModuleDef module = { PyModuleDef_HEAD_INIT, "poolgp_kernel", NULL, 0, methods,
-                                       NULL, NULL, NULL, NULL };
+                                       slots, NULL, NULL, NULL };
 PyMODINIT_FUNC PyInit_poolgp_kernel(void) { return PyModuleDef_Init(&module); }

@@ -1,14 +1,19 @@
 """The per-node loops in C, built once per machine as an extension module.
 
-Five functions, in _kernel.c: the genome interpreter (`evaluate`), the error
-sum (`abs_error`), the arity walk (`subtree_end`), the ranking of a block of
-tournaments (`tournaments`) and subtree crossover (`crossover`). Where `load`
-finds no kernel, `genome.evaluate` runs its numpy interpreter,
-`Problem.fitness` sums in numpy, `genome.subtree_end` is `genome.arity_walk`,
-`engine.draw_outcome` ranks with `engine.rank_tournaments` and
-`genome.subtree_crossover` is `genome.python_crossover`. Each of these is also
-the reference that the kernel matches to the bit; tests/kernel_fuzz.py checks
-each pair.
+Five functions, in _kernel.c: the genome interpreter (`evaluate`, which
+returns a new numpy array), the error sum (`abs_error`), the arity walk
+(`subtree_end`), a generation's draws from the master's Mersenne Twister
+stream (`draw`: every tournament, then every crossover point) and subtree
+crossover (`crossover`). Where `load` finds no kernel, `genome.evaluate` runs
+its numpy interpreter, `Problem.fitness` sums in numpy, `genome.subtree_end`
+is `genome.arity_walk`, `engine.draw_outcome` draws with `randbytes` and ranks
+with `engine.rank_tournaments`, and `genome.subtree_crossover` is
+`genome.python_crossover`. Each of these is also the reference that the
+kernel matches to the bit; tests/kernel_fuzz.py checks each pair.
+
+The file is compiled against the Python and numpy headers (`command`), so its
+cache key covers both include directories and numpy's version: numpy's C API
+ties the file to numpy's ABI.
 """
 
 from __future__ import annotations
@@ -18,15 +23,18 @@ import hashlib
 import importlib.machinery
 import importlib.util
 import os
+import shlex
 import stat
 import sysconfig
 from pathlib import Path
+
+import numpy
 
 SOURCE = Path(__file__).with_name("_kernel.c")  # shipped as package data
 FLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off")  # no fused a*b + c: numpy's bits
 ERRORS = {1: "opcode out of range", 2: "a function node without two operands",
           3: "incomplete prefix encoding", 4: "no memory for the work area",
-          5: "length past the code buffer, or out not the size of x"}  # by status
+          5: "length outside the code buffer"}  # by status
 ON_STACK = 2048  # 8-byte cells of work area that run() keeps on the C stack: 16 KiB
 KEPT = 4  # kernel files a cache keeps: two checkouts that alternate both stay built
 
@@ -37,21 +45,27 @@ def defines(constants, attempts: int) -> tuple[str, ...]:
             f"-DCROSSOVER_ATTEMPTS={attempts:d}", f"-DON_STACK={ON_STACK:d}")
 
 
+def command(constants, attempts: int) -> list[str]:
+    """The compiler's argv that builds the kernel, up to the output and the source: the
+    compiler, FLAGS, `defines`, and the Python and numpy include directories."""
+    return [*shlex.split(sysconfig.get_config_var("CC") or "cc"), *FLAGS,
+            *defines(constants, attempts), f"-I{sysconfig.get_paths()['include']}",
+            f"-I{numpy.get_include()}"]
+
+
 def load(constants, attempts: int):
     """The kernel module over `constants` and `attempts` crossover attempts per child,
     built into the user's cache on first use, or None."""
-    flags = (*FLAGS, *defines(constants, attempts))
-    cc = sysconfig.get_config_var("CC") or "cc"
-    include = sysconfig.get_paths()["include"]
+    argv = command(constants, attempts)
     suffix = sysconfig.get_config_var("EXT_SUFFIX") or ".so"  # the interpreter's ABI
     base = os.environ.get("XDG_CACHE_HOME", "")  # a relative one is ignored, as XDG says
     cache = Path(base if os.path.isabs(base) else os.path.expanduser("~/.cache"), "poolgp")
     try:
         source = SOURCE.read_text()
-        key = "\0".join((source, *flags, cc, sysconfig.get_platform(), suffix, include))
+        key = "\0".join((source, *argv, sysconfig.get_platform(), suffix, numpy.__version__))
         path = cache / f"kernel-{hashlib.sha256(key.encode()).hexdigest()[:20]}{suffix}"
         cache.mkdir(mode=0o700, parents=True, exist_ok=True)
-        if not (_private(cache) and (path.exists() or _build(source, flags, cc, include, path))
+        if not (_private(cache) and (path.exists() or _build(source, argv, path))
                 and _private(path)):
             return None
         module = load_file(path)
@@ -80,17 +94,15 @@ def _private(path: Path) -> bool:
             and not st.st_mode & (stat.S_IWGRP | stat.S_IWOTH))
 
 
-def _build(source: str, flags, cc: str, include: str, path: Path) -> bool:
-    """Compile `source` with `flags` in a temporary directory beside `path`, then move it there."""
-    import shlex
+def _build(source: str, argv, path: Path) -> bool:
+    """Compile `source` with `argv` in a temporary directory beside `path`, then move it there."""
     import subprocess
     import tempfile
 
     with tempfile.TemporaryDirectory(dir=path.parent) as tmp:
         so_file = Path(tmp, "kernel.so")
         try:  # the source on stdin, as C
-            subprocess.run([*shlex.split(cc), *flags, f"-I{include}", "-o", str(so_file),
-                            "-x", "c", "-"],
+            subprocess.run([*argv, "-o", str(so_file), "-x", "c", "-"],
                            input=source, text=True, check=True, capture_output=True, timeout=120)
         except (OSError, subprocess.SubprocessError):
             return False

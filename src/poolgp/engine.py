@@ -67,7 +67,7 @@ class Individual:
 
 
 MAX_THREADS = 256  # most breeder threads a run may ask for
-TOURNAMENT_BLOCK = 16384  # most tournament entrants drawn and ranked at once
+TOURNAMENT_BLOCK = 16384  # most entrants that one randbytes block draws and ranks
 
 
 @dataclass
@@ -128,32 +128,41 @@ def draw_outcome(rng, fitnesses, k: int) -> tuple[list[int], list[int], array]:
     """Draw a generation's parents and crossover points from the master stream.
 
     Runs 2M best-of-k tournaments, mum then dad for each child in child
-    order, in blocks of at most TOURNAMENT_BLOCK entrants (at least one
-    tournament). Each block is one `rng.randbytes` call read as
-    little-endian uint32; entrant u is member (u * M) >> 32, the lowest
-    fitness wins and ties go to the lowest index. A NaN fitness ranks as
-    +inf. The C kernel's `tournaments` ranks each block where it loaded,
-    else `rank_tournaments` in numpy, whose temporaries the blocks keep
-    small for any M.
+    order, from consecutive uint32 words of the stream: entrant u is member
+    (u * M) >> 32, the lowest fitness wins and ties go to the lowest index.
+    A NaN fitness ranks as +inf. Then draws every child's crossover points
+    (see `child_stream`), and returns (mums, dads, points).
 
-    Then draws every child's crossover points (see `child_stream`), and
-    returns (mums, dads, points).
+    Where the kernel loaded and `rng` is a plain `random.Random`, the
+    kernel's `draw` continues rng's Mersenne Twister state from one
+    `getstate`, and one `setstate` hands the state after back, with the
+    version and `gauss_next` kept. Any other rng, such as a subclass that
+    overrides `getrandbits` or `randbytes`, is read through `randbytes`:
+    the tournaments in blocks of at most TOURNAMENT_BLOCK entrants (at least
+    one tournament), each ranked by `rank_tournaments`, whose temporaries the
+    blocks keep small for any M, then the points in one more call. Both read
+    the same words in the same order, so they draw the same outcome.
     """
     m = len(fitnesses)
     fit = np.array(fitnesses, dtype=np.float64)
-    rank = rank_tournaments if genome._native is None else genome._native.tournaments
     rows = 2 * m
-    block_rows = max(1, TOURNAMENT_BLOCK // k)
     winners = np.empty(rows, dtype=np.uint64)
-    for start in range(0, rows, block_rows):
-        n = min(block_rows, rows - start)
-        rank(rng.randbytes(4 * n * k), fit, k, winners[start:start + n])
+    if genome._native is not None and type(rng) is random.Random:
+        points = array("I", [0]) * (POINTS_PER_CHILD * m)
+        version, state, gauss_next = rng.getstate()
+        rng.setstate((version, genome._native.draw(state, fit, k, winners, points), gauss_next))
+    else:
+        block_rows = max(1, TOURNAMENT_BLOCK // k)
+        for start in range(0, rows, block_rows):
+            n = min(block_rows, rows - start)
+            rank_tournaments(rng.randbytes(4 * n * k), fit, k, winners[start:start + n])
+        points = draw_points(rng, m)
     picks = winners.tolist()
-    return picks[0::2], picks[1::2], draw_points(rng, m)
+    return picks[0::2], picks[1::2], points
 
 
 def rank_tournaments(words: bytes, fit: np.ndarray, k: int, out: np.ndarray) -> None:
-    """Write each tournament's winner into `out`: the kernel's `tournaments` in numpy.
+    """Write each tournament's winner into `out`: the ranking of the kernel's `draw` in numpy.
 
     Row r of `out` is the best of the k entrants that uint32 words r*k to
     r*k + k - 1 draw (see `draw_outcome`); `fit` is float64, `out` uint64.

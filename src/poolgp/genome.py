@@ -132,22 +132,25 @@ def float_errors_ignored() -> np.errstate:
     return np.errstate(over="ignore", invalid="ignore", divide="ignore")
 
 
-def evaluate(code, length: int, x: np.ndarray) -> np.ndarray:
+def evaluate(code, length: int, x) -> np.ndarray:
     """Interpret a genome over a vector of input points, to the same bits on either path.
 
     A right-to-left scan over x as float64, in the C kernel when it loaded, else in numpy
     (`_interpret`). The result is a fresh writable array of x's shape; nothing of x is kept.
-    Only numpy warns, on overflow and inf/inf outside `float_errors_ignored()`. A malformed
-    genome raises InvariantError.
+    The kernel reads a plain, aligned, C-contiguous float64 x such as `Problem.inputs` in
+    place; any other x is first converted. Only numpy warns, on overflow and inf/inf outside
+    `float_errors_ignored()`. A malformed genome, or a length outside `code`, raises
+    InvariantError.
     """
-    if not 0 <= length <= len(code):
-        raise InvariantError(f"length {length} outside a buffer of {len(code)} cells")
-    x = np.asarray(x, dtype=np.float64, order="C")  # no copy of a float64 vector: Problem.inputs
     if _native is None:
-        return _interpret(code, length, x)
-    out = np.empty(x.shape)
-    if status := _native.evaluate(code, length, x, out):
-        raise InvariantError(_kernel.ERRORS[status])
+        if not 0 <= length <= len(code):
+            raise InvariantError(_kernel.ERRORS[5])
+        return _interpret(code, length, np.asarray(x, dtype=np.float64, order="C"))
+    out = _native.evaluate(code, length, x)
+    if out is None:  # x is no array the kernel reads in place: convert it, into a new one
+        out = _native.evaluate(code, length, np.array(x, dtype=np.float64, order="C"))
+    if type(out) is int:
+        raise InvariantError(_kernel.ERRORS[out])
     return out
 
 

@@ -8,7 +8,9 @@
   the on-stack and the malloc branch run to their last cell. Both must name
   the same fault or give the same bits, and x must keep its bits;
 * `subtree_end` against `genome.arity_walk`, past either end of the code too;
-* `tournaments` against `engine.rank_tournaments`, with ties, NaN and inf;
+* `draw` against `engine.draw_outcome` over a `random.Random` subclass, which
+  reads the stream through `randbytes` and ranks in numpy: from random and
+  all-zero states at every twist boundary, with ties, NaN and inf;
 * `crossover` against `genome.python_crossover`: the same length or
   exception class, the same child bytes, and a child never resized;
 * and the refusals of malformed arguments.
@@ -26,15 +28,13 @@ from __future__ import annotations
 import math
 import random
 from array import array
-import shlex
 import subprocess
 import sys
-import sysconfig
 
 import numpy as np
 
 from poolgp import _kernel, genome
-from poolgp.engine import rank_tournaments
+from poolgp.engine import draw_outcome
 from poolgp.errors import InvariantError
 from poolgp.genome import (
     CONSTANTS,
@@ -54,21 +54,22 @@ FITNESSES = (0.0, -0.0, 1.0, 1.0, 2.5, math.inf, -math.inf, math.nan)
 
 
 def build(path, *flags) -> subprocess.CompletedProcess:
-    """Compile _kernel.c as `load` does, then with `flags`, into `path`."""
-    cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
-    include = sysconfig.get_paths()["include"]
-    return subprocess.run([*cc, *_kernel.FLAGS, *_kernel.defines(CONSTANTS, CROSSOVER_ATTEMPTS),
-                           *flags, f"-I{include}", "-o", str(path), str(_kernel.SOURCE)],
+    """Compile _kernel.c with `load`'s command, then `flags`, into `path`."""
+    return subprocess.run([*_kernel.command(CONSTANTS, CROSSOVER_ATTEMPTS), *flags,
+                           "-o", str(path), str(_kernel.SOURCE)],
                           text=True, capture_output=True, timeout=120)
 
 
 def kernel_outcome(kernel, code, length, x):
-    """The fault's name, or the result's bits."""
-    out = np.empty(x.shape)
-    status = kernel.evaluate(code, length, x, out)
-    if status not in (0, *_kernel.ERRORS):
-        raise AssertionError(f"status {status}")
-    return _kernel.ERRORS[status] if status else out.view(np.int64).tolist()
+    """The fault's name, or the result's bits; a result is a new float64 array of x's shape."""
+    result = kernel.evaluate(code, length, x)
+    if isinstance(result, int):
+        if result not in _kernel.ERRORS:
+            raise AssertionError(f"status {result}")
+        return _kernel.ERRORS[result]
+    assert type(result) is np.ndarray and result.dtype == np.float64, type(result)
+    assert result.shape == x.shape and not np.shares_memory(result, x)
+    return result.view(np.int64).tolist()
 
 
 def numpy_outcome(code, length, x):
@@ -151,19 +152,33 @@ def fuzz_subtree_end(kernel, rng, count: int) -> None:
     assert walk_outcome(kernel.subtree_end, b"", 0) == "IndexError"
 
 
-def fuzz_tournaments(kernel, rng, count: int) -> None:
+class ReferenceRng(random.Random):
+    """A subclass: `draw_outcome` reads it through `randbytes` and ranks in numpy."""
+
+
+def random_state(rng) -> tuple:
+    """A Mersenne Twister state: random or all-zero words (a stream of zero words), and an
+    index at a twist boundary or anywhere."""
+    words = (0,) * 624 if rng.random() < 0.1 else tuple(rng.getrandbits(32) for _ in range(624))
+    return words + (rng.choice((0, 1, 623, 624, rng.randint(0, 624))),)
+
+
+def fuzz_draw(kernel, rng, count: int) -> None:
+    """`draw` against `draw_outcome`'s randbytes path: the same winners, points and state."""
     for _ in range(count):
-        m, k, n = rng.randint(1, 40), rng.randint(1, 12), rng.randrange(21)
-        fit = np.array([rng.choice(FITNESSES) for _ in range(m)])
-        before = fit.tobytes()
-        word = rng.choice((None, 0, 2 ** 32 - 1))  # None: random words
-        words = (rng.randbytes(4 * n * k) if word is None
-                 else word.to_bytes(4, "little") * (n * k))
-        got, want = np.full(n, 7, np.uint64), np.full(n, 7, np.uint64)
-        kernel.tournaments(words, fit, k, got)
-        rank_tournaments(words, fit.copy(), k, want)
-        assert got.tolist() == want.tolist(), (fit.tolist(), k, words.hex())
-        assert fit.tobytes() == before
+        m, k = rng.randint(0, 40), rng.randint(1, 12)
+        fitnesses = [rng.choice(FITNESSES) for _ in range(m)]
+        fit = np.array(fitnesses)
+        fit_bytes, state = fit.tobytes(), random_state(rng)
+        reference = ReferenceRng(0)
+        reference.setstate((3, state, None))
+        mums, dads, points = draw_outcome(reference, fitnesses, k)
+        winners, got = np.full(2 * m, 7, np.uint64), array("I", [7]) * len(points)
+        after = kernel.draw(state, fit, k, winners, got)
+        assert (winners[0::2].tolist(), winners[1::2].tolist(), got) == (mums, dads, points), (
+            fitnesses, k, state[-1])
+        assert after == reference.getstate()[1], (m, k, state[-1])
+        assert fit.tobytes() == fit_bytes
 
 
 def crossover_outcome(cross, mum, mum_len, dad, dad_len, child, capacity, points):
@@ -236,15 +251,31 @@ def fuzz_crossover(kernel, rng, count: int) -> None:
 
 def check_refusals(kernel) -> None:
     """Malformed arguments raise, and nothing is read or written past a buffer."""
-    fit, out = np.zeros(3), np.zeros(2, np.uint64)
-    # words one byte short or long, k = 0, and no fitnesses to draw from
-    for args in ((bytes(23), fit, 3, out), (bytes(25), fit, 3, out), (bytes(0), fit, 0, out[:0]),
-                 (bytes(8), fit[:0], 1, out)):
+    # a state of 623 or 626 entries, an index of -1 or 625, a word of 2**32 or a float, not
+    # a tuple; k = 0; winners or points a word short or long, or of another item size:
+    # refused before anything is written
+    rng = random.Random(5)
+    before = rng.getstate()
+    state = before[1]
+    fit = np.zeros(3)
+    winners, points = np.full(6, 7, np.uint64), array("I", [7]) * (POINTS_PER_CHILD * 3)
+    sizes = (winners, points)
+    bad = [(state[:623], fit, 1, *sizes), (state + (0,), fit, 1, *sizes),
+           (state[:-1] + (-1,), fit, 1, *sizes), (state[:-1] + (625,), fit, 1, *sizes),
+           ((2 ** 32,) + state[1:], fit, 1, *sizes), (state[:5] + (1.0,) + state[6:], fit, 1, *sizes),
+           (list(state), fit, 1, *sizes), (state, fit, 0, *sizes),
+           (state, fit, 1, winners[:5], points), (state, fit, 1, np.zeros(7, np.uint64), points),
+           (state, fit, 1, np.zeros(6, np.uint32), points), (state, fit, 1, winners, points[:-1]),
+           (state, fit, 1, winners, points + array("I", [7])),
+           (state, fit, 1, winners, array("Q", [7]) * (POINTS_PER_CHILD * 3 // 2))]
+    for args in bad:
         try:
-            kernel.tournaments(*args)
+            kernel.draw(*args)
         except ValueError:
             continue
-        raise AssertionError(f"tournaments took {args!r}")
+        raise AssertionError(f"draw took {[len(a) if hasattr(a, '__len__') else a for a in args]}")
+    assert rng.getstate() == before
+    assert winners.tolist() == [7] * 6 and points.tolist() == [7] * len(points)
     for args in ((b"", 0, 1), (b"",), (bytes([4]), 0.0), ([4], 0)):
         try:
             kernel.subtree_end(*args)
@@ -275,7 +306,7 @@ def check_all(kernel, seed: int = 26) -> None:
     rng = random.Random(seed)
     fuzz_evaluate(kernel, rng, 15000)
     fuzz_subtree_end(kernel, rng, 10000)
-    fuzz_tournaments(kernel, rng, 8000)
+    fuzz_draw(kernel, rng, 3000)
     fuzz_crossover(kernel, rng, 8000)
     check_refusals(kernel)
 

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from poolgp import engine
+from poolgp import engine, genome
 from poolgp.breeding_plan import BreedingPlan
 from poolgp.engine import (
     MAX_THREADS,
@@ -190,6 +190,43 @@ def test_draw_outcome_ranks_alike_in_the_kernel_and_in_numpy(evaluator, check):
 def test_draw_outcome_matches_pure_python_best_of_k_in_the_kernel_and_in_numpy(evaluator):
     for m, k in ((1, 7), (3, 1), (7, 7), (4, 9), (3, TOURNAMENT_BLOCK + 1), (1000, 20), (4000, 3)):
         test_draw_outcome_matches_pure_python_best_of_k(m, k)
+
+
+class ReferenceRng(random.Random):
+    """A subclass, so `draw_outcome` reads it through randbytes and ranks in numpy."""
+
+
+PARITY_FITNESSES = (0.0, -0.0, 1.0, 1.0, 2.5, -3.0, math.nan, math.inf, -math.inf)
+# every M with every k, but for the large M the largest k, whose reference takes seconds
+PARITY_CASES = [(m, k) for m in (1, 2, 3, 7, 2000, 4000)
+                for k in (1, 2, 7, 20, TOURNAMENT_BLOCK) if m * k < 10 ** 6]
+
+
+@pytest.mark.skipif(genome.evaluator() != "c", reason="no C kernel on this machine")
+@pytest.mark.parametrize("index", [0, 1, 623, 624])
+def test_the_kernels_draw_continues_the_stream_as_randbytes_blocks_do(index, monkeypatch):
+    # at every twist boundary of the state and with gauss_next set: the same mums, dads,
+    # points bytes and state after as the reference path, which the kernel path never takes
+    ranked = []
+    rank = engine.rank_tournaments
+    monkeypatch.setattr(engine, "rank_tournaments", lambda *a: ranked.append(rank(*a)))
+    for seed, (m, k) in enumerate(PARITY_CASES):
+        rng = random.Random(seed)
+        rng.gauss(0.0, 1.0)
+        version, state, gauss_next = rng.getstate()
+        rng.setstate((version, state[:-1] + (index,), gauss_next))
+        reference = ReferenceRng()
+        reference.setstate(rng.getstate())
+        pick = random.Random(-seed)
+        fitnesses = [pick.choice(PARITY_FITNESSES) for _ in range(m)]
+        ranked.clear()
+        mums, dads, points = draw_outcome(rng, fitnesses, k)
+        assert not ranked, (m, k)
+        want_mums, want_dads, want_points = draw_outcome(reference, fitnesses, k)
+        assert ranked, (m, k)
+        assert (mums, dads) == (want_mums, want_dads), (m, k)
+        assert points.tobytes() == want_points.tobytes(), (m, k)
+        assert rng.getstate() == reference.getstate(), (m, k)
 
 
 def test_child_stream_reads_only_its_own_cells():

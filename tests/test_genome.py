@@ -30,7 +30,7 @@ from poolgp.genome import (
     subtree_crossover,
     subtree_end,
 )
-from poolgp.problems import Problem
+from poolgp.problems import QUARTIC, Problem
 from simharness import tree_is_complete, word_for
 
 C = {v: CONST_BASE + i for i, v in enumerate(CONSTANTS)}  # constant value -> opcode
@@ -567,6 +567,36 @@ def test_evaluate_rejects_length_outside_buffer():
     for length in (-1, 4):
         with pytest.raises(InvariantError):
             genome.evaluate(bytes([ADD, VAR_X, VAR_X]), length, x)
+
+
+# a variable, a constant, and function roots over each, without a division by x: numpy
+# divides 0-d operands into a scalar, which the oracle cannot mask
+INPUT_CODES = ([VAR_X], [C[0.5]], [ADD, VAR_X, C[1.0]], [MUL, VAR_X, SUB, VAR_X, C[-0.5]],
+               [DIV, C[1.0], C[0.0]])
+
+
+def test_evaluate_converts_any_x_as_numpy_does_into_a_fresh_array(evaluator):
+    # the kernel reads a plain, aligned, C-contiguous float64 x in place, and is given a
+    # converted copy of any other x; on either path the result is the caller's own array
+    line = np.linspace(-1.0, 1.0, 12)
+    unaligned = np.frombuffer(b"\0" + line.tobytes(), np.float64, 12, 1)
+    for x in (line.tolist(), np.array(0.25), line.reshape(3, 4), line.astype(np.float32),
+              line[::2], line.astype(">f8"), unaligned, QUARTIC.inputs):
+        converted = np.array(x, dtype=np.float64)
+        x_bytes = np.asarray(x).tobytes()
+        for code in INPUT_CODES:
+            got = genome.evaluate(bytes(code), len(code), x)
+            assert type(got) is np.ndarray and got.dtype == np.float64, (x, code)
+            assert got.shape == converted.shape and got.flags.writeable, (x, code)
+            assert not np.shares_memory(got, x), (x, code)
+            assert same_bits(got, scalar_array_evaluate(code, len(code), converted)), (x, code)
+        assert np.asarray(x).tobytes() == x_bytes
+    # however far outside the code, a length is refused with the one message of both paths
+    for length in (-1, 4, 2 ** 70, -(2 ** 70)):
+        for x in (line, line.tolist()):
+            with pytest.raises(InvariantError) as refused:
+                genome.evaluate(bytes([ADD, VAR_X, VAR_X]), length, x)
+            assert str(refused.value) == _kernel.ERRORS[5], length
 
 
 # malformed twice over: an opcode past the last terminal, and more values than fit
