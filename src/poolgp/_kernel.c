@@ -219,30 +219,51 @@ static PyObject *crossover(PyObject *Py_UNUSED(self), PyObject *const *args, Py_
    the next word to temper, where 624 asks for a twist first. */
 enum { MT_N = 624, MT_M = 397 };
 
-/* the next word of the stream whose state is mt and *index: CPython's genrand_uint32 */
-static uint32_t next_word(uint32_t *mt, Py_ssize_t *index)
+/* the stream of a state, a block at a time: word[i] is mt[i] tempered, for i from index on */
+struct stream {
+    uint32_t mt[MT_N], word[MT_N];
+    Py_ssize_t index;
+};
+
+/* word[i] for i from index on: CPython's tempering of mt[i] */
+static void temper(struct stream *s)
+{
+    Py_ssize_t i;
+    for (i = s->index; i < MT_N; i++) {
+        uint32_t y = s->mt[i];
+        y ^= y >> 11;
+        y ^= (y << 7) & 0x9d2c5680U;
+        y ^= (y << 15) & 0xefc60000U;
+        s->word[i] = y ^ (y >> 18);
+    }
+}
+
+/* the next block: CPython's twist of all of mt (genrand_uint32), then every word tempered */
+static void twist(struct stream *s)
 {
     static const uint32_t mag01[2] = { 0x0U, 0x9908b0dfU };
-    uint32_t y;
+    uint32_t *mt = s->mt, y;
     int kk;
-    if (*index >= MT_N) {
-        for (kk = 0; kk < MT_N - MT_M; kk++) {
-            y = (mt[kk] & 0x80000000U) | (mt[kk + 1] & 0x7fffffffU);
-            mt[kk] = mt[kk + MT_M] ^ (y >> 1) ^ mag01[y & 0x1U];
-        }
-        for (; kk < MT_N - 1; kk++) {
-            y = (mt[kk] & 0x80000000U) | (mt[kk + 1] & 0x7fffffffU);
-            mt[kk] = mt[kk + (MT_M - MT_N)] ^ (y >> 1) ^ mag01[y & 0x1U];
-        }
-        y = (mt[MT_N - 1] & 0x80000000U) | (mt[0] & 0x7fffffffU);
-        mt[MT_N - 1] = mt[MT_M - 1] ^ (y >> 1) ^ mag01[y & 0x1U];
-        *index = 0;
+    for (kk = 0; kk < MT_N - MT_M; kk++) {
+        y = (mt[kk] & 0x80000000U) | (mt[kk + 1] & 0x7fffffffU);
+        mt[kk] = mt[kk + MT_M] ^ (y >> 1) ^ mag01[y & 0x1U];
     }
-    y = mt[(*index)++];
-    y ^= y >> 11;
-    y ^= (y << 7) & 0x9d2c5680U;
-    y ^= (y << 15) & 0xefc60000U;
-    return y ^ (y >> 18);
+    for (; kk < MT_N - 1; kk++) {
+        y = (mt[kk] & 0x80000000U) | (mt[kk + 1] & 0x7fffffffU);
+        mt[kk] = mt[kk + (MT_M - MT_N)] ^ (y >> 1) ^ mag01[y & 0x1U];
+    }
+    y = (mt[MT_N - 1] & 0x80000000U) | (mt[0] & 0x7fffffffU);
+    mt[MT_N - 1] = mt[MT_M - 1] ^ (y >> 1) ^ mag01[y & 0x1U];
+    s->index = 0;
+    temper(s);
+}
+
+/* the next word of the stream, twisting a new block where the last one is used up */
+static inline uint32_t next_word(struct stream *s)
+{
+    if (s->index >= MT_N)
+        twist(s);
+    return s->word[s->index++];
 }
 
 /* state's 624 words into mt, and its index; -1 with ValueError unless state is a tuple of
@@ -270,63 +291,199 @@ static Py_ssize_t read_state(PyObject *state, uint32_t *mt)
     return (Py_ssize_t)v;
 }
 
-/* draw(state, fit, k, winners, points) -> the state after: continues the stream of state
-   (see read_state) word by word. winners[r] (uint64) is the winner of tournament r of
-   len(winners) = 2m: the best of the k entrants that the next k words draw, word u drawing
-   member (u * m) >> 32 of fit's m doubles. The lowest fitness wins, NaN ranking as inf, and
-   ties go to the lowest index. Then points (uint32) takes the next POINTS_PER_CHILD * m
-   words. So it reads the words that random.Random.randbytes blocks of whole words would
-   give, in their order, and holds none of them past its entrant. ValueError for a malformed
-   state, k < 1, or winners or points of another size or item size, before any write. */
+/* s's state as random.Random.getstate()[1]: its 624 words, then its index */
+static PyObject *write_state(const struct stream *s)
+{
+    PyObject *state = PyTuple_New(MT_N + 1), *item;
+    Py_ssize_t i;
+    for (i = 0; state && i <= MT_N; i++) {
+        if (!(item = PyLong_FromSsize_t(i < MT_N ? (Py_ssize_t)s->mt[i] : s->index)))
+            Py_CLEAR(state);
+        else
+            PyTuple_SET_ITEM(state, i, item);
+    }
+    return state;
+}
+
+/* 1 where the sequence from PySequence_Fast still has n items, else 0 with ValueError */
+static int same_size(PyObject *seq, Py_ssize_t n)
+{
+    if (PySequence_Fast_GET_SIZE(seq) == n)
+        return 1;
+    PyErr_SetString(PyExc_ValueError, "a sequence changed size while the kernel read it");
+    return 0;
+}
+
+/* member (u * m) >> 32 of m, for the word u */
+#define ENTRANT(u, m) ((Py_ssize_t)(((uint64_t)(u) * (uint64_t)(m)) >> 32))
+
+/* draw(state, fitnesses, k, points) -> (state after, mums, dads): continues the stream of
+   state (see read_state). Tournament r of 2m, for the m floats of the sequence fitnesses,
+   is the best of the k entrants that the next k words draw, word u drawing member
+   (u * m) >> 32; its winner goes to mums[r / 2] for even r, else to dads[r / 2], two new
+   lists. The lowest fitness wins, NaN ranking as inf, and ties go to the lowest index.
+   Then points (uint32) takes the next POINTS_PER_CHILD * m words. So it reads the words
+   that random.Random.randbytes blocks of whole words would give, in their order, tempering
+   a block of MT_N after each twist. The fitnesses are read once, into m doubles.
+   ValueError for a malformed state, k < 1, or points of another size or item size, and
+   TypeError for a fitness that is no float, before any write. */
 static PyObject *draw(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
 {
-    Py_buffer f = { 0 }, w = { 0 }, p = { 0 };
-    uint32_t mt[MT_N];
-    Py_ssize_t index, k, m, r, i;
-    PyObject *after = NULL;
-    if (nargs != 5)
-        return PyErr_Format(PyExc_TypeError, "draw takes 5 arguments");
-    if ((index = read_state(args[0], mt)) >= 0
-        && ((k = PyNumber_AsSsize_t(args[2], NULL)) != -1 || !PyErr_Occurred())
-        && !PyObject_GetBuffer(args[1], &f, PyBUF_SIMPLE)
-        && !PyObject_GetBuffer(args[3], &w, PyBUF_WRITABLE | PyBUF_FORMAT)
-        && !PyObject_GetBuffer(args[4], &p, PyBUF_WRITABLE | PyBUF_FORMAT)) {
-        const double *fit = f.buf;
-        uint64_t *winner = w.buf;
-        uint32_t *point = p.buf;
-        m = f.len / (Py_ssize_t)sizeof *fit;
-        if (k < 1 || f.len % (Py_ssize_t)sizeof *fit || (uint64_t)m > UINT32_MAX
-            || w.itemsize != sizeof *winner || w.len != (Py_ssize_t)sizeof *winner * 2 * m
-            || p.itemsize != sizeof *point
-            || p.len != (Py_ssize_t)sizeof *point * POINTS_PER_CHILD * m)
-            PyErr_SetString(PyExc_ValueError, "draw: k, fit, winners and points disagree");
-        else {
-            for (r = 0; r < 2 * m; r++) {
-                uint64_t best = 0, e;
-                double low = 0.0, v;
-                for (i = 0; i < k; i++) {
-                    e = ((uint64_t)next_word(mt, &index) * (uint64_t)m) >> 32;
-                    v = isnan(fit[e]) ? INFINITY : fit[e];
-                    if (!i || v < low || (v == low && e < best))
-                        best = e, low = v;
-                }
-                winner[r] = best;
-            }
-            for (r = 0; r < POINTS_PER_CHILD * m; r++)
-                point[r] = next_word(mt, &index);
-            if ((after = PyTuple_New(MT_N + 1)))
-                for (i = 0; i <= MT_N; i++) {
-                    PyObject *item = PyLong_FromSsize_t(i < MT_N ? (Py_ssize_t)mt[i] : index);
-                    if (!item) {
-                        Py_CLEAR(after);
-                        break;
-                    }
-                    PyTuple_SET_ITEM(after, i, item);
-                }
-        }
+    Py_buffer p = { 0 };
+    struct stream s;
+    Py_ssize_t k, m, r, i;
+    PyObject *seq = NULL, *mums = NULL, *dads = NULL, *after = NULL, *result = NULL;
+    double *fit = NULL;
+    if (nargs != 4)
+        return PyErr_Format(PyExc_TypeError, "draw takes 4 arguments");
+    if ((s.index = read_state(args[0], s.mt)) < 0
+        || ((k = PyNumber_AsSsize_t(args[2], NULL)) == -1 && PyErr_Occurred())
+        || !(seq = PySequence_Fast(args[1], "draw: the fitnesses are not a sequence"))
+        || PyObject_GetBuffer(args[3], &p, PyBUF_WRITABLE | PyBUF_FORMAT))
+        goto done;
+    m = PySequence_Fast_GET_SIZE(seq);
+    if (k < 1 || (uint64_t)m > UINT32_MAX || p.itemsize != sizeof(uint32_t)
+        || p.len != (Py_ssize_t)sizeof(uint32_t) * POINTS_PER_CHILD * m) {
+        PyErr_SetString(PyExc_ValueError, "draw: k, fitnesses and points disagree");
+        goto done;
     }
-    PyBuffer_Release(&f), PyBuffer_Release(&w), PyBuffer_Release(&p);
-    return after;
+    if (!(fit = PyMem_New(double, m))) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    for (i = 0; i < m; i++) {
+        PyObject *item = PySequence_Fast_GET_ITEM(seq, i);
+        double v;
+        Py_INCREF(item);  /* a __float__ may change the sequence */
+        v = PyFloat_AsDouble(item);
+        Py_DECREF(item);
+        if ((v == -1.0 && PyErr_Occurred()) || !same_size(seq, m))
+            goto done;
+        fit[i] = isnan(v) ? INFINITY : v;
+    }
+    if (!(mums = PyList_New(m)) || !(dads = PyList_New(m)))
+        goto done;
+    temper(&s);
+    for (r = 0; r < 2 * m; r++) {  /* the first entrant leads; a later one takes the lead */
+        Py_ssize_t best = ENTRANT(next_word(&s), m), e;  /* without a branch to mispredict */
+        double low = fit[best], v;
+        PyObject *winner;
+        for (i = 1; i < k; i++) {
+            int lead;
+            e = ENTRANT(next_word(&s), m), v = fit[e];
+            lead = (v < low) | ((v == low) & (e < best));
+            best = lead ? e : best, low = lead ? v : low;
+        }
+        if (!(winner = PyLong_FromSsize_t(best)))
+            goto done;
+        PyList_SET_ITEM(r & 1 ? dads : mums, r >> 1, winner);
+    }
+    for (r = 0; r < POINTS_PER_CHILD * m; r++)
+        ((uint32_t *)p.buf)[r] = next_word(&s);
+    if ((after = write_state(&s)))
+        result = PyTuple_Pack(3, after, mums, dads);
+done:
+    PyMem_Free(fit);
+    Py_XDECREF(seq), Py_XDECREF(mums), Py_XDECREF(dads), Py_XDECREF(after);
+    PyBuffer_Release(&p);
+    return result;
+}
+
+/* parent i of mums and dads' 2n, child i / 2's mum for even i, else its dad, as an index
+   from 0 to n - 1; -1 with ValueError, in python_plan's text where it is out of range, or
+   with TypeError where it is no int */
+static Py_ssize_t parent_of(PyObject *ms, PyObject *ds, Py_ssize_t n, Py_ssize_t i)
+{
+    PyObject *item = PySequence_Fast_GET_ITEM(i & 1 ? ds : ms, i >> 1);
+    Py_ssize_t p;
+    if (PyLong_CheckExact(item)) {  /* the common case, and no Python code runs */
+        if ((p = PyLong_AsSsize_t(item)) == -1)
+            PyErr_Clear();  /* past the range of Py_ssize_t: -1, so out of range */
+    }
+    else {
+        Py_INCREF(item);  /* an __index__ may change the sequences */
+        p = PyNumber_AsSsize_t(item, NULL);  /* past the range of Py_ssize_t: clamped */
+        Py_DECREF(item);
+        if ((p == -1 && PyErr_Occurred()) || !same_size(ms, n) || !same_size(ds, n))
+            return -1;
+    }
+    if (p < 0 || p >= n) {
+        PyErr_Format(PyExc_ValueError, "parent index out of range for child %zd", i >> 1);
+        return -1;
+    }
+    return p;
+}
+
+/* plan(mums, dads) -> (children, status, chain1): breeding_plan.python_plan's three lists,
+   for the sequences of parent indices mums and dads. children[p] lists parent p's children
+   in child order, a child of p twice where p is both its parents; status[s] is 1 where
+   child s is the only child of a parent, else 2; chain1 holds the status-1 children,
+   highest first. ValueError, with python_plan's text, where the lengths differ and then for
+   the first child with a parent outside 0 to n - 1; TypeError for a parent that is no int.
+   It holds one count per parent and no copy of the parents: one pass counts each parent's
+   children and sizes its list, and a second pass down the children reads the parents
+   again and fills every list. */
+static PyObject *plan(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
+{
+    PyObject *ms = NULL, *ds = NULL, *children = NULL, *status = NULL, *chain1 = NULL;
+    PyObject *result = NULL;
+    Py_ssize_t n, s, i, p, *left = NULL;  /* left[p]: p's children, then its places to fill */
+    if (nargs != 2)
+        return PyErr_Format(PyExc_TypeError, "plan takes 2 arguments");
+    if (!(ms = PySequence_Fast(args[0], "plan: mums is not a sequence"))
+        || !(ds = PySequence_Fast(args[1], "plan: dads is not a sequence")))
+        goto done;
+    if ((n = PySequence_Fast_GET_SIZE(ms)) != PySequence_Fast_GET_SIZE(ds)) {
+        PyErr_SetString(PyExc_ValueError, "mums and dads must have equal length");
+        goto done;
+    }
+    if (!(left = PyMem_Calloc(n + 1, sizeof *left))) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    for (i = 0; i < 2 * n; i++) {
+        if ((p = parent_of(ms, ds, n, i)) < 0)
+            goto done;
+        left[p]++;
+    }
+    if (!(children = PyList_New(n)) || !(status = PyList_New(n)) || !(chain1 = PyList_New(0)))
+        goto done;
+    for (p = 0; p < n; p++) {
+        PyObject *kids = PyList_New(left[p]);
+        if (!kids)
+            goto done;
+        PyList_SET_ITEM(children, p, kids);
+    }
+    for (s = n - 1; s >= 0; s--) {  /* each list filled from its end: in child order */
+        PyObject *id = PyLong_FromSsize_t(s);
+        int single = 0;
+        if (!id)
+            goto done;
+        for (i = 2 * s; i < 2 * s + 2; i++) {
+            PyObject *kids;
+            if ((p = parent_of(ms, ds, n, i)) < 0 || !left[p]) {  /* !left[p]: it changed */
+                if (p >= 0)
+                    PyErr_SetString(PyExc_ValueError, "plan: a parent changed while read");
+                Py_DECREF(id);
+                goto done;
+            }
+            kids = PyList_GET_ITEM(children, p);
+            single |= PyList_GET_SIZE(kids) == 1;
+            Py_INCREF(id), PyList_SET_ITEM(kids, --left[p], id);
+        }
+        PyList_SET_ITEM(status, s, PyLong_FromLong(single ? 1 : 2));  /* cached small ints */
+        if (single && PyList_Append(chain1, id)) {
+            Py_DECREF(id);
+            goto done;
+        }
+        Py_DECREF(id);
+    }
+    result = PyTuple_Pack(3, children, status, chain1);
+done:
+    PyMem_Free(left);
+    Py_XDECREF(ms), Py_XDECREF(ds);
+    Py_XDECREF(children), Py_XDECREF(status), Py_XDECREF(chain1);
+    return result;
 }
 
 /* numpy's pairwise sum of |p - t| (loops_utils.h): 8 accumulators up to 128, halves above */
@@ -369,6 +526,7 @@ static PyMethodDef methods[] = {
     { "subtree_end", (PyCFunction)(void (*)(void))subtree_end, METH_FASTCALL, NULL },
     { "draw", (PyCFunction)(void (*)(void))draw, METH_FASTCALL, NULL },
     { "crossover", (PyCFunction)(void (*)(void))crossover, METH_FASTCALL, NULL },
+    { "plan", (PyCFunction)(void (*)(void))plan, METH_FASTCALL, NULL },
     { NULL },
 };
 /* numpy's C API, for evaluate's result arrays */

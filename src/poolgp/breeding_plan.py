@@ -18,6 +18,9 @@ length is the parent's outstanding child count, and the plan is the only
 place that count lives. The plan also keeps every child's parents, as the
 two plain lists the tournaments drew.
 
+The kernel's `plan` builds the children lists, `status` and `chain1` in one
+call where it loaded; `python_plan` is its reference and the fallback.
+
 No internal locking: every operation runs inside the engine lock.
 """
 
@@ -28,6 +31,27 @@ from .errors import InvariantError
 NIL = -1  # chain 1 is empty; "no sole survivor" from rem_child
 
 
+def python_plan(mums, dads) -> tuple[list[list[int]], list[int], list[int]]:
+    """(children, status, chain1) for a generation's parents: the reference of the kernel's
+    `plan`, to the same lists and ValueError texts.
+
+    children[p] lists parent p's children in child order; status[s] is 1
+    (class 1) or 2 (class 2+); chain1 holds the class-1 children, lowest last.
+    """
+    n = len(mums)
+    if len(dads) != n:
+        raise ValueError("mums and dads must have equal length")
+    children: list[list[int]] = [[] for _ in mums]
+    for s, (m, d) in enumerate(zip(mums, dads)):
+        if not (0 <= m < n and 0 <= d < n):
+            raise ValueError(f"parent index out of range for child {s}")
+        children[m].append(s)
+        children[d].append(s)
+    status = [1 if len(children[m]) == 1 or len(children[d]) == 1 else 2
+              for m, d in zip(mums, dads)]
+    return children, status, [s for s in range(n - 1, -1, -1) if status[s] == 1]
+
+
 class BreedingPlan:
     """Work queues, parentage and children lists for one generation of crossovers.
 
@@ -36,22 +60,15 @@ class BreedingPlan:
     """
 
     def __init__(self, mums: list[int], dads: list[int]):
-        n = len(mums)
-        if len(dads) != n:
-            raise ValueError("mums and dads must have equal length")
+        """The plan's tables from the kernel's `plan` where it loaded, else from
+        `python_plan`: the same lists, or the same ValueError."""
+        # imported here, after the package's other imports: importing genome, which loads
+        # the kernel, ahead of them left each benchmark process about 0.1 MiB larger
+        from . import genome
+
+        build = python_plan if genome._native is None else genome._native.plan
+        self.children, self.status, self.chain1 = build(mums, dads)
         self.mums, self.dads = mums, dads
-        children: list[list[int]] = [[] for _ in mums]
-        for s, (m, d) in enumerate(zip(mums, dads)):
-            if not (0 <= m < n and 0 <= d < n):
-                raise ValueError(f"parent index out of range for child {s}")
-            children[m].append(s)
-            children[d].append(s)
-        self.children = children
-        self.status = status = [
-            1 if len(children[m]) == 1 or len(children[d]) == 1 else 2
-            for m, d in zip(mums, dads)
-        ]
-        self.chain1 = [s for s in range(n - 1, -1, -1) if status[s] == 1]
         self.next2 = 0  # no class-2 child below this index
 
     @property

@@ -135,7 +135,8 @@ def draw_outcome(rng, fitnesses, k: int) -> tuple[list[int], list[int], array]:
 
     Where the kernel loaded and `rng` is a plain `random.Random`, the
     kernel's `draw` continues rng's Mersenne Twister state from one
-    `getstate`, and one `setstate` hands the state after back, with the
+    `getstate`, reads `fitnesses` as it is and returns the mums and dads
+    lists and the state after, which one `setstate` hands back with the
     version and `gauss_next` kept. Any other rng, such as a subclass that
     overrides `getrandbits` or `randbytes`, is read through `randbytes`:
     the tournaments in blocks of at most TOURNAMENT_BLOCK entrants (at least
@@ -144,21 +145,21 @@ def draw_outcome(rng, fitnesses, k: int) -> tuple[list[int], list[int], array]:
     the same words in the same order, so they draw the same outcome.
     """
     m = len(fitnesses)
-    fit = np.array(fitnesses, dtype=np.float64)
-    rows = 2 * m
-    winners = np.empty(rows, dtype=np.uint64)
     if genome._native is not None and type(rng) is random.Random:
         points = array("I", [0]) * (POINTS_PER_CHILD * m)
         version, state, gauss_next = rng.getstate()
-        rng.setstate((version, genome._native.draw(state, fit, k, winners, points), gauss_next))
-    else:
-        block_rows = max(1, TOURNAMENT_BLOCK // k)
-        for start in range(0, rows, block_rows):
-            n = min(block_rows, rows - start)
-            rank_tournaments(rng.randbytes(4 * n * k), fit, k, winners[start:start + n])
-        points = draw_points(rng, m)
+        state, mums, dads = genome._native.draw(state, fitnesses, k, points)
+        rng.setstate((version, state, gauss_next))
+        return mums, dads, points
+    fit = np.array(fitnesses, dtype=np.float64)
+    rows = 2 * m
+    winners = np.empty(rows, dtype=np.uint64)
+    block_rows = max(1, TOURNAMENT_BLOCK // k)
+    for start in range(0, rows, block_rows):
+        n = min(block_rows, rows - start)
+        rank_tournaments(rng.randbytes(4 * n * k), fit, k, winners[start:start + n])
     picks = winners.tolist()
-    return picks[0::2], picks[1::2], points
+    return picks[0::2], picks[1::2], draw_points(rng, m)
 
 
 def rank_tournaments(words: bytes, fit: np.ndarray, k: int, out: np.ndarray) -> None:

@@ -1,6 +1,6 @@
 """A seeded differential fuzz of the C kernel against the Python code it stands in for.
 
-`check_all(kernel, seed)` drives a loaded kernel module's five functions:
+`check_all(kernel, seed)` drives a loaded kernel module's six functions:
 
 * `evaluate` against `genome._interpret` on random byte genomes (every opcode,
   and some past the last terminal) over 0-6 cases of special values, and on
@@ -10,7 +10,11 @@
 * `subtree_end` against `genome.arity_walk`, past either end of the code too;
 * `draw` against `engine.draw_outcome` over a `random.Random` subclass, which
   reads the stream through `randbytes` and ranks in numpy: from random and
-  all-zero states at every twist boundary, with ties, NaN and inf;
+  all-zero states at every twist boundary and mid-block, over lists and
+  tuples of fitnesses with ties, NaN and inf;
+* `plan` against `breeding_plan.python_plan`: the same three lists, or the
+  same ValueError text, over 0-40 children with self-crossover, every child
+  on one parent, and lists, tuples and numpy ints as input;
 * `crossover` against `genome.python_crossover`: the same length or
   exception class, the same child bytes, and a child never resized;
 * and the refusals of malformed arguments.
@@ -34,6 +38,7 @@ import sys
 import numpy as np
 
 from poolgp import _kernel, genome
+from poolgp.breeding_plan import python_plan
 from poolgp.engine import draw_outcome
 from poolgp.errors import InvariantError
 from poolgp.genome import (
@@ -158,27 +163,66 @@ class ReferenceRng(random.Random):
 
 def random_state(rng) -> tuple:
     """A Mersenne Twister state: random or all-zero words (a stream of zero words), and an
-    index at a twist boundary or anywhere."""
+    index at a twist boundary, mid-block or anywhere."""
     words = (0,) * 624 if rng.random() < 0.1 else tuple(rng.getrandbits(32) for _ in range(624))
-    return words + (rng.choice((0, 1, 623, 624, rng.randint(0, 624))),)
+    return words + (rng.choice((0, 1, 623, 624, rng.randint(2, 622), rng.randint(0, 624))),)
 
 
 def fuzz_draw(kernel, rng, count: int) -> None:
-    """`draw` against `draw_outcome`'s randbytes path: the same winners, points and state."""
+    """`draw` against `draw_outcome`'s randbytes path: the same mums, dads, points and state,
+    and the fitnesses left as they were."""
     for _ in range(count):
         m, k = rng.randint(0, 40), rng.randint(1, 12)
         fitnesses = [rng.choice(FITNESSES) for _ in range(m)]
-        fit = np.array(fitnesses)
-        fit_bytes, state = fit.tobytes(), random_state(rng)
+        if rng.random() < 0.3:
+            fitnesses = tuple(fitnesses)
+        before, state = list(map(id, fitnesses)), random_state(rng)
         reference = ReferenceRng(0)
         reference.setstate((3, state, None))
         mums, dads, points = draw_outcome(reference, fitnesses, k)
-        winners, got = np.full(2 * m, 7, np.uint64), array("I", [7]) * len(points)
-        after = kernel.draw(state, fit, k, winners, got)
-        assert (winners[0::2].tolist(), winners[1::2].tolist(), got) == (mums, dads, points), (
-            fitnesses, k, state[-1])
+        got = array("I", [7]) * len(points)
+        after, got_mums, got_dads = kernel.draw(state, fitnesses, k, got)
+        assert (got_mums, got_dads, got) == (mums, dads, points), (fitnesses, k, state[-1])
         assert after == reference.getstate()[1], (m, k, state[-1])
-        assert fit.tobytes() == fit_bytes
+        assert list(map(id, fitnesses)) == before
+
+
+def random_parents(rng) -> tuple:
+    """(mums, dads) of 0-40 children: random pairs, every child on one parent, every child
+    a self-crossover, or a mix; as lists, tuples, numpy arrays or lists of numpy ints. One
+    time in eight the lengths differ or a parent is out of range."""
+    m, kind = rng.randint(0, 40), rng.randrange(4)
+    mums = [rng.randrange(m) for _ in range(m)] if kind != 1 else [m - 1] * m
+    dads = (list(mums) if kind == 2 else [m - 1] * m if kind == 1
+            else [p if rng.random() < 0.3 else rng.randrange(m) for p in mums] if kind == 3
+            else [rng.randrange(m) for _ in range(m)])
+    if rng.random() < 1 / 8:
+        bad = rng.choice((mums, dads))
+        if m and rng.random() < 0.7:
+            bad[rng.randrange(m)] = rng.choice((m, -1, m + 5, -m - 1, 2 ** 70))
+        elif bad and rng.random() < 0.5:
+            bad.pop()
+        else:
+            bad.append(0)
+    form = rng.choice((list, tuple, np.array, lambda ps: [np.int64(p) for p in ps]))
+    return (form(mums), form(dads)) if max(mums + dads, default=0) < 2 ** 62 else (mums, dads)
+
+
+def plan_outcome(build, mums, dads):
+    """The three lists, or the ValueError's text."""
+    try:
+        return build(mums, dads)
+    except ValueError as refused:
+        return f"ValueError: {refused}"
+
+
+def fuzz_plan(kernel, rng, count: int) -> None:
+    """`plan` against `python_plan`: the same children, status and chain1 lists of ints, or
+    the same ValueError text."""
+    for _ in range(count):
+        mums, dads = random_parents(rng)
+        got = plan_outcome(kernel.plan, mums, dads)
+        assert got == plan_outcome(python_plan, mums, dads), (list(mums), list(dads), got)
 
 
 def crossover_outcome(cross, mum, mum_len, dad, dad_len, child, capacity, points):
@@ -249,33 +293,98 @@ def fuzz_crossover(kernel, rng, count: int) -> None:
                              points.tolist(), got, want)
 
 
+class Emptying:
+    """A number whose conversion empties the list it sits in."""
+
+    def __init__(self, within: list):
+        self.within = within
+
+    def __float__(self):
+        self.within.clear()
+        return 0.0
+
+    def __index__(self):
+        self.within.clear()
+        return 0
+
+
+class Changing:
+    """An index that reads 0 the first time and 1 after."""
+
+    def __init__(self):
+        self.reads = 0
+
+    def __index__(self):
+        self.reads += 1
+        return 0 if self.reads == 1 else 1
+
+
 def check_refusals(kernel) -> None:
     """Malformed arguments raise, and nothing is read or written past a buffer."""
     # a state of 623 or 626 entries, an index of -1 or 625, a word of 2**32 or a float, not
-    # a tuple; k = 0; winners or points a word short or long, or of another item size:
-    # refused before anything is written
+    # a tuple; k = 0; points a word short or long, or of another item size; a fitness that
+    # is no float, or fitnesses that are no sequence: refused before anything is written
     rng = random.Random(5)
     before = rng.getstate()
     state = before[1]
-    fit = np.zeros(3)
-    winners, points = np.full(6, 7, np.uint64), array("I", [7]) * (POINTS_PER_CHILD * 3)
-    sizes = (winners, points)
-    bad = [(state[:623], fit, 1, *sizes), (state + (0,), fit, 1, *sizes),
-           (state[:-1] + (-1,), fit, 1, *sizes), (state[:-1] + (625,), fit, 1, *sizes),
-           ((2 ** 32,) + state[1:], fit, 1, *sizes), (state[:5] + (1.0,) + state[6:], fit, 1, *sizes),
-           (list(state), fit, 1, *sizes), (state, fit, 0, *sizes),
-           (state, fit, 1, winners[:5], points), (state, fit, 1, np.zeros(7, np.uint64), points),
-           (state, fit, 1, np.zeros(6, np.uint32), points), (state, fit, 1, winners, points[:-1]),
-           (state, fit, 1, winners, points + array("I", [7])),
-           (state, fit, 1, winners, array("Q", [7]) * (POINTS_PER_CHILD * 3 // 2))]
+    fit, points = [0.0] * 3, array("I", [7]) * (POINTS_PER_CHILD * 3)
+    bad = [(state[:623], fit, 1, points), (state + (0,), fit, 1, points),
+           (state[:-1] + (-1,), fit, 1, points), (state[:-1] + (625,), fit, 1, points),
+           ((2 ** 32,) + state[1:], fit, 1, points), (state[:5] + (1.0,) + state[6:], fit, 1, points),
+           (list(state), fit, 1, points), (state, fit, 0, points),
+           (state, fit, 1, points[:-1]), (state, fit, 1, points + array("I", [7])),
+           (state, fit, 1, array("Q", [7]) * (POINTS_PER_CHILD * 3 // 2)),
+           (state, fit, 1, bytearray(4 * len(points)))]
     for args in bad:
         try:
             kernel.draw(*args)
         except ValueError:
             continue
         raise AssertionError(f"draw took {[len(a) if hasattr(a, '__len__') else a for a in args]}")
-    assert rng.getstate() == before
-    assert winners.tolist() == [7] * 6 and points.tolist() == [7] * len(points)
+    for args in ((state, [0.0, "1", 0.0], 1, points), (state, 3.0, 1, points),
+                 (state, fit, 1.0, points), (state, fit, 1, points, points)):
+        try:
+            kernel.draw(*args)
+        except TypeError:
+            continue
+        raise AssertionError(f"draw took {args[1:]!r}")
+    # a conversion that empties the list being read: refused, not read past its end
+    shrinking = [0.0] * 3
+    shrinking[1] = Emptying(shrinking)
+    try:
+        kernel.draw(state, shrinking, 1, points)
+        raise AssertionError("draw read fitnesses that shrank")
+    except ValueError:
+        pass
+    assert rng.getstate() == before and points.tolist() == [7] * len(points)
+    # lengths that differ, a parent out of range, negative or no int, no sequence or a
+    # wrong count: refused, with python_plan's text where it refuses with a ValueError
+    for mums, dads, text in (([0, 1], [1], "mums and dads must have equal length"),
+                             ([0, 2], [1, 1], "parent index out of range for child 1"),
+                             ([0, 1], [-1, 1], "parent index out of range for child 0"),
+                             ([5, 0], [1.0, 1], "parent index out of range for child 0")):
+        for build in (kernel.plan, python_plan):
+            assert plan_outcome(build, mums, dads) == f"ValueError: {text}", (build, mums, dads)
+    for args in (([0, 1], [1.0, 0]), ([0, "1"], [1, 0]), (3, [0]), ([0],), ([0], [0], [0])):
+        try:
+            kernel.plan(*args)
+        except TypeError:
+            continue
+        raise AssertionError(f"plan took {args!r}")
+    for side in (0, 1):
+        parents = [[0, 0, 0], [1, 0, 2]]
+        parents[side][1] = Emptying(parents[side])
+        try:
+            kernel.plan(*parents)
+            raise AssertionError(f"plan read parents that shrank ({side})")
+        except ValueError:
+            pass
+    # a parent read as 0, then as 1: refused, with no list left part-filled
+    try:
+        kernel.plan([Changing(), 0], [0, 0])
+        raise AssertionError("plan took a parent that changed")
+    except ValueError:
+        pass
     for args in ((b"", 0, 1), (b"",), (bytes([4]), 0.0), ([4], 0)):
         try:
             kernel.subtree_end(*args)
@@ -307,6 +416,7 @@ def check_all(kernel, seed: int = 26) -> None:
     fuzz_evaluate(kernel, rng, 15000)
     fuzz_subtree_end(kernel, rng, 10000)
     fuzz_draw(kernel, rng, 3000)
+    fuzz_plan(kernel, rng, 3000)
     fuzz_crossover(kernel, rng, 8000)
     check_refusals(kernel)
 

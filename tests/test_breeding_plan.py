@@ -1,13 +1,15 @@
-"""Breeding plan unit tests: hand-traced queue, rem_child and move21 behavior."""
+"""Breeding plan unit tests: hand-traced queue, rem_child and move21 behavior, and the
+kernel's build of the plan's tables against the Python build."""
 
 import random
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from poolgp import breeding_plan
+from poolgp import breeding_plan, genome
 from poolgp.breeding_plan import NIL, BreedingPlan
 from poolgp.errors import InvariantError
 from simharness import check_integrity, queues
@@ -256,3 +258,57 @@ def test_plan_invariants_hold_under_python_optimize():
     proc = subprocess.run([sys.executable, "-O", "-c", script], cwd=src,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+needs_kernel = pytest.mark.skipif(genome.evaluator() != "c", reason="no C kernel on this machine")
+
+
+def tables(plan):
+    return plan.children, plan.status, plan.chain1, plan.next2
+
+
+def python_build(monkeypatch, mums, dads):
+    """`BreedingPlan(mums, dads)` without the kernel: its tables, or the ValueError's text."""
+    with monkeypatch.context() as m:
+        m.setattr(genome, "_native", None)
+        try:
+            return tables(BreedingPlan(mums, dads))
+        except ValueError as refused:
+            return str(refused)
+
+
+def plan_cases():
+    """(mums, dads): M = 0, 1, 2 and 4000; self-crossover; every child on one parent;
+    random pairs; and tuples and numpy ints as input."""
+    rng = random.Random(30)
+    yield [], []
+    yield [0], [0]
+    yield [0, 1], [1, 0]
+    yield [1, 1], [0, 1]
+    m = 4000
+    perm = rng.sample(range(m), m)
+    yield perm, perm  # each member the mum and dad of one child
+    yield [7] * m, [7] * m  # every child on one parent
+    yield [rng.randrange(m) for _ in range(m)], [rng.randrange(m) for _ in range(m)]
+    for m in (3, 9, 40, 300):
+        mums = [rng.randrange(m) for _ in range(m)]
+        dads = [mum if rng.random() < 0.2 else rng.randrange(m) for mum in mums]
+        yield mums, dads
+        yield tuple(mums), tuple(dads)
+        yield np.array(mums), [np.int32(d) for d in dads]
+
+
+@needs_kernel
+def test_the_kernels_plan_builds_the_python_plans_tables(monkeypatch):
+    for mums, dads in plan_cases():
+        assert tables(BreedingPlan(mums, dads)) == python_build(monkeypatch, mums, dads), len(mums)
+
+
+@needs_kernel
+def test_the_kernels_plan_refuses_with_the_python_plans_text(monkeypatch):
+    for mums, dads in (([0, 1], [1]), ([], [0]), ([0, 3], [1, 1]), ([0, 1], [-1, 5]),
+                       ([2 ** 70, 0], [0, 0]), ([0, 0, 0], [0, 1, -(2 ** 70)]),
+                       ([0, 1], [1, 2])):
+        with pytest.raises(ValueError) as refused:
+            BreedingPlan(mums, dads)
+        assert str(refused.value) == python_build(monkeypatch, mums, dads), (mums, dads)

@@ -49,6 +49,34 @@ class ScriptedRng:
         return struct.pack(f"<{n // 4}I", *(take + [0] * (n // 4 - len(take))))
 
 
+def untemper(word: int) -> int:
+    """The Mersenne Twister state word that CPython tempers to the uint32 `word`."""
+    y = word ^ word >> 18
+    y ^= y << 15 & 0xEFC60000
+    x = y
+    for _ in range(5):  # each pass fixes 7 more low bits
+        x = y ^ (x << 7 & 0x9D2C5680)
+    return x ^ x >> 11 ^ x >> 22
+
+
+def scripted_random(words) -> random.Random:
+    """A plain `random.Random` whose next words are `words` (at most 624), then 0 up to the
+    next twist: the state holds each word untempered, padded with 0, at index 0."""
+    if len(words) > 624:
+        raise ValueError("a script of more than one block")
+    rng = random.Random()
+    rng.setstate((3, (*map(untemper, words), *[0] * (624 - len(words)), 0), None))
+    return rng
+
+
+def scripted_draw(words, fitnesses, k):
+    """`draw_outcome` over scripted words, from `scripted_random` (the kernel's draw where
+    it loaded) and from `ScriptedRng` (randbytes): both must draw the same."""
+    outcome = draw_outcome(scripted_random(words), fitnesses, k)
+    assert outcome == draw_outcome(ScriptedRng(words), fitnesses, k)
+    return outcome
+
+
 class RecordingRng(random.Random):
     """A real stream that remembers the size of every randbytes request."""
 
@@ -102,23 +130,29 @@ def small_config(**overrides):
     return RunConfig(**base)
 
 
+def test_scripted_random_serves_its_script_then_zeros():
+    words = [0, 1, 2 ** 32 - 1, 0x9D2C5680, 0xEFC60000] + [random.Random(3).getrandbits(32)
+                                                            for _ in range(600)]
+    rng = scripted_random(words)
+    assert [rng.getrandbits(32) for _ in range(624)] == words + [0] * 19
+
+
 def test_tournament_picks_best_of_draws():
-    mums, dads, _ = draw_outcome(ScriptedRng([0, word_for(2, 3)]), [3.0, 1.0, 2.0], 2)
+    mums, dads, _ = scripted_draw([0, word_for(2, 3)], [3.0, 1.0, 2.0], 2)
     assert mums == [2, 0, 0]
     assert dads == [0, 0, 0]
 
 
 def test_tournament_k1_is_the_single_draw():
     picks = [4, 1, 0, 5, 3, 3, 2, 0, 5, 5, 1, 4]  # mum, dad of child 0, then child 1, ...
-    rng = ScriptedRng([word_for(i, 6) for i in picks])
-    mums, dads, _ = draw_outcome(rng, [5.0] * 6, 1)
+    mums, dads, _ = scripted_draw([word_for(i, 6) for i in picks], [5.0] * 6, 1)
     assert mums == picks[0::2]
     assert dads == picks[1::2]
 
 
 def test_tournament_ties_break_to_lowest_index():
-    rng = ScriptedRng([word_for(i, 6) for i in (5, 3, 4)] + [word_for(5, 6)] * 33)
-    mums, dads, _ = draw_outcome(rng, [7.0] * 6, 3)
+    words = [word_for(i, 6) for i in (5, 3, 4)] + [word_for(5, 6)] * 33
+    mums, dads, _ = scripted_draw(words, [7.0] * 6, 3)
     assert mums == [3] + [5] * 5
     assert dads == [5] * 6
 

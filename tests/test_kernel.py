@@ -1,4 +1,4 @@
-"""The C kernel: what is built where, what is loaded, the numpy fallback, and its five functions.
+"""The C kernel: what is built where, what is loaded, the numpy fallback, and its six functions.
 
 The cache cases build into their own empty cache directory, most of them by
 importing poolgp in a fresh process that runs pooled against naive there and
@@ -22,7 +22,7 @@ import kernel_fuzz
 import numpy as np
 import pytest
 
-from poolgp import _kernel, engine, genome, naive
+from poolgp import _kernel, breeding_plan, engine, genome, naive
 from poolgp.genome import ADD, CONSTANTS, CROSSOVER_ATTEMPTS, MUL, VAR_X, float_errors_ignored
 from poolgp.problems import Problem
 
@@ -252,15 +252,23 @@ def test_the_build_flags_keep_numpys_bits():
 
 
 @needs_kernel
-def test_the_kernel_has_five_functions_and_the_fallback_replaces_each(numpy_evaluator):
+def test_the_kernel_has_six_functions_and_the_fallback_replaces_each(numpy_evaluator,
+                                                                     monkeypatch):
     # a function added to the kernel needs a numpy or Python twin, switched in here
     kernel = load_kernel(CONSTANTS)
     assert {name for name in dir(kernel) if not name.startswith("_")} == {
-        "evaluate", "abs_error", "subtree_end", "draw", "crossover"}
+        "evaluate", "abs_error", "subtree_end", "draw", "crossover", "plan"}
     assert genome._native is None and genome.evaluator() == "numpy"
     assert genome.subtree_end is genome.arity_walk
     for module in (genome, engine, naive):
         assert module.subtree_crossover is genome.python_crossover, module
+    # draw_outcome's fallback is pinned in test_engine; the plan's is looked up per build
+    built = []
+    python_plan = breeding_plan.python_plan
+    monkeypatch.setattr(breeding_plan, "python_plan",
+                        lambda *parents: built.append(parents) or python_plan(*parents))
+    plan = breeding_plan.BreedingPlan([0, 0, 1], [1, 0, 2])
+    assert built == [([0, 0, 1], [1, 0, 2])] and plan.status == [2, 2, 1]
 
 
 @needs_kernel
