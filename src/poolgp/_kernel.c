@@ -121,30 +121,6 @@ static PyObject *evaluate(PyObject *Py_UNUSED(self), PyObject *const *args, Py_s
     return PyLong_FromLong(status);
 }
 
-/* subtree_end(code, start) -> one past the subtree rooted at start, by an arity walk over
-   code's bytes; IndexError where the walk leaves code. A negative index counts from the
-   end, as code[i] does in Python. */
-static PyObject *subtree_end(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
-{
-    Py_buffer c = { 0 };
-    Py_ssize_t i, k, need = 1;
-    if (nargs != 2)
-        return PyErr_Format(PyExc_TypeError, "subtree_end takes 2 arguments");
-    if (((i = PyNumber_AsSsize_t(args[1], PyExc_IndexError)) == -1 && PyErr_Occurred())
-        || PyObject_GetBuffer(args[0], &c, PyBUF_SIMPLE))
-        return NULL;
-    for (; need; i++) {
-        k = i < 0 ? i + c.len : i;
-        if (k < 0 || k >= c.len) {
-            PyErr_SetString(PyExc_IndexError, "subtree_end walked out of the code");
-            break;
-        }
-        need += ((const unsigned char *)c.buf)[k] < VAR_X ? 1 : -1;
-    }
-    PyBuffer_Release(&c);
-    return need ? NULL : PyLong_FromSsize_t(i);
-}
-
 /* one past the subtree rooted at i, by an arity walk over code's first len cells, or -1
    where the walk leaves them */
 static Py_ssize_t walk(const unsigned char *code, Py_ssize_t i, Py_ssize_t len)
@@ -523,7 +499,6 @@ static PyObject *abs_error(PyObject *Py_UNUSED(self), PyObject *const *args, Py_
 static PyMethodDef methods[] = {
     { "evaluate", (PyCFunction)(void (*)(void))evaluate, METH_FASTCALL, NULL },
     { "abs_error", (PyCFunction)(void (*)(void))abs_error, METH_FASTCALL, NULL },
-    { "subtree_end", (PyCFunction)(void (*)(void))subtree_end, METH_FASTCALL, NULL },
     { "draw", (PyCFunction)(void (*)(void))draw, METH_FASTCALL, NULL },
     { "crossover", (PyCFunction)(void (*)(void))crossover, METH_FASTCALL, NULL },
     { "plan", (PyCFunction)(void (*)(void))plan, METH_FASTCALL, NULL },

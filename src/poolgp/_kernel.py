@@ -1,17 +1,16 @@
 """The per-node loops in C, built once per machine as an extension module.
 
-Six functions, in _kernel.c: the genome interpreter (`evaluate`, which
-returns a new numpy array), the error sum (`abs_error`), the arity walk
-(`subtree_end`), a generation's draws from the master's Mersenne Twister
-stream (`draw`: every tournament, into the mums and dads lists, then every
-crossover point), subtree crossover (`crossover`) and the breeding plan's
+Five functions, in _kernel.c: the genome interpreter (`evaluate`, which
+returns a new numpy array), the error sum (`abs_error`), a generation's
+draws from the master's Mersenne Twister stream (`draw`: every tournament,
+into the mums and dads lists, then every crossover point), subtree
+crossover (`crossover`, which walks arities itself) and the breeding plan's
 tables (`plan`). Where `load` finds no kernel, `genome.evaluate` runs its
-numpy interpreter, `Problem.fitness` sums in numpy, `genome.subtree_end` is
-`genome.arity_walk`, `engine.draw_outcome` draws with `randbytes` and ranks
-with `engine.rank_tournaments`, `genome.subtree_crossover` is
-`genome.python_crossover`, and `BreedingPlan` builds with
-`breeding_plan.python_plan`. Each of these is also the reference that the
-kernel matches to the bit; tests/kernel_fuzz.py checks each pair.
+numpy interpreter, `Problem.fitness` sums in numpy, `engine.draw_outcome`
+draws with `randbytes` and ranks with `engine.rank_tournaments`,
+`genome.subtree_crossover` is `genome.python_crossover`, and `BreedingPlan`
+builds with `breeding_plan.python_plan`. Each of these is also the reference
+that the kernel matches to the bit; tests/kernel_fuzz.py checks each pair.
 
 The file is compiled against the Python and numpy headers (`command`), so its
 cache key covers both include directories and numpy's version: numpy's C API

@@ -42,8 +42,8 @@ def arity(op: int) -> int:
     return 2 if op < VAR_X else 0
 
 
-def arity_walk(code, start: int) -> int:
-    """Index one past the subtree rooted at `start`: `subtree_end` where the kernel did not load.
+def subtree_end(code, start: int) -> int:
+    """Index one past the subtree rooted at `start`, by an arity walk over `code`.
 
     IndexError where the walk leaves `code`.
     """
@@ -87,6 +87,8 @@ def python_crossover(mum, mum_len: int, dad, dad_len: int,
     """Copy mum into `child` with one mum subtree replaced by one dad subtree.
 
     `subtree_crossover` where the kernel did not load, and the kernel's reference.
+    It walks with `subtree_end`, looked up here on every call, so that a wrapper
+    set on `genome.subtree_end` sees every walk.
     Attempt i takes its mum and dad points from words 2i and 2i + 1 of
     `points` (see the module docstring). If the offspring would not fit in
     `capacity` cells, the next attempt tries; after CROSSOVER_ATTEMPTS the
@@ -207,9 +209,6 @@ def _constants(shape: tuple) -> tuple:
 
 # the C kernel's module, or None where it could not be built or loaded
 _native = _kernel.load(CONSTANTS, CROSSOVER_ATTEMPTS)
-# index one past the subtree rooted at start: the kernel's arity walk, to the same ints and
-# IndexError, else arity_walk; python_crossover looks it up here on every call
-subtree_end = arity_walk if _native is None else _native.subtree_end
 # one child by subtree crossover: the kernel's, to the same bytes and exception classes,
 # else python_crossover. The engines import it by name, once.
 subtree_crossover = python_crossover if _native is None else _native.crossover

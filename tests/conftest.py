@@ -9,10 +9,9 @@ pytest.register_assert_rewrite("simharness", "kernel_fuzz")
 
 @pytest.fixture
 def numpy_evaluator(monkeypatch):
-    """Turn the C kernel off for one test: numpy evaluates, sums and ranks; Python walks
-    arities and crosses over, also in the engines that imported the crossover by name."""
+    """Turn the C kernel off for one test: numpy evaluates, sums and ranks; Python crosses
+    over, also in the engines that imported the crossover by name."""
     monkeypatch.setattr(genome, "_native", None)
-    monkeypatch.setattr(genome, "subtree_end", genome.arity_walk)
     for module in (genome, engine, naive):
         monkeypatch.setattr(module, "subtree_crossover", genome.python_crossover)
 

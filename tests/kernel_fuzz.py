@@ -1,13 +1,12 @@
 """A seeded differential fuzz of the C kernel against the Python code it stands in for.
 
-`check_all(kernel, seed)` drives a loaded kernel module's six functions:
+`check_all(kernel, seed)` drives a loaded kernel module's five functions:
 
 * `evaluate` against `genome._interpret` on random byte genomes (every opcode,
   and some past the last terminal) over 0-6 cases of special values, and on
   work areas just inside and just past `_kernel.ON_STACK` cells, so that both
   the on-stack and the malloc branch run to their last cell. Both must name
   the same fault or give the same bits, and x must keep its bits;
-* `subtree_end` against `genome.arity_walk`, past either end of the code too;
 * `draw` against `engine.draw_outcome` over a `random.Random` subclass, which
   reads the stream through `randbytes` and ranks in numpy: from random and
   all-zero states at every twist boundary and mid-block, over lists and
@@ -136,25 +135,6 @@ def fuzz_evaluate(kernel, rng, count: int) -> None:
         got, want = kernel_outcome(kernel, code, length, x), numpy_outcome(code, length, x)
         assert got == want, (code[:length].hex(), x.tolist(), got, want)
         assert x.tobytes() == before, code[:length].hex()
-
-
-def walk_outcome(walk, code, start):
-    try:
-        return walk(code, start)
-    except IndexError:
-        return "IndexError"
-
-
-def fuzz_subtree_end(kernel, rng, count: int) -> None:
-    for _ in range(count):
-        cells = rng.choice((random_genome(rng), bytes(rng.choice(OPCODES) for _ in range(8))))
-        # the cell past the view is a terminal: a walk that read it could end there
-        code = rng.choice((cells, bytearray(cells),
-                           memoryview(bytearray(cells + bytes([TERMINALS[0]])))[:len(cells)]))
-        for start in {0, len(cells), rng.randint(-len(cells) - 1, len(cells))}:
-            got = walk_outcome(kernel.subtree_end, code, start)
-            assert got == walk_outcome(genome.arity_walk, code, start), (cells.hex(), start)
-    assert walk_outcome(kernel.subtree_end, b"", 0) == "IndexError"
 
 
 class ReferenceRng(random.Random):
@@ -385,12 +365,6 @@ def check_refusals(kernel) -> None:
         raise AssertionError("plan took a parent that changed")
     except ValueError:
         pass
-    for args in ((b"", 0, 1), (b"",), (bytes([4]), 0.0), ([4], 0)):
-        try:
-            kernel.subtree_end(*args)
-        except TypeError:
-            continue
-        raise AssertionError(f"subtree_end took {args!r}")
     for args in ((b"", 1), (bytes([4]), 1, bytes([4]), 1, bytearray(1), 1)):
         try:
             kernel.crossover(*args)
@@ -402,19 +376,12 @@ def check_refusals(kernel) -> None:
                  (bytes([4]), 1, bytes([4]), 1, bytearray(1), 1, bytes(80))):
         for cross in (kernel.crossover, genome.python_crossover):
             assert crossover_outcome(cross, *args) == ("ValueError", bytes(1)), (cross, args)
-    for start in (2 ** 70, -(2 ** 70)):
-        try:
-            kernel.subtree_end(bytes([4]), start)
-        except IndexError:
-            continue
-        raise AssertionError(f"subtree_end took start {start}")
 
 
 def check_all(kernel, seed: int = 26) -> None:
     """Every part of the fuzz over `kernel`, from one seeded stream."""
     rng = random.Random(seed)
     fuzz_evaluate(kernel, rng, 15000)
-    fuzz_subtree_end(kernel, rng, 10000)
     fuzz_draw(kernel, rng, 3000)
     fuzz_plan(kernel, rng, 3000)
     fuzz_crossover(kernel, rng, 8000)

@@ -80,3 +80,18 @@ def test_benchmark_run_child_reports_what_run_py_reads():
     assert all(17 <= peak <= 20 for peak in out["pool_used_peak"][1:])
     assert {"run_s", "setup_s", "opcodes", "allocated", "effective_cores", "maxrss_mib"} <= out.keys()
     assert one_run({"config": fields, "setup_only": True})["setup_s"] > 0
+
+
+def test_the_tracer_sees_each_python_walk_and_none_in_the_kernel(evaluator):
+    # the tracer counts crossover attempts from its wrapper of genome.subtree_end, so
+    # python_crossover must look the walk up there; the kernel's crossover walks in C
+    tracing = load_tracing()
+    cfg = RunConfig(popsize=16, nthreads=0, generations=3, buffer_bytes=63, max_initial_depth=4)
+    _, _, tracer = tracing.run_traced(PooledEngine(cfg))
+    attempts = tracer.counters()["crossover.attempts"]
+    walks = tracer.totals()["genome.subtree_end"][0]
+    if evaluator == "numpy":
+        assert attempts >= cfg.popsize * (cfg.generations - 1)
+        assert walks == 2 * attempts
+    else:
+        assert (attempts, walks) == (0, 0)

@@ -32,6 +32,7 @@ from poolgp.expr_pool import NO_SLOT
 from poolgp.genome import POINTS_PER_CHILD
 from poolgp.naive import run_evolution_naive
 from poolgp.problems import QUARTIC, Problem
+from kernel_fuzz import ReferenceRng
 from simharness import word_for
 
 
@@ -215,7 +216,6 @@ def test_draw_outcome_never_ranks_more_than_a_block_at_once():
 @pytest.mark.parametrize("check", [
     test_tournament_picks_best_of_draws, test_tournament_k1_is_the_single_draw,
     test_tournament_ties_break_to_lowest_index, test_nan_fitness_ranks_as_infinity,
-    test_draw_outcome_never_ranks_more_than_a_block_at_once,
 ], ids=lambda check: check.__name__.removeprefix("test_"))
 def test_draw_outcome_ranks_alike_in_the_kernel_and_in_numpy(evaluator, check):
     check()
@@ -224,10 +224,6 @@ def test_draw_outcome_ranks_alike_in_the_kernel_and_in_numpy(evaluator, check):
 def test_draw_outcome_matches_pure_python_best_of_k_in_the_kernel_and_in_numpy(evaluator):
     for m, k in ((1, 7), (3, 1), (7, 7), (4, 9), (3, TOURNAMENT_BLOCK + 1), (1000, 20), (4000, 3)):
         test_draw_outcome_matches_pure_python_best_of_k(m, k)
-
-
-class ReferenceRng(random.Random):
-    """A subclass, so `draw_outcome` reads it through randbytes and ranks in numpy."""
 
 
 PARITY_FITNESSES = (0.0, -0.0, 1.0, 1.0, 2.5, -3.0, math.nan, math.inf, -math.inf)

@@ -1,4 +1,4 @@
-"""The C kernel: what is built where, what is loaded, the numpy fallback, and its six functions.
+"""The C kernel: what is built where, what is loaded, the numpy fallback, and its five functions.
 
 The cache cases build into their own empty cache directory, most of them by
 importing poolgp in a fresh process that runs pooled against naive there and
@@ -252,14 +252,13 @@ def test_the_build_flags_keep_numpys_bits():
 
 
 @needs_kernel
-def test_the_kernel_has_six_functions_and_the_fallback_replaces_each(numpy_evaluator,
-                                                                     monkeypatch):
+def test_the_kernel_has_five_functions_and_the_fallback_replaces_each(numpy_evaluator,
+                                                                      monkeypatch):
     # a function added to the kernel needs a numpy or Python twin, switched in here
     kernel = load_kernel(CONSTANTS)
     assert {name for name in dir(kernel) if not name.startswith("_")} == {
-        "evaluate", "abs_error", "subtree_end", "draw", "crossover", "plan"}
+        "evaluate", "abs_error", "draw", "crossover", "plan"}
     assert genome._native is None and genome.evaluator() == "numpy"
-    assert genome.subtree_end is genome.arity_walk
     for module in (genome, engine, naive):
         assert module.subtree_crossover is genome.python_crossover, module
     # draw_outcome's fallback is pinned in test_engine; the plan's is looked up per build
