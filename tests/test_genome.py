@@ -147,14 +147,28 @@ def test_subtree_end_walks_arities():
     assert subtree_end(code, 1) == 4
     assert subtree_end(code, 2) == 3
     assert subtree_end(code, 4) == 5
-    assert subtree_end(memoryview(bytearray(code))[1:], 0) == 3
-    for short in (b"", code[:4], bytearray([ADD, VAR_X])):
-        with pytest.raises(IndexError):
-            subtree_end(short, 0)
-    with pytest.raises(IndexError):
-        subtree_end(code, 5)
     assert tree_is_complete(code, 5)
     assert not tree_is_complete(code, 4)
+
+
+def test_subtree_end_walks_arities_in_the_kernel_and_in_python(evaluator):
+    # one Python walk on both paths; each path's crossover cuts where it says
+    code = bytes([SUB, ADD, VAR_X, C[0.5], VAR_X])
+    assert [genome.subtree_end(code, p) for p in range(5)] == [5, 4, 3, 4, 5]
+    assert genome.subtree_end(memoryview(bytearray(code))[1:], 0) == 3
+    for short in (b"", code[:4], bytearray([ADD, VAR_X])):
+        with pytest.raises(IndexError):
+            genome.subtree_end(short, 0)
+    with pytest.raises(IndexError):
+        genome.subtree_end(code, 5)
+    child = bytearray(16)
+    for p in range(5):
+        for q in range(5):
+            n = genome.subtree_crossover(code, 5, code, 5, child, 16,
+                                         words(word_for(p, 5), word_for(q, 5)))
+            expect = (code[:p] + code[q:genome.subtree_end(code, q)]
+                      + code[genome.subtree_end(code, p):])
+            assert bytes(child[:n]) == expect, (p, q)
 
 
 def all_subtrees(code, length):
