@@ -13,7 +13,7 @@ from .naive import run_evolution_naive
 # each RunConfig setting's flag, in --help order: flag -> (field, help); its default is RunConfig's
 SETTINGS = {
     "--popsize": ("popsize", "population size M"),
-    "--threads": ("nthreads", "breeder threads; 0 runs breeding inline"),
+    "--threads": ("nthreads", "the master breeds with N - 1 helper threads; 0 or 1 starts none"),
     "--generations": ("generations", "total generations including the random first one"),
     "--seed": ("seed", "master random seed"),
     "--buffer-bytes": ("buffer_bytes", "fixed size of every genome buffer"),

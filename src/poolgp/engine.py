@@ -21,15 +21,16 @@ One `Breeding` holds a generation's breeding and does its set-up. Shared
 state (pool, plan) changes only inside one lock, taken once per claim by
 `Breeding.next_child`, which books the worker's finished child and claims
 the next: M + workers holds a generation. `Breeding.breed` crosses over
-outside it; the schedule tests step these same two methods. Every worker,
-inline (nthreads 0) or threaded, runs `run_worker`: one that raises
-cancels the plan, so the others stop at their next claim, and the master
-re-raises the first error. All randomness comes from one master stream
-seeded by the run seed: it grows generation 0, then draws each
-generation's tournaments and crossover points in bulk before breeding
-starts. Each child reads only its own POINTS_PER_CHILD words, so results
-are identical for any thread count, including the serial two-population
-reference engine.
+outside it; the schedule tests step these same two methods. Every breeder
+runs `run_worker`: the master is breeder 0, and a run of N threads starts
+N - 1 helper threads beside it, so nthreads 0 and 1 start none. A breeder
+that raises cancels the plan, so the others stop at their next claim, and
+the master joins the helpers and re-raises the first error. All
+randomness comes from one master stream seeded by the run seed: it grows
+generation 0, then draws each generation's tournaments and crossover
+points in bulk before breeding starts. Each child reads only its own
+POINTS_PER_CHILD words, so results are identical for any thread count,
+including the serial two-population reference engine.
 
 Members are `Individual` handles: a slot id and a length. Generations 0
 and 1 build M new ones each. After that, a generation's children take the
@@ -73,7 +74,7 @@ TOURNAMENT_BLOCK = 16384  # most entrants that one randbytes block draws and ran
 @dataclass
 class RunConfig:
     popsize: int = 500
-    nthreads: int = 0  # inline breeding: extra threads only add GIL contention
+    nthreads: int = 0  # the master plus nthreads - 1 helper threads; helpers add GIL contention
     generations: int = 20  # total generations including the random first one
     buffer_bytes: int = 1024
     tournament_size: int = 7
@@ -323,15 +324,13 @@ class PooledEngine:
                 with self.lock:
                     breeding.plan.cancel()  # the other workers stop at their next claim
 
-        if cfg.nthreads == 0:
-            run_worker(0)
-        else:
-            threads = [threading.Thread(target=run_worker, args=(w,), name=f"breeder-{w}")
-                       for w in range(len(busy))]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
+        helpers = [threading.Thread(target=run_worker, args=(w,), name=f"breeder-{w}")
+                   for w in range(1, len(busy))]
+        for t in helpers:
+            t.start()
+        run_worker(0)  # the master is breeder 0
+        for t in helpers:
+            t.join()
         if errors:
             raise errors[0]
         if self.pool.used != cfg.popsize:

@@ -11,9 +11,10 @@ a fresh pool hands out slot 1 first and a released slot comes back next.
 
 `slots[s]` is slot s's buffer; callers index the list directly. Real slots
 are 1..capacity, and `slots[0]` is None, the "no buffer" sentinel, so a
-read through a released handle fails at once. A per-slot in-use flag makes
-release refuse any slot not currently handed out, so a stale handle to a
-freed slot cannot push it onto the free stack twice.
+read through a released handle fails at once. Release refuses a handle
+that holds no buffer, such as one released before, and a per-slot in-use
+flag makes it refuse any slot not currently handed out, so a stale handle
+to a freed slot cannot push it onto the free stack twice.
 
 The pool is the one source of its usage figures: `used` now, `max_used`
 over the run and `peak` since the last `reset_peak` (the engine resets it
@@ -78,10 +79,8 @@ class BufferPool:
         self.peak = self.used
 
     def release(self, who) -> None:
-        """Push `who`'s slot back on the free stack. Safe to call twice."""
+        """Push `who`'s slot back on the free stack; a handle that holds none raises."""
         slot = who.slot_id
-        if slot == NO_SLOT:
-            return  # already freed
         if not 1 <= slot <= self.capacity:
             raise InvariantError(f"release of slot {slot} outside 1..{self.capacity}")
         if not self.in_use[slot]:

@@ -14,6 +14,7 @@ import pytest
 
 from poolgp.breeding_plan import BreedingPlan
 from poolgp.engine import Individual, RunConfig, run_evolution
+from poolgp.errors import InvariantError
 from poolgp.expr_pool import BufferPool
 from poolgp.naive import run_evolution_naive
 from simharness import (
@@ -127,14 +128,18 @@ def test_hand_traced_operation_tables():
         ("release", b, (0, 2, 2, 3)),
         ("acquire", b, (2, 0, 3, 3)),  # LIFO: just-released slot comes back
         ("release", a, (0, 1, 2, 3)),
-        ("release", a, (0, 1, 2, 3)),  # idempotent second release
+        ("refused", a, (0, 1, 2, 3)),  # second release: InvariantError, no state change
         ("acquire", a, (1, 0, 3, 3)),
     ]
     for op, who, (slot, head, used, max_used) in trace:
         if op == "acquire":
             assert pool.acquire(who) == slot
-        else:
+        elif op == "release":
             pool.release(who)
+            assert who.slot_id == 0
+        else:
+            with pytest.raises(InvariantError):
+                pool.release(who)
             assert who.slot_id == 0
         top = pool.free[-1] if pool.free else 0
         assert (top, pool.used, pool.max_used) == (head, used, max_used)

@@ -41,7 +41,7 @@ def test_traced_run_sees_every_hook_and_changes_no_result():
     assert calls["engine.child_stream"] == children
     assert calls["genome.subtree_crossover"] == children
     assert calls["breeding_plan.rem_child"] == 2 * children
-    assert calls["engine.threads.start"] == 2 * (cfg.generations - 1)
+    assert calls["engine.threads.start"] == (cfg.nthreads - 1) * (cfg.generations - 1)
     counters = tracer.counters()
     assert counters["claims.class1"] + counters["claims.class2"] == children
     assert counters["release.childless"] + counters["release.early"] == children

@@ -632,7 +632,8 @@ def test_allocated_slots_never_exceed_high_water():
 
 
 def test_workers_clamped_to_popsize(monkeypatch):
-    # 8 threads on 4 members: only 4 breeders, capacity M + 2*4, not M + 2*8
+    # 8 threads on 4 members: only 4 breeders, the master and 3 helper
+    # threads, capacity M + 2*4, not M + 2*8
     alive = []
     crossover = engine.subtree_crossover
 
@@ -644,8 +645,78 @@ def test_workers_clamped_to_popsize(monkeypatch):
     result = run_evolution(small_config(popsize=4, nthreads=8, generations=5))
     assert result.capacity == 12
     assert result.peak_buffers <= 12
-    assert 0 < max(alive) <= 4
+    assert 0 < max(alive) <= 3
     assert all(len(row.worker_busy_times) == 4 for row in result.stats[1:])
+
+
+def record_thread_starts(monkeypatch):
+    """The names of the threads started from now on, in start order."""
+    started = []
+    start = threading.Thread.start
+
+    def recording_start(thread):
+        started.append(thread.name)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", recording_start)
+    return started
+
+
+def test_one_breeder_is_the_master_alone_at_nthreads_0_and_1(monkeypatch):
+    from poolgp.metrics import zero_wall_clock
+
+    started = record_thread_starts(monkeypatch)
+    zero, one = (run_evolution(small_config(nthreads=n)) for n in (0, 1))
+    assert started == []
+    assert one.genomes == zero.genomes
+    assert one.fitness_history == zero.fitness_history
+    assert [zero_wall_clock(r) for r in one.stats] == [zero_wall_clock(r) for r in zero.stats]
+
+
+@pytest.mark.parametrize("popsize, nthreads, helpers", [(8, 2, 1), (8, 4, 3), (4, 8, 3)])
+def test_the_master_breeds_beside_n_minus_one_helper_threads(monkeypatch, popsize, nthreads,
+                                                              helpers):
+    # 8 threads on 4 members clamp to 4 breeders: the master and 3 helpers
+    started = record_thread_starts(monkeypatch)
+    cfg = small_config(popsize=popsize, nthreads=nthreads)
+    result = run_evolution(cfg)
+    per_generation = [f"breeder-{w}" for w in range(1, helpers + 1)]
+    assert started == per_generation * (cfg.generations - 1)
+    assert result.capacity == popsize + 2 * (helpers + 1)
+
+
+def test_an_error_on_the_master_cancels_the_plan_and_joins_the_helpers(monkeypatch):
+    # each helper holds its first child until the master's own crossover
+    # raises (a Ctrl-C here); the helpers must stop at their next claim
+    log = []
+    record_claims(monkeypatch, log)
+    cancel = BreedingPlan.cancel
+
+    def logged_cancel(plan):
+        log.append("cancel")
+        cancel(plan)
+
+    monkeypatch.setattr(BreedingPlan, "cancel", logged_cancel)
+    error = KeyboardInterrupt()
+    master_raised = threading.Event()
+    crossover = engine.subtree_crossover
+
+    def crossover_failing_on_the_master(*args):
+        if threading.current_thread() is threading.main_thread():
+            master_raised.set()
+            raise error
+        if not master_raised.wait(5):
+            raise RuntimeError("no crossover on the master raised while this helper bred")
+        return crossover(*args)
+
+    monkeypatch.setattr(engine, "subtree_crossover", crossover_failing_on_the_master)
+    cfg = small_config(popsize=64, nthreads=4, generations=3)
+    with pytest.raises(KeyboardInterrupt) as excinfo:
+        run_evolution(cfg)
+    assert excinfo.value is error
+    assert log.count("cancel") == 1
+    assert log[log.index("cancel") + 1:] == [None] * (cfg.nthreads - 1)  # one per helper
+    assert not [t for t in threading.enumerate() if t.name.startswith("breeder-")]
 
 
 def test_runs_never_import_numpy_random():

@@ -90,13 +90,14 @@ def test_release_trace():
     assert pool.slots[a.slot_id] is None  # the released handle reaches no buffer
 
 
-def test_release_is_idempotent():
+def test_second_release_is_invariant_violation():
     pool = make_pool()
     a = Individual()
     pool.acquire(a)
     pool.release(a)
     snapshot = (list(pool.free), pool.used, pool.max_used)
-    pool.release(a)  # second release of the same individual: no state change
+    with pytest.raises(InvariantError):
+        pool.release(a)  # each buffer is released exactly once
     assert (list(pool.free), pool.used, pool.max_used) == snapshot
 
 
@@ -135,7 +136,8 @@ def test_conservation_and_no_aliasing_under_random_traffic():
         if held and (rng.random() < 0.5 or pool.used == pool.capacity):
             victim = held.pop(rng.randrange(len(held)))
             pool.release(victim)
-            pool.release(victim)  # double release must be harmless
+            with pytest.raises(InvariantError):
+                pool.release(victim)  # a double release is refused
         else:
             ind = Individual()
             pool.acquire(ind)
