@@ -5,27 +5,16 @@ popsize + 2 * min(max(1, nthreads), popsize) genome buffers at once, plus a
 naive two-population reference engine used as its correctness oracle.
 """
 
-from .breeding_plan import BreedingPlan
-from .engine import (
-    EvolutionResult,
-    Individual,
-    PooledEngine,
-    RunConfig,
-    run_evolution,
-)
+from .engine import EvolutionResult, PooledEngine, RunConfig, run_evolution
 from .errors import InvariantError
-from .expr_pool import BufferPool
 from .genome import float_errors_ignored
 from .metrics import GenerationStats, emit_csv
 from .naive import run_evolution_naive
 from .problems import QUARTIC, Problem
 
 __all__ = [
-    "BreedingPlan",
-    "BufferPool",
     "EvolutionResult",
     "GenerationStats",
-    "Individual",
     "InvariantError",
     "PooledEngine",
     "Problem",

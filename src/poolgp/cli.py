@@ -31,12 +31,11 @@ def build_parser() -> argparse.ArgumentParser:
         "(pooled engine) or the plain two-population scheme (naive engine).",
     )
     for flag, (field, text) in SETTINGS.items():
-        if flag == "--max-initial-depth":  # --help has always listed --engine here
-            parser.add_argument("--engine", choices=("pooled", "naive"), default="pooled", help=(
-                "pooled = bounded-memory engine, naive = two-population reference"))
         # None means "not given", so the field keeps RunConfig's default
         parser.add_argument(flag, type=int, dest=field, metavar=flag[2:].upper().replace("-", "_"),
                             help=f"{text} (default {getattr(defaults, field)})")
+    parser.add_argument("--engine", choices=("pooled", "naive"), default="pooled",
+                        help="pooled = bounded-memory engine, naive = two-population reference")
     parser.add_argument("--csv", metavar="PATH", default=None,
                         help="write per-generation statistics to this CSV file")
     parser.add_argument("--zero-time", action="store_true",
@@ -73,25 +72,10 @@ def main(argv: list[str] | None = None) -> int:
             status = 1
 
     if not args.quiet:
-        breeding = result.stats[1:]
-        mean_idle = (
-            sum(row.idle_fraction for row in breeding) / len(breeding) if breeding else 0.0
-        )
-        cores = metrics.effective_cores(len(result.stats[-1].worker_busy_times), mean_idle)
         print(
             f"engine={args.engine} popsize={config.popsize} threads={config.nthreads} "
             f"generations={config.generations} seed={config.seed} "
             f"capacity={result.capacity} peak_buffers={result.peak_buffers} "
-            f"bound={result.capacity} "
-            f"effective_cores={cores:.2f} evaluator={genome.evaluator()} "
-            f"best_fitness={min(result.fitness_history[-1])!r}"
+            f"evaluator={genome.evaluator()} best_fitness={min(result.fitness_history[-1])!r}"
         )
     return status
-
-
-def main_entry() -> None:
-    sys.exit(main())
-
-
-if __name__ == "__main__":
-    main_entry()

@@ -25,17 +25,19 @@ outside it; the schedule tests step these same two methods. Every breeder
 runs `run_worker`: the master is breeder 0, and a run of N threads starts
 N - 1 helper threads beside it, so nthreads 0 and 1 start none. A breeder
 that raises cancels the plan, so the others stop at their next claim, and
-the master joins the helpers and re-raises the first error. All
+the master joins the helpers and re-raises the first error; an exception
+on the master outside its breeder loop, such as an interrupt while it
+joins, also cancels the plan and joins every helper before it escapes. All
 randomness comes from one master stream seeded by the run seed: it grows
 generation 0, then draws each generation's tournaments and crossover
 points in bulk before breeding starts. Each child reads only its own
 POINTS_PER_CHILD words, so results are identical for any thread count,
 including the serial two-population reference engine.
 
-Members are `Individual` handles: a slot id and a length. Generations 0
-and 1 build M new ones each. After that, a generation's children take the
-handles of the population that the previous breeding emptied: every parent
-gave its buffer back there, so each handle holds none.
+Members are `Individual` handles: a slot id and a length. Generation 0
+builds the run's two lists of M handles and grows into one. Each
+generation's children take the handles that the previous breeding
+emptied: every parent gave its buffer back there, so each holds none.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from __future__ import annotations
 import operator
 import os
 import random
+import struct
 import sys
 import threading
 import time
@@ -96,12 +99,15 @@ class RunConfig:
         if self.nthreads > MAX_THREADS:
             # one OS thread per breeder; a typo must not start thousands
             raise ValueError(f"nthreads must be <= {MAX_THREADS}, got {self.nthreads}")
-        # the pool builds every buffer up front: refuse more than physical memory
+        # the pool builds every buffer up front: refuse more than physical memory. Each
+        # buffer is a bytearray (its header, its bytes and a trailing NUL) and a list slot
         if {"SC_PAGE_SIZE", "SC_PHYS_PAGES"} <= getattr(os, "sysconf_names", {}).keys():
             ram = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-            if (n := pool_capacity(self.popsize, self.nthreads)) * self.buffer_bytes > ram:
+            each = sys.getsizeof(bytearray()) + self.buffer_bytes + 1 + struct.calcsize("P")
+            if (n := pool_capacity(self.popsize, self.nthreads)) * each > ram:
                 raise ValueError(f"popsize={self.popsize} x buffer_bytes={self.buffer_bytes}: {n} "
-                                 f"buffers exceed this machine's {ram} bytes of physical memory")
+                                 f"buffers of {each} bytes exceed this machine's {ram} bytes "
+                                 "of physical memory")
         if self.tournament_size > TOURNAMENT_BLOCK:
             # a tournament is ranked in one block, at about 37 bytes per entrant
             raise ValueError(f"tournament_size must be <= {TOURNAMENT_BLOCK}, "
@@ -205,16 +211,16 @@ def initial_depth(index: int, max_depth: int) -> int:
 class Breeding:
     """One generation's breeding: its plan, the children's handles and the two worker steps.
 
-    Building it sets the generation up: the plan, one empty handle per child,
-    a fresh pool peak, and childless parents' buffers given back. The handles
-    are `spare`, one per child and each holding no buffer, or new ones.
+    Building it sets the generation up: the plan, a fresh pool peak, and
+    childless parents' buffers given back. `new_pop` holds the children's
+    handles, one per child and each holding no buffer: the ones the previous
+    breeding emptied.
     """
 
-    def __init__(self, pool: BufferPool, pop: list[Individual], mums: list[int],
-                 dads: list[int], draws: array, spare: list[Individual] | None = None):
-        self.pool, self.pop, self.draws = pool, pop, draws
+    def __init__(self, pool: BufferPool, pop: list[Individual], new_pop: list[Individual],
+                 mums: list[int], dads: list[int], draws: array):
+        self.pool, self.pop, self.new_pop, self.draws = pool, pop, new_pop, draws
         self.plan = plan = BreedingPlan(mums, dads)
-        self.new_pop = [Individual() for _ in mums] if spare is None else spare
         pool.reset_peak()
         # infertile parents give their buffers back before any worker starts
         for ind, kids in zip(pop, plan.children):
@@ -265,8 +271,6 @@ class PooledEngine:
         self.pool = BufferPool(config.popsize, config.nthreads, config.buffer_bytes)
         self.lock = threading.Lock()
         self.master_rng = random.Random(operator.index(config.seed))  # takes no numpy int
-        self.pop: list[Individual] = []
-        self.spare: list[Individual] | None = None  # last generation's released handles
         self.stats: list[metrics.GenerationStats] = []
         self.fitness_history: list[list[float]] = []
 
@@ -288,13 +292,13 @@ class PooledEngine:
 
     def _init_generation_zero(self) -> None:
         t0 = time.perf_counter()
-        cfg = self.config
-        for s in range(cfg.popsize):
-            ind = Individual()
-            buf = self.pool.slots[self.pool.acquire(ind)]
-            ind.tree_len = random_tree(
-                self.master_rng, initial_depth(s, cfg.max_initial_depth), buf)
-            self.pop.append(ind)
+        cfg, pool = self.config, self.pool
+        # the run's handles: generation 0 grows into pop, and its children take spare
+        self.pop = [Individual() for _ in range(cfg.popsize)]
+        self.spare = [Individual() for _ in range(cfg.popsize)]
+        for s, ind in enumerate(self.pop):
+            buf = pool.slots[pool.acquire(ind)]
+            ind.tree_len = random_tree(self.master_rng, initial_depth(s, cfg.max_initial_depth), buf)
         self._score(0, t0)
 
     def run_generation(self, g: int) -> None:
@@ -303,7 +307,7 @@ class PooledEngine:
         cfg = self.config
         mums, dads, draws = draw_outcome(self.master_rng, self.fitness_history[-1],
                                          cfg.tournament_size)
-        breeding = Breeding(self.pool, self.pop, mums, dads, draws, self.spare)
+        breeding = Breeding(self.pool, self.pop, self.spare, mums, dads, draws)
         busy = [0.0] * self.pool.workers
         errors: list[BaseException] = []
 
@@ -324,13 +328,21 @@ class PooledEngine:
                 with self.lock:
                     breeding.plan.cancel()  # the other workers stop at their next claim
 
-        helpers = [threading.Thread(target=run_worker, args=(w,), name=f"breeder-{w}")
-                   for w in range(1, len(busy))]
-        for t in helpers:
-            t.start()
-        run_worker(0)  # the master is breeder 0
-        for t in helpers:
-            t.join()
+        helpers = []
+        try:
+            for w in range(1, len(busy)):
+                t = threading.Thread(target=run_worker, args=(w,), name=f"breeder-{w}")
+                t.start()
+                helpers.append(t)
+            run_worker(0)  # the master is breeder 0
+            for t in helpers:
+                t.join()
+        except BaseException:  # an interrupt in a join, say: no helper may outlive the run
+            with self.lock:
+                breeding.plan.cancel()
+            for t in helpers:
+                t.join()
+            raise
         if errors:
             raise errors[0]
         if self.pool.used != cfg.popsize:

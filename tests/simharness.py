@@ -117,8 +117,8 @@ class BreedingSim:
             pop.append(ind)
         # the scripted parentage stands in for the tournaments; the crossover
         # points come from the same master stream, as in the engines
-        self.breeding = Breeding(pool, pop, [m for m, _ in pairs], [d for _, d in pairs],
-                                 draw_points(rng, popsize))
+        self.breeding = Breeding(pool, pop, [Individual() for _ in pairs], [m for m, _ in pairs],
+                                 [d for _, d in pairs], draw_points(rng, popsize))
         self.workers = [WorkerModel() for _ in range(nworkers)]
         self.claims: list[tuple[int, bool, bool]] = []  # (child, was_class2, chain1_empty)
         self.books = 0

@@ -3,7 +3,11 @@
 import csv
 import dataclasses
 import os
+import struct
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -122,11 +126,12 @@ def test_memory_check_counts_the_pools_two_buffers_per_breeder(monkeypatch, caps
     def refuse_pool(*args):
         raise AssertionError("BufferPool built")
 
-    pages = {"SC_PAGE_SIZE": 6, "SC_PHYS_PAGES": 100}  # 600 bytes
+    each = sys.getsizeof(bytearray()) + 63 + 1 + struct.calcsize("P")  # 128 on 64-bit CPython
+    pages = {"SC_PAGE_SIZE": each, "SC_PHYS_PAGES": 9}  # 9 buffers
     monkeypatch.setattr(os, "sysconf_names", pages, raising=False)
     monkeypatch.setattr(os, "sysconf", pages.__getitem__, raising=False)
     monkeypatch.setattr(engine, "BufferPool", refuse_pool)
-    # 8 x 63 = 504 bytes fit, but the inline pool builds 8 + 2 buffers: 630 bytes
+    # 8 buffers fit, but the inline pool builds 8 + 2
     assert main(["--popsize", "8", "--buffer-bytes", "63"]) == 2
     err = capsys.readouterr().err
     assert "configuration error" in err and "popsize=8 x buffer_bytes=63: 10 buffers" in err
@@ -156,9 +161,7 @@ def test_pooled_run_summary_and_exit_code(capsys):
     out = capsys.readouterr().out.strip().splitlines()
     fields = summary_fields(out[-1])
     assert fields["engine"] == "pooled"
-    assert fields["capacity"] == "12"
-    assert int(fields["peak_buffers"]) <= int(fields["bound"]) == 12
-    assert 0.0 <= float(fields["effective_cores"]) <= 2.0
+    assert int(fields["peak_buffers"]) <= int(fields["capacity"]) == 12
     assert fields["evaluator"] == genome.evaluator()
     assert "best_fitness" in fields
 
@@ -168,18 +171,18 @@ def test_summary_names_the_evaluator_that_ran(capsys, numpy_evaluator):
     assert summary_fields(capsys.readouterr().out.strip().splitlines()[-1])["evaluator"] == "numpy"
 
 
-def test_effective_cores_counts_only_workers_that_ran(capsys):
-    # one generation is the random population: only the master worked
-    assert main(FAST + ["--generations", "1", "--threads", "4"]) == 0
-    fields = summary_fields(capsys.readouterr().out.strip().splitlines()[-1])
-    assert fields["effective_cores"] == "1.00"
+def test_summary_prints_each_number_once(capsys):
+    assert main(FAST + ["--threads", "2"]) == 0
+    line = capsys.readouterr().out.strip().splitlines()[-1]
+    assert list(summary_fields(line)) == ["engine", "popsize", "threads", "generations", "seed",
+                                          "capacity", "peak_buffers", "evaluator", "best_fitness"]
 
 
 def test_summary_bound_for_m50_two_threads(capsys):
     assert main(["--popsize", "50", "--threads", "2", "--generations", "5",
                  "--buffer-bytes", "63", "--max-initial-depth", "4"]) == 0
     fields = summary_fields(capsys.readouterr().out.strip().splitlines()[-1])
-    assert fields["bound"] == "54"
+    assert fields["capacity"] == "54"
     assert int(fields["peak_buffers"]) <= 54
 
 
@@ -189,7 +192,7 @@ def test_naive_ignoring_threads_warns(capsys):
     assert "ignoring --threads" in captured.err
     fields = summary_fields(captured.out.strip().splitlines()[-1])
     assert fields["engine"] == "naive"
-    assert fields["peak_buffers"] == fields["bound"] == "16"  # 2M
+    assert fields["peak_buffers"] == fields["capacity"] == "16"  # 2M
 
 
 def test_naive_and_pooled_report_same_best_fitness(capsys):
@@ -241,3 +244,17 @@ def test_unwritable_csv_fails_but_still_prints_summary(tmp_path, capsys):
 def test_quiet_suppresses_summary(capsys):
     assert main(FAST + ["--threads", "1", "--quiet"]) == 0
     assert capsys.readouterr().out == ""
+
+
+def test_python_dash_m_exits_with_mains_status():
+    src = Path(cli.__file__).resolve().parents[1]
+
+    def module_run(*flags):
+        return subprocess.run([sys.executable, "-m", "poolgp", *flags], cwd=src,
+                              capture_output=True, text=True, timeout=60)
+
+    bad = module_run("--popsize", "0")
+    assert bad.returncode == 2 and "configuration error" in bad.stderr
+    ran = module_run(*FAST)
+    assert ran.returncode == 0, ran.stderr
+    assert summary_fields(ran.stdout.strip().splitlines()[-1])["engine"] == "pooled"

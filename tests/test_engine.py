@@ -327,14 +327,29 @@ def test_config_validation_rejects_buffers_beyond_physical_memory():
             cfg.validate()
 
 
+def fake_physical_memory(monkeypatch, page_size, pages):
+    sizes = {"SC_PAGE_SIZE": page_size, "SC_PHYS_PAGES": pages}
+    monkeypatch.setattr(os, "sysconf_names", sizes, raising=False)
+    monkeypatch.setattr(os, "sysconf", sizes.__getitem__, raising=False)
+
+
 def test_memory_check_compares_pool_capacity_times_buffer_bytes(monkeypatch):
-    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 1000}  # 4096000 bytes
-    monkeypatch.setattr(os, "sysconf_names", pages, raising=False)
-    monkeypatch.setattr(os, "sysconf", pages.__getitem__, raising=False)
+    # a buffer costs its bytearray's header, its bytes and a NUL, and a list slot:
+    # 56 + 1024 + 1 + 8 = 1089 bytes on 64-bit CPython
+    each = sys.getsizeof(bytearray()) + 1024 + 1 + struct.calcsize("P")
+    fake_physical_memory(monkeypatch, each, 4000)
     # inline breeding: the pool holds M + 2 buffers
     RunConfig(popsize=3998, buffer_bytes=1024).validate()  # exactly the memory size
-    with pytest.raises(ValueError, match="popsize=3999 x buffer_bytes=1024: 4001 buffers"):
+    with pytest.raises(ValueError, match=f"popsize=3999 x buffer_bytes=1024: 4001 buffers of "
+                                         f"{each} bytes"):
         RunConfig(popsize=3999, buffer_bytes=1024).validate()
+    # on a 7.8 GiB machine: 10**9 one-byte buffers take about 66 GB, and 10**8 buffers of
+    # 31 bytes about 9.6 GB (96 bytes each, by tracemalloc), not the 3.1 GB of their bytes
+    fake_physical_memory(monkeypatch, 4096, 2_045_000)
+    for popsize, buffer_bytes in ((10**9, 1), (10**8, 31)):
+        with pytest.raises(ValueError, match="physical memory"):
+            RunConfig(popsize=popsize, buffer_bytes=buffer_bytes,
+                      max_initial_depth=1).validate()
     monkeypatch.setattr(os, "sysconf_names", {"SC_PAGE_SIZE": 30})  # no page count
     RunConfig(popsize=10**12).validate()  # no figure to check against
 
@@ -354,25 +369,32 @@ def test_self_permutation_generation_peaks_at_m_plus_one(monkeypatch):
 
 @pytest.mark.parametrize("nthreads", [0, 2])
 def test_children_take_the_handles_the_breeding_before_emptied(monkeypatch, nthreads):
-    # from generation 2 on, no Individual is built: the children reuse the population that
-    # the previous breeding released, each handle holding no buffer and none a parent
-    spares = []
+    # generation 0 builds the run's 2M handles; each breeding's children take the list
+    # the breeding before emptied, each handle holding no buffer and none a parent
+    built, handed = [], []  # every handle; per breeding, (handles built by then, pop, new_pop)
+
+    class Counted(engine.Individual):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
 
     class Recording(engine.Breeding):
-        def __init__(self, pool, pop, mums, dads, draws, spare=None):
-            if spare is not None:
-                assert all(ind.slot_id == NO_SLOT for ind in spare)
-                assert not set(map(id, spare)) & set(map(id, pop))
-            spares.append(spare)
-            super().__init__(pool, pop, mums, dads, draws, spare)
+        def __init__(self, pool, pop, new_pop, mums, dads, draws):
+            assert all(ind.slot_id == NO_SLOT for ind in new_pop)
+            assert not set(map(id, new_pop)) & set(map(id, pop))
+            handed.append((len(built), pop, new_pop))
+            super().__init__(pool, pop, new_pop, mums, dads, draws)
 
+    monkeypatch.setattr(engine, "Individual", Counted)
     monkeypatch.setattr(engine, "Breeding", Recording)
-    eng = PooledEngine(small_config(popsize=16, nthreads=nthreads, generations=6))
-    eng.run()
-    assert spares[0] is None and None not in spares[1:]
-    assert not set(map(id, eng.pop)) & set(map(id, eng.spare))
-    reused = {id(ind) for spare in spares[1:] for ind in spare}
-    assert reused == set(map(id, eng.pop)) | set(map(id, eng.spare)) and len(reused) == 32
+    PooledEngine(small_config(popsize=16, nthreads=nthreads, generations=6)).run()
+    assert len(handed) == 5
+    assert [n for n, _, _ in handed] == [32] * 5  # all 2M built before generation 1
+    assert len(built) == 32
+    _, pop, new_pop = handed[0]
+    assert set(map(id, pop + new_pop)) == set(map(id, built))
+    for (_, pop, _), (_, _, new_pop) in zip(handed, handed[1:]):
+        assert new_pop is pop  # the list the breeding before emptied
 
 
 def record_claims(monkeypatch, log):
@@ -716,6 +738,51 @@ def test_an_error_on_the_master_cancels_the_plan_and_joins_the_helpers(monkeypat
     assert excinfo.value is error
     assert log.count("cancel") == 1
     assert log[log.index("cancel") + 1:] == [None] * (cfg.nthreads - 1)  # one per helper
+    assert not [t for t in threading.enumerate() if t.name.startswith("breeder-")]
+
+
+def test_an_interrupt_while_the_master_joins_cancels_the_plan_and_joins_the_helpers(
+        monkeypatch):
+    # the master breeds once each helper is inside a slowed crossover, then its first join
+    # raises (a Ctrl-C there) while the helpers still breed; each stops after that child
+    cancels = []
+    cancel = BreedingPlan.cancel
+
+    def logged_cancel(plan):
+        cancels.append(plan)
+        cancel(plan)
+
+    monkeypatch.setattr(BreedingPlan, "cancel", logged_cancel)
+    helpers_busy = threading.Semaphore(0)
+    master_waited = []
+    crossover = engine.subtree_crossover
+
+    def slow_on_the_helpers(*args):
+        if threading.current_thread() is not threading.main_thread():
+            helpers_busy.release()
+            time.sleep(0.05)
+        elif not master_waited:
+            master_waited.append(True)
+            for _ in range(3):
+                if not helpers_busy.acquire(timeout=5):
+                    raise RuntimeError("a helper bred no child")
+        return crossover(*args)
+
+    monkeypatch.setattr(engine, "subtree_crossover", slow_on_the_helpers)
+    interrupt = KeyboardInterrupt()
+    join = threading.Thread.join
+    joins = itertools.count()
+
+    def join_interrupted_once(thread, timeout=None):
+        if next(joins) == 0:
+            raise interrupt
+        join(thread, timeout)
+
+    monkeypatch.setattr(threading.Thread, "join", join_interrupted_once)
+    with pytest.raises(KeyboardInterrupt) as excinfo:
+        run_evolution(small_config(popsize=40, nthreads=4, generations=2))
+    assert excinfo.value is interrupt
+    assert len(cancels) == 1
     assert not [t for t in threading.enumerate() if t.name.startswith("breeder-")]
 
 

@@ -58,3 +58,13 @@ def test_package_rebinds_no_module_global():
         if isinstance(node, (ast.Global, ast.Nonlocal))
     ]
     assert found == []
+
+
+def test_the_top_level_api_is_the_run_api():
+    # the engines' parts stay in their modules; the package exports what a run needs
+    assert poolgp.__all__ == [
+        "EvolutionResult", "GenerationStats", "InvariantError", "PooledEngine", "Problem",
+        "QUARTIC", "RunConfig", "emit_csv", "float_errors_ignored", "run_evolution",
+        "run_evolution_naive",
+    ]
+    assert not {"BreedingPlan", "BufferPool", "Individual"} & vars(poolgp).keys()
