@@ -7,7 +7,9 @@
    of length cells holds at most cap = (length + 1) / 2 values at once, so a push past cap
    is an incomplete one. Built at -O3 with -ffp-contract=off: no fused a * b + c, so every
    result keeps numpy's bits. Built against numpy's headers too: evaluate makes its result
-   array through numpy's C API, which the module's exec slot imports. */
+   array through numpy's C API, which the module's exec slot imports. Every function reads
+   its Python arguments before it builds a Python object: a new object may start a
+   collection, whose finalizers may change what is left to read. */
 #include <Python.h>
 #include <stdint.h>
 #define NPY_NO_DEPRECATED_API NPY_1_7_API_VERSION
@@ -396,14 +398,14 @@ static Py_ssize_t parent_of(PyObject *ms, PyObject *ds, Py_ssize_t n, Py_ssize_t
    child s is the only child of a parent, else 2; chain1 holds the status-1 children,
    highest first. ValueError, with python_plan's text, where the lengths differ and then for
    the first child with a parent outside 0 to n - 1; TypeError for a parent that is no int.
-   It holds one count per parent and no copy of the parents: one pass counts each parent's
-   children and sizes its list, and a second pass down the children reads the parents
-   again and fills every list. */
+   One pass reads each of the 2n parents once, into a block that also holds a count per
+   parent, and the lists are built from that block alone. */
 static PyObject *plan(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
 {
     PyObject *ms = NULL, *ds = NULL, *children = NULL, *status = NULL, *chain1 = NULL;
     PyObject *result = NULL;
-    Py_ssize_t n, s, i, p, *left = NULL;  /* left[p]: p's children, then its places to fill */
+    Py_ssize_t n, s, i, p, *parent = NULL;  /* parent[i]: parent i, as parent_of reads it */
+    Py_ssize_t *left;  /* left[p]: p's children, then its places to fill */
     if (nargs != 2)
         return PyErr_Format(PyExc_TypeError, "plan takes 2 arguments");
     if (!(ms = PySequence_Fast(args[0], "plan: mums is not a sequence"))
@@ -413,12 +415,12 @@ static PyObject *plan(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize
         PyErr_SetString(PyExc_ValueError, "mums and dads must have equal length");
         goto done;
     }
-    if (!(left = PyMem_Calloc(n + 1, sizeof *left))) {
+    if (!(parent = PyMem_Calloc(3 * n + 1, sizeof *parent))) {
         PyErr_NoMemory();
         goto done;
     }
-    for (i = 0; i < 2 * n; i++) {
-        if ((p = parent_of(ms, ds, n, i)) < 0)
+    for (left = parent + 2 * n, i = 0; i < 2 * n; i++) {
+        if ((p = parent[i] = parent_of(ms, ds, n, i)) < 0)
             goto done;
         left[p]++;
     }
@@ -431,19 +433,12 @@ static PyObject *plan(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize
         PyList_SET_ITEM(children, p, kids);
     }
     for (s = n - 1; s >= 0; s--) {  /* each list filled from its end: in child order */
-        PyObject *id = PyLong_FromSsize_t(s);
+        PyObject *id = PyLong_FromSsize_t(s), *kids;
         int single = 0;
         if (!id)
             goto done;
         for (i = 2 * s; i < 2 * s + 2; i++) {
-            PyObject *kids;
-            if ((p = parent_of(ms, ds, n, i)) < 0 || !left[p]) {  /* !left[p]: it changed */
-                if (p >= 0)
-                    PyErr_SetString(PyExc_ValueError, "plan: a parent changed while read");
-                Py_DECREF(id);
-                goto done;
-            }
-            kids = PyList_GET_ITEM(children, p);
+            kids = PyList_GET_ITEM(children, p = parent[i]);
             single |= PyList_GET_SIZE(kids) == 1;
             Py_INCREF(id), PyList_SET_ITEM(kids, --left[p], id);
         }
@@ -456,7 +451,7 @@ static PyObject *plan(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize
     }
     result = PyTuple_Pack(3, children, status, chain1);
 done:
-    PyMem_Free(left);
+    PyMem_Free(parent);
     Py_XDECREF(ms), Py_XDECREF(ds);
     Py_XDECREF(children), Py_XDECREF(status), Py_XDECREF(chain1);
     return result;

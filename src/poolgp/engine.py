@@ -70,6 +70,9 @@ class Individual:
     tree_len: int = 0
 
 
+# a handle's object and the array of its attribute values beside it, counted as twice the
+# object: 96 bytes by tracemalloc on CPython 3.11, against 2 x 56
+HANDLE_BYTES = 2 * sys.getsizeof(Individual())
 MAX_THREADS = 256  # most breeder threads a run may ask for
 TOURNAMENT_BLOCK = 16384  # most entrants that one randbytes block draws and ranks
 
@@ -99,15 +102,19 @@ class RunConfig:
         if self.nthreads > MAX_THREADS:
             # one OS thread per breeder; a typo must not start thousands
             raise ValueError(f"nthreads must be <= {MAX_THREADS}, got {self.nthreads}")
-        # the pool builds every buffer up front: refuse more than physical memory. Each
-        # buffer is a bytearray (its header, its bytes and a trailing NUL) and a list slot
+        # the pool builds every buffer up front, and the engine two handles per member:
+        # refuse more than physical memory. Each buffer counts as a bytearray (its header,
+        # its bytes and a trailing NUL), a list slot, an in-use byte, a free-stack entry (an
+        # int and a list slot) and two handles
         if {"SC_PAGE_SIZE", "SC_PHYS_PAGES"} <= getattr(os, "sysconf_names", {}).keys():
             ram = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-            each = sys.getsizeof(bytearray()) + self.buffer_bytes + 1 + struct.calcsize("P")
-            if (n := pool_capacity(self.popsize, self.nthreads)) * each > ram:
+            n, word = pool_capacity(self.popsize, self.nthreads), struct.calcsize("P")
+            each = (sys.getsizeof(bytearray()) + self.buffer_bytes + 1 + word + 1
+                    + sys.getsizeof(n) + word + 2 * HANDLE_BYTES)
+            if n * each > ram:
                 raise ValueError(f"popsize={self.popsize} x buffer_bytes={self.buffer_bytes}: {n} "
-                                 f"buffers of {each} bytes exceed this machine's {ram} bytes "
-                                 "of physical memory")
+                                 f"buffers of {each} bytes, with their handles, exceed this "
+                                 f"machine's {ram} bytes of physical memory")
         if self.tournament_size > TOURNAMENT_BLOCK:
             # a tournament is ranked in one block, at about 37 bytes per entrant
             raise ValueError(f"tournament_size must be <= {TOURNAMENT_BLOCK}, "

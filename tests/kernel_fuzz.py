@@ -16,7 +16,8 @@
   on one parent, and lists, tuples and numpy ints as input;
 * `crossover` against `genome.python_crossover`: the same length or
   exception class, the same child bytes, and a child never resized;
-* and the refusals of malformed arguments.
+* and the refusals of malformed arguments, and `plan` and `draw` through a
+  collection that starts inside them, whose finalizer shrinks their lists.
 
 tests/test_kernel.py runs it over the cached kernel, and in a subprocess over
 a kernel built with AddressSanitizer and UBSan, as
@@ -28,6 +29,7 @@ which loads the module in KERNEL.so and exits 0 only when every check held.
 
 from __future__ import annotations
 
+import gc
 import math
 import random
 from array import array
@@ -288,15 +290,15 @@ class Emptying:
         return 0
 
 
-class Changing:
-    """An index that reads 0 the first time and 1 after."""
+class Shrinking:
+    """Garbage in a reference cycle, whose finalizer cuts each of its lists to one item."""
 
-    def __init__(self):
-        self.reads = 0
+    def __init__(self, *lists):
+        self.lists, self.cycle = lists, self
 
-    def __index__(self):
-        self.reads += 1
-        return 0 if self.reads == 1 else 1
+    def __del__(self):
+        for within in self.lists:
+            del within[1:]
 
 
 def check_refusals(kernel) -> None:
@@ -359,12 +361,26 @@ def check_refusals(kernel) -> None:
             raise AssertionError(f"plan read parents that shrank ({side})")
         except ValueError:
             pass
-    # a parent read as 0, then as 1: refused, with no list left part-filled
+    # a collection that starts inside the kernel, with a finalizer that shrinks the lists
+    # it reads: each function has read them before it builds a list, so the results are
+    # those of the lists as passed
+    m, threshold = 2000, gc.get_threshold()
+    mums, dads, fit = list(range(m)), [i // 2 for i in range(m)], [float(i % 7) for i in range(m)]
+    reference = ReferenceRng(0)
+    start = reference.getstate()[1]
+    want_plan, want_draw = python_plan(mums, dads), draw_outcome(reference, list(fit), 7)
+    points = array("I", [7]) * len(want_draw[2])
     try:
-        kernel.plan([Changing(), 0], [0, 0])
-        raise AssertionError("plan took a parent that changed")
-    except ValueError:
-        pass
+        gc.set_threshold(1)  # each new container starts a collection
+        Shrinking(mums, dads)
+        got_plan = kernel.plan(mums, dads)
+        Shrinking(fit)
+        after, *got_draw = kernel.draw(start, fit, 7, points)
+    finally:
+        gc.set_threshold(*threshold)
+    assert len(mums) == len(dads) == len(fit) == 1, "no finalizer ran"
+    assert got_plan == want_plan, "plan read parents that shrank"
+    assert (*got_draw, points) == want_draw and after == reference.getstate()[1]
     for args in ((b"", 1), (bytes([4]), 1, bytes([4]), 1, bytearray(1), 1)):
         try:
             kernel.crossover(*args)

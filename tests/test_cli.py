@@ -126,7 +126,10 @@ def test_memory_check_counts_the_pools_two_buffers_per_breeder(monkeypatch, caps
     def refuse_pool(*args):
         raise AssertionError("BufferPool built")
 
-    each = sys.getsizeof(bytearray()) + 63 + 1 + struct.calcsize("P")  # 128 on 64-bit CPython
+    # a buffer's bytearray, list slot, in-use byte and free-stack entry, and two handles:
+    # 389 bytes on 64-bit CPython 3.11
+    each = (sys.getsizeof(bytearray()) + 63 + 1 + 2 * struct.calcsize("P") + 1 + sys.getsizeof(10)
+            + 4 * sys.getsizeof(engine.Individual()))
     pages = {"SC_PAGE_SIZE": each, "SC_PHYS_PAGES": 9}  # 9 buffers
     monkeypatch.setattr(os, "sysconf_names", pages, raising=False)
     monkeypatch.setattr(os, "sysconf", pages.__getitem__, raising=False)

@@ -5,11 +5,13 @@ import itertools
 import math
 import os
 import random
+import re
 import struct
 import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from array import array
 from pathlib import Path
 
@@ -21,6 +23,7 @@ from poolgp.breeding_plan import BreedingPlan
 from poolgp.engine import (
     MAX_THREADS,
     TOURNAMENT_BLOCK,
+    Individual,
     PooledEngine,
     RunConfig,
     child_stream,
@@ -28,7 +31,7 @@ from poolgp.engine import (
     initial_depth,
     run_evolution,
 )
-from poolgp.expr_pool import NO_SLOT
+from poolgp.expr_pool import NO_SLOT, BufferPool
 from poolgp.genome import POINTS_PER_CHILD
 from poolgp.naive import run_evolution_naive
 from poolgp.problems import QUARTIC, Problem
@@ -334,17 +337,20 @@ def fake_physical_memory(monkeypatch, page_size, pages):
 
 
 def test_memory_check_compares_pool_capacity_times_buffer_bytes(monkeypatch):
-    # a buffer costs its bytearray's header, its bytes and a NUL, and a list slot:
-    # 56 + 1024 + 1 + 8 = 1089 bytes on 64-bit CPython
-    each = sys.getsizeof(bytearray()) + 1024 + 1 + struct.calcsize("P")
+    # a buffer counts its bytearray's header, its bytes and a NUL, a list slot, an in-use
+    # byte, a free-stack entry (an int and a list slot) and two handles at twice a handle
+    # object: 56 + 1024 + 1 + 8 + 1 + 28 + 8 + 4 * 56 = 1350 bytes on 64-bit CPython 3.11
+    word = struct.calcsize("P")
+    each = (sys.getsizeof(bytearray()) + 1024 + 1 + word + 1 + sys.getsizeof(4000) + word
+            + 4 * sys.getsizeof(Individual()))
     fake_physical_memory(monkeypatch, each, 4000)
     # inline breeding: the pool holds M + 2 buffers
     RunConfig(popsize=3998, buffer_bytes=1024).validate()  # exactly the memory size
     with pytest.raises(ValueError, match=f"popsize=3999 x buffer_bytes=1024: 4001 buffers of "
                                          f"{each} bytes"):
         RunConfig(popsize=3999, buffer_bytes=1024).validate()
-    # on a 7.8 GiB machine: 10**9 one-byte buffers take about 66 GB, and 10**8 buffers of
-    # 31 bytes about 9.6 GB (96 bytes each, by tracemalloc), not the 3.1 GB of their bytes
+    # on a 7.8 GiB machine: the check counts about 330 GB for 10**9 one-byte buffers, and
+    # about 36 GB for 10**8 buffers of 31 bytes, not the 3.1 GB of their bytes
     fake_physical_memory(monkeypatch, 4096, 2_045_000)
     for popsize, buffer_bytes in ((10**9, 1), (10**8, 31)):
         with pytest.raises(ValueError, match="physical memory"):
@@ -352,6 +358,31 @@ def test_memory_check_compares_pool_capacity_times_buffer_bytes(monkeypatch):
                       max_initial_depth=1).validate()
     monkeypatch.setattr(os, "sysconf_names", {"SC_PAGE_SIZE": 30})  # no page count
     RunConfig(popsize=10**12).validate()  # no figure to check against
+
+
+def test_memory_check_counts_the_free_stack_and_two_handles_per_member(monkeypatch):
+    # twice what the buffers and their list slots take (96 bytes each at 31 bytes): the
+    # buffers fit, but not with the free stack and the engine's two handles per member
+    buffers = sys.getsizeof(bytearray()) + 31 + 1 + struct.calcsize("P")
+    fake_physical_memory(monkeypatch, 2 * buffers, 10**4)
+    with pytest.raises(ValueError, match="10002 buffers of .* physical memory"):
+        RunConfig(popsize=10**4, buffer_bytes=31, max_initial_depth=1).validate()
+
+
+def test_memory_check_counts_at_least_what_a_pool_and_its_handles_take(monkeypatch):
+    m = 10**4
+    fake_physical_memory(monkeypatch, 1, 1)
+    with pytest.raises(ValueError, match="buffers of") as refused:
+        RunConfig(popsize=m, buffer_bytes=31, max_initial_depth=1).validate()
+    each = int(re.search(r"buffers of (\d+) bytes", str(refused.value)).group(1))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        pool, handles = BufferPool(m, 0, 31), [Individual() for _ in range(2 * m)]
+        took = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert each * m >= took, (each, took / m)
 
 
 def test_self_permutation_generation_peaks_at_m_plus_one(monkeypatch):
