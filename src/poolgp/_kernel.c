@@ -9,7 +9,8 @@
    result keeps numpy's bits. Built against numpy's headers too: evaluate makes its result
    array through numpy's C API, which the module's exec slot imports. Every function reads
    its Python arguments before it builds a Python object: a new object may start a
-   collection, whose finalizers may change what is left to read. */
+   collection, whose finalizers may change what is left to read. plan reads only exact
+   lists of exact ints, so it runs no Python code while it reads. */
 #include <Python.h>
 #include <stdint.h>
 #define NPY_NO_DEPRECATED_API NPY_1_7_API_VERSION
@@ -367,24 +368,19 @@ done:
     return result;
 }
 
-/* parent i of mums and dads' 2n, child i / 2's mum for even i, else its dad, as an index
-   from 0 to n - 1; -1 with ValueError, in python_plan's text where it is out of range, or
-   with TypeError where it is no int */
+/* parent i of the lists mums and dads' 2n, child i / 2's mum for even i, else its dad, as
+   an index from 0 to n - 1; -1 with TypeError where it is no exact int, or ValueError, in
+   python_plan's text, where it is out of range. It runs no Python code. */
 static Py_ssize_t parent_of(PyObject *ms, PyObject *ds, Py_ssize_t n, Py_ssize_t i)
 {
-    PyObject *item = PySequence_Fast_GET_ITEM(i & 1 ? ds : ms, i >> 1);
+    PyObject *item = PyList_GET_ITEM(i & 1 ? ds : ms, i >> 1);
     Py_ssize_t p;
-    if (PyLong_CheckExact(item)) {  /* the common case, and no Python code runs */
-        if ((p = PyLong_AsSsize_t(item)) == -1)
-            PyErr_Clear();  /* past the range of Py_ssize_t: -1, so out of range */
+    if (!PyLong_CheckExact(item)) {
+        PyErr_Format(PyExc_TypeError, "plan: a parent of child %zd is no int", i >> 1);
+        return -1;
     }
-    else {
-        Py_INCREF(item);  /* an __index__ may change the sequences */
-        p = PyNumber_AsSsize_t(item, NULL);  /* past the range of Py_ssize_t: clamped */
-        Py_DECREF(item);
-        if ((p == -1 && PyErr_Occurred()) || !same_size(ms, n) || !same_size(ds, n))
-            return -1;
-    }
+    if ((p = PyLong_AsSsize_t(item)) == -1)
+        PyErr_Clear();  /* past the range of Py_ssize_t: -1, so out of range */
     if (p < 0 || p >= n) {
         PyErr_Format(PyExc_ValueError, "parent index out of range for child %zd", i >> 1);
         return -1;
@@ -393,28 +389,24 @@ static Py_ssize_t parent_of(PyObject *ms, PyObject *ds, Py_ssize_t n, Py_ssize_t
 }
 
 /* plan(mums, dads) -> (children, status, chain1): breeding_plan.python_plan's three lists,
-   for the sequences of parent indices mums and dads. children[p] lists parent p's children
-   in child order, a child of p twice where p is both its parents; status[s] is 1 where
+   for the lists of parent indices that draw_outcome returns. children[p] lists parent p's
+   children in child order, a child twice where p is both its parents; status[s] is 1 where
    child s is the only child of a parent, else 2; chain1 holds the status-1 children,
-   highest first. ValueError, with python_plan's text, where the lengths differ and then for
-   the first child with a parent outside 0 to n - 1; TypeError for a parent that is no int.
-   One pass reads each of the 2n parents once, into a block that also holds a count per
-   parent, and the lists are built from that block alone. */
+   highest first. TypeError unless both are exact lists of exact ints; ValueError, with
+   python_plan's text, where the lengths differ and then for the first child with a parent
+   outside 0 to n - 1. One pass reads each parent once, with no Python code, into a block
+   that also holds a count per parent; the lists are built from that block alone. */
 static PyObject *plan(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
 {
-    PyObject *ms = NULL, *ds = NULL, *children = NULL, *status = NULL, *chain1 = NULL;
-    PyObject *result = NULL;
+    PyObject *ms, *ds, *children = NULL, *status = NULL, *chain1 = NULL, *result = NULL;
     Py_ssize_t n, s, i, p, *parent = NULL;  /* parent[i]: parent i, as parent_of reads it */
     Py_ssize_t *left;  /* left[p]: p's children, then its places to fill */
     if (nargs != 2)
         return PyErr_Format(PyExc_TypeError, "plan takes 2 arguments");
-    if (!(ms = PySequence_Fast(args[0], "plan: mums is not a sequence"))
-        || !(ds = PySequence_Fast(args[1], "plan: dads is not a sequence")))
-        goto done;
-    if ((n = PySequence_Fast_GET_SIZE(ms)) != PySequence_Fast_GET_SIZE(ds)) {
-        PyErr_SetString(PyExc_ValueError, "mums and dads must have equal length");
-        goto done;
-    }
+    if (!PyList_CheckExact(ms = args[0]) || !PyList_CheckExact(ds = args[1]))
+        return PyErr_Format(PyExc_TypeError, "plan: mums and dads must be lists");
+    if ((n = PyList_GET_SIZE(ms)) != PyList_GET_SIZE(ds))
+        return PyErr_Format(PyExc_ValueError, "mums and dads must have equal length");
     if (!(parent = PyMem_Calloc(3 * n + 1, sizeof *parent))) {
         PyErr_NoMemory();
         goto done;
@@ -452,7 +444,6 @@ static PyObject *plan(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize
     result = PyTuple_Pack(3, children, status, chain1);
 done:
     PyMem_Free(parent);
-    Py_XDECREF(ms), Py_XDECREF(ds);
     Py_XDECREF(children), Py_XDECREF(status), Py_XDECREF(chain1);
     return result;
 }

@@ -26,6 +26,7 @@ No internal locking: every operation runs inside the engine lock.
 
 from __future__ import annotations
 
+from . import genome
 from .errors import InvariantError
 
 NIL = -1  # chain 1 is empty; "no sole survivor" from rem_child
@@ -55,17 +56,14 @@ def python_plan(mums, dads) -> tuple[list[list[int]], list[int], list[int]]:
 class BreedingPlan:
     """Work queues, parentage and children lists for one generation of crossovers.
 
-    mums[s] and dads[s] index the current population. They may be equal:
+    mums and dads are lists of ints, as `draw_outcome` returns them: mums[s]
+    and dads[s] index the current population. They may be equal:
     self-crossover lists the child twice in that parent's children.
     """
 
     def __init__(self, mums: list[int], dads: list[int]):
         """The plan's tables from the kernel's `plan` where it loaded, else from
         `python_plan`: the same lists, or the same ValueError."""
-        # imported here, after the package's other imports: importing genome, which loads
-        # the kernel, ahead of them left each benchmark process about 0.1 MiB larger
-        from . import genome
-
         build = python_plan if genome._native is None else genome._native.plan
         self.children, self.status, self.chain1 = build(mums, dads)
         self.mums, self.dads = mums, dads

@@ -88,17 +88,20 @@ class RunConfig:
     max_initial_depth: int = 6
 
     def validate(self) -> None:
-        # numpy ints pass operator.index; floats, which could pass the limits below, do not,
-        # nor does a seed of None, which random.Random would take from OS entropy
+        """The one gate of a run's settings: check each and store it back as a plain int."""
+        # numpy ints pass operator.index and are stored as the int they hold; floats, which
+        # could pass the limits below, do not, nor does a seed of None (OS entropy) or below
+        # 0 (random.Random folds it onto its absolute value: -5 would run the trajectory of 5)
         for name, least in (("popsize", 1), ("nthreads", 0), ("generations", 1), ("buffer_bytes", 1),
-                            ("tournament_size", 1), ("max_initial_depth", 1), ("seed", None)):
+                            ("tournament_size", 1), ("max_initial_depth", 1), ("seed", 0)):
             value = getattr(self, name)
             try:
-                operator.index(value)
+                value = operator.index(value)
             except TypeError:
                 raise ValueError(f"{name} must be an integer, got {value!r}") from None
-            if least is not None and value < least:
+            if value < least:
                 raise ValueError(f"{name} must be >= {least}, got {value}")
+            setattr(self, name, value)
         if self.nthreads > MAX_THREADS:
             # one OS thread per breeder; a typo must not start thousands
             raise ValueError(f"nthreads must be <= {MAX_THREADS}, got {self.nthreads}")
@@ -120,7 +123,7 @@ class RunConfig:
             raise ValueError(f"tournament_size must be <= {TOURNAMENT_BLOCK}, "
                              f"got {self.tournament_size}")
         # bit lengths, not 2**depth: a huge depth must not build a huge integer
-        deepest = (operator.index(self.buffer_bytes) + 1).bit_length() - 1
+        deepest = (self.buffer_bytes + 1).bit_length() - 1
         if self.max_initial_depth > deepest:
             raise ValueError(
                 f"buffer_bytes={self.buffer_bytes} cannot hold an initial tree of "
@@ -277,7 +280,7 @@ class PooledEngine:
         self.problem = problem
         self.pool = BufferPool(config.popsize, config.nthreads, config.buffer_bytes)
         self.lock = threading.Lock()
-        self.master_rng = random.Random(operator.index(config.seed))  # takes no numpy int
+        self.master_rng = random.Random(config.seed)
         self.stats: list[metrics.GenerationStats] = []
         self.fitness_history: list[list[float]] = []
 

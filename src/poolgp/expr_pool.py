@@ -19,7 +19,8 @@ to a freed slot cannot push it onto the free stack twice.
 The pool is the one source of its usage figures: `used` now, `max_used`
 over the run and `peak` since the last `reset_peak` (the engine resets it
 at the start of each generation). It is not thread-safe on its own:
-callers mutate it only inside the engine's single lock.
+callers mutate it only inside the engine's single lock. Its sizes come
+from a validated `RunConfig`, and it does not check them again.
 """
 
 from __future__ import annotations
@@ -38,12 +39,6 @@ class BufferPool:
     """Buffers `slots[1..capacity]` built up front (`slots[0]` is None), on a free stack."""
 
     def __init__(self, popsize: int, nthreads: int, buffer_bytes: int):
-        if popsize < 1:
-            raise ValueError(f"popsize must be >= 1, got {popsize}")
-        if buffer_bytes < 1:
-            raise ValueError(f"buffer_bytes must be >= 1, got {buffer_bytes}")
-        if nthreads < 0:
-            raise ValueError(f"nthreads must be >= 0, got {nthreads}")
         self.capacity = pool_capacity(popsize, nthreads)
         self.workers = (self.capacity - popsize) // 2  # breeders the run uses
         # index 0 unused in every per-slot array so slot ids start at 1

@@ -60,10 +60,8 @@ def random_tree(rng, depth_limit: int, buf) -> int:
 
     The root is a function whenever the depth limit allows one; deeper nodes
     are drawn uniformly from the full primitive set until the limit forces a
-    terminal. A limit of d writes at most 2**d - 1 cells.
+    terminal. A limit of d >= 1 (the engines' is never below 1) writes at most 2**d - 1 cells.
     """
-    if depth_limit < 1:
-        raise ValueError(f"depth_limit must be >= 1, got {depth_limit}")
     # grow in preorder from an explicit stack: a recursive closure names
     # itself, a reference cycle that keeps `buf` alive until gc runs
     pos = 0

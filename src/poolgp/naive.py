@@ -11,7 +11,6 @@ exists to be the easy-to-trust side of that comparison.
 
 from __future__ import annotations
 
-import operator
 import random
 import time
 
@@ -25,7 +24,7 @@ def run_evolution_naive(config: RunConfig, problem: Problem = QUARTIC) -> Evolut
     """Evolve with separate old and new populations, replaced wholesale each generation."""
     config.validate()
     m = config.popsize
-    rng = random.Random(operator.index(config.seed))  # random.Random takes no numpy int
+    rng = random.Random(config.seed)
     genomes: list[bytearray] = []
     lens: list[int] = []
     fitnesses: list[float] = []

@@ -10,7 +10,7 @@ import numpy as np
 from . import genome
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # equal and hashed by identity: arrays have no truth value
 class Problem:
     """A pure fitness evaluator over a fixed table of training cases.
 

@@ -6,7 +6,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from poolgp import breeding_plan, genome
@@ -278,8 +277,8 @@ def python_build(monkeypatch, mums, dads):
 
 
 def plan_cases():
-    """(mums, dads): M = 0, 1, 2 and 4000; self-crossover; every child on one parent;
-    random pairs; and tuples and numpy ints as input."""
+    """(mums, dads), two lists of ints: M = 0, 1, 2 and 4000; self-crossover; every child
+    on one parent; random pairs."""
     rng = random.Random(30)
     yield [], []
     yield [0], [0]
@@ -294,8 +293,6 @@ def plan_cases():
         mums = [rng.randrange(m) for _ in range(m)]
         dads = [mum if rng.random() < 0.2 else rng.randrange(m) for mum in mums]
         yield mums, dads
-        yield tuple(mums), tuple(dads)
-        yield np.array(mums), [np.int32(d) for d in dads]
 
 
 @needs_kernel

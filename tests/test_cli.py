@@ -76,6 +76,13 @@ def test_zero_popsize_is_a_usage_error(capsys):
     assert "popsize" in capsys.readouterr().err
 
 
+def test_a_negative_seed_is_a_configuration_error(capsys):
+    # random.Random folds a negative seed onto its absolute value: -1 would run seed 1
+    assert main(FAST + ["--seed", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "seed" in err
+
+
 def test_unknown_flag_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         build_parser().parse_args(["--frobnicate"])

@@ -288,6 +288,13 @@ def test_config_validation():
         RunConfig(popsize=0).validate()
     with pytest.raises(ValueError):
         RunConfig(nthreads=-1).validate()
+    # BufferPool builds what it is given: the gate is where a buffer of no bytes stops
+    with pytest.raises(ValueError, match="^buffer_bytes must be >= 1, got 0$"):
+        RunConfig(buffer_bytes=0, max_initial_depth=1).validate()
+    # random.Random folds a negative seed onto its absolute value: -1 would run seed 1
+    with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+        RunConfig(seed=-1).validate()
+    RunConfig(seed=0).validate()
     with pytest.raises(ValueError):
         RunConfig(generations=0).validate()
     with pytest.raises(ValueError):
@@ -311,6 +318,21 @@ def test_config_validation_rejects_non_integer_fields(field):
         with pytest.raises(ValueError, match=f"^{field} must be an integer"):
             RunConfig(**{field: bad}).validate()
     RunConfig(**{field: np.int64(value)}).validate()  # numpy ints still run
+
+
+@pytest.mark.parametrize("kind", [np.int64, np.int32])
+def test_numpy_int_settings_run_as_plain_ints_on_both_engines(kind):
+    # validate stores every field back as an int: the results hold no numpy scalar, which
+    # json.dumps refuses, and the same genomes grow as from plain ints
+    cfg = dict(popsize=20, nthreads=2, generations=3, buffer_bytes=63, tournament_size=3,
+               seed=5, max_initial_depth=4)
+    for run in (run_evolution, run_evolution_naive):
+        want = run(RunConfig(**cfg)).genomes
+        config = RunConfig(**{name: kind(value) for name, value in cfg.items()})
+        result = run(config)
+        assert type(result.capacity) is int and type(result.peak_buffers) is int, run
+        assert [type(v) for v in vars(config).values()] == [int] * len(cfg)
+        assert result.genomes == want, run
 
 
 def test_a_numpy_integer_seed_runs_like_the_same_int():

@@ -36,16 +36,6 @@ def test_smallest_pool_chain_layout():
     assert free_slots(pool) == [1, 2, 3]
 
 
-@pytest.mark.parametrize("popsize,nthreads,buffer_bytes", [
-    (0, 1, 4),
-    (1, 1, 0),
-    (1, -1, 4),
-])
-def test_bad_configuration_rejected(popsize, nthreads, buffer_bytes):
-    with pytest.raises(ValueError):
-        BufferPool(popsize, nthreads, buffer_bytes)
-
-
 def test_acquire_trace_fresh_pool():
     pool = make_pool()
     who = Individual()

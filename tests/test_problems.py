@@ -112,6 +112,14 @@ def test_problem_scores_against_its_own_read_only_copies():
             a.setflags(write=True)
 
 
+def test_problems_are_equal_and_hashed_by_identity():
+    # a field-wise == would ask numpy for one truth value of two arrays, and hash would hash
+    # an ndarray: neither says whether two problems score alike
+    twin = Problem(inputs=QUARTIC.inputs, targets=QUARTIC.targets)
+    assert QUARTIC == QUARTIC and twin != QUARTIC and hash(QUARTIC) == hash(QUARTIC)
+    assert {QUARTIC: "quartic", twin: "twin"}[QUARTIC] == "quartic"
+
+
 def test_opcode_accounting():
     p = QUARTIC
     assert p.opcodes_per_eval(13) == 13 * 20

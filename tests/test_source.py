@@ -68,3 +68,32 @@ def test_the_top_level_api_is_the_run_api():
         "run_evolution_naive",
     ]
     assert not {"BreedingPlan", "BufferPool", "Individual"} & vars(poolgp).keys()
+
+
+def scoped(node, scope=""):
+    """(dotted name of the enclosing class or function, "" at module level; node) for every
+    node below `node`."""
+    for child in ast.iter_child_nodes(node):
+        yield scope, child
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from scoped(child, f"{scope}.{child.name}".lstrip("."))
+        else:
+            yield from scoped(child, scope)
+
+
+def test_only_the_config_gate_converts_settings():
+    # RunConfig.validate stores every setting back as a plain int, so the layers inside take
+    # them as they are; an operator.index elsewhere would convert a setting a second time
+    found, gate = [], []
+    for path, tree in parsed_modules():
+        names = {alias.asname or alias.name for node in ast.walk(tree)
+                 if isinstance(node, ast.Import) for alias in node.names
+                 if alias.name == "operator"}
+        for scope, node in scoped(tree):
+            if (isinstance(node, ast.Attribute) and node.attr == "index"
+                    and name_of(node.value) in names
+                    or isinstance(node, ast.ImportFrom) and node.module == "operator"
+                    and "index" in {alias.name for alias in node.names}):
+                (gate if (path.name, scope) == ("engine.py", "RunConfig.validate")
+                 else found).append(f"{path.name}:{node.lineno} {scope}")
+    assert found == [] and gate, (found, gate)
