@@ -6,15 +6,14 @@
    and the top one is a, as in _interpret; terminals are never copied. A complete encoding
    of length cells holds at most cap = (length + 1) / 2 values at once, so a push past cap
    is an incomplete one. Built at -O3 with -ffp-contract=off: no fused a * b + c, so every
-   result keeps numpy's bits. Built against numpy's headers too: evaluate makes its result
-   array through numpy's C API, which the module's exec slot imports. Every function reads
-   its Python arguments before it builds a Python object: a new object may start a
-   collection, whose finalizers may change what is left to read. plan reads only exact
-   lists of exact ints, so it runs no Python code while it reads. */
+   result keeps numpy's bits. Only Python's headers are needed: evaluate and abs_error read
+   their doubles through the buffer protocol, and evaluate returns its values in a small
+   object of this module's own that exports them, so loading the module imports no numpy.
+   Every function reads its Python arguments before it builds a Python object: a new
+   object may start a collection, whose finalizers may change what is left to read. plan
+   reads only exact lists of exact ints, so it runs no Python code while it reads. */
 #include <Python.h>
 #include <stdint.h>
-#define NPY_NO_DEPRECATED_API NPY_1_7_API_VERSION
-#include <numpy/arrayobject.h>
 #if !defined(CONSTANTS_LIST) || !defined(CROSSOVER_ATTEMPTS) || !defined(ON_STACK)
 #error "build with the -D flags of poolgp._kernel.defines()"
 #endif
@@ -91,36 +90,79 @@ static int run(const unsigned char *code, Py_ssize_t length, const double *x, Py
     return status ? status : depth == 1 ? 0 : 3;
 }
 
-/* evaluate(code, length, x) -> a new float64 array of x's shape holding the root's values,
-   or an ERRORS status; None where x is not an exact, aligned, native-order, C-contiguous
-   float64 ndarray, for the caller to convert. A length outside the code buffer is status 5,
-   however far outside. */
+/* The row of doubles that evaluate returns: it exports them as one writable, C-contiguous
+   buffer of format "d", which memoryview() and numpy read. The cheapest owner of fresh
+   doubles: no numpy array, and no memoryview built on every call. */
+typedef struct {
+    PyObject_VAR_HEAD
+    double value[];
+} Doubles;
+
+static int doubles_getbuffer(PyObject *self, Py_buffer *view, int flags)
+{
+    view->obj = Py_NewRef(self);
+    view->buf = ((Doubles *)self)->value;
+    view->len = Py_SIZE(self) * (Py_ssize_t)sizeof(double);
+    view->readonly = 0;
+    view->itemsize = sizeof(double);
+    view->format = flags & PyBUF_FORMAT ? "d" : NULL;
+    view->ndim = 1;
+    view->shape = flags & PyBUF_ND ? &((PyVarObject *)self)->ob_size : NULL;
+    view->strides = (flags & PyBUF_STRIDES) == PyBUF_STRIDES ? &view->itemsize : NULL;
+    view->suboffsets = NULL;
+    view->internal = NULL;
+    return 0;
+}
+
+static PyBufferProcs doubles_buffer = { doubles_getbuffer, NULL };
+static PyTypeObject DoublesType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "poolgp_kernel.doubles",
+    .tp_basicsize = sizeof(Doubles),
+    .tp_itemsize = sizeof(double),
+    .tp_flags = Py_TPFLAGS_DEFAULT,
+    .tp_as_buffer = &doubles_buffer,
+};
+
+/* 0 with obj's buffer held in view where it is an aligned, C-contiguous run of doubles, of
+   format "d" and any shape; 1, holding nothing, where obj has no buffer or another one; -1
+   with the exception where its exporter fails. */
+static int read_doubles(PyObject *obj, Py_buffer *view)
+{
+    if (!PyObject_CheckBuffer(obj))
+        return 1;
+    if (PyObject_GetBuffer(obj, view, PyBUF_RECORDS_RO))
+        return -1;
+    if (view->format && !strcmp(view->format, "d") && view->itemsize == sizeof(double)
+        && PyBuffer_IsContiguous(view, 'C') && !((uintptr_t)view->buf % _Alignof(double)))
+        return 0;
+    PyBuffer_Release(view);
+    return 1;
+}
+
+/* evaluate(code, length, x) -> the root's values over x's n doubles, in a new row of n
+   doubles, or an ERRORS status; None where x is no buffer that read_doubles takes, for the
+   caller to convert. A length outside the code buffer is status 5, however far outside. */
 static PyObject *evaluate(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
 {
-    Py_buffer c = { 0 };
-    PyArrayObject *x, *out = NULL;
+    Py_buffer c = { 0 }, x = { 0 };
+    PyObject *out = NULL;
     Py_ssize_t length;
-    int status = 5;
+    int status = 5, got;
     if (nargs != 3)
         return PyErr_Format(PyExc_TypeError, "evaluate takes 3 arguments");
     if ((length = PyNumber_AsSsize_t(args[1], NULL)) == -1 && PyErr_Occurred())
         return NULL;
-    if (!PyArray_CheckExact(args[2]))
-        Py_RETURN_NONE;
-    x = (PyArrayObject *)args[2];
-    if (PyArray_TYPE(x) != NPY_DOUBLE || !PyArray_ISNOTSWAPPED(x) || !PyArray_ISALIGNED(x)
-        || !PyArray_IS_C_CONTIGUOUS(x))
-        Py_RETURN_NONE;
-    if (PyObject_GetBuffer(args[0], &c, PyBUF_SIMPLE))
-        return NULL;
-    if (length >= 0 && length <= c.len
-        && (out = (PyArrayObject *)PyArray_SimpleNew(PyArray_NDIM(x), PyArray_DIMS(x),
-                                                     NPY_DOUBLE))
-        && (status = run(c.buf, length, PyArray_DATA(x), PyArray_SIZE(x), PyArray_DATA(out))))
+    if ((got = read_doubles(args[2], &x)))
+        return got < 0 ? NULL : Py_NewRef(Py_None);
+    if (!PyObject_GetBuffer(args[0], &c, PyBUF_SIMPLE) && length >= 0 && length <= c.len
+        && (out = (PyObject *)PyObject_NewVar(Doubles, &DoublesType,
+                                              x.len / (Py_ssize_t)sizeof(double)))
+        && (status = run(c.buf, length, x.buf, Py_SIZE(out), ((Doubles *)out)->value)))
         Py_CLEAR(out);
-    PyBuffer_Release(&c);
+    PyBuffer_Release(&c), PyBuffer_Release(&x);
     if (out || PyErr_Occurred())
-        return (PyObject *)out;
+        return out;
     return PyLong_FromLong(status);
 }
 
@@ -464,20 +506,26 @@ static double pairwise(const double *p, const double *t, Py_ssize_t n)
     return res;
 }
 
-/* abs_error(pred, targets) -> the sum of |pred - targets| from 0.0, or inf where not finite */
+/* abs_error(pred, targets) -> the sum of |pred - targets| from 0.0, or inf where not finite.
+   TypeError unless both are buffers that read_doubles takes; ValueError where their counts
+   differ. */
 static PyObject *abs_error(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
 {
     Py_buffer p = { 0 }, t = { 0 };
     double sum = 0.0;
+    int got;
     if (nargs != 2)
         return PyErr_Format(PyExc_TypeError, "abs_error takes 2 arguments");
-    if (!PyObject_GetBuffer(args[0], &p, PyBUF_SIMPLE)
-        && !PyObject_GetBuffer(args[1], &t, PyBUF_SIMPLE)) {
+    if (!(got = read_doubles(args[0], &p))
+        && !(got = read_doubles(args[1], &t))) {
         if (p.len == t.len)
             sum += pairwise(p.buf, t.buf, p.len / (Py_ssize_t)sizeof(double));
         else
             PyErr_SetString(PyExc_ValueError, "pred and targets differ in size");
     }
+    else if (got > 0)
+        PyErr_SetString(PyExc_TypeError, "abs_error: pred and targets must be aligned, "
+                                         "C-contiguous buffers of format 'd'");
     PyBuffer_Release(&p), PyBuffer_Release(&t);
     return PyErr_Occurred() ? NULL : PyFloat_FromDouble(isfinite(sum) ? sum : INFINITY);
 }
@@ -490,11 +538,11 @@ static PyMethodDef methods[] = {
     { "plan", (PyCFunction)(void (*)(void))plan, METH_FASTCALL, NULL },
     { NULL },
 };
-/* numpy's C API, for evaluate's result arrays */
+/* the type of evaluate's rows, ready before any call */
+/* the type of evaluate's rows, made ready once per process: a second load finds it ready */
 static int exec_module(PyObject *Py_UNUSED(module))
 {
-    import_array1(-1);
-    return 0;
+    return PyType_Ready(&DoublesType);
 }
 static PyModuleDef_Slot slots[] = { { Py_mod_exec, (void *)exec_module }, { 0, NULL } };
 static struct PyModuleDef module = { PyModuleDef_HEAD_INIT, "poolgp_kernel", NULL, 0, methods,

@@ -1,20 +1,20 @@
 """The per-node loops in C, built once per machine as an extension module.
 
 Five functions, in _kernel.c: the genome interpreter (`evaluate`, which
-returns a new numpy array), the error sum (`abs_error`), a generation's
-draws from the master's Mersenne Twister stream (`draw`: every tournament,
-into the mums and dads lists, then every crossover point), subtree
-crossover (`crossover`, which walks arities itself) and the breeding plan's
-tables (`plan`). Where `load` finds no kernel, `genome.evaluate` runs its
-numpy interpreter, `Problem.fitness` sums in numpy, `engine.draw_outcome`
-draws with `randbytes` and ranks with `engine.rank_tournaments`,
+returns a new row of doubles, a buffer of format "d"), the error sum
+(`abs_error`), a generation's draws from the master's Mersenne Twister
+stream (`draw`: every tournament, into the mums and dads lists, then every
+crossover point), subtree crossover (`crossover`, which walks arities
+itself) and the breeding plan's tables (`plan`). Where `load` finds no
+kernel, `genome.evaluate` runs its numpy interpreter, `Problem.fitness` sums
+in numpy, `engine.draw_outcome` draws with `randbytes` and ranks with `engine.rank_tournaments`,
 `genome.subtree_crossover` is `genome.python_crossover`, and `BreedingPlan`
 builds with `breeding_plan.python_plan`. Each of these is also the reference
 that the kernel matches to the bit; tests/kernel_fuzz.py checks each pair.
 
-The file is compiled against the Python and numpy headers (`command`), so its
-cache key covers both include directories and numpy's version: numpy's C API
-ties the file to numpy's ABI.
+The file is compiled against Python's headers alone (`command`): it reads and
+returns doubles through the buffer protocol, so neither its build nor its
+cache key involves numpy, and loading it imports nothing but the module.
 """
 
 from __future__ import annotations
@@ -28,8 +28,6 @@ import shlex
 import stat
 import sysconfig
 from pathlib import Path
-
-import numpy
 
 SOURCE = Path(__file__).with_name("_kernel.c")  # shipped as package data
 FLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off")  # no fused a*b + c: numpy's bits
@@ -48,10 +46,9 @@ def defines(constants, attempts: int) -> tuple[str, ...]:
 
 def command(constants, attempts: int) -> list[str]:
     """The compiler's argv that builds the kernel, up to the output and the source: the
-    compiler, FLAGS, `defines`, and the Python and numpy include directories."""
+    compiler, FLAGS, `defines`, and Python's include directory."""
     return [*shlex.split(sysconfig.get_config_var("CC") or "cc"), *FLAGS,
-            *defines(constants, attempts), f"-I{sysconfig.get_paths()['include']}",
-            f"-I{numpy.get_include()}"]
+            *defines(constants, attempts), f"-I{sysconfig.get_paths()['include']}"]
 
 
 def load(constants, attempts: int):
@@ -63,7 +60,7 @@ def load(constants, attempts: int):
     cache = Path(base if os.path.isabs(base) else os.path.expanduser("~/.cache"), "poolgp")
     try:
         source = SOURCE.read_text()
-        key = "\0".join((source, *argv, sysconfig.get_platform(), suffix, numpy.__version__))
+        key = "\0".join((source, *argv, sysconfig.get_platform(), suffix))
         path = cache / f"kernel-{hashlib.sha256(key.encode()).hexdigest()[:20]}{suffix}"
         cache.mkdir(mode=0o700, parents=True, exist_ok=True)
         if not (_private(cache) and (path.exists() or _build(source, argv, path))

@@ -14,8 +14,9 @@ joined, the master scores the new population and appends its rows.
 Only the score pass produces fitness. The master evaluates every member
 once, in member order, as the naive engine does, and the fitness list it
 yields is the history row and the next tournaments' input with no copy.
-The pass enters numpy's float-error state once (`float_errors_ignored`);
-neither `evaluate` nor `Problem.fitness` sets one per genome.
+The pass enters `float_errors_ignored` once, which enters numpy's
+float-error state where numpy can run in the pass; neither `evaluate` nor
+`Problem.fitness` sets one per genome.
 
 One `Breeding` holds a generation's breeding and does its set-up. Shared
 state (pool, plan) changes only inside one lock, taken once per claim by
@@ -51,8 +52,6 @@ import threading
 import time
 from array import array
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import genome, metrics
 from .breeding_plan import BreedingPlan
@@ -168,6 +167,8 @@ def draw_outcome(rng, fitnesses, k: int) -> tuple[list[int], list[int], array]:
         state, mums, dads = genome._native.draw(state, fitnesses, k, points)
         rng.setstate((version, state, gauss_next))
         return mums, dads, points
+    import numpy as np
+
     fit = np.array(fitnesses, dtype=np.float64)
     rows = 2 * m
     winners = np.empty(rows, dtype=np.uint64)
@@ -179,12 +180,14 @@ def draw_outcome(rng, fitnesses, k: int) -> tuple[list[int], list[int], array]:
     return picks[0::2], picks[1::2], draw_points(rng, m)
 
 
-def rank_tournaments(words: bytes, fit: np.ndarray, k: int, out: np.ndarray) -> None:
+def rank_tournaments(words: bytes, fit, k: int, out) -> None:
     """Write each tournament's winner into `out`: the ranking of the kernel's `draw` in numpy.
 
     Row r of `out` is the best of the k entrants that uint32 words r*k to
-    r*k + k - 1 draw (see `draw_outcome`); `fit` is float64, `out` uint64.
+    r*k + k - 1 draw (see `draw_outcome`); `fit` is a float64 ndarray, `out` a uint64 one.
     """
+    import numpy as np
+
     u = np.frombuffer(words, dtype="<u4").reshape(len(out), k)
     entrants = (u.astype(np.uint64) * len(fit)) >> 32
     entrant_fit = fit[entrants]

@@ -12,9 +12,9 @@ n-node tree, so 0 picks the root and 2**32 - 1 the last node.
 
 from __future__ import annotations
 
+import contextlib
 import functools
-
-import numpy as np
+import sys
 
 from . import _kernel
 from .errors import InvariantError
@@ -121,37 +121,61 @@ def python_crossover(mum, mum_len: int, dad, dad_len: int,
     return mum_len
 
 
-def float_errors_ignored() -> np.errstate:
-    """A fresh context that silences numpy's float errors on this thread.
+def float_errors_ignored():
+    """A fresh context that silences numpy's float errors on this thread where numpy can run.
 
-    Enter it once around a whole score pass: `evaluate` and
-    `Problem.fitness` set none per genome. Fresh on every call,
-    because an errstate object cannot be entered twice; numpy keeps the
-    state per thread, so a thread that scores must enter it itself.
+    Enter it once around a whole score pass: `evaluate` and `Problem.fitness`
+    set none per genome. It enters numpy's error state only when numpy code
+    can run in the pass: when the kernel did not load, so that numpy
+    interprets and sums, or when numpy is already imported, as it is for a
+    `Problem` subclass whose `fitness` computes in numpy. Otherwise the kernel
+    does every operation, never warns, and numpy stays unimported; a fitness
+    that imports numpy only inside its first call should import it before the
+    pass. Fresh on every call, because an errstate object cannot be entered
+    twice; numpy keeps the state per thread, so a thread that scores must
+    enter it itself.
     """
+    if _native is not None and "numpy" not in sys.modules:
+        return contextlib.nullcontext()
+    import numpy as np
+
     return np.errstate(over="ignore", invalid="ignore", divide="ignore")
 
 
-def evaluate(code, length: int, x) -> np.ndarray:
+def evaluate(code, length: int, x):
     """Interpret a genome over a vector of input points, to the same bits on either path.
 
     A right-to-left scan over x as float64, in the C kernel when it loaded, else in numpy
-    (`_interpret`). The result is a fresh writable array of x's shape; nothing of x is kept.
-    The kernel reads a plain, aligned, C-contiguous float64 x such as `Problem.inputs` in
-    place; any other x is first converted. Only numpy warns, on overflow and inf/inf outside
-    `float_errors_ignored()`. A malformed genome, or a length outside `code`, raises
-    InvariantError.
+    (`_interpret`). For a memoryview x, such as a `Problem`'s table, the result is a fresh,
+    writable, 1-D buffer of format "d" with one value per item of x, which `memoryview()`
+    or numpy reads: the kernel's own row object, which it builds without numpy when x is an
+    aligned, C-contiguous buffer of format "d", else a memoryview of numpy's result. For
+    any other x, the result is a fresh writable ndarray of x's shape, over x converted as
+    by `numpy.asarray`. Nothing of x is kept. Only numpy warns, on overflow and inf/inf
+    outside `float_errors_ignored()`. A malformed genome, or a length outside `code`,
+    raises InvariantError.
     """
+    if _native is not None and type(x) is memoryview:
+        out = _native.evaluate(code, length, x)
+        if out is not None:
+            if type(out) is int:
+                raise InvariantError(_kernel.ERRORS[out])
+            return out
+    import numpy as np
+
+    a = np.asarray(x, dtype=np.float64, order="C")
     if _native is None:
         if not 0 <= length <= len(code):
             raise InvariantError(_kernel.ERRORS[5])
-        return _interpret(code, length, np.asarray(x, dtype=np.float64, order="C"))
-    out = _native.evaluate(code, length, x)
-    if out is None:  # x is no array the kernel reads in place: convert it, into a new one
-        out = _native.evaluate(code, length, np.array(x, dtype=np.float64, order="C"))
-    if type(out) is int:
-        raise InvariantError(_kernel.ERRORS[out])
-    return out
+        out = _interpret(code, length, a)
+    else:
+        out = _native.evaluate(code, length, a)
+        if out is None:  # an unaligned a: the kernel reads an aligned copy
+            out = _native.evaluate(code, length, a.copy())
+        if type(out) is int:
+            raise InvariantError(_kernel.ERRORS[out])
+        out = np.frombuffer(out).reshape(a.shape)
+    return memoryview(out.reshape(-1)) if type(x) is memoryview else out
 
 
 def evaluator() -> str:
@@ -159,11 +183,14 @@ def evaluator() -> str:
     return "numpy" if _native is None else "c"
 
 
-def _interpret(code, length: int, x: np.ndarray) -> np.ndarray:
-    """`evaluate` in numpy over float64 x and the constant vectors: the reference and fallback."""
+def _interpret(code, length: int, x):
+    """`evaluate` in numpy over a float64 ndarray x and the constant vectors: the reference
+    and fallback."""
+    import numpy as np
+
     consts = _constants(x.shape)
     cap = (length + 1) // 2  # the most values a complete encoding holds at once
-    stack: list[np.ndarray] = []
+    stack = []
     push, pop = stack.append, stack.pop
     try:
         for op in reversed(code[:length]):
@@ -193,8 +220,11 @@ def _interpret(code, length: int, x: np.ndarray) -> np.ndarray:
     return stack[0].copy() if length == 1 else np.asarray(stack[0])
 
 
-def frozen(values) -> np.ndarray:
-    """A float64 copy of `values` over bytes: not even setflags(write=True) makes it writable."""
+def frozen(values):
+    """A float64 ndarray copy of `values` over bytes: not even setflags(write=True) makes it
+    writable."""
+    import numpy as np
+
     a = np.asarray(values, dtype=np.float64)
     return np.frombuffer(a.tobytes(), np.float64).reshape(a.shape)
 
@@ -202,6 +232,8 @@ def frozen(values) -> np.ndarray:
 @functools.lru_cache
 def _constants(shape: tuple) -> tuple:
     """Each constant broadcast to `shape`: immutable, so shared by every call of that shape."""
+    import numpy as np
+
     return tuple(np.broadcast_to(frozen(c), shape) for c in CONSTANTS)
 
 

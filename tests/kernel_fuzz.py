@@ -3,10 +3,11 @@
 `check_all(kernel, seed)` drives a loaded kernel module's five functions:
 
 * `evaluate` against `genome._interpret` on random byte genomes (every opcode,
-  and some past the last terminal) over 0-6 cases of special values, and on
-  work areas just inside and just past `_kernel.ON_STACK` cells, so that both
-  the on-stack and the malloc branch run to their last cell. Both must name
-  the same fault or give the same bits, and x must keep its bits;
+  and some past the last terminal) over 0-6 cases of special values, as an
+  ndarray or as a `memoryview(bytes).cast("d")` table, and on work areas just
+  inside and just past `_kernel.ON_STACK` cells, so that both the on-stack
+  and the malloc branch run to their last cell. Both must name the same fault
+  or give the same bits, and x must keep its bits;
 * `draw` against `engine.draw_outcome` over a `random.Random` subclass, which
   reads the stream through `randbytes` and ranks in numpy: from random and
   all-zero states at every twist boundary and mid-block, over lists and
@@ -17,8 +18,10 @@
 * `crossover` against `genome.python_crossover`: the same length or
   exception class, the same child bytes, and a child never resized;
 * and the refusals of malformed arguments (`plan` takes only exact lists of
-  exact ints and runs no `__index__`), and `plan` and `draw` through a
-  collection that starts inside them, whose finalizer shrinks their lists.
+  exact ints and runs no `__index__`; `evaluate` and `abs_error` read only
+  aligned, C-contiguous buffers of format "d", and no view past its end), and
+  `plan` and `draw` through a collection that starts inside them, whose
+  finalizer shrinks their lists.
 
 tests/test_kernel.py runs it over the cached kernel, and in a subprocess over
 a kernel built with AddressSanitizer and UBSan, as
@@ -44,11 +47,13 @@ from poolgp.breeding_plan import python_plan
 from poolgp.engine import draw_outcome
 from poolgp.errors import InvariantError
 from poolgp.genome import (
+    ADD,
     CONSTANTS,
     CROSSOVER_ATTEMPTS,
     FUNCTIONS,
     POINTS_PER_CHILD,
     TERMINALS,
+    VAR_X,
     float_errors_ignored,
     random_tree,
 )
@@ -68,15 +73,18 @@ def build(path, *flags) -> subprocess.CompletedProcess:
 
 
 def kernel_outcome(kernel, code, length, x):
-    """The fault's name, or the result's bits; a result is a new float64 array of x's shape."""
+    """The fault's name, or the result's bits; a result is a new writable row of format "d",
+    one value per item of x, in memory of its own."""
     result = kernel.evaluate(code, length, x)
     if isinstance(result, int):
         if result not in _kernel.ERRORS:
             raise AssertionError(f"status {result}")
         return _kernel.ERRORS[result]
-    assert type(result) is np.ndarray and result.dtype == np.float64, type(result)
-    assert result.shape == x.shape and not np.shares_memory(result, x)
-    return result.view(np.int64).tolist()
+    with memoryview(result) as row:
+        assert (row.format, row.ndim, row.readonly) == ("d", 1, False), type(result)
+        values = np.frombuffer(result)
+        assert len(row) == np.asarray(x).size and not np.shares_memory(values, x)
+        return values.view(np.int64).tolist()
 
 
 def numpy_outcome(code, length, x):
@@ -133,9 +141,11 @@ def fuzz_evaluate(kernel, rng, count: int) -> None:
     cases = [(random_genome(rng), rng.randrange(7)) for _ in range(count)]
     for code, n in cases + list(stack_edges(rng)):
         x = np.array([rng.choice(SPECIAL) for _ in range(n)])
+        # a Problem's table: exactly n doubles of bytes, so a read past them leaves the object
+        table = x if rng.random() < 0.5 else memoryview(x.tobytes()).cast("d")
         length = len(code) if rng.random() < 0.8 else rng.randint(0, len(code))
         before = x.tobytes()  # writable, yet the stack's pointers to x must only be read
-        got, want = kernel_outcome(kernel, code, length, x), numpy_outcome(code, length, x)
+        got, want = kernel_outcome(kernel, code, length, table), numpy_outcome(code, length, x)
         assert got == want, (code[:length].hex(), x.tolist(), got, want)
         assert x.tobytes() == before, code[:length].hex()
 
@@ -308,8 +318,50 @@ class Shrinking:
             del within[1:]
 
 
+def check_row_refusals(kernel) -> None:
+    """`evaluate` reads x in place only where it is an aligned, C-contiguous buffer of format
+    "d", and returns None for the caller to convert any other; `abs_error` refuses any other
+    pred or targets with TypeError, and counts that differ with ValueError. `evaluate` takes
+    no output buffer: it writes only the row it returns. Nothing is read past a view."""
+    code = bytes([ADD, VAR_X, VAR_X])
+    # the item past each view is nan: a read past either would show in the sum or the row
+    values, zeros = array("d", [1.0, 2.0, 3.0, math.nan]), array("d", [0.0] * 4)
+    row, targets = memoryview(values)[:3], memoryview(zeros)[:3]
+    assert memoryview(kernel.evaluate(code, 3, row)).tolist() == [2.0, 4.0, 6.0]
+    assert kernel.abs_error(row, targets) == 6.0
+    unaligned = memoryview(bytearray(8 * 3 + 1))[1:].cast("d")
+    others = [array("f", [1.0] * 3), array("q", [1] * 3), np.zeros(3, ">f8"), bytes(24),
+              memoryview(values)[::2], memoryview(values)[:4][::-1], unaligned, [1.0, 2.0, 3.0],
+              np.zeros((3, 2))[:, 0], 3.0]
+    for other in others:
+        assert kernel.evaluate(code, 3, other) is None, other
+        for args in ((other, targets), (row, other)):
+            try:
+                kernel.abs_error(*args)
+            except TypeError:
+                continue
+            raise AssertionError(f"abs_error took {other!r}")
+    # targets short or long by one, and no values at all against some
+    for args in ((row, targets[:2]), (row[:2], targets), (row, memoryview(zeros)),
+                 (row[:0], targets)):
+        try:
+            kernel.abs_error(*args)
+        except ValueError:
+            continue
+        raise AssertionError(f"abs_error took {[len(a) for a in args]} values")
+    # an output buffer of any kind, read-only, short or writable, is a wrong count of arguments
+    for out in (bytes(24), memoryview(zeros)[:2], memoryview(array("d", [0.0] * 3))):
+        try:
+            kernel.evaluate(code, 3, row, out)
+        except TypeError:
+            continue
+        raise AssertionError(f"evaluate took an output buffer {out!r}")
+    assert values.tolist()[:3] == [1.0, 2.0, 3.0] and zeros.tolist() == [0.0] * 4
+
+
 def check_refusals(kernel) -> None:
     """Malformed arguments raise, and nothing is read or written past a buffer."""
+    check_row_refusals(kernel)
     # a state of 623 or 626 entries, an index of -1 or 625, a word of 2**32 or a float, not
     # a tuple; k = 0; points a word short or long, or of another item size; a fitness that
     # is no float, or fitnesses that are no sequence: refused before anything is written

@@ -553,6 +553,34 @@ def test_score_passes_silence_float_errors_for_every_engine():
         assert result.fitness_history == oracle.fitness_history
 
 
+class SquaredErrorProblem(Problem):
+    """Scores in numpy itself: the sum of squared errors, which overflows and makes nan."""
+
+    def fitness(self, code, length):
+        pred = genome.evaluate(code, length, self.inputs)
+        err = float(np.square(pred - self.targets).sum())
+        return err if math.isfinite(err) else math.inf
+
+
+# the kernel scores a plain Problem without numpy, and never warns
+@pytest.mark.parametrize("evaluator, scoring", [
+    ("numpy", Problem), ("numpy", SquaredErrorProblem), ("c", SquaredErrorProblem),
+], indirect=["evaluator"])
+def test_score_passes_enter_numpys_error_state_where_numpy_runs(evaluator, scoring):
+    # the pass enters numpy's error state where numpy can run in it: on the numpy fallback,
+    # and for a Problem subclass that scores in numpy on either evaluator. Squared errors of
+    # these inputs overflow and inf - inf makes nan, and RuntimeWarning is an error in tier-1
+    wild = scoring(inputs=[1e200, -1e200, 0.0, -0.0, 1.0, -0.5],
+                   targets=[1.0, -1.0, 0.0, 0.5, 2.0, -0.25])
+    cfg = RunConfig(popsize=60, nthreads=0, generations=5, buffer_bytes=63,
+                    max_initial_depth=4, tournament_size=3, seed=5)
+    oracle = run_evolution_naive(cfg, wild)
+    assert any(f == math.inf for gen in oracle.fitness_history for f in gen)
+    for threads in (0, 2):
+        cfg.nthreads = threads
+        assert run_evolution(cfg, wild).fitness_history == oracle.fitness_history
+
+
 def test_generations_one_is_just_the_random_population():
     result = run_evolution(small_config(generations=1))
     assert len(result.stats) == 1

@@ -10,6 +10,7 @@ sanitizers under the differential fuzz in kernel_fuzz.py.
 
 import math
 import os
+import re
 import shlex
 import shutil
 import stat
@@ -61,6 +62,35 @@ def test_without_a_compiler_runs_in_numpy(tmp_path):
     empty.mkdir()
     assert evaluator_in_fresh_process(tmp_path / "cache", PATH=str(empty)) == "numpy"
     assert list((tmp_path / "cache" / "poolgp").iterdir()) == []
+
+
+NUMPY_FREE_RUN = (
+    "import sys\n"
+    "from poolgp import RunConfig, genome, run_evolution, run_evolution_naive\n"
+    "cfg = RunConfig(popsize=60, nthreads=2, generations=4, buffer_bytes=63, max_initial_depth=4,\n"
+    "                seed=3)\n"
+    "if run_evolution(cfg).fitness_history != run_evolution_naive(cfg).fitness_history:\n"
+    "    raise SystemExit('pooled != naive')\n"
+    "print(genome.evaluator(), 'numpy' in sys.modules)\n"
+)
+
+
+@needs_kernel
+def test_a_run_on_the_kernel_never_imports_numpy():
+    # numpy's import is most of a small run's memory and set-up: on the kernel, neither the
+    # engines nor the command line import it, not even inside a score pass
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", NUMPY_FREE_RUN], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0 and proc.stdout.split() == ["c", "False"], proc.stderr
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "poolgp", "--popsize", "60",
+                           "--threads", "2", "--generations", "4"], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0 and "evaluator=c" in proc.stdout, proc.stderr
+    imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")]
+    assert "poolgp.engine" in imported
+    assert not [name for name in imported if name.split(".")[0] == "numpy"]
 
 
 @needs_kernel
@@ -142,23 +172,21 @@ def test_without_python_headers_the_build_fails_and_nothing_is_reused(tmp_path, 
     assert sorted((tmp_path / "cache" / "poolgp").iterdir()) == before
 
 
-@needs_kernel
-def test_another_numpy_is_never_given_a_kernel_built_for_this_one(tmp_path, monkeypatch):
-    # the file uses numpy's C API: the hash covers numpy's version and its include
-    # directory, so a change of either builds a new file beside the first
+def test_the_kernel_is_built_and_cached_without_numpy(tmp_path, monkeypatch):
+    # the file reads and returns doubles through the buffer protocol: neither its source, nor
+    # its compiler command, nor its cache key names numpy, so another numpy reuses the file
+    headers = re.findall(r"^\s*#\s*include\s*[<\"]([^>\"]+)", _kernel.SOURCE.read_text(), re.M)
+    assert "Python.h" in headers and not [h for h in headers if "numpy" in h], headers
+    assert not [arg for arg in _kernel.command(CONSTANTS, CROSSOVER_ATTEMPTS) if "numpy" in arg]
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
-    cache = tmp_path / "cache" / "poolgp"
+    if load_kernel(CONSTANTS) is None:
+        pytest.skip("no C kernel on this machine")
+    (built,) = (tmp_path / "cache" / "poolgp").iterdir()
+    inode = built.stat().st_ino
+    monkeypatch.setattr(np, "__version__", "0.0.0-other")
     assert load_kernel(CONSTANTS) is not None
-    seen = set(cache.iterdir())
-    include = tmp_path / "numpy-include"
-    include.symlink_to(np.get_include(), target_is_directory=True)  # the same headers
-    for name, value in (("__version__", "0.0.0-other"), ("get_include", lambda: str(include))):
-        with monkeypatch.context() as m:
-            m.setattr(np, name, value)
-            assert load_kernel(CONSTANTS) is not None, name
-        (built,) = set(cache.iterdir()) - seen
-        seen.add(built)
-    assert len(seen) == 3
+    assert [(p, p.stat().st_ino) for p in (tmp_path / "cache" / "poolgp").iterdir()] == [
+        (built, inode)]
 
 
 SPECIAL = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1e300, -1e300])
@@ -222,7 +250,7 @@ def test_the_kernel_never_reads_or_writes_past_a_buffer():
     # read past the view would report status 1, not refuse with status 5
     code = memoryview(bytearray([ADD, VAR_X, VAR_X, 255]))[:3]
     x = np.linspace(-1.0, 1.0, 4)
-    assert kernel.evaluate(code, 3, x).tolist() == (x + x).tolist()
+    assert memoryview(kernel.evaluate(code, 3, x)).tolist() == (x + x).tolist()
     for length in (4, 5, -1, 2 ** 40, 2 ** 70, -(2 ** 70)):  # however far outside: status 5
         assert kernel.evaluate(code, length, x) == 5, length
     # the term past each view is nan: a read past either would give inf
@@ -233,9 +261,11 @@ def test_the_kernel_never_reads_or_writes_past_a_buffer():
             kernel.abs_error(p, t)
     # an x the kernel cannot read in place is left to the caller to convert
     for other in ([0.5], np.linspace(-1.0, 1.0, 8)[::2], x.astype(">f8"), x.astype(np.float32),
-                  np.frombuffer(bytes(33), np.float64, 4, 1), np.asfortranarray(np.eye(2)),
-                  np.linspace(-1.0, 1.0, 4).view(np.recarray)):
+                  np.frombuffer(bytes(33), np.float64, 4, 1), np.asfortranarray(np.eye(2))):
         assert kernel.evaluate(code, 3, other) is None, other
+    # any aligned, C-contiguous buffer of format "d" is read in place, whatever its type
+    for same in (x.view(np.recarray), memoryview(x.tobytes()).cast("d"), x.reshape(2, 2)):
+        assert memoryview(kernel.evaluate(code, 3, same)).tolist() == (x + x).tolist()
     # a length that is no integer and a wrong count raise
     for args in ((code, 3.0, x), (code, 3), (code, 3, x, x)):
         with pytest.raises(TypeError):

@@ -1,6 +1,8 @@
 """Fitness problem tests."""
 
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -32,6 +34,27 @@ def test_quartic_table_shape():
     assert p.inputs[0] == -1.0 and p.inputs[-1] == 1.0
     steps = np.diff(p.inputs)
     assert np.allclose(steps, steps[0])
+
+
+def test_quartic_table_has_the_bits_of_numpys_linspace_and_polyval():
+    # QUARTIC is built from Python floats, without numpy; every run's fitness rests on these bits
+    xs = np.linspace(-1.0, 1.0, 20)
+    ys = np.polyval((1.0, 1.0, 1.0, 1.0, 0.0), xs)
+    assert QUARTIC.inputs.view(np.int64).tolist() == xs.view(np.int64).tolist()
+    assert QUARTIC.targets.view(np.int64).tolist() == ys.view(np.int64).tolist()
+
+
+def test_a_flat_list_table_has_the_bits_of_numpys_conversion():
+    # lists and tuples of numbers convert without numpy, to what numpy.asarray gives; a table
+    # of anything else, such as strings, converts through numpy as before
+    values = [1, -0.0, 2 ** 60 + 1, True, 1e-310, math.nan, math.inf, np.float32(0.1)]
+    for inputs in (values, tuple(values), [repr(float(v)) for v in values]):
+        p = Problem(inputs=inputs, targets=list(range(len(values))))
+        assert p.inputs.view(np.int64).tolist() == (
+            np.asarray(inputs, dtype=np.float64).view(np.int64).tolist()), inputs
+        assert p.targets.tolist() == list(map(float, range(len(values))))
+    with pytest.raises(ValueError, match=r"inputs \(2, 1\) and targets \(2,\)"):
+        Problem(inputs=[[0.0], [1.0]], targets=[0.0, 1.0])
 
 
 def test_quartic_targets_are_the_polynomial():
@@ -118,6 +141,16 @@ def test_problems_are_equal_and_hashed_by_identity():
     twin = Problem(inputs=QUARTIC.inputs, targets=QUARTIC.targets)
     assert QUARTIC == QUARTIC and twin != QUARTIC and hash(QUARTIC) == hash(QUARTIC)
     assert {QUARTIC: "quartic", twin: "twin"}[QUARTIC] == "quartic"
+
+
+def test_a_problem_pickles_and_copies_to_the_same_bits():
+    # a Problem's tables are memoryviews, which do not pickle; it rebuilds from their values
+    p = Problem(inputs=np.array([-0.0, 1e-310, math.inf, 0.5]), targets=[1.0, math.nan, 2.0, 3.0])
+    for twin in (pickle.loads(pickle.dumps(p)), copy.deepcopy(p), copy.copy(p)):
+        assert type(twin) is Problem and twin is not p
+        for a, b in ((twin.inputs, p.inputs), (twin.targets, p.targets)):
+            assert a.view(np.int64).tolist() == b.view(np.int64).tolist()
+        assert twin.fitness(bytes([VAR_X]), 1) == p.fitness(bytes([VAR_X]), 1)
 
 
 def test_opcode_accounting():

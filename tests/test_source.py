@@ -97,3 +97,29 @@ def test_only_the_config_gate_converts_settings():
                 (gate if (path.name, scope) == ("engine.py", "RunConfig.validate")
                  else found).append(f"{path.name}:{node.lineno} {scope}")
     assert found == [] and gate, (found, gate)
+
+
+# where the package may import numpy: the numpy fallbacks and references, the conversions of
+# tables that are not flat lists of numbers, and the numpy views of a Problem's table
+NUMPY_SCOPES = {
+    ("engine.py", "draw_outcome"), ("engine.py", "rank_tournaments"),
+    ("genome.py", "float_errors_ignored"), ("genome.py", "evaluate"),
+    ("genome.py", "_interpret"), ("genome.py", "frozen"), ("genome.py", "_constants"),
+    ("problems.py", "_doubles"), ("problems.py", "_frozen_array"),
+    ("problems.py", "Problem.fitness"),
+}
+
+
+def test_numpy_is_imported_only_inside_the_scopes_that_use_it():
+    # a run on the C kernel never imports numpy, which would be most of its memory and
+    # set-up: no module imports it at its top, and each function that needs it imports it
+    found, seen = [], set()
+    for path, tree in parsed_modules():
+        for scope, node in scoped(tree):
+            names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                     else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            if any(name.split(".")[0] == "numpy" for name in names):
+                seen.add((path.name, scope))
+                if (path.name, scope) not in NUMPY_SCOPES:
+                    found.append(f"{path.name}:{node.lineno} {scope or 'module level'}")
+    assert found == [] and seen == NUMPY_SCOPES, (found, NUMPY_SCOPES - seen)
