@@ -426,14 +426,23 @@ def check_refusals(kernel) -> None:
     start = reference.getstate()[1]
     want_plan, want_draw = python_plan(mums, dads), draw_outcome(reference, list(fit), 7)
     points = array("I", [7]) * len(want_draw[2])
+    enabled = gc.isenabled()
     try:
         gc.set_threshold(1)  # each new container starts a collection
+        # each probe is made with no collection, so it is garbage in the youngest generation,
+        # which the kernel's first new container collects; a collection while it was being
+        # made would move it to an older one, left uncollected through a short call
+        gc.disable()
         Shrinking(mums, dads)
+        gc.enable()
         got_plan = kernel.plan(mums, dads)
+        gc.disable()
         Shrinking(fit)
+        gc.enable()
         after, *got_draw = kernel.draw(start, fit, 7, points)
     finally:
         gc.set_threshold(*threshold)
+        (gc.enable if enabled else gc.disable)()
     assert len(mums) == len(dads) == len(fit) == 1, "no finalizer ran"
     assert got_plan == want_plan, "plan read parents that shrank"
     assert (*got_draw, points) == want_draw and after == reference.getstate()[1]
