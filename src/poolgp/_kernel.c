@@ -6,12 +6,14 @@
    and the top one is a, as in _interpret; terminals are never copied. A complete encoding
    of length cells holds at most cap = (length + 1) / 2 values at once, so a push past cap
    is an incomplete one. Built at -O3 with -ffp-contract=off: no fused a * b + c, so every
-   result keeps numpy's bits. Only Python's headers are needed: evaluate and abs_error read
-   their doubles through the buffer protocol, and evaluate returns its values in a small
-   object of this module's own that exports them, so loading the module imports no numpy.
-   Every function reads its Python arguments before it builds a Python object: a new
-   object may start a collection, whose finalizers may change what is left to read. plan
-   reads only exact lists of exact ints, so it runs no Python code while it reads. */
+   result keeps numpy's bits. Only Python's headers are needed: every argument but draw's
+   state and the integers is a buffer, and evaluate returns its values in a small object of
+   this module's own that exports them, so loading the module imports no numpy.
+   read_buffer takes a buffer only where it is aligned, C-contiguous and of exactly one
+   format, so no function reads a Python container item by item. An exported array.array
+   refuses to resize, so a finalizer that a new object starts cannot shrink what is left
+   to read; it can still write to it, so draw copies its fitness and plan its parents into
+   C memory before either writes an output or builds an object. */
 #include <Python.h>
 #include <stdint.h>
 #if !defined(CONSTANTS_LIST) || !defined(CROSSOVER_ATTEMPTS) || !defined(ON_STACK)
@@ -124,24 +126,32 @@ static PyTypeObject DoublesType = {
     .tp_as_buffer = &doubles_buffer,
 };
 
-/* 0 with obj's buffer held in view where it is an aligned, C-contiguous run of doubles, of
-   format "d" and any shape; 1, holding nothing, where obj has no buffer or another one; -1
-   with the exception where its exporter fails. */
-static int read_doubles(PyObject *obj, Py_buffer *view)
+/* 0 with obj's buffer held in view where it is an aligned, C-contiguous run of items of
+   format and size itemsize, of any shape, and writable where asked. Where obj has no buffer
+   or another one, nothing is held: 1 without a caller's name who, else -1 with TypeError.
+   -1 with the exception where its exporter fails. An empty buffer needs no alignment: an
+   empty array.array exports a static byte. */
+static int read_buffer(PyObject *obj, Py_buffer *view, const char *format, Py_ssize_t itemsize,
+                       int writable, const char *who)
 {
-    if (!PyObject_CheckBuffer(obj))
+    if (PyObject_CheckBuffer(obj)) {
+        if (PyObject_GetBuffer(obj, view, PyBUF_RECORDS_RO))
+            return -1;
+        if (view->format && !strcmp(view->format, format) && view->itemsize == itemsize
+            && !(writable && view->readonly) && PyBuffer_IsContiguous(view, 'C')
+            && (!view->len || !((uintptr_t)view->buf % (uintptr_t)itemsize)))
+            return 0;
+        PyBuffer_Release(view);
+    }
+    if (!who)
         return 1;
-    if (PyObject_GetBuffer(obj, view, PyBUF_RECORDS_RO))
-        return -1;
-    if (view->format && !strcmp(view->format, "d") && view->itemsize == sizeof(double)
-        && PyBuffer_IsContiguous(view, 'C') && !((uintptr_t)view->buf % _Alignof(double)))
-        return 0;
-    PyBuffer_Release(view);
-    return 1;
+    PyErr_Format(PyExc_TypeError, "%s takes aligned, C-contiguous%s buffers of format '%s'",
+                 who, writable ? ", writable" : "", format);
+    return -1;
 }
 
 /* evaluate(code, length, x) -> the root's values over x's n doubles, in a new row of n
-   doubles, or an ERRORS status; None where x is no buffer that read_doubles takes, for the
+   doubles, or an ERRORS status; None where read_buffer takes no x of format "d", for the
    caller to convert. A length outside the code buffer is status 5, however far outside. */
 static PyObject *evaluate(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
 {
@@ -153,7 +163,7 @@ static PyObject *evaluate(PyObject *Py_UNUSED(self), PyObject *const *args, Py_s
         return PyErr_Format(PyExc_TypeError, "evaluate takes 3 arguments");
     if ((length = PyNumber_AsSsize_t(args[1], NULL)) == -1 && PyErr_Occurred())
         return NULL;
-    if ((got = read_doubles(args[2], &x)))
+    if ((got = read_buffer(args[2], &x, "d", sizeof(double), 0, NULL)))
         return got < 0 ? NULL : Py_NewRef(Py_None);
     if (!PyObject_GetBuffer(args[0], &c, PyBUF_SIMPLE) && length >= 0 && length <= c.len
         && (out = (PyObject *)PyObject_NewVar(Doubles, &DoublesType,
@@ -326,136 +336,101 @@ static PyObject *write_state(const struct stream *s)
     return state;
 }
 
-/* 1 where the sequence from PySequence_Fast still has n items, else 0 with ValueError */
-static int same_size(PyObject *seq, Py_ssize_t n)
-{
-    if (PySequence_Fast_GET_SIZE(seq) == n)
-        return 1;
-    PyErr_SetString(PyExc_ValueError, "a sequence changed size while the kernel read it");
-    return 0;
-}
-
 /* member (u * m) >> 32 of m, for the word u */
 #define ENTRANT(u, m) ((Py_ssize_t)(((uint64_t)(u) * (uint64_t)(m)) >> 32))
 
-/* draw(state, fitnesses, k, points) -> (state after, mums, dads): continues the stream of
-   state (see read_state). Tournament r of 2m, for the m floats of the sequence fitnesses,
-   is the best of the k entrants that the next k words draw, word u drawing member
-   (u * m) >> 32; its winner goes to mums[r / 2] for even r, else to dads[r / 2], two new
-   lists. The lowest fitness wins, NaN ranking as inf, and ties go to the lowest index.
-   Then points (uint32) takes the next POINTS_PER_CHILD * m words. So it reads the words
-   that random.Random.randbytes blocks of whole words would give, in their order, tempering
-   a block of MT_N after each twist. The fitnesses are read once, into m doubles.
-   ValueError for a malformed state, k < 1, or points of another size or item size, and
-   TypeError for a fitness that is no float, before any write. */
+/* draw(state, fitness, k, mums, dads, points) -> the state after: continues the stream of
+   state (see read_state). Tournament r of 2m, for the m doubles of fitness, is the best of
+   the k entrants that the next k words draw, word u drawing member (u * m) >> 32; its winner
+   goes to mums[r / 2] for even r, else to dads[r / 2]. The lowest fitness wins, NaN ranking
+   as inf, and ties go to the lowest index. Then points takes the next POINTS_PER_CHILD * m
+   words. So it reads the words that random.Random.randbytes blocks of whole words would
+   give, in their order, tempering a block of MT_N after each twist. fitness is copied into
+   C memory before anything is written. TypeError unless read_buffer takes fitness as "d",
+   and mums and dads as writable "i" and points as writable "I"; ValueError for a malformed
+   state, k < 1, m past INT_MAX, or outputs of another count; all before any write. */
 static PyObject *draw(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
 {
-    Py_buffer p = { 0 };
+    Py_buffer f = { 0 }, ms = { 0 }, ds = { 0 }, p = { 0 };
     struct stream s;
     Py_ssize_t k, m, r, i;
-    PyObject *seq = NULL, *mums = NULL, *dads = NULL, *after = NULL, *result = NULL;
+    PyObject *after = NULL;
     double *fit = NULL;
-    if (nargs != 4)
-        return PyErr_Format(PyExc_TypeError, "draw takes 4 arguments");
+    if (nargs != 6)
+        return PyErr_Format(PyExc_TypeError, "draw takes 6 arguments");
     if ((s.index = read_state(args[0], s.mt)) < 0
-        || ((k = PyNumber_AsSsize_t(args[2], NULL)) == -1 && PyErr_Occurred())
-        || !(seq = PySequence_Fast(args[1], "draw: the fitnesses are not a sequence"))
-        || PyObject_GetBuffer(args[3], &p, PyBUF_WRITABLE | PyBUF_FORMAT))
+        || ((k = PyNumber_AsSsize_t(args[2], NULL)) == -1 && PyErr_Occurred()))
+        return NULL;
+    if (read_buffer(args[1], &f, "d", sizeof(double), 0, "draw")
+        || read_buffer(args[3], &ms, "i", sizeof(int), 1, "draw")
+        || read_buffer(args[4], &ds, "i", sizeof(int), 1, "draw")
+        || read_buffer(args[5], &p, "I", sizeof(uint32_t), 1, "draw"))
         goto done;
-    m = PySequence_Fast_GET_SIZE(seq);
-    if (k < 1 || (uint64_t)m > UINT32_MAX || p.itemsize != sizeof(uint32_t)
+    m = f.len / (Py_ssize_t)sizeof(double);
+    if (k < 1 || m > INT_MAX || ms.len != (Py_ssize_t)sizeof(int) * m || ds.len != ms.len
         || p.len != (Py_ssize_t)sizeof(uint32_t) * POINTS_PER_CHILD * m) {
-        PyErr_SetString(PyExc_ValueError, "draw: k, fitnesses and points disagree");
+        PyErr_SetString(PyExc_ValueError, "draw: k, fitness, mums, dads and points disagree");
         goto done;
     }
     if (!(fit = PyMem_New(double, m))) {
         PyErr_NoMemory();
         goto done;
     }
-    for (i = 0; i < m; i++) {
-        PyObject *item = PySequence_Fast_GET_ITEM(seq, i);
-        double v;
-        Py_INCREF(item);  /* a __float__ may change the sequence */
-        v = PyFloat_AsDouble(item);
-        Py_DECREF(item);
-        if ((v == -1.0 && PyErr_Occurred()) || !same_size(seq, m))
-            goto done;
-        fit[i] = isnan(v) ? INFINITY : v;
-    }
-    if (!(mums = PyList_New(m)) || !(dads = PyList_New(m)))
-        goto done;
+    for (i = 0; i < m; i++)
+        fit[i] = isnan(((const double *)f.buf)[i]) ? INFINITY : ((const double *)f.buf)[i];
     temper(&s);
     for (r = 0; r < 2 * m; r++) {  /* the first entrant leads; a later one takes the lead */
         Py_ssize_t best = ENTRANT(next_word(&s), m), e;  /* without a branch to mispredict */
         double low = fit[best], v;
-        PyObject *winner;
         for (i = 1; i < k; i++) {
             int lead;
             e = ENTRANT(next_word(&s), m), v = fit[e];
             lead = (v < low) | ((v == low) & (e < best));
             best = lead ? e : best, low = lead ? v : low;
         }
-        if (!(winner = PyLong_FromSsize_t(best)))
-            goto done;
-        PyList_SET_ITEM(r & 1 ? dads : mums, r >> 1, winner);
+        ((int *)(r & 1 ? ds : ms).buf)[r >> 1] = (int)best;
     }
     for (r = 0; r < POINTS_PER_CHILD * m; r++)
         ((uint32_t *)p.buf)[r] = next_word(&s);
-    if ((after = write_state(&s)))
-        result = PyTuple_Pack(3, after, mums, dads);
 done:
     PyMem_Free(fit);
-    Py_XDECREF(seq), Py_XDECREF(mums), Py_XDECREF(dads), Py_XDECREF(after);
-    PyBuffer_Release(&p);
-    return result;
-}
-
-/* parent i of the lists mums and dads' 2n, child i / 2's mum for even i, else its dad, as
-   an index from 0 to n - 1; -1 with TypeError where it is no exact int, or ValueError, in
-   python_plan's text, where it is out of range. It runs no Python code. */
-static Py_ssize_t parent_of(PyObject *ms, PyObject *ds, Py_ssize_t n, Py_ssize_t i)
-{
-    PyObject *item = PyList_GET_ITEM(i & 1 ? ds : ms, i >> 1);
-    Py_ssize_t p;
-    if (!PyLong_CheckExact(item)) {
-        PyErr_Format(PyExc_TypeError, "plan: a parent of child %zd is no int", i >> 1);
-        return -1;
-    }
-    if ((p = PyLong_AsSsize_t(item)) == -1)
-        PyErr_Clear();  /* past the range of Py_ssize_t: -1, so out of range */
-    if (p < 0 || p >= n) {
-        PyErr_Format(PyExc_ValueError, "parent index out of range for child %zd", i >> 1);
-        return -1;
-    }
-    return p;
+    after = PyErr_Occurred() ? NULL : write_state(&s);  /* with the buffers still held */
+    PyBuffer_Release(&f), PyBuffer_Release(&ms), PyBuffer_Release(&ds), PyBuffer_Release(&p);
+    return after;
 }
 
 /* plan(mums, dads) -> (children, status, chain1): breeding_plan.python_plan's three lists,
-   for the lists of parent indices that draw_outcome returns. children[p] lists parent p's
-   children in child order, a child twice where p is both its parents; status[s] is 1 where
-   child s is the only child of a parent, else 2; chain1 holds the status-1 children,
-   highest first. TypeError unless both are exact lists of exact ints; ValueError, with
-   python_plan's text, where the lengths differ and then for the first child with a parent
-   outside 0 to n - 1. One pass reads each parent once, with no Python code, into a block
-   that also holds a count per parent; the lists are built from that block alone. */
+   for the parent indices that draw_outcome writes. children[p] lists parent p's children in
+   child order, a child twice where p is both its parents; status[s] is 1 where child s is
+   the only child of a parent, else 2; chain1 holds the status-1 children, highest first.
+   TypeError unless read_buffer takes both as format "i"; ValueError, with python_plan's
+   text, where the lengths differ and then for the first child with a parent outside 0 to
+   n - 1. One pass copies each parent, range-checked, into a block that also holds a count
+   per parent; the lists are built from that block alone. */
 static PyObject *plan(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
 {
-    PyObject *ms, *ds, *children = NULL, *status = NULL, *chain1 = NULL, *result = NULL;
-    Py_ssize_t n, s, i, p, *parent = NULL;  /* parent[i]: parent i, as parent_of reads it */
+    Py_buffer ms = { 0 }, ds = { 0 };
+    PyObject *children = NULL, *status = NULL, *chain1 = NULL, *result = NULL;
+    Py_ssize_t n, s, i, p, *parent = NULL;  /* parent[i]: child i / 2's mum, or its dad */
     Py_ssize_t *left;  /* left[p]: p's children, then its places to fill */
     if (nargs != 2)
         return PyErr_Format(PyExc_TypeError, "plan takes 2 arguments");
-    if (!PyList_CheckExact(ms = args[0]) || !PyList_CheckExact(ds = args[1]))
-        return PyErr_Format(PyExc_TypeError, "plan: mums and dads must be lists");
-    if ((n = PyList_GET_SIZE(ms)) != PyList_GET_SIZE(ds))
-        return PyErr_Format(PyExc_ValueError, "mums and dads must have equal length");
-    if (!(parent = PyMem_Calloc(3 * n + 1, sizeof *parent))) {
+    if (read_buffer(args[0], &ms, "i", sizeof(int), 0, "plan")
+        || read_buffer(args[1], &ds, "i", sizeof(int), 0, "plan"))
+        goto done;
+    if (ms.len != ds.len) {
+        PyErr_SetString(PyExc_ValueError, "mums and dads must have equal length");
+        goto done;
+    }
+    if (!(parent = PyMem_Calloc(3 * (n = ms.len / (Py_ssize_t)sizeof(int)) + 1, sizeof *parent))) {
         PyErr_NoMemory();
         goto done;
     }
     for (left = parent + 2 * n, i = 0; i < 2 * n; i++) {
-        if ((p = parent[i] = parent_of(ms, ds, n, i)) < 0)
+        if ((p = parent[i] = ((const int *)(i & 1 ? ds : ms).buf)[i >> 1]) < 0 || p >= n) {
+            PyErr_Format(PyExc_ValueError, "parent index out of range for child %zd", i >> 1);
             goto done;
+        }
         left[p]++;
     }
     if (!(children = PyList_New(n)) || !(status = PyList_New(n)) || !(chain1 = PyList_New(0)))
@@ -486,6 +461,7 @@ static PyObject *plan(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize
     result = PyTuple_Pack(3, children, status, chain1);
 done:
     PyMem_Free(parent);
+    PyBuffer_Release(&ms), PyBuffer_Release(&ds);
     Py_XDECREF(children), Py_XDECREF(status), Py_XDECREF(chain1);
     return result;
 }
@@ -507,25 +483,21 @@ static double pairwise(const double *p, const double *t, Py_ssize_t n)
 }
 
 /* abs_error(pred, targets) -> the sum of |pred - targets| from 0.0, or inf where not finite.
-   TypeError unless both are buffers that read_doubles takes; ValueError where their counts
+   TypeError unless read_buffer takes both as format "d"; ValueError where their counts
    differ. */
 static PyObject *abs_error(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
 {
     Py_buffer p = { 0 }, t = { 0 };
     double sum = 0.0;
-    int got;
     if (nargs != 2)
         return PyErr_Format(PyExc_TypeError, "abs_error takes 2 arguments");
-    if (!(got = read_doubles(args[0], &p))
-        && !(got = read_doubles(args[1], &t))) {
+    if (!read_buffer(args[0], &p, "d", sizeof(double), 0, "abs_error")
+        && !read_buffer(args[1], &t, "d", sizeof(double), 0, "abs_error")) {
         if (p.len == t.len)
             sum += pairwise(p.buf, t.buf, p.len / (Py_ssize_t)sizeof(double));
         else
             PyErr_SetString(PyExc_ValueError, "pred and targets differ in size");
     }
-    else if (got > 0)
-        PyErr_SetString(PyExc_TypeError, "abs_error: pred and targets must be aligned, "
-                                         "C-contiguous buffers of format 'd'");
     PyBuffer_Release(&p), PyBuffer_Release(&t);
     return PyErr_Occurred() ? NULL : PyFloat_FromDouble(isfinite(sum) ? sum : INFINITY);
 }
@@ -538,7 +510,6 @@ static PyMethodDef methods[] = {
     { "plan", (PyCFunction)(void (*)(void))plan, METH_FASTCALL, NULL },
     { NULL },
 };
-/* the type of evaluate's rows, ready before any call */
 /* the type of evaluate's rows, made ready once per process: a second load finds it ready */
 static int exec_module(PyObject *Py_UNUSED(module))
 {

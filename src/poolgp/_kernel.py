@@ -3,18 +3,20 @@
 Five functions, in _kernel.c: the genome interpreter (`evaluate`, which
 returns a new row of doubles, a buffer of format "d"), the error sum
 (`abs_error`), a generation's draws from the master's Mersenne Twister
-stream (`draw`: every tournament, into the mums and dads lists, then every
+stream (`draw`: every tournament, into the mums and dads arrays, then every
 crossover point), subtree crossover (`crossover`, which walks arities
-itself) and the breeding plan's tables (`plan`). Where `load` finds no
-kernel, `genome.evaluate` runs its numpy interpreter, `Problem.fitness` sums
-in numpy, `engine.draw_outcome` draws with `randbytes` and ranks with `engine.rank_tournaments`,
+itself) and the breeding plan's tables (`plan`). Every typed argument is a
+buffer of one format: doubles "d", parents "i" and point words "I". Where
+`load` finds no kernel, `genome.evaluate` runs its numpy interpreter,
+`Problem.fitness` sums in numpy, `engine.draw_outcome` draws with
+`randbytes` and ranks with `engine.rank_tournaments`,
 `genome.subtree_crossover` is `genome.python_crossover`, and `BreedingPlan`
 builds with `breeding_plan.python_plan`. Each of these is also the reference
 that the kernel matches to the bit; tests/kernel_fuzz.py checks each pair.
 
-The file is compiled against Python's headers alone (`command`): it reads and
-returns doubles through the buffer protocol, so neither its build nor its
-cache key involves numpy, and loading it imports nothing but the module.
+The file is compiled against Python's headers alone (`command`): it reads its
+buffers and returns doubles through the buffer protocol, so neither its build
+nor its cache key involves numpy, and loading it imports nothing but the module.
 """
 
 from __future__ import annotations

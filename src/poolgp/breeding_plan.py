@@ -16,7 +16,7 @@ skipping the others yields the remaining class-2 children in order.
 Each parent also carries a list of its child ids, built in child order: its
 length is the parent's outstanding child count, and the plan is the only
 place that count lives. The plan also keeps every child's parents, as the
-two plain lists the tournaments drew.
+two array("i")s the tournaments drew.
 
 The kernel's `plan` builds the children lists, `status` and `chain1` in one
 call where it loaded; `python_plan` is its reference and the fallback.
@@ -25,6 +25,8 @@ No internal locking: every operation runs inside the engine lock.
 """
 
 from __future__ import annotations
+
+from array import array
 
 from . import genome
 from .errors import InvariantError
@@ -56,12 +58,13 @@ def python_plan(mums, dads) -> tuple[list[list[int]], list[int], list[int]]:
 class BreedingPlan:
     """Work queues, parentage and children lists for one generation of crossovers.
 
-    mums and dads are lists of ints, as `draw_outcome` returns them: mums[s]
+    mums and dads are array("i")s, as `draw_outcome` returns them: mums[s]
     and dads[s] index the current population. They may be equal:
-    self-crossover lists the child twice in that parent's children.
+    self-crossover lists the child twice in that parent's children. The
+    kernel's `plan` takes no other type; `python_plan` takes any sequences.
     """
 
-    def __init__(self, mums: list[int], dads: list[int]):
+    def __init__(self, mums: array, dads: array):
         """The plan's tables from the kernel's `plan` where it loaded, else from
         `python_plan`: the same lists, or the same ValueError."""
         build = python_plan if genome._native is None else genome._native.plan

@@ -12,8 +12,10 @@ parent's buffer the moment its last child exists. Once every worker has
 joined, the master scores the new population and appends its rows.
 
 Only the score pass produces fitness. The master evaluates every member
-once, in member order, as the naive engine does, and the fitness list it
-yields is the history row and the next tournaments' input with no copy.
+once, in member order, as the naive engine does, into an array("d") of M
+doubles, where a user fitness's float32 or int becomes a double and any
+other value raises. That array is the history row and the next
+tournaments' input with no copy.
 The pass enters `float_errors_ignored` once, which enters numpy's
 float-error state where numpy can run in the pass; neither `evaluate` nor
 `Problem.fitness` sets one per genome.
@@ -134,25 +136,26 @@ class RunConfig:
 @dataclass
 class EvolutionResult:
     genomes: list[bytes]
-    fitness_history: list[list[float]]  # one list of M fitnesses per generation; [-1] is final
+    fitness_history: list[array]  # one array("d") of M fitnesses per generation; [-1] is final
     stats: list[metrics.GenerationStats]
     capacity: int  # genome buffers the engine ever owns
     peak_buffers: int  # most live at once across the run
 
 
-def draw_outcome(rng, fitnesses, k: int) -> tuple[list[int], list[int], array]:
+def draw_outcome(rng, fitness: array, k: int) -> tuple[array, array, array]:
     """Draw a generation's parents and crossover points from the master stream.
 
-    Runs 2M best-of-k tournaments, mum then dad for each child in child
-    order, from consecutive uint32 words of the stream: entrant u is member
-    (u * M) >> 32, the lowest fitness wins and ties go to the lowest index.
-    A NaN fitness ranks as +inf. Then draws every child's crossover points
-    (see `child_stream`), and returns (mums, dads, points).
+    Runs 2M best-of-k tournaments over the array("d") `fitness`, mum then
+    dad for each child in child order, from consecutive uint32 words of the
+    stream: entrant u is member (u * M) >> 32, the lowest fitness wins and
+    ties go to the lowest index. A NaN fitness ranks as +inf. Then draws
+    every child's crossover points (see `child_stream`), and returns (mums,
+    dads, points): an array("i") of M parents each, and an array("I").
 
     Where the kernel loaded and `rng` is a plain `random.Random`, the
     kernel's `draw` continues rng's Mersenne Twister state from one
-    `getstate`, reads `fitnesses` as it is and returns the mums and dads
-    lists and the state after, which one `setstate` hands back with the
+    `getstate`, reads `fitness` in place, writes the three arrays and
+    returns the state after, which one `setstate` hands back with the
     version and `gauss_next` kept. Any other rng, such as a subclass that
     overrides `getrandbits` or `randbytes`, is read through `randbytes`:
     the tournaments in blocks of at most TOURNAMENT_BLOCK entrants (at least
@@ -160,31 +163,32 @@ def draw_outcome(rng, fitnesses, k: int) -> tuple[list[int], list[int], array]:
     blocks keep small for any M, then the points in one more call. Both read
     the same words in the same order, so they draw the same outcome.
     """
-    m = len(fitnesses)
+    m = len(fitness)
     if genome._native is not None and type(rng) is random.Random:
+        mums, dads = array("i", [0]) * m, array("i", [0]) * m
         points = array("I", [0]) * (POINTS_PER_CHILD * m)
         version, state, gauss_next = rng.getstate()
-        state, mums, dads = genome._native.draw(state, fitnesses, k, points)
+        state = genome._native.draw(state, fitness, k, mums, dads, points)
         rng.setstate((version, state, gauss_next))
         return mums, dads, points
     import numpy as np
 
-    fit = np.array(fitnesses, dtype=np.float64)
+    fit = np.array(fitness, dtype=np.float64)
     rows = 2 * m
-    winners = np.empty(rows, dtype=np.uint64)
+    winners = np.empty(rows, dtype=np.int32)
     block_rows = max(1, TOURNAMENT_BLOCK // k)
     for start in range(0, rows, block_rows):
         n = min(block_rows, rows - start)
         rank_tournaments(rng.randbytes(4 * n * k), fit, k, winners[start:start + n])
-    picks = winners.tolist()
-    return picks[0::2], picks[1::2], draw_points(rng, m)
+    return (array("i", winners[0::2].tobytes()), array("i", winners[1::2].tobytes()),
+            draw_points(rng, m))
 
 
 def rank_tournaments(words: bytes, fit, k: int, out) -> None:
     """Write each tournament's winner into `out`: the ranking of the kernel's `draw` in numpy.
 
     Row r of `out` is the best of the k entrants that uint32 words r*k to
-    r*k + k - 1 draw (see `draw_outcome`); `fit` is a float64 ndarray, `out` a uint64 one.
+    r*k + k - 1 draw (see `draw_outcome`); `fit` is a float64 ndarray, `out` an int32 one.
     """
     import numpy as np
 
@@ -231,7 +235,7 @@ class Breeding:
     """
 
     def __init__(self, pool: BufferPool, pop: list[Individual], new_pop: list[Individual],
-                 mums: list[int], dads: list[int], draws: array):
+                 mums: array, dads: array, draws: array):
         self.pool, self.pop, self.new_pop, self.draws = pool, pop, new_pop, draws
         self.plan = plan = BreedingPlan(mums, dads)
         pool.reset_peak()
@@ -285,7 +289,7 @@ class PooledEngine:
         self.lock = threading.Lock()
         self.master_rng = random.Random(config.seed)
         self.stats: list[metrics.GenerationStats] = []
-        self.fitness_history: list[list[float]] = []
+        self.fitness_history: list[array] = []
 
     # -- master phase -----------------------------------------------------
 
@@ -371,7 +375,8 @@ class PooledEngine:
         """
         slots, fitness = self.pool.slots, self.problem.fitness
         with float_errors_ignored():  # one error state for the whole pass
-            fitnesses = [fitness(slots[ind.slot_id], ind.tree_len) for ind in self.pop]
+            fitnesses = array("d", [fitness(slots[ind.slot_id], ind.tree_len)
+                                    for ind in self.pop])
         self.fitness_history.append(fitnesses)
         wall = time.perf_counter() - t0
         lens = [ind.tree_len for ind in self.pop]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+from array import array
 from dataclasses import dataclass
 
 from .errors import InvariantError
@@ -55,7 +56,7 @@ def effective_cores(nworkers: int, idle: float) -> float:
 def record_generation(
     generation: int,
     tree_sizes: list[int],
-    fitnesses: list[float],
+    fitnesses: array,
     pool_used_peak: int,
     pool_max_used: int,
     total_opcodes: int,

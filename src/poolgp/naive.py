@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import random
 import time
+from array import array
 
 from . import metrics
 from .engine import EvolutionResult, RunConfig, child_stream, draw_outcome, initial_depth
@@ -27,9 +28,9 @@ def run_evolution_naive(config: RunConfig, problem: Problem = QUARTIC) -> Evolut
     rng = random.Random(config.seed)
     genomes: list[bytearray] = []
     lens: list[int] = []
-    fitnesses: list[float] = []
+    fitnesses = array("d")
     stats: list[metrics.GenerationStats] = []
-    history: list[list[float]] = []
+    history: list[array] = []
     peak = 0
     for g in range(config.generations):
         t0 = time.perf_counter()
@@ -53,7 +54,7 @@ def run_evolution_naive(config: RunConfig, problem: Problem = QUARTIC) -> Evolut
         # the old population is discarded only now, after the generation is complete
         genomes, lens = children, child_lens
         with float_errors_ignored():
-            fitnesses = [problem.fitness(buf, n) for buf, n in zip(genomes, lens)]
+            fitnesses = array("d", [problem.fitness(buf, n) for buf, n in zip(genomes, lens)])
         wall = time.perf_counter() - t0
         stats.append(metrics.record_generation(
             generation=g,

@@ -10,18 +10,18 @@
   or give the same bits, and x must keep its bits;
 * `draw` against `engine.draw_outcome` over a `random.Random` subclass, which
   reads the stream through `randbytes` and ranks in numpy: from random and
-  all-zero states at every twist boundary and mid-block, over lists and
-  tuples of fitnesses with ties, NaN and inf;
+  all-zero states at every twist boundary and mid-block, over arrays and
+  read-only views of fitnesses with ties, NaN and inf;
 * `plan` against `breeding_plan.python_plan`: the same three lists, or the
-  same ValueError text, over lists of 0-40 children with self-crossover and
-  every child on one parent;
+  same ValueError text, over int32 arrays of 0-40 children with
+  self-crossover and every child on one parent;
 * `crossover` against `genome.python_crossover`: the same length or
   exception class, the same child bytes, and a child never resized;
-* and the refusals of malformed arguments (`plan` takes only exact lists of
-  exact ints and runs no `__index__`; `evaluate` and `abs_error` read only
-  aligned, C-contiguous buffers of format "d", and no view past its end), and
-  `plan` and `draw` through a collection that starts inside them, whose
-  finalizer shrinks their lists.
+* and the refusals of malformed arguments (every typed argument of
+  `evaluate`, `abs_error`, `draw` and `plan` is an aligned, C-contiguous
+  buffer of one format, and no view is read past its end), and `plan` and
+  `draw` through a collection that starts inside them, whose finalizer tries
+  to resize their arrays and overwrites their inputs.
 
 tests/test_kernel.py runs it over the cached kernel, and in a subprocess over
 a kernel built with AddressSanitizer and UBSan, as
@@ -161,29 +161,37 @@ def random_state(rng) -> tuple:
     return words + (rng.choice((0, 1, 623, 624, rng.randint(2, 622), rng.randint(0, 624))),)
 
 
+def outputs(m: int) -> tuple[array, array, array]:
+    """`draw`'s mums, dads and points for m members, each slot a sentinel that no draw of
+    a parent gives, and that a point word gives once in 2**32."""
+    return array("i", [-1]) * m, array("i", [-1]) * m, array("I", [2 ** 32 - 1]) * (
+        POINTS_PER_CHILD * m)
+
+
 def fuzz_draw(kernel, rng, count: int) -> None:
-    """`draw` against `draw_outcome`'s randbytes path: the same mums, dads, points and state,
-    and the fitnesses left as they were."""
+    """`draw` against `draw_outcome`'s randbytes path: every slot of the mums, dads and points
+    written, as the reference draws them, the same state after, and the fitness bytes left
+    as they were."""
     for _ in range(count):
         m, k = rng.randint(0, 40), rng.randint(1, 12)
-        fitnesses = [rng.choice(FITNESSES) for _ in range(m)]
-        if rng.random() < 0.3:
-            fitnesses = tuple(fitnesses)
-        before, state = list(map(id, fitnesses)), random_state(rng)
+        fitness = array("d", [rng.choice(FITNESSES) for _ in range(m)])
+        if rng.random() < 0.3:  # a Problem's kind of table: read-only
+            fitness = memoryview(fitness.tobytes()).cast("d")
+        before, state = bytes(fitness), random_state(rng)
         reference = ReferenceRng(0)
         reference.setstate((3, state, None))
-        mums, dads, points = draw_outcome(reference, fitnesses, k)
-        got = array("I", [7]) * len(points)
-        after, got_mums, got_dads = kernel.draw(state, fitnesses, k, got)
-        assert (got_mums, got_dads, got) == (mums, dads, points), (fitnesses, k, state[-1])
+        want = draw_outcome(reference, fitness, k)
+        got = outputs(m)
+        after = kernel.draw(state, fitness, k, *got)
+        assert got == want, (fitness.tolist(), k, state[-1])
         assert after == reference.getstate()[1], (m, k, state[-1])
-        assert list(map(id, fitnesses)) == before
+        assert bytes(fitness) == before
 
 
 def random_parents(rng) -> tuple:
-    """(mums, dads), two lists of 0-40 children: random pairs, every child on one parent,
-    every child a self-crossover, or a mix. One time in eight the lengths differ or a parent
-    is out of range."""
+    """(mums, dads), two array("i")s of 0-40 children: random pairs, every child on one
+    parent, every child a self-crossover, or a mix; now and then read-only views. One time
+    in eight the lengths differ or a parent is out of range."""
     m, kind = rng.randint(0, 40), rng.randrange(4)
     mums = [rng.randrange(m) for _ in range(m)] if kind != 1 else [m - 1] * m
     dads = (list(mums) if kind == 2 else [m - 1] * m if kind == 1
@@ -192,11 +200,14 @@ def random_parents(rng) -> tuple:
     if rng.random() < 1 / 8:
         bad = rng.choice((mums, dads))
         if m and rng.random() < 0.7:
-            bad[rng.randrange(m)] = rng.choice((m, -1, m + 5, -m - 1, 2 ** 70))
+            bad[rng.randrange(m)] = rng.choice((m, -1, m + 5, -m - 1, 2 ** 31 - 1, -2 ** 31))
         elif bad and rng.random() < 0.5:
             bad.pop()
         else:
             bad.append(0)
+    mums, dads = array("i", mums), array("i", dads)
+    if rng.random() < 0.2:
+        return memoryview(mums).toreadonly(), memoryview(dads).toreadonly()
     return mums, dads
 
 
@@ -285,17 +296,6 @@ def fuzz_crossover(kernel, rng, count: int) -> None:
                              points.tolist(), got, want)
 
 
-class Emptying:
-    """A number whose conversion empties the list it sits in."""
-
-    def __init__(self, within: list):
-        self.within = within
-
-    def __float__(self):
-        self.within.clear()
-        return 0.0
-
-
 class Recording:
     """An index that records each call of its `__index__`."""
 
@@ -307,15 +307,36 @@ class Recording:
         return 0
 
 
-class Shrinking:
-    """Garbage in a reference cycle, whose finalizer cuts each of its lists to one item."""
+class Resizing:
+    """Garbage in a reference cycle, whose finalizer tries to shrink and to grow each of its
+    arrays, logging each refusal, then overwrites each item of its inputs: a double with
+    NaN, an int with a parent out of range."""
 
-    def __init__(self, *lists):
-        self.lists, self.cycle = lists, self
+    def __init__(self, refused: list, inputs, outputs=()):
+        self.refused, self.inputs, self.outputs, self.cycle = refused, inputs, outputs, self
 
     def __del__(self):
-        for within in self.lists:
-            del within[1:]
+        for values in (*self.inputs, *self.outputs):
+            for resize in (values.pop, lambda: values.append(values[0])):
+                try:
+                    resize()
+                except BufferError:  # as an exported array refuses
+                    self.refused.append(values.typecode)
+        for values in self.inputs:
+            for i in range(len(values)):
+                values[i] = math.nan if values.typecode == "d" else len(values)
+
+
+def wrong_buffers(fmt: str, count: int, output: bool) -> list:
+    """What `draw` and `plan` refuse with TypeError where they take `count` items of format
+    `fmt`: each other format, of the same bytes where it fits them ("l", "q", "i" and "I"
+    swapped, "d" for ints and "f"), bytes, a strided and an unaligned view, a list and no
+    buffer; for an output, also a read-only view."""
+    size = count * array(fmt).itemsize
+    others = [array(f, [0]) * (size // array(f).itemsize) for f in "lqiIdf" if f != fmt]
+    others += [bytes(size), memoryview(array(fmt, [0]) * (2 * count))[::2],
+               memoryview(bytearray(size + 1))[1:].cast(fmt), [0] * count, 3.0]
+    return others + [memoryview(array(fmt, [0]) * count).toreadonly()] * output
 
 
 def check_row_refusals(kernel) -> None:
@@ -363,69 +384,71 @@ def check_refusals(kernel) -> None:
     """Malformed arguments raise, and nothing is read or written past a buffer."""
     check_row_refusals(kernel)
     # a state of 623 or 626 entries, an index of -1 or 625, a word of 2**32 or a float, not
-    # a tuple; k = 0; points a word short or long, or of another item size; a fitness that
-    # is no float, or fitnesses that are no sequence: refused before anything is written
+    # a tuple; k = 0; fitness, mums, dads or points a word short or long: ValueError, and
+    # any argument of another kind: TypeError; both before anything is written
     rng = random.Random(5)
     before = rng.getstate()
-    state = before[1]
-    fit, points = [0.0] * 3, array("I", [7]) * (POINTS_PER_CHILD * 3)
-    bad = [(state[:623], fit, 1, points), (state + (0,), fit, 1, points),
-           (state[:-1] + (-1,), fit, 1, points), (state[:-1] + (625,), fit, 1, points),
-           ((2 ** 32,) + state[1:], fit, 1, points), (state[:5] + (1.0,) + state[6:], fit, 1, points),
-           (list(state), fit, 1, points), (state, fit, 0, points),
-           (state, fit, 1, points[:-1]), (state, fit, 1, points + array("I", [7])),
-           (state, fit, 1, array("Q", [7]) * (POINTS_PER_CHILD * 3 // 2)),
-           (state, fit, 1, bytearray(4 * len(points)))]
+    state, m = before[1], 4
+    fit, (mums, dads, points) = array("d", [0.0, 1.0, math.nan, -1.0]), outputs(m)
+    good = (state, fit, 1, mums, dads, points)
+    bad = [(state[:623],), (state + (0,),), (state[:-1] + (-1,),), (state[:-1] + (625,),),
+           ((2 ** 32,) + state[1:],), (state[:5] + (1.0,) + state[6:],), (list(state),),
+           (state, fit, 0)]
+    for i, fmt, count in ((1, "d", m), (3, "i", m), (4, "i", m), (5, "I", POINTS_PER_CHILD * m)):
+        for other in (count - 1, count + 1):
+            bad.append(good[:i] + (array(fmt, [0]) * other,) + good[i + 1:])
     for args in bad:
         try:
-            kernel.draw(*args)
+            kernel.draw(*args, *good[len(args):])
         except ValueError:
             continue
         raise AssertionError(f"draw took {[len(a) if hasattr(a, '__len__') else a for a in args]}")
-    for args in ((state, [0.0, "1", 0.0], 1, points), (state, 3.0, 1, points),
-                 (state, fit, 1.0, points), (state, fit, 1, points, points)):
+    wrong = [good[:2] + (1.0,) + good[3:], good[:-1], good + (points,)]
+    for i, fmt, count in ((1, "d", m), (3, "i", m), (4, "i", m), (5, "I", POINTS_PER_CHILD * m)):
+        wrong += [good[:i] + (other,) + good[i + 1:] for other in wrong_buffers(fmt, count, i > 1)]
+    wrong.append(good[:5] + (np.zeros(POINTS_PER_CHILD * m, np.int32),))
+    for args in wrong:
         try:
             kernel.draw(*args)
         except TypeError:
             continue
         raise AssertionError(f"draw took {args[1:]!r}")
-    # a conversion that empties the list being read: refused, not read past its end
-    shrinking = [0.0] * 3
-    shrinking[1] = Emptying(shrinking)
-    try:
-        kernel.draw(state, shrinking, 1, points)
-        raise AssertionError("draw read fitnesses that shrank")
-    except ValueError:
-        pass
-    assert rng.getstate() == before and points.tolist() == [7] * len(points)
-    # lengths that differ, a parent out of range, negative or no int, no list or a wrong
-    # count: refused, with python_plan's text where it refuses with a ValueError
-    for mums, dads, text in (([0, 1], [1], "mums and dads must have equal length"),
-                             ([0, 2], [1, 1], "parent index out of range for child 1"),
-                             ([0, 1], [-1, 1], "parent index out of range for child 0"),
-                             ([5, 0], [1.0, 1], "parent index out of range for child 0")):
+    assert rng.getstate() == before and (mums, dads, points) == outputs(m), "draw wrote"
+    # lengths that differ, or a parent out of range: refused with python_plan's text
+    for ms, ds, text in (([0, 1], [1], "mums and dads must have equal length"),
+                         ([0], [1, 0], "mums and dads must have equal length"),
+                         ([0, 2], [1, 1], "parent index out of range for child 1"),
+                         ([0, 1], [-1, 1], "parent index out of range for child 0"),
+                         ([5, 0], [1, 1], "parent index out of range for child 0"),
+                         ([0, -2 ** 31], [2 ** 31 - 1, 0],
+                          "parent index out of range for child 0")):
         for build in (kernel.plan, python_plan):
-            assert plan_outcome(build, mums, dads) == f"ValueError: {text}", (build, mums, dads)
-    # anything but two exact lists of exact ints: refused, and no Python code runs to read it
-    index = Recording()
-    for args in (([0, 1], [1.0, 0]), ([0, "1"], [1, 0]), (3, [0]), ([0],), ([0], [0], [0]),
-                 ((0, 1), [1, 0]), ([0, 1], np.array([1, 0])),
-                 ([np.int64(0), np.int64(1)], [1, 0]), ([0, True], [1, 0]), ([0, index], [1, 0])):
+            got = plan_outcome(build, array("i", ms), array("i", ds))
+            assert got == f"ValueError: {text}", (build, ms, ds)
+    # anything but two int32 buffers, or a wrong count: refused, and no Python code runs to
+    # read a parent
+    index, parents = Recording(), array("i", [0, 1])
+    wrong = [(parents,), (parents,) * 3, ([0, index], parents), (parents, np.array([1, 0]))]
+    for other in wrong_buffers("i", 2, False):
+        wrong += [(other, parents), (parents, other)]
+    for args in wrong:
         try:
             kernel.plan(*args)
         except TypeError:
             continue
         raise AssertionError(f"plan took {args!r}")
     assert index.calls == 0, "plan ran a parent's __index__"
-    # a collection that starts inside the kernel, with a finalizer that shrinks the lists
-    # it reads: each function has read them before it builds a list, so the results are
-    # those of the lists as passed
-    m, threshold = 2000, gc.get_threshold()
-    mums, dads, fit = list(range(m)), [i // 2 for i in range(m)], [float(i % 7) for i in range(m)]
+    # a collection that starts inside the kernel, with a finalizer that tries to resize the
+    # arrays it reads and writes and overwrites its inputs: each is held, so none resizes,
+    # and each function has copied its inputs before it writes or builds anything, so the
+    # results are those of the arrays as passed
+    m, threshold, refused = 2000, gc.get_threshold(), []
+    mums, dads = array("i", range(m)), array("i", [i // 2 for i in range(m)])
+    fit = array("d", [float(i % 7) for i in range(m)])
     reference = ReferenceRng(0)
     start = reference.getstate()[1]
-    want_plan, want_draw = python_plan(mums, dads), draw_outcome(reference, list(fit), 7)
-    points = array("I", [7]) * len(want_draw[2])
+    want_plan, want_draw = python_plan(mums, dads), draw_outcome(reference, fit, 7)
+    got_draw = got_mums, got_dads, points = outputs(m)  # no star-call: its tuple would collect
     enabled = gc.isenabled()
     try:
         gc.set_threshold(1)  # each new container starts a collection
@@ -433,19 +456,20 @@ def check_refusals(kernel) -> None:
         # which the kernel's first new container collects; a collection while it was being
         # made would move it to an older one, left uncollected through a short call
         gc.disable()
-        Shrinking(mums, dads)
+        Resizing(refused, (mums, dads))
         gc.enable()
         got_plan = kernel.plan(mums, dads)
         gc.disable()
-        Shrinking(fit)
+        Resizing(refused, (fit,), got_draw)
         gc.enable()
-        after, *got_draw = kernel.draw(start, fit, 7, points)
+        after = kernel.draw(start, fit, 7, got_mums, got_dads, points)
     finally:
         gc.set_threshold(*threshold)
         (gc.enable if enabled else gc.disable)()
-    assert len(mums) == len(dads) == len(fit) == 1, "no finalizer ran"
-    assert got_plan == want_plan, "plan read parents that shrank"
-    assert (*got_draw, points) == want_draw and after == reference.getstate()[1]
+    assert refused == list("iiiiddiiiiII"), f"a finalizer resized an exported array: {refused}"
+    assert mums.tolist() == dads.tolist() == [m] * m and all(map(math.isnan, fit))
+    assert got_plan == want_plan, "plan read parents that changed"
+    assert got_draw == want_draw and after == reference.getstate()[1], "draw read changed fitness"
     for args in ((b"", 1), (bytes([4]), 1, bytes([4]), 1, bytearray(1), 1)):
         try:
             kernel.crossover(*args)

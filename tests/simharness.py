@@ -22,6 +22,7 @@ package: only tests use them.
 from __future__ import annotations
 
 import random
+from array import array
 
 from poolgp.breeding_plan import NIL, BreedingPlan
 from poolgp.engine import Breeding, Individual, draw_points
@@ -29,6 +30,11 @@ from poolgp.expr_pool import NO_SLOT, BufferPool
 from poolgp.genome import random_tree, subtree_end
 
 HOLD, CROSS = "hold", "cross"
+
+
+def parents(pairs) -> tuple[array, array]:
+    """[(mum, dad), ...] child parentage as `draw_outcome` returns it: two array("i")s."""
+    return array("i", [m for m, _ in pairs]), array("i", [d for _, d in pairs])
 
 
 def queues(plan: BreedingPlan) -> tuple[list[int], list[int]]:
@@ -117,8 +123,8 @@ class BreedingSim:
             pop.append(ind)
         # the scripted parentage stands in for the tournaments; the crossover
         # points come from the same master stream, as in the engines
-        self.breeding = Breeding(pool, pop, [Individual() for _ in pairs], [m for m, _ in pairs],
-                                 [d for _, d in pairs], draw_points(rng, popsize))
+        self.breeding = Breeding(pool, pop, [Individual() for _ in pairs], *parents(pairs),
+                                 draw_points(rng, popsize))
         self.workers = [WorkerModel() for _ in range(nworkers)]
         self.claims: list[tuple[int, bool, bool]] = []  # (child, was_class2, chain1_empty)
         self.books = 0

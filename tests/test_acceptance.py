@@ -9,6 +9,7 @@ import gc
 import random
 import time
 import tracemalloc
+from array import array
 
 import pytest
 
@@ -21,6 +22,7 @@ from simharness import (
     BreedingSim,
     check_integrity,
     explore_all,
+    parents,
     queues,
     random_walk,
     tiny_population_scenarios,
@@ -145,7 +147,7 @@ def test_hand_traced_operation_tables():
         assert (top, pool.used, pool.max_used) == (head, used, max_used)
 
     # build_plan: three children, parent edge counts 3/2/1
-    plan = BreedingPlan([0, 0, 1], [1, 0, 2])  # parent edge counts 3/2/1
+    plan = BreedingPlan(array("i", [0, 0, 1]), array("i", [1, 0, 2]))  # parent edge counts 3/2/1
     assert queues(plan) == ([2], [0, 1])
     assert plan.children[0] == [0, 1, 1]
     assert plan.children[1] == [0, 2]
@@ -162,14 +164,14 @@ def test_hand_traced_operation_tables():
         ([2, 3, 4], 3, [2, 4], 2, -1),
     ]
     for entries, child, after, remaining, last in rem_table:
-        p = BreedingPlan(list(range(8)), list(range(8)))
+        p = BreedingPlan(array("i", range(8)), array("i", range(8)))
         p.children[0] = list(entries)
         assert p.rem_child(0, child) == (remaining, last)
         assert p.children[0] == after
 
     # move21: take child 1 out of class 2 [0,1,5], push onto chain1
     pairs = [(0, 1), (0, 1), (2, 0), (3, 0), (4, 0), (0, 1), (6, 0), (7, 0)]
-    p = BreedingPlan([m for m, _ in pairs], [d for _, d in pairs])
+    p = BreedingPlan(*parents(pairs))
     assert queues(p)[1] == [0, 1, 5]
     p.move21(7, 1)
     assert queues(p) == ([1, 2, 3, 4, 6, 7], [0, 5])

@@ -4,6 +4,7 @@ kernel's build of the plan's tables against the Python build."""
 import random
 import subprocess
 import sys
+from array import array
 from pathlib import Path
 
 import pytest
@@ -11,12 +12,12 @@ import pytest
 from poolgp import breeding_plan, genome
 from poolgp.breeding_plan import NIL, BreedingPlan
 from poolgp.errors import InvariantError
-from simharness import check_integrity, queues
+from simharness import check_integrity, parents, queues
 
 
 def plan_from(pairs):
     """Build a plan from [(mum, dad), ...] child parentage."""
-    return BreedingPlan([m for m, _ in pairs], [d for _, d in pairs])
+    return BreedingPlan(*parents(pairs))
 
 
 def test_build_plan_three_child_trace():
@@ -47,9 +48,9 @@ def test_build_plan_self_crossover_permutation_all_class2():
 
 def test_outcome_rejects_out_of_range_parent():
     with pytest.raises(ValueError, match="parent index out of range for child 1"):
-        BreedingPlan([0, 3], [1, 1])
+        BreedingPlan(array("i", [0, 3]), array("i", [1, 1]))
     with pytest.raises(ValueError, match="^mums and dads must have equal length$"):
-        BreedingPlan([0, 1], [1])
+        BreedingPlan(array("i", [0, 1]), array("i", [1]))
 
 
 def test_claim_order_is_chain1_then_chain2():
@@ -237,11 +238,12 @@ def test_plan_invariants_hold_under_python_optimize():
     src = Path(breeding_plan.__file__).resolve().parents[1]
     script = (
         "import sys\n"
+        "from array import array\n"
         "from poolgp.breeding_plan import BreedingPlan\n"
         "from poolgp.errors import InvariantError\n"
         "if not sys.flags.optimize:\n"
         "    sys.exit(2)\n"
-        "plan = BreedingPlan([0, 0, 1], [1, 0, 2])\n"
+        "plan = BreedingPlan(array('i', [0, 0, 1]), array('i', [1, 0, 2]))\n"
         "try:\n"
         "    plan.rem_child(2, 0)\n"
         "    sys.exit(3)\n"
@@ -298,14 +300,16 @@ def plan_cases():
 @needs_kernel
 def test_the_kernels_plan_builds_the_python_plans_tables(monkeypatch):
     for mums, dads in plan_cases():
+        mums, dads = array("i", mums), array("i", dads)
         assert tables(BreedingPlan(mums, dads)) == python_build(monkeypatch, mums, dads), len(mums)
 
 
 @needs_kernel
 def test_the_kernels_plan_refuses_with_the_python_plans_text(monkeypatch):
     for mums, dads in (([0, 1], [1]), ([], [0]), ([0, 3], [1, 1]), ([0, 1], [-1, 5]),
-                       ([2 ** 70, 0], [0, 0]), ([0, 0, 0], [0, 1, -(2 ** 70)]),
+                       ([2 ** 31 - 1, 0], [0, 0]), ([0, 0, 0], [0, 1, -(2 ** 31)]),
                        ([0, 1], [1, 2])):
+        mums, dads = array("i", mums), array("i", dads)
         with pytest.raises(ValueError) as refused:
             BreedingPlan(mums, dads)
         assert str(refused.value) == python_build(monkeypatch, mums, dads), (mums, dads)

@@ -74,11 +74,14 @@ def scripted_random(words) -> random.Random:
 
 
 def scripted_draw(words, fitnesses, k):
-    """`draw_outcome` over scripted words, from `scripted_random` (the kernel's draw where
-    it loaded) and from `ScriptedRng` (randbytes): both must draw the same."""
-    outcome = draw_outcome(scripted_random(words), fitnesses, k)
-    assert outcome == draw_outcome(ScriptedRng(words), fitnesses, k)
-    return outcome
+    """`draw_outcome` over scripted words and an array("d") of `fitnesses`, from
+    `scripted_random` (the kernel's draw where it loaded) and from `ScriptedRng` (randbytes):
+    both must draw the same. The mums and dads come back as lists."""
+    fitness = array("d", fitnesses)
+    outcome = draw_outcome(scripted_random(words), fitness, k)
+    assert outcome == draw_outcome(ScriptedRng(words), fitness, k)
+    mums, dads, points = outcome
+    return mums.tolist(), dads.tolist(), points
 
 
 class RecordingRng(random.Random):
@@ -180,7 +183,7 @@ def reference_draw(rng, fitnesses, k):
             winners.append(best)
     count = POINTS_PER_CHILD * m
     points = list(struct.unpack(f"<{count}I", rng.randbytes(4 * count)))
-    return winners[0::2], winners[1::2], points
+    return array("i", winners[0::2]), array("i", winners[1::2]), points
 
 
 @pytest.mark.parametrize("m,k", [
@@ -191,7 +194,7 @@ def reference_draw(rng, fitnesses, k):
 ])
 def test_draw_outcome_matches_pure_python_best_of_k(m, k):
     # few distinct values force ties; every fifth member overflowed to +inf
-    fitnesses = [math.inf if v % 5 == 4 else float(v % 3) for v in range(m)]
+    fitnesses = array("d", [math.inf if v % 5 == 4 else float(v % 3) for v in range(m)])
     ours, ref = random.Random(m * 31 + k), random.Random(m * 31 + k)
     for _ in range(2):
         mums, dads, points = draw_outcome(ours, fitnesses, k)
@@ -200,8 +203,8 @@ def test_draw_outcome_matches_pure_python_best_of_k(m, k):
 
 
 def test_nan_fitness_ranks_as_infinity():
-    with_nan = [1.0, math.nan, 2.0, math.nan, 0.5]
-    with_inf = [math.inf if math.isnan(f) else f for f in with_nan]
+    with_nan = array("d", [1.0, math.nan, 2.0, math.nan, 0.5])
+    with_inf = array("d", [math.inf if math.isnan(f) else f for f in with_nan])
     assert draw_outcome(random.Random(4), with_nan, 3) == draw_outcome(
         random.Random(4), with_inf, 3)
 
@@ -251,7 +254,7 @@ def test_the_kernels_draw_continues_the_stream_as_randbytes_blocks_do(index, mon
         reference = ReferenceRng()
         reference.setstate(rng.getstate())
         pick = random.Random(-seed)
-        fitnesses = [pick.choice(PARITY_FITNESSES) for _ in range(m)]
+        fitnesses = array("d", [pick.choice(PARITY_FITNESSES) for _ in range(m)])
         ranked.clear()
         mums, dads, points = draw_outcome(rng, fitnesses, k)
         assert not ranked, (m, k)
@@ -268,7 +271,7 @@ def test_child_stream_reads_only_its_own_cells():
 
 
 def test_equal_master_states_give_equal_points():
-    fitnesses = [float(v % 4) for v in range(50)]
+    fitnesses = array("d", [float(v % 4) for v in range(50)])
     a, b = random.Random(7), random.Random(8)
     b.setstate(a.getstate())
     mums, dads, draws = draw_outcome(a, fitnesses, 3)
@@ -391,6 +394,44 @@ def test_memory_check_counts_the_free_stack_and_two_handles_per_member(monkeypat
         RunConfig(popsize=10**4, buffer_bytes=31, max_initial_depth=1).validate()
 
 
+def kept_beside_the_genomes(run, generations):
+    """The bytes that a run at M=1000 keeps after it returns, but for its final genomes, whose
+    size depends on how far the trees grew."""
+    cfg = RunConfig(popsize=1000, generations=generations, buffer_bytes=63,
+                    max_initial_depth=4, seed=3)
+    tracemalloc.start()
+    try:
+        result = run(cfg)
+        del result.genomes[:]
+        return tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("run", [run_evolution, run_evolution_naive])
+def test_a_generation_keeps_a_double_per_member(run):
+    # each history row is an array("d"): 8 bytes a member, where a list of floats took 32;
+    # the allowance covers the generation's stats row
+    grown = kept_beside_the_genomes(run, 25) - kept_beside_the_genomes(run, 5)
+    assert grown <= 12 * 1000 * 20, grown / (1000 * 20)
+
+
+@pytest.mark.skipif(genome.evaluator() != "c", reason="no C kernel on this machine")
+def test_the_kernels_draw_holds_at_most_100_bytes_a_member():
+    # the arrays it returns take 88 (80 of points, 4 each of mums and dads) and the kernel's
+    # copy of the fitness 8; two parent lists of ints took 72, and a copy of the fitness 8
+    m, rng = 10**4, random.Random(1)
+    fitness = array("d", [float(v % 97) for v in range(m)])
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        draw_outcome(rng, fitness, 7)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 100 * m, peak / m
+
+
 def test_memory_check_counts_at_least_what_a_pool_and_its_handles_take(monkeypatch):
     m = 10**4
     fake_physical_memory(monkeypatch, 1, 1)
@@ -414,7 +455,8 @@ def test_self_permutation_generation_peaks_at_m_plus_one(monkeypatch):
                                     max_initial_depth=2, buffer_bytes=7))
     eng._init_generation_zero()
     draws = array("I", bytes(4 * POINTS_PER_CHILD * 2))
-    monkeypatch.setattr(engine, "draw_outcome", lambda *args: ([0, 1], [0, 1], draws))
+    parents = array("i", [0, 1])
+    monkeypatch.setattr(engine, "draw_outcome", lambda *args: (parents, parents, draws))
     eng.run_generation(1)
     assert eng.stats[1].pool_used_peak == 3  # M + 1 exactly
     assert eng.pool.used == 2
@@ -579,6 +621,45 @@ def test_score_passes_enter_numpys_error_state_where_numpy_runs(evaluator, scori
     for threads in (0, 2):
         cfg.nthreads = threads
         assert run_evolution(cfg, wild).fitness_history == oracle.fitness_history
+
+
+class TypedProblem:
+    """A user problem whose fitness is QUARTIC's, clamped to 1e30, as `kind`."""
+
+    def __init__(self, kind):
+        self.kind = kind
+
+    def fitness(self, code, length):
+        return self.kind(min(QUARTIC.fitness(code, length), 1e30))
+
+    def opcodes_per_eval(self, length):
+        return QUARTIC.opcodes_per_eval(length)
+
+
+@pytest.mark.parametrize("kind", [np.float32, int])
+def test_the_score_pass_stores_a_user_fitness_as_doubles(evaluator, kind):
+    # the score pass is where a fitness becomes a double: each history row is an array("d")
+    problem = TypedProblem(kind)
+    cfg = small_config(popsize=30, generations=4)
+    oracle = run_evolution_naive(cfg, problem)
+    for row in oracle.fitness_history:
+        assert type(row) is array and row.typecode == "d"
+    assert oracle.fitness_history[-1].tolist() == [
+        float(problem.fitness(g, len(g))) for g in oracle.genomes]
+    for threads in (0, 2):
+        cfg.nthreads = threads
+        pooled = run_evolution(cfg, problem)
+        assert pooled.genomes == oracle.genomes
+        assert pooled.fitness_history == oracle.fitness_history
+
+
+def test_a_fitness_that_is_no_number_fails_its_score_pass():
+    # refused where it is stored, even in a run that never draws a tournament: not later,
+    # by the stats row's sum or the next generation's draw
+    for run, score_pass in ((run_evolution, "_score"), (run_evolution_naive, "run_evolution_naive")):
+        with pytest.raises(TypeError) as refused:
+            run(small_config(generations=1), TypedProblem(str))
+        assert refused.traceback[-1].name == score_pass
 
 
 def test_generations_one_is_just_the_random_population():

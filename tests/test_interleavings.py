@@ -65,7 +65,8 @@ def test_cloned_sim_shares_no_state():
     before = plain(sim)
     clone = sim.clone()
     shared = mutable_parts(sim, {}).keys() & mutable_parts(clone, {}).keys()
-    assert shared == {id(sim.breeding.draws)}  # read-only crossover draws
+    # the read-only crossover draws and parentage arrays
+    assert shared == {id(sim.breeding.draws), id(sim.plan.mums), id(sim.plan.dads)}
     random_walk(clone, rng)
     assert plain(sim) == before
     assert random_walk(sim, rng).result_genomes() == clone.result_genomes()

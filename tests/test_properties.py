@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from poolgp.breeding_plan import BreedingPlan
 from poolgp.engine import RunConfig, run_evolution
 from poolgp.naive import run_evolution_naive
-from simharness import BreedingSim, random_walk
+from simharness import BreedingSim, parents, random_walk
 
 SETTINGS = settings(derandomize=True, deadline=None)
 
@@ -75,7 +75,7 @@ def plan_operations(draw):
 @given(case=plan_operations())
 def test_claims_match_an_explicit_class2_list(case):
     pairs, ops = case
-    mums, dads = [m for m, _ in pairs], [d for _, d in pairs]
+    mums, dads = parents(pairs)
     plan, model = BreedingPlan(mums, dads), ExplicitClass2Plan(mums, dads)
     # then drain: every child left is claimed, and both then report None
     for name, *args in ops + [("claim_next",)] * (len(pairs) + 1):
