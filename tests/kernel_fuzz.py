@@ -296,17 +296,6 @@ def fuzz_crossover(kernel, rng, count: int) -> None:
                              points.tolist(), got, want)
 
 
-class Recording:
-    """An index that records each call of its `__index__`."""
-
-    def __init__(self):
-        self.calls = 0
-
-    def __index__(self):
-        self.calls += 1
-        return 0
-
-
 class Resizing:
     """Garbage in a reference cycle, whose finalizer tries to shrink and to grow each of its
     arrays, logging each refusal, then overwrites each item of its inputs: a double with
@@ -425,10 +414,9 @@ def check_refusals(kernel) -> None:
         for build in (kernel.plan, python_plan):
             got = plan_outcome(build, array("i", ms), array("i", ds))
             assert got == f"ValueError: {text}", (build, ms, ds)
-    # anything but two int32 buffers, or a wrong count: refused, and no Python code runs to
-    # read a parent
-    index, parents = Recording(), array("i", [0, 1])
-    wrong = [(parents,), (parents,) * 3, ([0, index], parents), (parents, np.array([1, 0]))]
+    # anything but two int32 buffers, or a wrong count: refused
+    parents = array("i", [0, 1])
+    wrong = [(parents,), (parents,) * 3, (parents, np.array([1, 0]))]
     for other in wrong_buffers("i", 2, False):
         wrong += [(other, parents), (parents, other)]
     for args in wrong:
@@ -437,7 +425,6 @@ def check_refusals(kernel) -> None:
         except TypeError:
             continue
         raise AssertionError(f"plan took {args!r}")
-    assert index.calls == 0, "plan ran a parent's __index__"
     # a collection that starts inside the kernel, with a finalizer that tries to resize the
     # arrays it reads and writes and overwrites its inputs: each is held, so none resizes,
     # and each function has copied its inputs before it writes or builds anything, so the
