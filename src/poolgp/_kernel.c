@@ -8,12 +8,13 @@
    is an incomplete one. Built at -O3 with -ffp-contract=off: no fused a * b + c, so every
    result keeps numpy's bits. Only Python's headers are needed: every argument but draw's
    state and the integers is a buffer, and evaluate returns its values in a small object of
-   this module's own that exports them, so loading the module imports no numpy.
-   read_buffer takes a buffer only where it is aligned, C-contiguous and of exactly one
-   format, so no function reads a Python container item by item. An exported array.array
-   refuses to resize, so a finalizer that a new object starts cannot shrink what is left
-   to read; it can still write to it, so draw copies its fitness and plan its parents into
-   C memory before either writes an output or builds an object. */
+   this module's own that exports them, so loading the module imports no numpy. Every typed
+   argument goes through read_buffer, which takes a buffer only where it is aligned,
+   C-contiguous and of exactly one format and raises TypeError for anything else, so no
+   function reads a Python container item by item. An exported array.array refuses to
+   resize, so a finalizer that a new object starts cannot shrink what is left to read; it
+   can still write to it, so draw copies its fitness and plan its parents into C memory
+   before either writes an output or builds an object. */
 #include <Python.h>
 #include <stdint.h>
 #if !defined(CONSTANTS_LIST) || !defined(CROSSOVER_ATTEMPTS) || !defined(ON_STACK)
@@ -127,10 +128,10 @@ static PyTypeObject DoublesType = {
 };
 
 /* 0 with obj's buffer held in view where it is an aligned, C-contiguous run of items of
-   format and size itemsize, of any shape, and writable where asked. Where obj has no buffer
-   or another one, nothing is held: 1 without a caller's name who, else -1 with TypeError.
-   -1 with the exception where its exporter fails. An empty buffer needs no alignment: an
-   empty array.array exports a static byte. */
+   format and size itemsize, of any shape, and writable where asked; else -1 with nothing
+   held: TypeError naming the caller who where obj has no buffer or another one, or the
+   exporter's exception. An empty buffer needs no alignment: an empty array.array exports a
+   static byte. The only place that asks an exporter for its format. */
 static int read_buffer(PyObject *obj, Py_buffer *view, const char *format, Py_ssize_t itemsize,
                        int writable, const char *who)
 {
@@ -143,28 +144,26 @@ static int read_buffer(PyObject *obj, Py_buffer *view, const char *format, Py_ss
             return 0;
         PyBuffer_Release(view);
     }
-    if (!who)
-        return 1;
     PyErr_Format(PyExc_TypeError, "%s takes aligned, C-contiguous%s buffers of format '%s'",
                  who, writable ? ", writable" : "", format);
     return -1;
 }
 
 /* evaluate(code, length, x) -> the root's values over x's n doubles, in a new row of n
-   doubles, or an ERRORS status; None where read_buffer takes no x of format "d", for the
-   caller to convert. A length outside the code buffer is status 5, however far outside. */
+   doubles, or an ERRORS status. TypeError unless read_buffer takes x as "d". A length
+   outside the code buffer is status 5, however far outside. */
 static PyObject *evaluate(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
 {
     Py_buffer c = { 0 }, x = { 0 };
     PyObject *out = NULL;
     Py_ssize_t length;
-    int status = 5, got;
+    int status = 5;
     if (nargs != 3)
         return PyErr_Format(PyExc_TypeError, "evaluate takes 3 arguments");
     if ((length = PyNumber_AsSsize_t(args[1], NULL)) == -1 && PyErr_Occurred())
         return NULL;
-    if ((got = read_buffer(args[2], &x, "d", sizeof(double), 0, NULL)))
-        return got < 0 ? NULL : Py_NewRef(Py_None);
+    if (read_buffer(args[2], &x, "d", sizeof(double), 0, "evaluate"))
+        return NULL;
     if (!PyObject_GetBuffer(args[0], &c, PyBUF_SIMPLE) && length >= 0 && length <= c.len
         && (out = (PyObject *)PyObject_NewVar(Doubles, &DoublesType,
                                               x.len / (Py_ssize_t)sizeof(double)))
@@ -196,11 +195,11 @@ static Py_ssize_t pick(uint32_t u, Py_ssize_t n)
    genome.python_crossover, to the same bytes and the same exception classes. Attempt i
    swaps mum's subtree at node pick(points[2i], mum_len) for dad's at pick(points[2i + 1],
    dad_len) if the offspring fits in capacity cells; after CROSSOVER_ATTEMPTS the child is
-   a copy of mum. ValueError unless 1 <= mum_len <= len(mum), 1 <= dad_len <= len(dad),
-   mum_len <= capacity <= len(child) and points holds POINTS_PER_CHILD 4-byte words;
-   IndexError where a walk leaves its parent's length. So child is never written past
-   capacity, and the copies run in Python's order, as memmove, for a child that is a
-   parent too. */
+   a copy of mum. TypeError unless read_buffer takes points as "I"; ValueError unless
+   1 <= mum_len <= len(mum), 1 <= dad_len <= len(dad), mum_len <= capacity <= len(child)
+   and points holds POINTS_PER_CHILD words; IndexError where a walk leaves its parent's
+   length. So child is never written past capacity, and the copies run in Python's order,
+   as memmove, for a child that is a parent too. */
 static PyObject *crossover(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
 {
     Py_buffer m = { 0 }, d = { 0 }, c = { 0 }, p = { 0 };
@@ -215,11 +214,11 @@ static PyObject *crossover(PyObject *Py_UNUSED(self), PyObject *const *args, Py_
         && !PyObject_GetBuffer(args[0], &m, PyBUF_SIMPLE)
         && !PyObject_GetBuffer(args[2], &d, PyBUF_SIMPLE)
         && !PyObject_GetBuffer(args[4], &c, PyBUF_WRITABLE)
-        && !PyObject_GetBuffer(args[6], &p, PyBUF_FORMAT)) {
+        && !read_buffer(args[6], &p, "I", sizeof *w, 0, "crossover")) {
         const unsigned char *mum = m.buf, *dad = d.buf;
         unsigned char *out = c.buf;
         if (ml < 1 || ml > m.len || dl < 1 || dl > d.len || cap < ml || cap > c.len
-            || p.itemsize != sizeof *w || p.len < (Py_ssize_t)sizeof w)
+            || p.len < (Py_ssize_t)sizeof w)
             PyErr_SetString(PyExc_ValueError, "crossover: a length, the capacity or the "
                                               "points out of range");
         else {

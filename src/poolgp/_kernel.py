@@ -5,14 +5,16 @@ returns a new row of doubles, a buffer of format "d"), the error sum
 (`abs_error`), a generation's draws from the master's Mersenne Twister
 stream (`draw`: every tournament, into the mums and dads arrays, then every
 crossover point), subtree crossover (`crossover`, which walks arities
-itself) and the breeding plan's tables (`plan`). Every typed argument is a
-buffer of one format: doubles "d", parents "i" and point words "I". Where
-`load` finds no kernel, `genome.evaluate` runs its numpy interpreter,
-`Problem.fitness` sums in numpy, `engine.draw_outcome` draws with
-`randbytes` and ranks with `engine.rank_tournaments`,
-`genome.subtree_crossover` is `genome.python_crossover`, and `BreedingPlan`
-builds with `breeding_plan.python_plan`. Each of these is also the reference
-that the kernel matches to the bit; tests/kernel_fuzz.py checks each pair.
+itself) and the breeding plan's tables (`plan`). Every typed argument is an
+aligned, C-contiguous buffer of one format: doubles "d", parents "i" and
+point words "I"; anything else raises TypeError, as it does on the Python
+path of `evaluate` and `crossover`. Where `load` finds no kernel,
+`genome.evaluate` runs its numpy interpreter, `Problem.fitness` sums in
+numpy, `engine.draw_outcome` draws with `randbytes` and ranks with
+`engine.rank_tournaments`, `genome.subtree_crossover` is
+`genome.python_crossover`, and `BreedingPlan` builds with
+`breeding_plan.python_plan`. Each of these is also the reference that the
+kernel matches to the bit; tests/kernel_fuzz.py checks each pair.
 
 The file is compiled against Python's headers alone (`command`): it reads its
 buffers and returns doubles through the buffer protocol, so neither its build

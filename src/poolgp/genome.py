@@ -91,19 +91,18 @@ def python_crossover(mum, mum_len: int, dad, dad_len: int,
     `points` (see the module docstring). If the offspring would not fit in
     `capacity` cells, the next attempt tries; after CROSSOVER_ATTEMPTS the
     child is a verbatim copy of mum. Parents are only read, and `child` is
-    never resized: ValueError unless 1 <= mum_len <= len(mum),
-    1 <= dad_len <= len(dad), mum_len <= capacity <= len(child) and `points`
-    holds POINTS_PER_CHILD 4-byte words, such as an array("I"); IndexError
-    where an arity walk leaves its parent's length.
+    never resized: TypeError unless `points` is a buffer that `_read_buffer`
+    takes as "I", such as an array("I"); ValueError unless
+    1 <= mum_len <= len(mum), 1 <= dad_len <= len(dad),
+    mum_len <= capacity <= len(child) and `points` holds POINTS_PER_CHILD
+    words; IndexError where an arity walk leaves its parent's length.
     """
-    with memoryview(points) as view:
-        if view.itemsize != 4 or view.nbytes < 4 * POINTS_PER_CHILD or not (
-                0 < mum_len <= len(mum) and 0 < dad_len <= len(dad)
-                and mum_len <= capacity <= len(child)):
-            raise ValueError("crossover: a length, the capacity or the points out of range")
-        # native uint32 as Python ints, as the kernel reads them: a numpy uint32 word
-        # times the length would wrap at 32 bits
-        words = view.cast("B").cast("I").tolist()
+    # Python ints, as the kernel reads them: a numpy uint32 word times the length would
+    # wrap at 32 bits
+    words = _read_buffer(points, "I", "crossover")[:POINTS_PER_CHILD].tolist()
+    if len(words) < POINTS_PER_CHILD or not (0 < mum_len <= len(mum) and 0 < dad_len <= len(dad)
+                                             and mum_len <= capacity <= len(child)):
+        raise ValueError("crossover: a length, the capacity or the points out of range")
     for i in range(0, POINTS_PER_CHILD, 2):
         mp = (words[i] * mum_len) >> 32
         dp = (words[i + 1] * dad_len) >> 32
@@ -145,37 +144,19 @@ def float_errors_ignored():
 def evaluate(code, length: int, x):
     """Interpret a genome over a vector of input points, to the same bits on either path.
 
-    A right-to-left scan over x as float64, in the C kernel when it loaded, else in numpy
-    (`_interpret`). For a memoryview x, such as a `Problem`'s table, the result is a fresh,
-    writable, 1-D buffer of format "d" with one value per item of x, which `memoryview()`
-    or numpy reads: the kernel's own row object, which it builds without numpy when x is an
-    aligned, C-contiguous buffer of format "d", else a memoryview of numpy's result. For
-    any other x, the result is a fresh writable ndarray of x's shape, over x converted as
-    by `numpy.asarray`. Nothing of x is kept. Only numpy warns, on overflow and inf/inf
-    outside `float_errors_ignored()`. A malformed genome, or a length outside `code`,
-    raises InvariantError.
+    A right-to-left scan over x, in the C kernel when it loaded, else in numpy
+    (`_interpret`). x is an aligned, C-contiguous buffer of format "d", of any shape, such
+    as a `Problem`'s table, a float64 ndarray or an array("d"); anything else raises
+    TypeError on both paths. The result is a fresh, writable, 1-D buffer of format "d"
+    with one value per item of x, which `memoryview()` or numpy reads: the kernel's own
+    row object, or a memoryview of numpy's result. Nothing of x is kept. Only numpy warns,
+    on overflow and inf/inf outside `float_errors_ignored()`. A malformed genome, or a
+    length outside `code`, raises InvariantError.
     """
-    if _native is not None and type(x) is memoryview:
-        out = _native.evaluate(code, length, x)
-        if out is not None:
-            if type(out) is int:
-                raise InvariantError(_kernel.ERRORS[out])
-            return out
-    import numpy as np
-
-    a = np.asarray(x, dtype=np.float64, order="C")
-    if _native is None:
-        if not 0 <= length <= len(code):
-            raise InvariantError(_kernel.ERRORS[5])
-        out = _interpret(code, length, a)
-    else:
-        out = _native.evaluate(code, length, a)
-        if out is None:  # an unaligned a: the kernel reads an aligned copy
-            out = _native.evaluate(code, length, a.copy())
-        if type(out) is int:
-            raise InvariantError(_kernel.ERRORS[out])
-        out = np.frombuffer(out).reshape(a.shape)
-    return memoryview(out.reshape(-1)) if type(x) is memoryview else out
+    out = (_interpret if _native is None else _native.evaluate)(code, length, x)
+    if type(out) is int:
+        raise InvariantError(_kernel.ERRORS[out])
+    return out
 
 
 def evaluator() -> str:
@@ -183,12 +164,28 @@ def evaluator() -> str:
     return "numpy" if _native is None else "c"
 
 
-def _interpret(code, length: int, x):
-    """`evaluate` in numpy over a float64 ndarray x and the constant vectors: the reference
-    and fallback."""
+def _read_buffer(obj, fmt: str, who: str):
+    """`obj`'s items as a flat ndarray, where the kernel's read_buffer takes it: an aligned,
+    C-contiguous buffer of exactly format `fmt`, of any shape; else TypeError, as the
+    kernel names it. The reads of the Python twins of `evaluate` and `crossover`."""
     import numpy as np
 
-    consts = _constants(x.shape)
+    with memoryview(obj) as view:  # TypeError where obj has no buffer; nothing held after
+        if (view.format == fmt and view.c_contiguous  # numpy counts an empty one as aligned
+                and np.frombuffer(view, fmt).flags.aligned):
+            return np.frombuffer(obj, fmt)
+    raise TypeError(f"{who} takes aligned, C-contiguous buffers of format '{fmt}'")
+
+
+def _interpret(code, length: int, x):
+    """`evaluate` in numpy over x's items and the constant vectors: the reference and
+    fallback. x is read as `_read_buffer` reads it, before the length is checked."""
+    import numpy as np
+
+    x = _read_buffer(x, "d", "evaluate")
+    if not 0 <= length <= len(code):
+        raise InvariantError(_kernel.ERRORS[5])
+    consts = _constants(x.size)
     cap = (length + 1) // 2  # the most values a complete encoding holds at once
     stack = []
     push, pop = stack.append, stack.pop
@@ -216,25 +213,17 @@ def _interpret(code, length: int, x):
         raise InvariantError(_kernel.ERRORS[1 if op >= VAR_X else 2]) from None
     if len(stack) != 1:
         raise InvariantError(_kernel.ERRORS[3])
-    # a terminal root is x or a shared constant; a function over 0-d x gives a numpy scalar
-    return stack[0].copy() if length == 1 else np.asarray(stack[0])
-
-
-def frozen(values):
-    """A float64 ndarray copy of `values` over bytes: not even setflags(write=True) makes it
-    writable."""
-    import numpy as np
-
-    a = np.asarray(values, dtype=np.float64)
-    return np.frombuffer(a.tobytes(), np.float64).reshape(a.shape)
+    # a terminal root is x or a shared constant; every function node made a new array
+    return memoryview(stack[0].copy() if length == 1 else stack[0])
 
 
 @functools.lru_cache
-def _constants(shape: tuple) -> tuple:
-    """Each constant broadcast to `shape`: immutable, so shared by every call of that shape."""
+def _constants(n: int) -> tuple:
+    """Each constant broadcast to n items over bytes, which no setflags makes writable: so
+    shared by every call over n items."""
     import numpy as np
 
-    return tuple(np.broadcast_to(frozen(c), shape) for c in CONSTANTS)
+    return tuple(np.broadcast_to(np.frombuffer(np.float64(c).tobytes()), n) for c in CONSTANTS)
 
 
 # the C kernel's module, or None where it could not be built or loaded

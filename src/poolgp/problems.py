@@ -88,13 +88,12 @@ class Problem:
         `poolgp.float_errors_ignored()` around the calls, since wild arithmetic
         overflows and finite errors can still sum past float64's range.
         """
-        native = genome._native
+        pred, native = genome.evaluate(code, length, self._x), genome._native
         if native is not None:
-            return native.abs_error(genome.evaluate(code, length, self._x), self._y)
+            return native.abs_error(pred, self._y)
         import numpy as np
 
-        pred = genome.evaluate(code, length, self.inputs)
-        err = float(np.add.reduce(abs(pred - self.targets), None))  # axis None, as .sum()
+        err = float(np.add.reduce(abs(np.frombuffer(pred) - self.targets), None))  # as .sum()
         return err if math.isfinite(err) else math.inf
 
     def opcodes_per_eval(self, length: int) -> int:

@@ -18,10 +18,11 @@
 * `crossover` against `genome.python_crossover`: the same length or
   exception class, the same child bytes, and a child never resized;
 * and the refusals of malformed arguments (every typed argument of
-  `evaluate`, `abs_error`, `draw` and `plan` is an aligned, C-contiguous
-  buffer of one format, and no view is read past its end), and `plan` and
-  `draw` through a collection that starts inside them, whose finalizer tries
-  to resize their arrays and overwrites their inputs.
+  `evaluate`, `abs_error`, `draw`, `plan` and `crossover` is an aligned,
+  C-contiguous buffer of one format, on the kernel and, for `evaluate` and
+  `crossover`, on the Python path alike, and no view is read past its
+  end), and `plan` and `draw` through a collection that starts inside them,
+  whose finalizer tries to resize their arrays and overwrites their inputs.
 
 tests/test_kernel.py runs it over the cached kernel, and in a subprocess over
 a kernel built with AddressSanitizer and UBSan, as
@@ -317,7 +318,7 @@ class Resizing:
 
 
 def wrong_buffers(fmt: str, count: int, output: bool) -> list:
-    """What `draw` and `plan` refuse with TypeError where they take `count` items of format
+    """What every typed argument refuses with TypeError where it takes `count` items of format
     `fmt`: each other format, of the same bytes where it fits them ("l", "q", "i" and "I"
     swapped, "d" for ints and "f"), bytes, a strided and an unaligned view, a list and no
     buffer; for an output, also a read-only view."""
@@ -329,10 +330,11 @@ def wrong_buffers(fmt: str, count: int, output: bool) -> list:
 
 
 def check_row_refusals(kernel) -> None:
-    """`evaluate` reads x in place only where it is an aligned, C-contiguous buffer of format
-    "d", and returns None for the caller to convert any other; `abs_error` refuses any other
-    pred or targets with TypeError, and counts that differ with ValueError. `evaluate` takes
-    no output buffer: it writes only the row it returns. Nothing is read past a view."""
+    """`evaluate` reads x, and `abs_error` pred and targets, only where each is an aligned,
+    C-contiguous buffer of format "d", and both refuse any other with TypeError, on the kernel
+    and (`evaluate`) in numpy alike; `abs_error` refuses counts that differ with ValueError.
+    `evaluate` takes no output buffer: it writes only the row it returns. Nothing is read
+    past a view."""
     code = bytes([ADD, VAR_X, VAR_X])
     # the item past each view is nan: a read past either would show in the sum or the row
     values, zeros = array("d", [1.0, 2.0, 3.0, math.nan]), array("d", [0.0] * 4)
@@ -344,13 +346,14 @@ def check_row_refusals(kernel) -> None:
               memoryview(values)[::2], memoryview(values)[:4][::-1], unaligned, [1.0, 2.0, 3.0],
               np.zeros((3, 2))[:, 0], 3.0]
     for other in others:
-        assert kernel.evaluate(code, 3, other) is None, other
-        for args in ((other, targets), (row, other)):
+        for call, args in ((kernel.evaluate, (code, 3, other)),
+                           (genome._interpret, (code, 3, other)),
+                           (kernel.abs_error, (other, targets)), (kernel.abs_error, (row, other))):
             try:
-                kernel.abs_error(*args)
+                call(*args)
             except TypeError:
                 continue
-            raise AssertionError(f"abs_error took {other!r}")
+            raise AssertionError(f"{call.__name__} took {other!r}")
     # targets short or long by one, and no values at all against some
     for args in ((row, targets[:2]), (row[:2], targets), (row, memoryview(zeros)),
                  (row[:0], targets)):
@@ -463,11 +466,18 @@ def check_refusals(kernel) -> None:
         except TypeError:
             continue
         raise AssertionError(f"crossover took {args!r}")
-    # a length past any buffer, and point words that are bytes: both paths refuse them
-    for args in ((bytes([4]), 2 ** 70, bytes([4]), 1, bytearray(1), 1, array("I", [0] * 20)),
-                 (bytes([4]), 1, bytes([4]), 1, bytearray(1), 1, bytes(80))):
+    # a length past any buffer and points a word short, or point words of anything but an
+    # aligned, C-contiguous buffer of format "I": both paths refuse them alike
+    parents = (bytes([4]), 1, bytes([4]), 1)
+    words = array("I", [0]) * POINTS_PER_CHILD
+    refused = [("ValueError", (bytes([4]), 2 ** 70, bytes([4]), 1, bytearray(1), 1, words)),
+               ("ValueError", (*parents, bytearray(1), 1, words[1:]))]
+    int32 = np.zeros(POINTS_PER_CHILD, np.int32)
+    for other in wrong_buffers("I", POINTS_PER_CHILD, False) + [int32]:
+        refused.append(("TypeError", (*parents, bytearray(1), 1, other)))
+    for error, args in refused:
         for cross in (kernel.crossover, genome.python_crossover):
-            assert crossover_outcome(cross, *args) == ("ValueError", bytes(1)), (cross, args)
+            assert crossover_outcome(cross, *args) == (error, bytes(1)), (cross, args)
 
 
 def check_all(kernel, seed: int = 26) -> None:

@@ -31,6 +31,7 @@ from poolgp.genome import (
     subtree_end,
 )
 from poolgp.problems import QUARTIC, Problem
+from kernel_fuzz import wrong_buffers
 from simharness import tree_is_complete, word_for
 
 C = {v: CONST_BASE + i for i, v in enumerate(CONSTANTS)}  # constant value -> opcode
@@ -89,6 +90,14 @@ def oracle_fitness(code, length, x, targets):
     """Problem.fitness as it was: the oracle's prediction, summed with .sum()."""
     err = float(np.abs(scalar_array_evaluate(code, length, x) - targets).sum())
     return err if math.isfinite(err) else math.inf
+
+
+def row(result):
+    """`evaluate`'s result as a float64 ndarray over its memory, after checking that it is a
+    row: a writable, 1-D buffer of format "d", on either path."""
+    with memoryview(result) as view:
+        assert (view.format, view.ndim, view.readonly) == ("d", 1, False), type(result)
+    return np.frombuffer(result)
 
 
 def same_bits(a, b):
@@ -263,6 +272,11 @@ def test_both_crossovers_refuse_bad_input_and_never_resize_the_child(evaluator):
             (mum, 2, dad, 5, bytearray(8), 8, words(0)),
             (mum, 3, dad, 4, bytearray(8), 8, words(0)),
         ],
+        TypeError: [  # points that are no aligned, C-contiguous buffer of format "I"
+            (mum, 3, dad, 5, bytearray(8), 8, other)
+            for other in wrong_buffers("I", POINTS_PER_CHILD, False)
+            + [np.zeros(POINTS_PER_CHILD, np.int32)]
+        ],
     }
     for error, cases in refused.items():
         for mum_, mum_len, dad_, dad_len, child, capacity, points in cases:
@@ -281,16 +295,16 @@ def test_both_crossovers_refuse_bad_input_and_never_resize_the_child(evaluator):
 
 def test_evaluate_hand_cases(evaluator):
     x = np.linspace(-1.0, 1.0, 5)
-    got = genome.evaluate(bytes([VAR_X]), 1, x)
+    got = row(genome.evaluate(bytes([VAR_X]), 1, x))
     assert np.array_equal(got, x)
-    got = genome.evaluate(bytes([ADD, VAR_X, C[1.0]]), 3, x)
+    got = row(genome.evaluate(bytes([ADD, VAR_X, C[1.0]]), 3, x))
     assert np.array_equal(got, x + 1.0)
-    got = genome.evaluate(bytes([SUB, C[0.5], VAR_X]), 3, x)
+    got = row(genome.evaluate(bytes([SUB, C[0.5], VAR_X]), 3, x))
     assert np.array_equal(got, 0.5 - x)
     # protected division: anything over zero evaluates to 1
-    got = genome.evaluate(bytes([DIV, C[1.0], C[0.0]]), 3, x)
+    got = row(genome.evaluate(bytes([DIV, C[1.0], C[0.0]]), 3, x))
     assert np.array_equal(got, np.ones_like(x))
-    got = genome.evaluate(bytes([DIV, VAR_X, C[0.5]]), 3, x)
+    got = row(genome.evaluate(bytes([DIV, VAR_X, C[0.5]]), 3, x))
     assert np.array_equal(got, x / 0.5)
 
 
@@ -301,7 +315,7 @@ def test_evaluate_matches_reference_on_random_trees():
         buf = bytearray(127)
         n = random_tree(rng, 6, buf)
         with float_errors_ignored():
-            got = genome.evaluate(buf, n, xs)
+            got = row(genome.evaluate(buf, n, xs))
         for j, x in enumerate(xs):
             want, end = ref_eval(buf, 0, float(x))
             assert end == n
@@ -319,7 +333,7 @@ def test_evaluate_is_bit_exact_against_reference():
         buf = bytearray(127)
         n = random_tree(rng, rng.randrange(1, 8), buf)
         with float_errors_ignored():
-            got = genome.evaluate(buf, n, xs)
+            got = row(genome.evaluate(buf, n, xs))
         assert got.dtype == np.float64 and got.shape == xs.shape
         for j, x in enumerate(xs):
             want, _ = ref_eval(buf, 0, float(x))
@@ -333,29 +347,29 @@ def test_evaluate_constant_only_subtrees(evaluator):
     x = np.linspace(-1.0, 1.0, 5)
     ones = np.ones_like(x)
     # DIV X (SUB 1 1): a constant zero denominator protects every point
-    got = genome.evaluate(bytes([DIV, VAR_X, SUB, C[1.0], C[1.0]]), 5, x)
+    got = row(genome.evaluate(bytes([DIV, VAR_X, SUB, C[1.0], C[1.0]]), 5, x))
     assert np.array_equal(got, ones)
-    got = genome.evaluate(bytes([DIV, C[1.0], C[0.0]]), 3, x)
+    got = row(genome.evaluate(bytes([DIV, C[1.0], C[0.0]]), 3, x))
     assert np.array_equal(got, ones)
     # MUL -1 0 is -0.0, which protects like 0.0
-    got = genome.evaluate(bytes([DIV, VAR_X, MUL, C[-1.0], C[0.0]]), 5, x)
+    got = row(genome.evaluate(bytes([DIV, VAR_X, MUL, C[-1.0], C[0.0]]), 5, x))
     assert np.array_equal(got, ones)
     # constant subtree combined with x keeps its operand order
-    got = genome.evaluate(bytes([SUB, DIV, C[1.0], C[0.5], VAR_X]), 5, x)
+    got = row(genome.evaluate(bytes([SUB, DIV, C[1.0], C[0.5], VAR_X]), 5, x))
     assert got.tobytes() == (np.full_like(x, 2.0) - x).tobytes()
-    got = genome.evaluate(bytes([DIV, VAR_X, ADD, C[0.5], C[0.5]]), 5, x)
+    got = row(genome.evaluate(bytes([DIV, VAR_X, ADD, C[0.5], C[0.5]]), 5, x))
     assert got.tobytes() == (x / 1.0).tobytes()
 
 
 def test_evaluate_constant_root_is_array_shaped_like_x():
+    # a row of x's size, whatever x's shape: the shape of a 1-D x
     for x in (np.linspace(-1.0, 1.0, 5), np.arange(6.0).reshape(2, 3)):
         for code, value in ((bytes([C[0.5]]), 0.5),
                             (bytes([ADD, C[1.0], C[1.0]]), 2.0),
                             (bytes([DIV, C[-0.5], C[0.0]]), 1.0)):
-            got = genome.evaluate(code, len(code), x)
-            assert isinstance(got, np.ndarray) and got is not x
-            assert got.dtype == np.float64 and got.shape == x.shape
-            assert np.array_equal(got, np.full(x.shape, value))
+            got = row(genome.evaluate(code, len(code), x))
+            assert got.shape == (x.size,) and not np.shares_memory(got, x)
+            assert np.array_equal(got, np.full(x.size, value))
 
 
 def old_protected_div(a, b):
@@ -387,10 +401,9 @@ def test_evaluate_array_division_is_bit_exact_with_the_masked_divide(evaluator):
     for x in (x1, x1.reshape(2, 5), no_zero, neg_zero):
         for code, ref in cases:
             with float_errors_ignored():
-                got = genome.evaluate(bytes(code), len(code), x)
+                got = row(genome.evaluate(bytes(code), len(code), x))
             with np.errstate(over="ignore", invalid="ignore"):
-                want = ref(x)
-            assert got.shape == x.shape
+                want = ref(x).reshape(-1)  # a row of one value per item of x
             assert np.array_equal(got.view(np.int64), want.view(np.int64)), code
 
 
@@ -421,7 +434,7 @@ def test_evaluate_overflow_emits_no_runtime_warning():
     assert not worker.is_alive()
     assert caught == []
     with float_errors_ignored():
-        got = genome.evaluate(bytes(genomes[0]), 3, x)
+        got = row(genome.evaluate(bytes(genomes[0]), 3, x))
     assert got[0] == got[1] == math.inf
 
 
@@ -481,18 +494,17 @@ def test_evaluate_sees_writes_into_a_once_read_only_x():
 
 
 def test_no_write_into_a_result_reaches_x_or_a_later_result(evaluator):
-    # every result, on either path, whatever the root and x's shape, is the caller's own array;
+    # every result, on either path, whatever the root and x's shape, is the caller's own row;
     # the kernel's stack points at x and at each constant's row, so none of them is written
     line = np.linspace(-1.0, 1.0, 6)
-    # constant, pair, variable and constants-only roots; numpy sums 0-d operands to a scalar
+    # constant, pair, variable and constants-only roots, and a 0-d x
     for x, code in ((line, [C[0.5]]), (line, [ADD, VAR_X, C[1.0]]), (line, [VAR_X]),
                     (line, [MUL, ADD, C[0.5], C[0.5], SUB, C[0.5], C[-1.0]]),
                     (np.array(0.5), [ADD, VAR_X, VAR_X])):
         x_bytes = x.tobytes()
-        got = genome.evaluate(bytes(code), len(code), x)
+        got = row(genome.evaluate(bytes(code), len(code), x))
         want = got.copy()
-        assert isinstance(got, np.ndarray) and got.shape == x.shape, code
-        assert got.flags.writeable and not np.shares_memory(got, x), code
+        assert got.shape == (x.size,) and not np.shares_memory(got, x), code
         got[...] = 5.0
         assert x.tobytes() == x_bytes
         assert same_bits(genome.evaluate(bytes(code), len(code), x), want)
@@ -502,17 +514,16 @@ def test_no_write_into_a_result_reaches_x_or_a_later_result(evaluator):
 def test_kernel_and_numpy_paths_give_the_same_bits(monkeypatch):
     rng = random.Random(31)
     buf = bytearray(127)
-    for x in (SPECIAL_X, SPECIAL_X.reshape(4, 4), np.linspace(-1.0, 1.0, 20), np.arange(5),
-              np.array(0.5), np.linspace(-1.0, 1.0, 40)[::2],
-              np.linspace(-1, 1, 20, dtype=np.float32)):
+    for x in (SPECIAL_X, SPECIAL_X.reshape(4, 4), np.linspace(-1.0, 1.0, 20), np.array(0.5),
+              memoryview(np.linspace(-1.0, 1.0, 40).tobytes()).cast("d")):
         with float_errors_ignored():
             for i in range(500):
                 n = random_tree(rng, 1 + i % 7, buf)
-                got = genome.evaluate(buf, n, x)
+                got = row(genome.evaluate(buf, n, x))
                 with monkeypatch.context() as m:
                     m.setattr(genome, "_native", None)
-                    want = genome.evaluate(buf, n, x)
-                assert got.shape == x.shape and same_bits(got, want), bytes(buf[:n])
+                    want = row(genome.evaluate(buf, n, x))
+                assert got.size == len(x.tobytes()) // 8 and same_bits(got, want), bytes(buf[:n])
 
 
 def test_evaluate_keeps_nothing_of_its_input_between_calls(evaluator):
@@ -545,7 +556,7 @@ def test_threads_over_different_inputs_each_get_their_own_bits():
 
     def bits(x):
         with float_errors_ignored():  # numpy's error state is per thread
-            return [genome.evaluate(t, len(t), x).tobytes() for t in trees]
+            return [row(genome.evaluate(t, len(t), x)).tobytes() for t in trees]
 
     want = [bits(x) for x in inputs]
     got = [[] for _ in inputs]
@@ -577,31 +588,34 @@ def test_evaluate_rejects_length_outside_buffer():
             genome.evaluate(bytes([ADD, VAR_X, VAR_X]), length, x)
 
 
-# a variable, a constant, and function roots over each, without a division by x: numpy
-# divides 0-d operands into a scalar, which the oracle cannot mask
+# a variable, a constant, and function roots over each
 INPUT_CODES = ([VAR_X], [C[0.5]], [ADD, VAR_X, C[1.0]], [MUL, VAR_X, SUB, VAR_X, C[-0.5]],
-               [DIV, C[1.0], C[0.0]])
+               [DIV, C[1.0], C[0.0]], [DIV, C[1.0], VAR_X])
 
 
-def test_evaluate_converts_any_x_as_numpy_does_into_a_fresh_array(evaluator):
-    # the kernel reads a plain, aligned, C-contiguous float64 x in place, and is given a
-    # converted copy of any other x; on either path the result is the caller's own array
+def test_evaluate_takes_only_an_aligned_contiguous_float64_buffer(evaluator):
+    # both paths read x in place where it is an aligned, C-contiguous buffer of format "d",
+    # of any type and shape, and give the caller a row of its own; they refuse any other x
+    # alike, however numpy would convert it
     line = np.linspace(-1.0, 1.0, 12)
-    unaligned = np.frombuffer(b"\0" + line.tobytes(), np.float64, 12, 1)
-    for x in (line.tolist(), np.array(0.25), line.reshape(3, 4), line.astype(np.float32),
-              line[::2], line.astype(">f8"), unaligned, QUARTIC.inputs):
-        converted = np.array(x, dtype=np.float64)
-        x_bytes = np.asarray(x).tobytes()
+    for x in (line, line.reshape(3, 4), np.array(0.25), array("d", line), QUARTIC._x,
+              memoryview(line.tobytes()).cast("d")):
+        x_bytes, flat = bytes(x), np.frombuffer(bytes(x))
         for code in INPUT_CODES:
-            got = genome.evaluate(bytes(code), len(code), x)
-            assert type(got) is np.ndarray and got.dtype == np.float64, (x, code)
-            assert got.shape == converted.shape and got.flags.writeable, (x, code)
-            assert not np.shares_memory(got, x), (x, code)
-            assert same_bits(got, scalar_array_evaluate(code, len(code), converted)), (x, code)
-        assert np.asarray(x).tobytes() == x_bytes
+            with float_errors_ignored():
+                got = row(genome.evaluate(bytes(code), len(code), x))
+                want = scalar_array_evaluate(code, len(code), flat)
+            assert not np.shares_memory(got, np.frombuffer(x)), (x, code)
+            assert same_bits(got, want), (x, code)
+        assert bytes(x) == x_bytes
+    for x in (*wrong_buffers("d", 12, False), line.astype(np.float32), np.zeros((12, 2))[:, 0],
+              line.astype(">f8"), line.tolist(), np.array(0.25, np.float32)):
+        for code in INPUT_CODES:
+            with pytest.raises(TypeError):
+                genome.evaluate(bytes(code), len(code), x)
     # however far outside the code, a length is refused with the one message of both paths
     for length in (-1, 4, 2 ** 70, -(2 ** 70)):
-        for x in (line, line.tolist()):
+        for x in (line, QUARTIC._x):
             with pytest.raises(InvariantError) as refused:
                 genome.evaluate(bytes([ADD, VAR_X, VAR_X]), length, x)
             assert str(refused.value) == _kernel.ERRORS[5], length

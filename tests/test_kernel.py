@@ -259,10 +259,11 @@ def test_the_kernel_never_reads_or_writes_past_a_buffer():
     for p, t in ((pred[:3], targets[:4]), (pred[:4], targets[:3]), (pred[:0], targets[:1])):
         with pytest.raises(ValueError):
             kernel.abs_error(p, t)
-    # an x the kernel cannot read in place is left to the caller to convert
+    # an x the kernel cannot read in place is refused
     for other in ([0.5], np.linspace(-1.0, 1.0, 8)[::2], x.astype(">f8"), x.astype(np.float32),
                   np.frombuffer(bytes(33), np.float64, 4, 1), np.asfortranarray(np.eye(2))):
-        assert kernel.evaluate(code, 3, other) is None, other
+        with pytest.raises(TypeError):
+            kernel.evaluate(code, 3, other)
     # any aligned, C-contiguous buffer of format "d" is read in place, whatever its type
     for same in (x.view(np.recarray), memoryview(x.tobytes()).cast("d"), x.reshape(2, 2)):
         assert memoryview(kernel.evaluate(code, 3, same)).tolist() == (x + x).tolist()

@@ -1,6 +1,7 @@
 """Source rules for the package itself."""
 
 import ast
+import re
 from pathlib import Path
 
 import poolgp
@@ -103,8 +104,8 @@ def test_only_the_config_gate_converts_settings():
 # tables that are not flat lists of numbers, and the numpy views of a Problem's table
 NUMPY_SCOPES = {
     ("engine.py", "draw_outcome"), ("engine.py", "rank_tournaments"),
-    ("genome.py", "float_errors_ignored"), ("genome.py", "evaluate"),
-    ("genome.py", "_interpret"), ("genome.py", "frozen"), ("genome.py", "_constants"),
+    ("genome.py", "float_errors_ignored"), ("genome.py", "_read_buffer"),
+    ("genome.py", "_interpret"), ("genome.py", "_constants"),
     ("problems.py", "_doubles"), ("problems.py", "_frozen_array"),
     ("problems.py", "Problem.fitness"),
 }
@@ -123,3 +124,34 @@ def test_numpy_is_imported_only_inside_the_scopes_that_use_it():
                 if (path.name, scope) not in NUMPY_SCOPES:
                     found.append(f"{path.name}:{node.lineno} {scope or 'module level'}")
     assert found == [] and seen == NUMPY_SCOPES, (found, NUMPY_SCOPES - seen)
+
+
+def c_functions(source: str) -> dict[str, str]:
+    """The body of each function that C `source` defines, by name."""
+    bodies = {}
+    for head in re.finditer(r"^[A-Za-z][^;{}]*?\b(\w+)\((?:[^()]|\([^()]*\))*\)\s*\{", source,
+                            re.M):
+        depth, end = 1, head.end()
+        while depth:
+            depth += {"{": 1, "}": -1}.get(source[end], 0)
+            end += 1
+        bodies[head.group(1)] = source[head.end():end]
+    return bodies
+
+
+def test_the_kernel_reads_every_typed_argument_through_read_buffer():
+    # read_buffer is the one place that asks an exporter for its format, and it refuses
+    # anything but an aligned, C-contiguous buffer of one format with TypeError naming its
+    # caller: no function checks a format itself, and none leaves the refusal to its caller
+    bodies = c_functions((PACKAGE / "_kernel.c").read_text())
+    call = r"\((?:[^()]|\([^()]*\))*\)"  # an argument list, one level of parentheses deep
+    found = []
+    for name, body in bodies.items():
+        for request in re.finditer(r"PyObject_GetBuffer" + call, body):
+            if name != "read_buffer" and re.search(r"PyBUF_(FORMAT|RECORDS)", request[0]):
+                found.append(f"{name}: {request[0]}")
+        for read in re.finditer(r"\bread_buffer" + call, body):
+            if read[0][:-1].rsplit(",", 1)[-1].strip() != f'"{name}"':
+                found.append(f"{name}: {read[0]}")
+    assert {"read_buffer", "evaluate", "crossover", "draw", "plan", "abs_error"} <= set(bodies)
+    assert "PyBUF_RECORDS" in bodies["read_buffer"] and found == [], found
