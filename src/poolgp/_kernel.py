@@ -8,13 +8,13 @@ crossover point), subtree crossover (`crossover`, which walks arities
 itself) and the breeding plan's tables (`plan`). Every typed argument is an
 aligned, C-contiguous buffer of one format: doubles "d", parents "i" and
 point words "I"; anything else raises TypeError, as it does on the Python
-path of `evaluate` and `crossover`. Where `load` finds no kernel,
-`genome.evaluate` runs its numpy interpreter, `Problem.fitness` sums in
-numpy, `engine.draw_outcome` draws with `randbytes` and ranks with
-`engine.rank_tournaments`, `genome.subtree_crossover` is
-`genome.python_crossover`, and `BreedingPlan` builds with
-`breeding_plan.python_plan`. Each of these is also the reference that the
-kernel matches to the bit; tests/kernel_fuzz.py checks each pair.
+path of `evaluate`, `draw` and `crossover`. Where `load` finds no kernel,
+each has a twin in plain Python, whose floats are the same doubles:
+`genome.evaluate` runs `genome._interpret`, `Problem.fitness` sums with
+`problems.python_abs_error`, `engine.draw_outcome` with `genome.python_draw`,
+`genome.subtree_crossover` is `genome.python_crossover`, and `BreedingPlan`
+builds with `breeding_plan.python_plan`. Each twin is also the reference that
+the kernel matches to the bit; tests/kernel_fuzz.py checks each pair.
 
 The file is compiled against Python's headers alone (`command`): it reads its
 buffers and returns doubles through the buffer protocol, so neither its build

@@ -17,8 +17,8 @@ doubles, where a user fitness's float32 or int becomes a double and any
 other value raises. That array is the history row and the next
 tournaments' input with no copy.
 The pass enters `float_errors_ignored` once, which enters numpy's
-float-error state where numpy can run in the pass; neither `evaluate` nor
-`Problem.fitness` sets one per genome.
+float-error state where numpy is imported, for a user fitness written in
+numpy; neither `evaluate` nor `Problem.fitness` sets one per genome.
 
 One `Breeding` holds a generation's breeding and does its set-up. Shared
 state (pool, plan) changes only inside one lock, taken once per claim by
@@ -75,7 +75,7 @@ class Individual:
 # object: 96 bytes by tracemalloc on CPython 3.11, against 2 x 56
 HANDLE_BYTES = 2 * sys.getsizeof(Individual())
 MAX_THREADS = 256  # most breeder threads a run may ask for
-TOURNAMENT_BLOCK = 16384  # most entrants that one randbytes block draws and ranks
+TOURNAMENT_BLOCK = 16384  # largest tournament a run may ask for: k is outside input
 
 
 @dataclass
@@ -120,7 +120,7 @@ class RunConfig:
                                  f"buffers of {each} bytes, with their handles, exceed this "
                                  f"machine's {ram} bytes of physical memory")
         if self.tournament_size > TOURNAMENT_BLOCK:
-            # a tournament is ranked in one block, at about 37 bytes per entrant
+            # each tournament reads k words: a typo must not draw billions per generation
             raise ValueError(f"tournament_size must be <= {TOURNAMENT_BLOCK}, "
                              f"got {self.tournament_size}")
         # bit lengths, not 2**depth: a huge depth must not build a huge integer
@@ -142,7 +142,7 @@ class EvolutionResult:
     peak_buffers: int  # most live at once across the run
 
 
-def draw_outcome(rng, fitness: array, k: int) -> tuple[array, array, array]:
+def draw_outcome(rng: random.Random, fitness: array, k: int) -> tuple[array, array, array]:
     """Draw a generation's parents and crossover points from the master stream.
 
     Runs 2M best-of-k tournaments over the array("d") `fitness`, mum then
@@ -152,60 +152,19 @@ def draw_outcome(rng, fitness: array, k: int) -> tuple[array, array, array]:
     every child's crossover points (see `child_stream`), and returns (mums,
     dads, points): an array("i") of M parents each, and an array("I").
 
-    Where the kernel loaded and `rng` is a plain `random.Random`, the
-    kernel's `draw` continues rng's Mersenne Twister state from one
-    `getstate`, reads `fitness` in place, writes the three arrays and
-    returns the state after, which one `setstate` hands back with the
-    version and `gauss_next` kept. Any other rng, such as a subclass that
-    overrides `getrandbits` or `randbytes`, is read through `randbytes`:
-    the tournaments in blocks of at most TOURNAMENT_BLOCK entrants (at least
-    one tournament), each ranked by `rank_tournaments`, whose temporaries the
-    blocks keep small for any M, then the points in one more call. Both read
-    the same words in the same order, so they draw the same outcome.
+    The kernel's `draw`, or its twin `genome.python_draw`, continues the
+    Mersenne Twister state of the `random.Random` rng from one `getstate`,
+    reads `fitness` in place, writes the three arrays and returns the state
+    after, which one `setstate` hands back with the version and `gauss_next`
+    kept. Both read the words `rng.randbytes` would give, in its order.
     """
     m = len(fitness)
-    if genome._native is not None and type(rng) is random.Random:
-        mums, dads = array("i", [0]) * m, array("i", [0]) * m
-        points = array("I", [0]) * (POINTS_PER_CHILD * m)
-        version, state, gauss_next = rng.getstate()
-        state = genome._native.draw(state, fitness, k, mums, dads, points)
-        rng.setstate((version, state, gauss_next))
-        return mums, dads, points
-    import numpy as np
-
-    fit = np.array(fitness, dtype=np.float64)
-    rows = 2 * m
-    winners = np.empty(rows, dtype=np.int32)
-    block_rows = max(1, TOURNAMENT_BLOCK // k)
-    for start in range(0, rows, block_rows):
-        n = min(block_rows, rows - start)
-        rank_tournaments(rng.randbytes(4 * n * k), fit, k, winners[start:start + n])
-    return (array("i", winners[0::2].tobytes()), array("i", winners[1::2].tobytes()),
-            draw_points(rng, m))
-
-
-def rank_tournaments(words: bytes, fit, k: int, out) -> None:
-    """Write each tournament's winner into `out`: the ranking of the kernel's `draw` in numpy.
-
-    Row r of `out` is the best of the k entrants that uint32 words r*k to
-    r*k + k - 1 draw (see `draw_outcome`); `fit` is a float64 ndarray, `out` an int32 one.
-    """
-    import numpy as np
-
-    u = np.frombuffer(words, dtype="<u4").reshape(len(out), k)
-    entrants = (u.astype(np.uint64) * len(fit)) >> 32
-    entrant_fit = fit[entrants]
-    entrant_fit[np.isnan(entrant_fit)] = np.inf  # NaN would match no row minimum
-    ties = entrant_fit == entrant_fit.min(axis=1, keepdims=True)
-    out[:] = np.where(ties, entrants, len(fit)).min(axis=1)
-
-
-def draw_points(rng, popsize: int) -> array:
-    """POINTS_PER_CHILD uint32 crossover draws per child, in child order."""
-    points = array("I", rng.randbytes(4 * POINTS_PER_CHILD * popsize))
-    if sys.byteorder == "big":
-        points.byteswap()
-    return points
+    mums, dads = array("i", [0]) * m, array("i", [0]) * m
+    points = array("I", [0]) * (POINTS_PER_CHILD * m)
+    version, state, gauss_next = rng.getstate()
+    draw = genome.python_draw if genome._native is None else genome._native.draw
+    rng.setstate((version, draw(state, fitness, k, mums, dads, points), gauss_next))
+    return mums, dads, points
 
 
 def child_stream(draws: array, child: int) -> array:

@@ -14,7 +14,11 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import math
+import random
 import sys
+from array import array
+from operator import add, mul, sub, truediv
 
 from . import _kernel
 from .errors import InvariantError
@@ -91,50 +95,98 @@ def python_crossover(mum, mum_len: int, dad, dad_len: int,
     `points` (see the module docstring). If the offspring would not fit in
     `capacity` cells, the next attempt tries; after CROSSOVER_ATTEMPTS the
     child is a verbatim copy of mum. Parents are only read, and `child` is
-    never resized: TypeError unless `points` is a buffer that `_read_buffer`
-    takes as "I", such as an array("I"); ValueError unless
+    never resized. The kernel's refusals: TypeError unless the genomes are
+    buffers, read as bytes, and `points` one that `_read_buffer` takes as "I",
+    such as an array("I"); BufferError for a read-only child; ValueError unless
     1 <= mum_len <= len(mum), 1 <= dad_len <= len(dad),
     mum_len <= capacity <= len(child) and `points` holds POINTS_PER_CHILD
     words; IndexError where an arity walk leaves its parent's length.
     """
-    # Python ints, as the kernel reads them: a numpy uint32 word times the length would
-    # wrap at 32 bits
-    words = _read_buffer(points, "I", "crossover")[:POINTS_PER_CHILD].tolist()
-    if len(words) < POINTS_PER_CHILD or not (0 < mum_len <= len(mum) and 0 < dad_len <= len(dad)
-                                             and mum_len <= capacity <= len(child)):
-        raise ValueError("crossover: a length, the capacity or the points out of range")
-    for i in range(0, POINTS_PER_CHILD, 2):
-        mp = (words[i] * mum_len) >> 32
-        dp = (words[i + 1] * dad_len) >> 32
-        m_end = subtree_end(mum, mp)
-        d_end = subtree_end(dad, dp)
-        if m_end > mum_len or d_end > dad_len:
-            raise IndexError("crossover walked out of a parent")
-        new_len = mum_len - (m_end - mp) + (d_end - dp)
-        if new_len <= capacity:
-            child[:mp] = mum[:mp]
-            child[mp:mp + d_end - dp] = dad[dp:d_end]
-            child[mp + d_end - dp:new_len] = mum[m_end:mum_len]
-            return new_len
-    child[:mum_len] = mum[:mum_len]
-    return mum_len
+    with (memoryview(mum).cast("B") as m, memoryview(dad).cast("B") as d,
+          memoryview(child).cast("B") as c):
+        if c.readonly:
+            raise BufferError("crossover: the child is not writable")
+        words = _read_buffer(points, "I", "crossover")[:POINTS_PER_CHILD].tolist()
+        if len(words) < POINTS_PER_CHILD or not (0 < mum_len <= len(m) and 0 < dad_len <= len(d)
+                                                 and mum_len <= capacity <= len(c)):
+            raise ValueError("crossover: a length, the capacity or the points out of range")
+        for i in range(0, POINTS_PER_CHILD, 2):
+            mp = (words[i] * mum_len) >> 32
+            dp = (words[i + 1] * dad_len) >> 32
+            m_end = subtree_end(m, mp)
+            d_end = subtree_end(d, dp)
+            if m_end > mum_len or d_end > dad_len:
+                raise IndexError("crossover walked out of a parent")
+            new_len = mum_len - (m_end - mp) + (d_end - dp)
+            if new_len <= capacity:  # copies in the kernel's order, each as memmove
+                c[:mp] = m[:mp]
+                c[mp:mp + d_end - dp] = d[dp:d_end]
+                c[mp + d_end - dp:new_len] = m[m_end:mum_len]
+                return new_len
+        c[:mum_len] = m[:mum_len]
+        return mum_len
+
+
+def python_draw(state, fitness, k: int, mums, dads, points):
+    """The kernel's `draw` in plain Python, to the same outputs, state and refusals.
+
+    Continues the Mersenne Twister stream of `state` (random.Random.getstate()[1])
+    in a random.Random of its own: each tournament's k words pick its entrants
+    and the best wins (see `engine.draw_outcome`), then every child's
+    POINTS_PER_CHILD words go into `points`; returns the state after. It copies
+    no fitness, mapping NaN to inf entrant by entrant, and writes a child's
+    words at a time. ValueError for a malformed state; TypeError unless k is an
+    integer and `_read_buffer` takes `fitness` as "d", `mums` and `dads` as
+    writable "i" and `points` as writable "I"; ValueError for k < 1, 2**31 or
+    more members, or outputs of another count; all before any write.
+    """
+    if not (isinstance(state, tuple) and len(state) == 625
+            and all(isinstance(v, int) and 0 <= v < 2 ** 32 for v in state) and state[-1] <= 624):
+        raise ValueError("draw: the state is not 624 words and an index")
+    others = range(1, k)  # each tournament's entrants after the first; TypeError for a float
+    with (_read_buffer(fitness, "d", "draw") as fit, _read_buffer(mums, "i", "draw", True) as ms,
+          _read_buffer(dads, "i", "draw", True) as ds,
+          _read_buffer(points, "I", "draw", True) as ps):
+        m = len(fit)
+        if k < 1 or m >= 2 ** 31 or len(ms) != m or len(ds) != m or len(ps) != POINTS_PER_CHILD * m:
+            raise ValueError("draw: k, fitness, mums, dads and points disagree")
+        rng = random.Random(0)
+        rng.setstate((3, state, None))
+        word = rng.getrandbits
+        for child in range(m):
+            for out in (ms, ds):  # the mum's tournament, then the dad's
+                best = word(32) * m >> 32
+                low = fit[best]
+                if low != low:
+                    low = math.inf
+                for _ in others:
+                    entrant = word(32) * m >> 32
+                    value = fit[entrant]
+                    if value != value:
+                        value = math.inf
+                    if value < low or value == low and entrant < best:
+                        best, low = entrant, value
+                out[child] = best
+        for start in range(0, len(ps), POINTS_PER_CHILD):
+            words = array("I", rng.randbytes(4 * POINTS_PER_CHILD))  # little-endian words
+            if sys.byteorder == "big":
+                words.byteswap()
+            ps[start:start + POINTS_PER_CHILD] = words
+        return rng.getstate()[1]
 
 
 def float_errors_ignored():
-    """A fresh context that silences numpy's float errors on this thread where numpy can run.
+    """A fresh context that silences numpy's float errors on this thread, where numpy is imported.
 
     Enter it once around a whole score pass: `evaluate` and `Problem.fitness`
-    set none per genome. It enters numpy's error state only when numpy code
-    can run in the pass: when the kernel did not load, so that numpy
-    interprets and sums, or when numpy is already imported, as it is for a
-    `Problem` subclass whose `fitness` computes in numpy. Otherwise the kernel
-    does every operation, never warns, and numpy stays unimported; a fitness
-    that imports numpy only inside its first call should import it before the
-    pass. Fresh on every call, because an errstate object cannot be entered
-    twice; numpy keeps the state per thread, so a thread that scores must
-    enter it itself.
+    set none per genome, and neither warns. Only numpy can, for a `Problem`
+    subclass whose `fitness` computes in numpy; so it enters numpy's error
+    state where numpy is already imported, and a fitness that imports numpy
+    only inside its first call should import it before the pass. Fresh on
+    every call, because an errstate object cannot be entered twice; numpy
+    keeps the state per thread, so a thread that scores must enter it itself.
     """
-    if _native is not None and "numpy" not in sys.modules:
+    if sys.modules.get("numpy") is None:  # not imported, or blocked by a None entry
         return contextlib.nullcontext()
     import numpy as np
 
@@ -144,14 +196,14 @@ def float_errors_ignored():
 def evaluate(code, length: int, x):
     """Interpret a genome over a vector of input points, to the same bits on either path.
 
-    A right-to-left scan over x, in the C kernel when it loaded, else in numpy
-    (`_interpret`). x is an aligned, C-contiguous buffer of format "d", of any shape, such
-    as a `Problem`'s table, a float64 ndarray or an array("d"); anything else raises
-    TypeError on both paths. The result is a fresh, writable, 1-D buffer of format "d"
-    with one value per item of x, which `memoryview()` or numpy reads: the kernel's own
-    row object, or a memoryview of numpy's result. Nothing of x is kept. Only numpy warns,
-    on overflow and inf/inf outside `float_errors_ignored()`. A malformed genome, or a
-    length outside `code`, raises InvariantError.
+    A right-to-left scan over x, in the C kernel when it loaded, else in plain
+    Python (`_interpret`). x is an aligned, C-contiguous buffer of format "d", of any
+    shape, such as a `Problem`'s table, a float64 ndarray or an array("d"), and `code` a
+    buffer read as bytes; anything else raises TypeError on both paths. The result is a
+    fresh, writable, 1-D buffer of format "d" with one value per item of x, which
+    `memoryview()` or numpy reads: the kernel's own row object, or an array("d"). Nothing
+    of x is kept, and neither path warns. A malformed genome, or a length outside `code`,
+    raises InvariantError.
     """
     out = (_interpret if _native is None else _native.evaluate)(code, length, x)
     if type(out) is int:
@@ -160,70 +212,73 @@ def evaluate(code, length: int, x):
 
 
 def evaluator() -> str:
-    """Which interpreter `evaluate` runs: "c" for the kernel, else "numpy"."""
-    return "numpy" if _native is None else "c"
+    """Which interpreter `evaluate` runs: "c" for the kernel, else "python"."""
+    return "python" if _native is None else "c"
 
 
-def _read_buffer(obj, fmt: str, who: str):
-    """`obj`'s items as a flat ndarray, where the kernel's read_buffer takes it: an aligned,
-    C-contiguous buffer of exactly format `fmt`, of any shape; else TypeError, as the
-    kernel names it. The reads of the Python twins of `evaluate` and `crossover`."""
-    import numpy as np
+def _read_buffer(obj, fmt: str, who: str, writable: bool = False) -> memoryview:
+    """`obj`'s items as a flat memoryview, where the kernel's read_buffer takes it: an
+    aligned, C-contiguous buffer of exactly format `fmt`, of any shape, and writable where
+    asked; else TypeError, as the kernel names it. The reads of the Python twins of
+    `evaluate`, `crossover` and `draw`, which release or drop the view."""
+    with memoryview(obj) as view:  # TypeError where obj has no buffer
+        if view.format == fmt and view.c_contiguous and not (writable and view.readonly):
+            get_buffer, release, room = _buffer_api()
+            probe = room()
+            get_buffer(view, probe, 0)  # PyBUF_SIMPLE: the address, as the kernel sees it
+            release(probe)  # which leaves the address in probe[0]
+            if not view.nbytes or not (probe[0] or 0) % view.itemsize:  # empty needs no alignment
+                return view.cast("B").cast(fmt)
+    raise TypeError(f"{who} takes aligned, C-contiguous{', writable' if writable else ''} "
+                    f"buffers of format '{fmt}'")
 
-    with memoryview(obj) as view:  # TypeError where obj has no buffer; nothing held after
-        if (view.format == fmt and view.c_contiguous  # numpy counts an empty one as aligned
-                and np.frombuffer(view, fmt).flags.aligned):
-            return np.frombuffer(obj, fmt)
-    raise TypeError(f"{who} takes aligned, C-contiguous buffers of format '{fmt}'")
+
+@functools.lru_cache(maxsize=None)
+def _buffer_api() -> tuple:
+    """PyObject_GetBuffer and PyBuffer_Release through ctypes, typed, and room for the
+    Py_buffer they fill, whose first field is the address. Built on `_read_buffer`'s first
+    call, so a run on the kernel never loads ctypes."""
+    import ctypes
+
+    get_buffer = ctypes.PYFUNCTYPE(ctypes.c_int, ctypes.py_object, ctypes.c_void_p, ctypes.c_int)
+    release = ctypes.PYFUNCTYPE(None, ctypes.c_void_p)
+    return (get_buffer(("PyObject_GetBuffer", ctypes.pythonapi)),
+            release(("PyBuffer_Release", ctypes.pythonapi)), ctypes.c_void_p * 16)
 
 
 def _interpret(code, length: int, x):
-    """`evaluate` in numpy over x's items and the constant vectors: the reference and
-    fallback. x is read as `_read_buffer` reads it, before the length is checked."""
-    import numpy as np
-
-    x = _read_buffer(x, "d", "evaluate")
-    if not 0 <= length <= len(code):
-        raise InvariantError(_kernel.ERRORS[5])
-    consts = _constants(x.size)
+    """`evaluate` in plain Python over lists of x's items and of each constant: the
+    reference and fallback. x is read as `_read_buffer` reads it, then `code` as bytes,
+    before the length is checked."""
+    x = _read_buffer(x, "d", "evaluate").tolist()
+    with memoryview(code) as cells:  # TypeError where code has no buffer, such as a list
+        if not 0 <= length <= cells.nbytes:
+            raise InvariantError(_kernel.ERRORS[5])
+        ops = cells.cast("B")[:length].tolist()
+    rows = (x, *([c] * len(x) for c in CONSTANTS))  # each terminal's row, by opcode - VAR_X
     cap = (length + 1) // 2  # the most values a complete encoding holds at once
     stack = []
     push, pop = stack.append, stack.pop
     try:
-        for op in reversed(code[:length]):
+        for op in reversed(ops):
             if op >= VAR_X:
-                value = x if op == VAR_X else consts[op - CONST_BASE]
+                value = rows[op - VAR_X]
                 if len(stack) == cap:  # a push past cap, where run() stops too
                     raise InvariantError(_kernel.ERRORS[3])
                 push(value)
                 continue
             a, b = pop(), pop()  # a is the top, the first operand
-            if op == ADD:
-                push(a + b)
-            elif op == SUB:
-                push(a - b)
-            elif op == MUL:
-                push(a * b)
-            elif np.count_nonzero(b) == b.size:
-                push(a / b)
+            if op < DIV:
+                push(list(map((add, sub, mul)[op], a, b)))
+            elif all(b):  # no zero of either sign; NaN is true, as b != 0.0 is in the kernel
+                push(list(map(truediv, a, b)))
             else:
-                # astype(bool) is b != 0: 0.0 and -0.0 give 1, nan divides
-                push(np.divide(a, b, out=np.ones(b.shape), where=b.astype(bool)))
+                push([p / q if q else 1.0 for p, q in zip(a, b)])
     except IndexError:  # an opcode past the last constant, or pop() from an empty stack
         raise InvariantError(_kernel.ERRORS[1 if op >= VAR_X else 2]) from None
     if len(stack) != 1:
         raise InvariantError(_kernel.ERRORS[3])
-    # a terminal root is x or a shared constant; every function node made a new array
-    return memoryview(stack[0].copy() if length == 1 else stack[0])
-
-
-@functools.lru_cache
-def _constants(n: int) -> tuple:
-    """Each constant broadcast to n items over bytes, which no setflags makes writable: so
-    shared by every call over n items."""
-    import numpy as np
-
-    return tuple(np.broadcast_to(np.frombuffer(np.float64(c).tobytes()), n) for c in CONSTANTS)
+    return array("d", stack[0])
 
 
 # the C kernel's module, or None where it could not be built or loaded

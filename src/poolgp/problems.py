@@ -4,33 +4,42 @@ from __future__ import annotations
 
 import math
 from array import array
+from functools import reduce
+from operator import add
 
 from . import genome
 
 
-def _doubles(values) -> tuple[bytes, tuple]:
-    """`values` as native float64 bytes, and their shape.
-
-    A flat list or tuple of numbers converts through array("d"), without
-    numpy, to the values numpy.asarray would give; anything else, such as an
-    ndarray or a nested list, converts through numpy.asarray.
-    """
+def _doubles(values) -> tuple[array, tuple]:
+    """`values` as an array("d") of the values numpy.asarray would give, and their shape: a
+    list or tuple of numbers through array("d"), a buffer of numbers, such as an ndarray,
+    through memoryview. TypeError for items of any other kind, such as a str or a nested
+    list; a buffer that is not 1-D gives no items."""
     if type(values) in (list, tuple):
-        try:
-            return array("d", values).tobytes(), (len(values),)
-        except TypeError:  # a nested list, or an item only numpy converts, such as a str
-            pass
-    import numpy as np
-
-    a = np.asarray(values, dtype=np.float64)
-    return a.tobytes(), a.shape
+        values = array("d", values)
+    with memoryview(values) as view:  # TypeError where values has no buffer
+        return array("d", view.tolist() if view.ndim == 1 else ()), view.shape
 
 
-def _frozen_array(table: memoryview):
-    """A read-only float64 ndarray over `table`'s bytes, which no setflags makes writable."""
-    import numpy as np
+def _pairwise(d: list) -> float:
+    """numpy's pairwise sum of the terms `d`, as _kernel.c's pairwise adds them: 8 running
+    sums up to 128 terms, halves above."""
+    n = len(d)
+    if n > 128:
+        half = n // 16 * 8
+        return _pairwise(d[:half]) + _pairwise(d[half:])
+    whole, res = n // 8 * 8, -0.0
+    if n >= 8:
+        r = [reduce(add, d[j:whole:8]) for j in range(8)]  # d[j] + d[j + 8] + ..., in order
+        res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    return reduce(add, d[whole:], res)  # then the last n % 8, in order
 
-    return np.frombuffer(table, np.float64)
+
+def python_abs_error(pred, targets) -> float:
+    """The kernel's `abs_error` in plain Python, to its bits: the sum of |pred - targets|
+    from 0.0 in numpy's pairwise order, or inf where it is not finite."""
+    err = 0.0 + _pairwise([abs(p - t) for p, t in zip(pred, targets)])  # 0.0 + -0.0 is 0.0
+    return err if math.isfinite(err) else math.inf
 
 
 class Problem:
@@ -38,63 +47,40 @@ class Problem:
 
     Fitness is the sum of absolute errors across the table; lower is better.
     Non-finite totals (overflow, nan from wild arithmetic) rank as +inf. It
-    scores against its own read-only float64 copies of `inputs` and
-    `targets`, both 1-D, of one shape and at least one case; any other table
-    is refused here rather than broadcast into a wrong fitness later. The
-    copies are `memoryview(bytes).cast("d")` tables, so a problem built from
-    flat lists or tuples of numbers, such as QUARTIC, and scored on the
-    kernel never imports numpy. `.inputs` and `.targets` are read-only
-    float64 ndarrays over the same bytes, built on first access. Problems
-    compare and hash by identity.
+    scores against its own copies of `inputs` and `targets`, flat lists,
+    tuples or 1-D buffers of numbers (see `_doubles`), of one length and at
+    least one case; any other table is refused here rather than broadcast into
+    a wrong fitness later. `inputs` and `targets` are those copies, read-only
+    memoryviews of format "d", which `numpy.asarray` reads without a copy.
+    Problems compare and hash by identity.
     """
 
-    __slots__ = ("_x", "_y", "_inputs", "_targets")
+    __slots__ = ("inputs", "targets")
 
     def __init__(self, inputs, targets):
         (x, x_shape), (y, y_shape) = _doubles(inputs), _doubles(targets)
         if len(x_shape) != 1 or not x_shape[0] or y_shape != x_shape:
             raise ValueError(f"need 1-D inputs of at least one case and targets of the same "
                              f"shape, got inputs {x_shape} and targets {y_shape}")
-        self._x, self._y = memoryview(x).cast("d"), memoryview(y).cast("d")
-        self._inputs = self._targets = None
+        self.inputs, self.targets = (memoryview(t.tobytes()).cast("d") for t in (x, y))
 
     def __reduce__(self):  # memoryviews do not pickle: rebuild from the values, to the bit
-        return type(self), (self._x.tolist(), self._y.tolist())
-
-    @property
-    def inputs(self):
-        """The cases' inputs, as a read-only float64 ndarray."""
-        if self._inputs is None:
-            self._inputs = _frozen_array(self._x)
-        return self._inputs
-
-    @property
-    def targets(self):
-        """The cases' targets, as a read-only float64 ndarray."""
-        if self._targets is None:
-            self._targets = _frozen_array(self._y)
-        return self._targets
+        return type(self), (self.inputs.tolist(), self.targets.tolist())
 
     @property
     def num_cases(self) -> int:
-        return len(self._x)
+        return len(self.inputs)
 
     def fitness(self, code, length: int) -> float:
         """The genome's summed absolute error, or +inf when it is not finite.
 
-        The C kernel interprets over the table and sums, to numpy's bits, and
-        never warns. Without it, this runs in numpy under the caller's numpy
-        error state, like `genome.evaluate`: enter
-        `poolgp.float_errors_ignored()` around the calls, since wild arithmetic
-        overflows and finite errors can still sum past float64's range.
+        The C kernel interprets over the table and sums, to numpy's bits;
+        without it, plain Python does both to the same bits. Neither warns,
+        however wild the arithmetic or however far past float64's range finite
+        errors sum.
         """
-        pred, native = genome.evaluate(code, length, self._x), genome._native
-        if native is not None:
-            return native.abs_error(pred, self._y)
-        import numpy as np
-
-        err = float(np.add.reduce(abs(np.frombuffer(pred) - self.targets), None))  # as .sum()
-        return err if math.isfinite(err) else math.inf
+        pred, native = genome.evaluate(code, length, self.inputs), genome._native
+        return (python_abs_error if native is None else native.abs_error)(pred, self.targets)
 
     def opcodes_per_eval(self, length: int) -> int:
         """Opcodes interpreted over the table for `length` cells: one per cell per case.

@@ -8,19 +8,21 @@ pytest.register_assert_rewrite("simharness", "kernel_fuzz")
 
 
 @pytest.fixture
-def numpy_evaluator(monkeypatch):
-    """Turn the C kernel off for one test: numpy evaluates, sums and ranks; Python crosses
+def python_evaluator(monkeypatch):
+    """Turn the C kernel off for one test: plain Python evaluates, sums, draws and crosses
     over, also in the engines that imported the crossover by name."""
     monkeypatch.setattr(genome, "_native", None)
     for module in (genome, engine, naive):
         monkeypatch.setattr(module, "subtree_crossover", genome.python_crossover)
 
 
-@pytest.fixture(params=["c", "numpy"], ids=["kernel", "numpy"])
+# the ids keep the name the fallback had while it ran in numpy, so that each test keeps the
+# id it has always had
+@pytest.fixture(params=["c", "python"], ids=["kernel", "numpy"])
 def evaluator(request):
-    """Run the test once per path: the C kernel, skipped where it did not load, and numpy."""
-    if request.param == "numpy":
-        request.getfixturevalue("numpy_evaluator")
+    """Run the test once per path: the C kernel, skipped where it did not load, and Python."""
+    if request.param == "python":
+        request.getfixturevalue("python_evaluator")
     elif genome.evaluator() != "c":
         pytest.skip("no C kernel on this machine")
     return request.param

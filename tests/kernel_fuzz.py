@@ -2,16 +2,20 @@
 
 `check_all(kernel, seed)` drives a loaded kernel module's five functions:
 
-* `evaluate` against `genome._interpret` on random byte genomes (every opcode,
-  and some past the last terminal) over 0-6 cases of special values, as an
-  ndarray or as a `memoryview(bytes).cast("d")` table, and on work areas just
-  inside and just past `_kernel.ON_STACK` cells, so that both the on-stack
-  and the malloc branch run to their last cell. Both must name the same fault
-  or give the same bits, and x must keep its bits;
-* `draw` against `engine.draw_outcome` over a `random.Random` subclass, which
-  reads the stream through `randbytes` and ranks in numpy: from random and
-  all-zero states at every twist boundary and mid-block, over arrays and
-  read-only views of fitnesses with ties, NaN and inf;
+* `evaluate` against `genome._interpret`, its plain-Python twin, on random
+  byte genomes (every opcode, and some past the last terminal) over 0-6 cases
+  of special values, as an ndarray or as a `memoryview(bytes).cast("d")`
+  table, and on work areas just inside and just past `_kernel.ON_STACK`
+  cells, so that both the on-stack and the malloc branch run to their last
+  cell. Both must name the same fault or give the same bits, and x must keep
+  its bits;
+* `abs_error` against `problems.python_abs_error`: the same bits over 0-300,
+  1000 and 4097 terms, across all three branches of the pairwise sum, of
+  special values and of magnitudes from 1e-8 to 1e8;
+* `draw` against `genome.python_draw` on the same state, which reads the
+  stream through a `random.Random` of its own: from random and all-zero
+  states at every twist boundary and mid-block, over arrays and read-only
+  views of fitnesses with ties, NaN and inf;
 * `plan` against `breeding_plan.python_plan`: the same three lists, or the
   same ValueError text, over int32 arrays of 0-40 children with
   self-crossover and every child on one parent;
@@ -19,10 +23,11 @@
   exception class, the same child bytes, and a child never resized;
 * and the refusals of malformed arguments (every typed argument of
   `evaluate`, `abs_error`, `draw`, `plan` and `crossover` is an aligned,
-  C-contiguous buffer of one format, on the kernel and, for `evaluate` and
-  `crossover`, on the Python path alike, and no view is read past its
-  end), and `plan` and `draw` through a collection that starts inside them,
-  whose finalizer tries to resize their arrays and overwrites their inputs.
+  C-contiguous buffer of one format, on the kernel and, for `evaluate`,
+  `draw` and `crossover`, on the Python path alike, and no view is read past
+  its end), and `plan` and `draw` through a collection that starts inside
+  them, whose finalizer tries to resize their arrays and overwrites their
+  inputs.
 
 tests/test_kernel.py runs it over the cached kernel, and in a subprocess over
 a kernel built with AddressSanitizer and UBSan, as
@@ -45,8 +50,8 @@ import numpy as np
 
 from poolgp import _kernel, genome
 from poolgp.breeding_plan import python_plan
-from poolgp.engine import draw_outcome
 from poolgp.errors import InvariantError
+from poolgp.problems import python_abs_error
 from poolgp.genome import (
     ADD,
     CONSTANTS,
@@ -88,7 +93,7 @@ def kernel_outcome(kernel, code, length, x):
         return values.view(np.int64).tolist()
 
 
-def numpy_outcome(code, length, x):
+def python_outcome(code, length, x):
     try:
         with float_errors_ignored():
             result = genome._interpret(code, length, x)
@@ -146,13 +151,22 @@ def fuzz_evaluate(kernel, rng, count: int) -> None:
         table = x if rng.random() < 0.5 else memoryview(x.tobytes()).cast("d")
         length = len(code) if rng.random() < 0.8 else rng.randint(0, len(code))
         before = x.tobytes()  # writable, yet the stack's pointers to x must only be read
-        got, want = kernel_outcome(kernel, code, length, table), numpy_outcome(code, length, x)
+        got, want = kernel_outcome(kernel, code, length, table), python_outcome(code, length, x)
         assert got == want, (code[:length].hex(), x.tolist(), got, want)
         assert x.tobytes() == before, code[:length].hex()
 
 
-class ReferenceRng(random.Random):
-    """A subclass: `draw_outcome` reads it through `randbytes` and ranks in numpy."""
+def fuzz_abs_error(kernel, rng, count: int) -> None:
+    """`abs_error` against `python_abs_error`: the same bits, for random term counts and
+    every count up to 300, over special values or magnitudes that make the order show."""
+    for n in [*range(301), 1000, 4097, *(rng.randrange(1000) for _ in range(count))]:
+        if rng.random() < 0.3:
+            pred = array("d", [rng.choice(SPECIAL) for _ in range(n)])
+        else:
+            pred = array("d", [rng.gauss(0.0, 1.0) * 10.0 ** rng.randint(-8, 8) for _ in range(n)])
+        targets = array("d", [rng.gauss(0.0, 1.0) for _ in range(n)])
+        got, want = kernel.abs_error(pred, targets), python_abs_error(pred, targets)
+        assert got.hex() == want.hex(), (n, got, want)
 
 
 def random_state(rng) -> tuple:
@@ -170,22 +184,19 @@ def outputs(m: int) -> tuple[array, array, array]:
 
 
 def fuzz_draw(kernel, rng, count: int) -> None:
-    """`draw` against `draw_outcome`'s randbytes path: every slot of the mums, dads and points
-    written, as the reference draws them, the same state after, and the fitness bytes left
-    as they were."""
+    """`draw` against `python_draw` on the same state: every slot of the mums, dads and points
+    written, as the twin draws them, the same state after, and the fitness bytes left as
+    they were."""
     for _ in range(count):
         m, k = rng.randint(0, 40), rng.randint(1, 12)
         fitness = array("d", [rng.choice(FITNESSES) for _ in range(m)])
         if rng.random() < 0.3:  # a Problem's kind of table: read-only
             fitness = memoryview(fitness.tobytes()).cast("d")
         before, state = bytes(fitness), random_state(rng)
-        reference = ReferenceRng(0)
-        reference.setstate((3, state, None))
-        want = draw_outcome(reference, fitness, k)
-        got = outputs(m)
+        got, want = outputs(m), outputs(m)
         after = kernel.draw(state, fitness, k, *got)
+        assert after == genome.python_draw(state, fitness, k, *want), (m, k, state[-1])
         assert got == want, (fitness.tolist(), k, state[-1])
-        assert after == reference.getstate()[1], (m, k, state[-1])
         assert bytes(fitness) == before
 
 
@@ -332,7 +343,7 @@ def wrong_buffers(fmt: str, count: int, output: bool) -> list:
 def check_row_refusals(kernel) -> None:
     """`evaluate` reads x, and `abs_error` pred and targets, only where each is an aligned,
     C-contiguous buffer of format "d", and both refuse any other with TypeError, on the kernel
-    and (`evaluate`) in numpy alike; `abs_error` refuses counts that differ with ValueError.
+    and (`evaluate`) in Python alike; `abs_error` refuses counts that differ with ValueError.
     `evaluate` takes no output buffer: it writes only the row it returns. Nothing is read
     past a view."""
     code = bytes([ADD, VAR_X, VAR_X])
@@ -389,22 +400,25 @@ def check_refusals(kernel) -> None:
     for i, fmt, count in ((1, "d", m), (3, "i", m), (4, "i", m), (5, "I", POINTS_PER_CHILD * m)):
         for other in (count - 1, count + 1):
             bad.append(good[:i] + (array(fmt, [0]) * other,) + good[i + 1:])
-    for args in bad:
-        try:
-            kernel.draw(*args, *good[len(args):])
-        except ValueError:
-            continue
-        raise AssertionError(f"draw took {[len(a) if hasattr(a, '__len__') else a for a in args]}")
+    for draw in (kernel.draw, genome.python_draw):
+        for args in bad:
+            try:
+                draw(*args, *good[len(args):])
+            except ValueError:
+                continue
+            raise AssertionError(f"{draw} took "
+                                 f"{[len(a) if hasattr(a, '__len__') else a for a in args]}")
     wrong = [good[:2] + (1.0,) + good[3:], good[:-1], good + (points,)]
     for i, fmt, count in ((1, "d", m), (3, "i", m), (4, "i", m), (5, "I", POINTS_PER_CHILD * m)):
         wrong += [good[:i] + (other,) + good[i + 1:] for other in wrong_buffers(fmt, count, i > 1)]
     wrong.append(good[:5] + (np.zeros(POINTS_PER_CHILD * m, np.int32),))
-    for args in wrong:
-        try:
-            kernel.draw(*args)
-        except TypeError:
-            continue
-        raise AssertionError(f"draw took {args[1:]!r}")
+    for draw in (kernel.draw, genome.python_draw):
+        for args in wrong:
+            try:
+                draw(*args)
+            except TypeError:
+                continue
+            raise AssertionError(f"{draw} took {args[1:]!r}")
     assert rng.getstate() == before and (mums, dads, points) == outputs(m), "draw wrote"
     # lengths that differ, or a parent out of range: refused with python_plan's text
     for ms, ds, text in (([0, 1], [1], "mums and dads must have equal length"),
@@ -435,9 +449,8 @@ def check_refusals(kernel) -> None:
     m, threshold, refused = 2000, gc.get_threshold(), []
     mums, dads = array("i", range(m)), array("i", [i // 2 for i in range(m)])
     fit = array("d", [float(i % 7) for i in range(m)])
-    reference = ReferenceRng(0)
-    start = reference.getstate()[1]
-    want_plan, want_draw = python_plan(mums, dads), draw_outcome(reference, fit, 7)
+    start, want_draw = random.Random(0).getstate()[1], outputs(m)
+    want_plan, want_after = python_plan(mums, dads), genome.python_draw(start, fit, 7, *want_draw)
     got_draw = got_mums, got_dads, points = outputs(m)  # no star-call: its tuple would collect
     enabled = gc.isenabled()
     try:
@@ -459,19 +472,23 @@ def check_refusals(kernel) -> None:
     assert refused == list("iiiiddiiiiII"), f"a finalizer resized an exported array: {refused}"
     assert mums.tolist() == dads.tolist() == [m] * m and all(map(math.isnan, fit))
     assert got_plan == want_plan, "plan read parents that changed"
-    assert got_draw == want_draw and after == reference.getstate()[1], "draw read changed fitness"
+    assert got_draw == want_draw and after == want_after, "draw read changed fitness"
     for args in ((b"", 1), (bytes([4]), 1, bytes([4]), 1, bytearray(1), 1)):
         try:
             kernel.crossover(*args)
         except TypeError:
             continue
         raise AssertionError(f"crossover took {args!r}")
-    # a length past any buffer and points a word short, or point words of anything but an
-    # aligned, C-contiguous buffer of format "I": both paths refuse them alike
+    # a length past any buffer and points a word short, a genome that is no buffer, a
+    # read-only child, or point words of anything but an aligned, C-contiguous buffer of
+    # format "I": both paths refuse them alike
     parents = (bytes([4]), 1, bytes([4]), 1)
     words = array("I", [0]) * POINTS_PER_CHILD
     refused = [("ValueError", (bytes([4]), 2 ** 70, bytes([4]), 1, bytearray(1), 1, words)),
-               ("ValueError", (*parents, bytearray(1), 1, words[1:]))]
+               ("ValueError", (*parents, bytearray(1), 1, words[1:])),
+               ("TypeError", ([4], 1, bytes([4]), 1, bytearray(1), 1, words)),
+               ("TypeError", (bytes([4]), 1, [4], 1, bytearray(1), 1, words)),
+               ("BufferError", (*parents, memoryview(bytearray(1)).toreadonly(), 1, words))]
     int32 = np.zeros(POINTS_PER_CHILD, np.int32)
     for other in wrong_buffers("I", POINTS_PER_CHILD, False) + [int32]:
         refused.append(("TypeError", (*parents, bytearray(1), 1, other)))
@@ -484,6 +501,7 @@ def check_all(kernel, seed: int = 26) -> None:
     """Every part of the fuzz over `kernel`, from one seeded stream."""
     rng = random.Random(seed)
     fuzz_evaluate(kernel, rng, 15000)
+    fuzz_abs_error(kernel, rng, 300)
     fuzz_draw(kernel, rng, 3000)
     fuzz_plan(kernel, rng, 3000)
     fuzz_crossover(kernel, rng, 8000)

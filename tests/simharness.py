@@ -25,9 +25,9 @@ import random
 from array import array
 
 from poolgp.breeding_plan import NIL, BreedingPlan
-from poolgp.engine import Breeding, Individual, draw_points
+from poolgp.engine import Breeding, Individual
 from poolgp.expr_pool import NO_SLOT, BufferPool
-from poolgp.genome import random_tree, subtree_end
+from poolgp.genome import POINTS_PER_CHILD, random_tree, subtree_end
 
 HOLD, CROSS = "hold", "cross"
 
@@ -122,9 +122,10 @@ class BreedingSim:
             ind.tree_len = random_tree(rng, init_depth, pool.slots[pool.acquire(ind)])
             pop.append(ind)
         # the scripted parentage stands in for the tournaments; the crossover
-        # points come from the same master stream, as in the engines
+        # points are the next words of the same master stream, as in the engines
+        points = array("I", [rng.getrandbits(32) for _ in range(POINTS_PER_CHILD * popsize)])
         self.breeding = Breeding(pool, pop, [Individual() for _ in pairs], *parents(pairs),
-                                 draw_points(rng, popsize))
+                                 points)
         self.workers = [WorkerModel() for _ in range(nworkers)]
         self.claims: list[tuple[int, bool, bool]] = []  # (child, was_class2, chain1_empty)
         self.books = 0

@@ -90,7 +90,7 @@ def test_the_tracer_sees_each_python_walk_and_none_in_the_kernel(evaluator):
     _, _, tracer = tracing.run_traced(PooledEngine(cfg))
     attempts = tracer.counters()["crossover.attempts"]
     walks = tracer.totals()["genome.subtree_end"][0]
-    if evaluator == "numpy":
+    if evaluator == "python":
         assert attempts >= cfg.popsize * (cfg.generations - 1)
         assert walks == 2 * attempts
     else:

@@ -176,9 +176,9 @@ def test_pooled_run_summary_and_exit_code(capsys):
     assert "best_fitness" in fields
 
 
-def test_summary_names_the_evaluator_that_ran(capsys, numpy_evaluator):
+def test_summary_names_the_evaluator_that_ran(capsys, python_evaluator):
     assert main(FAST) == 0
-    assert summary_fields(capsys.readouterr().out.strip().splitlines()[-1])["evaluator"] == "numpy"
+    assert summary_fields(capsys.readouterr().out.strip().splitlines()[-1])["evaluator"] == "python"
 
 
 def test_summary_prints_each_number_once(capsys):

@@ -35,22 +35,7 @@ from poolgp.expr_pool import NO_SLOT, BufferPool
 from poolgp.genome import POINTS_PER_CHILD
 from poolgp.naive import run_evolution_naive
 from poolgp.problems import QUARTIC, Problem
-from kernel_fuzz import ReferenceRng
 from simharness import word_for
-
-
-class ScriptedRng:
-    """Serves scripted uint32 words through randbytes; words past the script are 0."""
-
-    def __init__(self, words):
-        self.words = list(words)
-        self.requests = []
-
-    def randbytes(self, n):
-        assert n % 4 == 0
-        take, self.words = self.words[:n // 4], self.words[n // 4:]
-        self.requests.append(n)
-        return struct.pack(f"<{n // 4}I", *(take + [0] * (n // 4 - len(take))))
 
 
 def untemper(word: int) -> int:
@@ -74,26 +59,10 @@ def scripted_random(words) -> random.Random:
 
 
 def scripted_draw(words, fitnesses, k):
-    """`draw_outcome` over scripted words and an array("d") of `fitnesses`, from
-    `scripted_random` (the kernel's draw where it loaded) and from `ScriptedRng` (randbytes):
-    both must draw the same. The mums and dads come back as lists."""
-    fitness = array("d", fitnesses)
-    outcome = draw_outcome(scripted_random(words), fitness, k)
-    assert outcome == draw_outcome(ScriptedRng(words), fitness, k)
-    mums, dads, points = outcome
+    """`draw_outcome` over scripted words, from `scripted_random`, and an array("d") of
+    `fitnesses`. The mums and dads come back as lists."""
+    mums, dads, points = draw_outcome(scripted_random(words), array("d", fitnesses), k)
     return mums.tolist(), dads.tolist(), points
-
-
-class RecordingRng(random.Random):
-    """A real stream that remembers the size of every randbytes request."""
-
-    def __init__(self, seed):
-        super().__init__(seed)
-        self.requests = []
-
-    def randbytes(self, n):
-        self.requests.append(n)
-        return super().randbytes(n)
 
 
 class CountingProblem:
@@ -165,22 +134,19 @@ def test_tournament_ties_break_to_lowest_index():
 
 
 def reference_draw(rng, fitnesses, k):
-    """Best of k in plain Python over the same randbytes, block for block."""
+    """Best of k in plain Python over the words of one randbytes call, then the points."""
     m = len(fitnesses)
     rows = 2 * m
-    block = max(1, TOURNAMENT_BLOCK // k)
+    words = struct.unpack(f"<{rows * k}I", rng.randbytes(4 * rows * k))
     winners = []
-    for start in range(0, rows, block):
-        n = min(block, rows - start)
-        words = struct.unpack(f"<{n * k}I", rng.randbytes(4 * n * k))
-        for r in range(n):
-            best = None
-            for u in words[r * k:(r + 1) * k]:
-                i = (u * m) >> 32
-                if best is None or fitnesses[i] < fitnesses[best] or (
-                        fitnesses[i] == fitnesses[best] and i < best):
-                    best = i
-            winners.append(best)
+    for r in range(rows):
+        best = None
+        for u in words[r * k:(r + 1) * k]:
+            i = (u * m) >> 32
+            if best is None or fitnesses[i] < fitnesses[best] or (
+                    fitnesses[i] == fitnesses[best] and i < best):
+                best = i
+        winners.append(best)
     count = POINTS_PER_CHILD * m
     points = list(struct.unpack(f"<{count}I", rng.randbytes(4 * count)))
     return array("i", winners[0::2]), array("i", winners[1::2]), points
@@ -189,8 +155,8 @@ def reference_draw(rng, fitnesses, k):
 @pytest.mark.parametrize("m,k", [
     (1, 1), (1, 7),                 # a single member wins every tournament
     (3, 1), (5, 2), (7, 7),
-    (4, 9), (3, TOURNAMENT_BLOCK + 1),  # k > M; a tournament larger than a block
-    (1000, 20), (4000, 3),          # several blocks
+    (4, 9), (3, TOURNAMENT_BLOCK + 1),  # k > M; a tournament past RunConfig's limit
+    (1000, 20), (4000, 3),          # several twists of the stream
 ])
 def test_draw_outcome_matches_pure_python_best_of_k(m, k):
     # few distinct values force ties; every fifth member overflowed to +inf
@@ -207,16 +173,6 @@ def test_nan_fitness_ranks_as_infinity():
     with_inf = array("d", [math.inf if math.isnan(f) else f for f in with_nan])
     assert draw_outcome(random.Random(4), with_nan, 3) == draw_outcome(
         random.Random(4), with_inf, 3)
-
-
-def test_draw_outcome_never_ranks_more_than_a_block_at_once():
-    rng = RecordingRng(3)
-    m, k = 4000, 20
-    draw_outcome(rng, [float(v) for v in range(m)], k)
-    *tournaments, points = rng.requests
-    assert sum(tournaments) == 4 * 2 * m * k
-    assert max(tournaments) <= 4 * TOURNAMENT_BLOCK
-    assert points == 4 * POINTS_PER_CHILD * m
 
 
 @pytest.mark.parametrize("check", [
@@ -242,27 +198,22 @@ PARITY_CASES = [(m, k) for m in (1, 2, 3, 7, 2000, 4000)
 @pytest.mark.parametrize("index", [0, 1, 623, 624])
 def test_the_kernels_draw_continues_the_stream_as_randbytes_blocks_do(index, monkeypatch):
     # at every twist boundary of the state and with gauss_next set: the same mums, dads,
-    # points bytes and state after as the reference path, which the kernel path never takes
-    ranked = []
-    rank = engine.rank_tournaments
-    monkeypatch.setattr(engine, "rank_tournaments", lambda *a: ranked.append(rank(*a)))
+    # points and state after as `python_draw`, which reads the stream through random.Random
+    # itself and matches `reference_draw`'s randbytes words above
     for seed, (m, k) in enumerate(PARITY_CASES):
         rng = random.Random(seed)
         rng.gauss(0.0, 1.0)
         version, state, gauss_next = rng.getstate()
         rng.setstate((version, state[:-1] + (index,), gauss_next))
-        reference = ReferenceRng()
-        reference.setstate(rng.getstate())
+        twin = random.Random()
+        twin.setstate(rng.getstate())
         pick = random.Random(-seed)
         fitnesses = array("d", [pick.choice(PARITY_FITNESSES) for _ in range(m)])
-        ranked.clear()
-        mums, dads, points = draw_outcome(rng, fitnesses, k)
-        assert not ranked, (m, k)
-        want_mums, want_dads, want_points = draw_outcome(reference, fitnesses, k)
-        assert ranked, (m, k)
-        assert (mums, dads) == (want_mums, want_dads), (m, k)
-        assert points.tobytes() == want_points.tobytes(), (m, k)
-        assert rng.getstate() == reference.getstate(), (m, k)
+        got = draw_outcome(rng, fitnesses, k)
+        with monkeypatch.context() as python:
+            python.setattr(genome, "_native", None)
+            assert got == draw_outcome(twin, fitnesses, k), (m, k)
+        assert rng.getstate() == twin.getstate(), (m, k)
 
 
 def test_child_stream_reads_only_its_own_cells():
@@ -416,10 +367,10 @@ def test_a_generation_keeps_a_double_per_member(run):
     assert grown <= 12 * 1000 * 20, grown / (1000 * 20)
 
 
-@pytest.mark.skipif(genome.evaluator() != "c", reason="no C kernel on this machine")
-def test_the_kernels_draw_holds_at_most_100_bytes_a_member():
-    # the arrays it returns take 88 (80 of points, 4 each of mums and dads) and the kernel's
-    # copy of the fitness 8; two parent lists of ints took 72, and a copy of the fitness 8
+def test_the_draw_holds_at_most_100_bytes_a_member(evaluator):
+    # the arrays it returns take 88 (80 of points, 4 each of mums and dads), the kernel's
+    # copy of the fitness 8, and Python's twin one child's words; two parent lists of ints
+    # took 72, and a copy of the fitness 8
     m, rng = 10**4, random.Random(1)
     fitness = array("d", [float(v % 97) for v in range(m)])
     tracemalloc.start()
@@ -600,18 +551,20 @@ class SquaredErrorProblem(Problem):
 
     def fitness(self, code, length):
         pred = genome.evaluate(code, length, self.inputs)
-        err = float(np.square(pred - self.targets).sum())
+        err = float(np.square(np.asarray(pred) - np.asarray(self.targets)).sum())
         return err if math.isfinite(err) else math.inf
 
 
 # the kernel scores a plain Problem without numpy, and never warns
 @pytest.mark.parametrize("evaluator, scoring", [
-    ("numpy", Problem), ("numpy", SquaredErrorProblem), ("c", SquaredErrorProblem),
-], indirect=["evaluator"])
+    ("python", Problem), ("python", SquaredErrorProblem), ("c", SquaredErrorProblem),
+], ids=["numpy-Problem", "numpy-SquaredErrorProblem", "c-SquaredErrorProblem"],
+    indirect=["evaluator"])
 def test_score_passes_enter_numpys_error_state_where_numpy_runs(evaluator, scoring):
-    # the pass enters numpy's error state where numpy can run in it: on the numpy fallback,
-    # and for a Problem subclass that scores in numpy on either evaluator. Squared errors of
-    # these inputs overflow and inf - inf makes nan, and RuntimeWarning is an error in tier-1
+    # the pass enters numpy's error state where numpy is imported, for a Problem subclass
+    # that scores in numpy on either evaluator; Python's floats on the fallback never warn.
+    # Squared errors of these inputs overflow and inf - inf makes nan, and RuntimeWarning is
+    # an error in tier-1
     wild = scoring(inputs=[1e200, -1e200, 0.0, -0.0, 1.0, -0.5],
                    targets=[1.0, -1.0, 0.0, 0.5, 2.0, -0.25])
     cfg = RunConfig(popsize=60, nthreads=0, generations=5, buffer_bytes=63,

@@ -257,7 +257,7 @@ def test_both_crossovers_refuse_bad_input_and_never_resize_the_child(evaluator):
     mum = bytearray([ADD, VAR_X, C[1.0]])
     dad = bytearray([ADD, MUL, VAR_X, VAR_X, C[1.0]])
     cross = genome.subtree_crossover
-    assert (cross is genome.python_crossover) == (evaluator == "numpy")
+    assert (cross is genome.python_crossover) == (evaluator == "python")
     refused = {
         ValueError: [
             (mum, 3, dad, 5, bytearray(3), 8, words(0)),  # capacity past the child: it would grow
@@ -276,13 +276,21 @@ def test_both_crossovers_refuse_bad_input_and_never_resize_the_child(evaluator):
             (mum, 3, dad, 5, bytearray(8), 8, other)
             for other in wrong_buffers("I", POINTS_PER_CHILD, False)
             + [np.zeros(POINTS_PER_CHILD, np.int32)]
+        ] + [  # a genome that is no buffer, such as a list: the kernel reads each as bytes
+            (list(mum), 3, dad, 5, bytearray(8), 8, words(0)),
+            (mum, 3, list(dad), 5, bytearray(8), 8, words(0)),
+            (mum, 3, dad, 5, [0] * 8, 8, words(0)),
+        ],
+        BufferError: [  # a read-only child
+            (mum, 3, dad, 5, bytes(8), 8, words(0)),
+            (mum, 3, dad, 5, memoryview(bytearray(8)).toreadonly(), 8, words(0)),
         ],
     }
     for error, cases in refused.items():
         for mum_, mum_len, dad_, dad_len, child, capacity, points in cases:
             with pytest.raises(error):
                 cross(mum_, mum_len, dad_, dad_len, child, capacity, points)
-            assert child == bytes(len(child)), (mum_len, dad_len, capacity)
+            assert bytes(child) == bytes(len(child)), (mum_len, dad_len, capacity)
     rng = random.Random(27)
     for cells in (31, 63, 127):
         for _ in range(200):
@@ -449,14 +457,15 @@ def test_evaluate_and_fitness_are_bit_identical_to_the_scalar_array_oracle(evalu
     buf = bytearray(127)
     for x in (SPECIAL_X, finite, np.linspace(-1.0, 1.0, 20)):
         p = Problem(inputs=x, targets=np.linspace(-2.0, 2.0, x.size))
+        inputs, targets = np.asarray(p.inputs), np.asarray(p.targets)
         rng = random.Random(2024)
         with float_errors_ignored():
             for i in range(2000):
                 n = random_tree(rng, 1 + i % 7, buf)
-                want = scalar_array_evaluate(buf, n, p.inputs)
+                want = scalar_array_evaluate(buf, n, inputs)
                 assert same_bits(genome.evaluate(buf, n, p.inputs), want), bytes(buf[:n])
                 got = p.fitness(buf, n)
-                assert same_bits(got, oracle_fitness(buf, n, p.inputs, p.targets))
+                assert same_bits(got, oracle_fitness(buf, n, inputs, targets))
 
 
 TABLE_GENOMES = [  # a terminal, a pair, and deeper trees over both
@@ -598,7 +607,7 @@ def test_evaluate_takes_only_an_aligned_contiguous_float64_buffer(evaluator):
     # of any type and shape, and give the caller a row of its own; they refuse any other x
     # alike, however numpy would convert it
     line = np.linspace(-1.0, 1.0, 12)
-    for x in (line, line.reshape(3, 4), np.array(0.25), array("d", line), QUARTIC._x,
+    for x in (line, line.reshape(3, 4), np.array(0.25), array("d", line), QUARTIC.inputs,
               memoryview(line.tobytes()).cast("d")):
         x_bytes, flat = bytes(x), np.frombuffer(bytes(x))
         for code in INPUT_CODES:
@@ -613,9 +622,13 @@ def test_evaluate_takes_only_an_aligned_contiguous_float64_buffer(evaluator):
         for code in INPUT_CODES:
             with pytest.raises(TypeError):
                 genome.evaluate(bytes(code), len(code), x)
+    # a genome that is no buffer, such as a list: the kernel reads the code as bytes
+    for code in INPUT_CODES:
+        with pytest.raises(TypeError):
+            genome.evaluate(code, len(code), line)
     # however far outside the code, a length is refused with the one message of both paths
     for length in (-1, 4, 2 ** 70, -(2 ** 70)):
-        for x in (line, QUARTIC._x):
+        for x in (line, QUARTIC.inputs):
             with pytest.raises(InvariantError) as refused:
                 genome.evaluate(bytes([ADD, VAR_X, VAR_X]), length, x)
             assert str(refused.value) == _kernel.ERRORS[5], length

@@ -1,4 +1,4 @@
-"""The C kernel: what is built where, what is loaded, the numpy fallback, and its five functions.
+"""The C kernel: what is built where, what is loaded, the Python fallback, and its five functions.
 
 The cache cases build into their own empty cache directory, most of them by
 importing poolgp in a fresh process that runs pooled against naive there and
@@ -22,6 +22,7 @@ from pathlib import Path
 import kernel_fuzz
 import numpy as np
 import pytest
+import test_trajectory
 
 from poolgp import _kernel, breeding_plan, engine, genome, naive
 from poolgp.genome import ADD, CONSTANTS, CROSSOVER_ATTEMPTS, MUL, VAR_X, float_errors_ignored
@@ -54,14 +55,53 @@ def evaluator_in_fresh_process(cache, **env):
     return proc.stdout.strip()
 
 
-def test_without_a_compiler_runs_in_numpy(tmp_path):
+def no_compiler(tmp_path) -> dict:
+    """The environment of a fresh process that finds no compiler and an empty cache, or a skip
+    where the compiler does not depend on PATH."""
     cc = sysconfig.get_config_var("CC") or "cc"
     if os.path.isabs(shlex.split(cc)[0]):
         pytest.skip(f"the compiler {cc!r} does not depend on PATH")
     empty = tmp_path / "bin"
     empty.mkdir()
-    assert evaluator_in_fresh_process(tmp_path / "cache", PATH=str(empty)) == "numpy"
+    return dict(XDG_CACHE_HOME=str(tmp_path / "cache"), PATH=str(empty))
+
+
+def test_without_a_compiler_runs_in_python(tmp_path):
+    env = no_compiler(tmp_path)
+    assert evaluator_in_fresh_process(tmp_path / "cache", PATH=env["PATH"]) == "python"
     assert list((tmp_path / "cache" / "poolgp").iterdir()) == []
+    # the fallback imports no numpy either
+    proc = subprocess.run([sys.executable, "-c", NUMPY_FREE_RUN], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(SRC), **env), timeout=120)
+    assert proc.returncode == 0 and proc.stdout.split() == ["python", "False"], proc.stderr
+
+
+# pooled at threads 0 and 2 and naive: test_trajectory's runs, and its digests
+NUMPY_BLOCKED_RUNS = (
+    "import sys\n"
+    "sys.modules['numpy'] = None  # any import of numpy raises\n"
+    "from poolgp import RunConfig, genome, run_evolution, run_evolution_naive\n"
+    "from test_trajectory import CONFIG, RUNS, digests\n"
+    "for run, nthreads in RUNS:\n"
+    "    print(genome.evaluator(), *digests(run(RunConfig(nthreads=nthreads, **CONFIG))))\n"
+)
+
+
+@pytest.mark.parametrize("path", ["kernel", "python"])
+def test_every_run_keeps_its_digests_where_numpy_cannot_be_imported(path, tmp_path):
+    # numpy is no dependency: with its import blocked, every run of either path keeps the
+    # golden trajectory
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join((str(SRC), str(TESTS))))
+    if path == "python":
+        env.update(no_compiler(tmp_path))
+    elif genome.evaluator() != "c":
+        pytest.skip("no C kernel on this machine")
+    proc = subprocess.run([sys.executable, "-c", NUMPY_BLOCKED_RUNS], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    evaluator = "c" if path == "kernel" else "python"
+    want = " ".join((evaluator, test_trajectory.FITNESS_SHA256, test_trajectory.GENOMES_SHA256))
+    assert proc.stdout.splitlines() == [want] * len(test_trajectory.RUNS)
 
 
 NUMPY_FREE_RUN = (
@@ -72,13 +112,16 @@ NUMPY_FREE_RUN = (
     "if run_evolution(cfg).fitness_history != run_evolution_naive(cfg).fitness_history:\n"
     "    raise SystemExit('pooled != naive')\n"
     "print(genome.evaluator(), 'numpy' in sys.modules)\n"
+    "if genome.evaluator() == 'c' and 'ctypes' in sys.modules:\n"
+    "    raise SystemExit('ctypes imported')\n"
 )
 
 
 @needs_kernel
 def test_a_run_on_the_kernel_never_imports_numpy():
     # numpy's import is most of a small run's memory and set-up: on the kernel, neither the
-    # engines nor the command line import it, not even inside a score pass
+    # engines nor the command line import it, not even inside a score pass; nor ctypes, which
+    # only the Python twins' reads load
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run([sys.executable, "-c", NUMPY_FREE_RUN], env=env, capture_output=True,
                           text=True, timeout=120)
@@ -90,7 +133,7 @@ def test_a_run_on_the_kernel_never_imports_numpy():
     imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
                 if line.startswith("import time:")]
     assert "poolgp.engine" in imported
-    assert not [name for name in imported if name.split(".")[0] == "numpy"]
+    assert not [name for name in imported if name.split(".")[0] in ("numpy", "ctypes")]
 
 
 @needs_kernel
@@ -112,7 +155,7 @@ def test_a_kernel_others_could_rewrite_is_never_loaded(tmp_path):
     (kernel,) = (cache / "poolgp").iterdir()
     for target, mode in ((kernel, 0o720), (kernel, 0o702), (cache / "poolgp", 0o770)):
         target.chmod(mode)
-        assert evaluator_in_fresh_process(cache) == "numpy", oct(mode)
+        assert evaluator_in_fresh_process(cache) == "python", oct(mode)
         target.chmod(0o700)
     assert evaluator_in_fresh_process(cache) == "c"
 
@@ -161,9 +204,9 @@ def test_the_cache_keeps_only_the_most_recently_used_kernels(tmp_path, monkeypat
 
 def test_without_python_headers_the_build_fails_and_nothing_is_reused(tmp_path, monkeypatch):
     # the hash also covers the include directory: one without Python.h builds
-    # nothing and loads nothing, so the run falls back to numpy
+    # nothing and loads nothing, so the run falls back to Python
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
-    assert (load_kernel(CONSTANTS) is None) == (genome.evaluator() == "numpy")
+    assert (load_kernel(CONSTANTS) is None) == (genome.evaluator() == "python")
     before = sorted((tmp_path / "cache" / "poolgp").iterdir())
     paths = sysconfig.get_paths
     monkeypatch.setattr(sysconfig, "get_paths",
@@ -206,7 +249,8 @@ def error_tables():
 
 
 def numpy_abs_error(pred, targets):
-    """`Problem.fitness`'s numpy tail: the sum of |pred - targets|, inf where not finite."""
+    """numpy's own sum of |pred - targets|, inf where not finite: the oracle of both paths'
+    error sums."""
     with float_errors_ignored():
         err = float(np.add.reduce(abs(pred - targets), None))
     return err if math.isfinite(err) else math.inf
@@ -283,13 +327,13 @@ def test_the_build_flags_keep_numpys_bits():
 
 
 @needs_kernel
-def test_the_kernel_has_five_functions_and_the_fallback_replaces_each(numpy_evaluator,
+def test_the_kernel_has_five_functions_and_the_fallback_replaces_each(python_evaluator,
                                                                       monkeypatch):
-    # a function added to the kernel needs a numpy or Python twin, switched in here
+    # a function added to the kernel needs a Python twin, switched in here
     kernel = load_kernel(CONSTANTS)
     assert {name for name in dir(kernel) if not name.startswith("_")} == {
         "evaluate", "abs_error", "draw", "crossover", "plan"}
-    assert genome._native is None and genome.evaluator() == "numpy"
+    assert genome._native is None and genome.evaluator() == "python"
     for module in (genome, engine, naive):
         assert module.subtree_crossover is genome.python_crossover, module
     # draw_outcome's fallback is pinned in test_engine; the plan's is looked up per build

@@ -30,7 +30,7 @@ def test_command_line_example_prints_its_summary_line(capsys, monkeypatch, tmp_p
     monkeypatch.chdir(tmp_path)  # the example writes its CSV to the working directory
     assert main(argv[2:]) == 0
     want = " ".join(output.replace("\\\n", " ").split())  # continuation lines joined
-    # the example ran on the C kernel; a machine without one reports numpy
+    # the example ran on the C kernel; a machine without one reports python
     want = want.replace("evaluator=c ", f"evaluator={genome.evaluator()} ")
     assert "evaluator=" in want
     assert capsys.readouterr().out.strip() == want

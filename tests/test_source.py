@@ -100,20 +100,14 @@ def test_only_the_config_gate_converts_settings():
     assert found == [] and gate, (found, gate)
 
 
-# where the package may import numpy: the numpy fallbacks and references, the conversions of
-# tables that are not flat lists of numbers, and the numpy views of a Problem's table
-NUMPY_SCOPES = {
-    ("engine.py", "draw_outcome"), ("engine.py", "rank_tournaments"),
-    ("genome.py", "float_errors_ignored"), ("genome.py", "_read_buffer"),
-    ("genome.py", "_interpret"), ("genome.py", "_constants"),
-    ("problems.py", "_doubles"), ("problems.py", "_frozen_array"),
-    ("problems.py", "Problem.fitness"),
-}
+# where the package may import numpy: only to enter its error state where it is already
+# imported, for a user fitness written in numpy
+NUMPY_SCOPES = {("genome.py", "float_errors_ignored")}
 
 
 def test_numpy_is_imported_only_inside_the_scopes_that_use_it():
-    # a run on the C kernel never imports numpy, which would be most of its memory and
-    # set-up: no module imports it at its top, and each function that needs it imports it
+    # no run imports numpy, which would be most of its memory and set-up: no module imports
+    # it at its top, and only the error state's context imports it, where it is imported
     found, seen = [], set()
     for path, tree in parsed_modules():
         for scope, node in scoped(tree):
