@@ -11,10 +11,13 @@
    this module's own that exports them, so loading the module imports no numpy. Every typed
    argument goes through read_buffer, which takes a buffer only where it is aligned,
    C-contiguous and of exactly one format and raises TypeError for anything else, so no
-   function reads a Python container item by item. An exported array.array refuses to
-   resize, so a finalizer that a new object starts cannot shrink what is left to read; it
-   can still write to it, so draw copies its fitness and plan its parents into C memory
-   before either writes an output or builds an object. */
+   function reads a Python container item by item but breed the pool's list of slots. An
+   exported array.array refuses to resize, so a finalizer that a new object starts cannot
+   shrink what is left to read; it can still write to it, so draw copies its fitness and
+   plan and breed their parents into C memory before any of them writes an output or builds
+   an object. breed, which runs a one-breeder generation whose twin is engine.Breeding's
+   steps, holds no buffer of a slot, so it makes no object from its first read of a slot's
+   address to its last write. */
 #include <Python.h>
 #include <stdint.h>
 #if !defined(CONSTANTS_LIST) || !defined(CROSSOVER_ATTEMPTS) || !defined(ON_STACK)
@@ -94,8 +97,8 @@ static int run(const unsigned char *code, Py_ssize_t length, const double *x, Py
 }
 
 /* The row of doubles that evaluate returns: it exports them as one writable, C-contiguous
-   buffer of format "d", which memoryview() and numpy read. The cheapest owner of fresh
-   doubles: no numpy array, and no memoryview built on every call. */
+   buffer of format "d", which memoryview() and numpy read, and has a length and items. The
+   cheapest owner of fresh doubles: no numpy array, and no memoryview built on every call. */
 typedef struct {
     PyObject_VAR_HEAD
     double value[];
@@ -117,13 +120,30 @@ static int doubles_getbuffer(PyObject *self, Py_buffer *view, int flags)
     return 0;
 }
 
+/* len(row) and row[i], as array("d") gives them: Python counts a negative i from the end
+   before it calls doubles_item, and an i still outside the row is an IndexError */
+static Py_ssize_t doubles_length(PyObject *self)
+{
+    return Py_SIZE(self);
+}
+
+static PyObject *doubles_item(PyObject *self, Py_ssize_t i)
+{
+    if (i < 0 || i >= Py_SIZE(self))
+        return PyErr_Format(PyExc_IndexError, "array index out of range");
+    return PyFloat_FromDouble(((Doubles *)self)->value[i]);
+}
+
 static PyBufferProcs doubles_buffer = { doubles_getbuffer, NULL };
+static PySequenceMethods doubles_sequence = { .sq_length = doubles_length,
+                                              .sq_item = doubles_item };
 static PyTypeObject DoublesType = {
     PyVarObject_HEAD_INIT(NULL, 0)
     .tp_name = "poolgp_kernel.doubles",
     .tp_basicsize = sizeof(Doubles),
     .tp_itemsize = sizeof(double),
     .tp_flags = Py_TPFLAGS_DEFAULT,
+    .tp_as_sequence = &doubles_sequence,
     .tp_as_buffer = &doubles_buffer,
 };
 
@@ -191,21 +211,42 @@ static Py_ssize_t pick(uint32_t u, Py_ssize_t n)
     return (Py_ssize_t)(u * ((uint64_t)n >> 32) + ((u * ((uint64_t)n & UINT32_MAX)) >> 32));
 }
 
+/* the child's length from mum's ml cells and dad's dl: attempt i swaps mum's subtree at node
+   pick(w[2i], ml) for dad's at pick(w[2i + 1], dl) if the offspring fits in cap cells; after
+   CROSSOVER_ATTEMPTS the child is a copy of mum. -1 where a walk leaves its parent's length,
+   before anything is written. The copies run in Python's order, as memmove, for a child that
+   is a parent too. */
+static Py_ssize_t cross(const unsigned char *mum, Py_ssize_t ml, const unsigned char *dad,
+                        Py_ssize_t dl, unsigned char *out, Py_ssize_t cap, const uint32_t *w)
+{
+    Py_ssize_t mp, dp, me, de, len;
+    int i;
+    for (i = 0; i < POINTS_PER_CHILD; i += 2) {
+        mp = pick(w[i], ml), dp = pick(w[i + 1], dl);
+        if ((me = walk(mum, mp, ml)) < 0 || (de = walk(dad, dp, dl)) < 0)
+            return -1;
+        if ((len = ml - (me - mp) + (de - dp)) <= cap) {
+            memmove(out, mum, (size_t)mp);
+            memmove(out + mp, dad + dp, (size_t)(de - dp));
+            memmove(out + mp + de - dp, mum + me, (size_t)(ml - me));
+            return len;
+        }
+    }
+    memmove(out, mum, (size_t)ml);
+    return ml;
+}
+
 /* crossover(mum, mum_len, dad, dad_len, child, capacity, points) -> the child's length:
-   genome.python_crossover, to the same bytes and the same exception classes. Attempt i
-   swaps mum's subtree at node pick(points[2i], mum_len) for dad's at pick(points[2i + 1],
-   dad_len) if the offspring fits in capacity cells; after CROSSOVER_ATTEMPTS the child is
-   a copy of mum. TypeError unless read_buffer takes points as "I"; ValueError unless
-   1 <= mum_len <= len(mum), 1 <= dad_len <= len(dad), mum_len <= capacity <= len(child)
-   and points holds POINTS_PER_CHILD words; IndexError where a walk leaves its parent's
-   length. So child is never written past capacity, and the copies run in Python's order,
-   as memmove, for a child that is a parent too. */
+   genome.python_crossover, to the same bytes and the same exception classes, by cross over
+   the points' first POINTS_PER_CHILD words. TypeError unless read_buffer takes points as
+   "I"; ValueError unless 1 <= mum_len <= len(mum), 1 <= dad_len <= len(dad),
+   mum_len <= capacity <= len(child) and points holds POINTS_PER_CHILD words; IndexError
+   where a walk leaves its parent's length. So child is never written past capacity. */
 static PyObject *crossover(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
 {
     Py_buffer m = { 0 }, d = { 0 }, c = { 0 }, p = { 0 };
-    Py_ssize_t ml, dl, cap, mp, dp, me, de, len = -1;
+    Py_ssize_t ml, dl, cap, len = -1;
     uint32_t w[POINTS_PER_CHILD];
-    int i;
     if (nargs != 7)
         return PyErr_Format(PyExc_TypeError, "crossover takes 7 arguments");
     if (((ml = PyNumber_AsSsize_t(args[1], NULL)) != -1 || !PyErr_Occurred())
@@ -215,29 +256,14 @@ static PyObject *crossover(PyObject *Py_UNUSED(self), PyObject *const *args, Py_
         && !PyObject_GetBuffer(args[2], &d, PyBUF_SIMPLE)
         && !PyObject_GetBuffer(args[4], &c, PyBUF_WRITABLE)
         && !read_buffer(args[6], &p, "I", sizeof *w, 0, "crossover")) {
-        const unsigned char *mum = m.buf, *dad = d.buf;
-        unsigned char *out = c.buf;
         if (ml < 1 || ml > m.len || dl < 1 || dl > d.len || cap < ml || cap > c.len
             || p.len < (Py_ssize_t)sizeof w)
             PyErr_SetString(PyExc_ValueError, "crossover: a length, the capacity or the "
                                               "points out of range");
         else {
             memcpy(w, p.buf, sizeof w);
-            for (i = 0; i < POINTS_PER_CHILD; i += 2) {
-                mp = pick(w[i], ml), dp = pick(w[i + 1], dl);
-                if ((me = walk(mum, mp, ml)) < 0 || (de = walk(dad, dp, dl)) < 0) {
-                    PyErr_SetString(PyExc_IndexError, "crossover walked out of a parent");
-                    break;
-                }
-                if ((len = ml - (me - mp) + (de - dp)) <= cap) {
-                    memmove(out, mum, (size_t)mp);
-                    memmove(out + mp, dad + dp, (size_t)(de - dp));
-                    memmove(out + mp + de - dp, mum + me, (size_t)(ml - me));
-                    break;
-                }
-            }
-            if (i == POINTS_PER_CHILD)
-                memmove(out, mum, (size_t)(len = ml));
+            if ((len = cross(m.buf, ml, d.buf, dl, c.buf, cap, w)) < 0)
+                PyErr_SetString(PyExc_IndexError, "crossover walked out of a parent");
         }
     }
     PyBuffer_Release(&m), PyBuffer_Release(&d), PyBuffer_Release(&c), PyBuffer_Release(&p);
@@ -465,6 +491,224 @@ done:
     return result;
 }
 
+/* breed's faults, by status; figures[0] and figures[1] take the numbers that each one's text
+   names (BREED_FAULTS in _kernel.py) */
+enum { RELEASE_OUTSIDE = 1, NOT_IN_USE, NO_FREE_SLOT, NOT_A_CHILD, WALKED_OUT, LENGTH_OUTSIDE,
+       SLOT_OUTSIDE, FREE_FULL };
+enum { FIGURES = 6 };  /* nfree, used, peak, class-1 claims, promotions, childless parents */
+
+/* the pool as breed sees it: BufferPool's slots, flags, free stack (top last) and counts */
+struct pool {
+    unsigned char **slot, *in_use;  /* slot[1..capacity]: each buffer's first byte */
+    int *free, fault[2];
+    Py_ssize_t capacity, size, room, nfree, used, peak;  /* size: every slot's bytes */
+};
+
+/* BufferPool.release: slot back on the free stack, or a fault */
+static int give_back(struct pool *b, int slot)
+{
+    b->fault[0] = slot, b->fault[1] = (int)b->capacity;
+    if (slot < 1 || slot > b->capacity)
+        return RELEASE_OUTSIDE;
+    if (!b->in_use[slot])
+        return NOT_IN_USE;
+    if (b->nfree == b->room)
+        return b->fault[1] = (int)b->room, FREE_FULL;
+    b->in_use[slot] = 0, b->free[b->nfree++] = slot, b->used--;
+    return 0;
+}
+
+/* BufferPool.acquire: the free stack's top into *slot, or a fault */
+static int take(struct pool *b, int *slot)
+{
+    if (!b->nfree)
+        return b->fault[0] = (int)b->capacity, b->fault[1] = (int)b->used, NO_FREE_SLOT;
+    if ((*slot = b->free[--b->nfree]) < 1 || *slot > b->capacity)
+        return b->fault[0] = *slot, b->fault[1] = (int)b->capacity, SLOT_OUTSIDE;
+    b->in_use[*slot] = 1;
+    if (++b->used > b->peak)
+        b->peak = b->used;
+    return 0;
+}
+
+/* member i's buffer and length into *code and *len where the slot is in range and the length
+   fits it, as crossover requires; else a fault */
+static int member(struct pool *b, const int *ids, const int *lens, int i,
+                  const unsigned char **code, Py_ssize_t *len)
+{
+    int slot = ids[i];
+    if (slot < 1 || slot > b->capacity)
+        return b->fault[0] = slot, b->fault[1] = (int)b->capacity, SLOT_OUTSIDE;
+    if ((*len = lens[i]) < 1 || *len > b->size)
+        return LENGTH_OUTSIDE;
+    *code = b->slot[slot];
+    return 0;
+}
+
+/* breed(slots, in_use, free, nfree, slot_ids, lengths, mums, dads, points, new_ids,
+   new_lengths, figures) -> 0, or a fault's status: a whole generation's breeding by one
+   breeder, in the order of engine.Breeding's steps, which are its twin. The pool is
+   slots[1..capacity] (slots[0] is not read), the flags in_use[0..capacity] and the free
+   stack's first nfree slots, so capacity - nfree are used. Member i holds slot slot_ids[i]
+   and lengths[i] cells; child s has parents mums[s] and dads[s] and crosses over from the
+   POINTS_PER_CHILD words of points from POINTS_PER_CHILD * s on.
+   The plan is BreedingPlan's, in C memory: a run per parent of the children it has still to
+   book (in one block), status, chain 1 and the class-2 cursor. The peak starts at used, and
+   childless parents give their buffers back in parent order. Then each step books the
+   finished child: it leaves each parent's run once, a parent left one child promotes that
+   child where it is still class 2 (the booked child, claimed, is not), and a parent left
+   none gives its buffer back. It claims the next child (chain 1's top, else the lowest
+   class-2 child), takes the free stack's top for it and crosses over into the whole slot,
+   into new_ids[s] and new_lengths[s]. figures takes the FIGURES counts; a fault stops it
+   with the two numbers its text names in figures[0] and figures[1].
+   TypeError unless slots is a list of bytearrays after its first item, in_use a writable "B"
+   buffer, free, new_ids, new_lengths and figures writable "i", slot_ids, lengths, mums and
+   dads "i" and points "I"; ValueError, before any write, where the slots differ in size, the
+   counts disagree or free has no room for every slot, and with python_plan's text for a
+   parent out of range. Every slot's address is read once, and from then until the last
+   write nothing makes a Python object, so no finalizer can resize a slot under it; each slot
+   id and length is range-checked where it is used. */
+static PyObject *breed(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
+{
+    enum { IN_USE, FREE, IDS, LENGTHS, MUMS, DADS, POINTS, NEW_IDS, NEW_LENGTHS, FIG, NBUF };
+    static const struct { int arg, writable; const char *format; Py_ssize_t itemsize; } BUF[] = {
+        { 1, 1, "B", 1 }, { 2, 1, "i", sizeof(int) }, { 4, 0, "i", sizeof(int) },
+        { 5, 0, "i", sizeof(int) }, { 6, 0, "i", sizeof(int) }, { 7, 0, "i", sizeof(int) },
+        { 8, 0, "I", sizeof(uint32_t) }, { 9, 1, "i", sizeof(int) }, { 10, 1, "i", sizeof(int) },
+        { 11, 1, "i", sizeof(int) } };
+    Py_buffer v[NBUF] = { { 0 } };
+    struct pool b = { 0 };
+    PyObject *slots = nargs == 12 ? args[0] : NULL;
+    Py_ssize_t n = 0, s, i, k;
+    int *block = NULL, *parent, *kids, *start, *left, *chain1, *ids, *lens, *out_ids, *out_lens;
+    int top = 0, next2 = 0, done = -1, p, slot, status = 0, class1 = 0, promotions = 0;
+    int childless = 0;
+    unsigned char *st;  /* each child's status: 1 (class 1), 2 (class 2+) or 0 (claimed) */
+    if (!slots)
+        return PyErr_Format(PyExc_TypeError, "breed takes 12 arguments");
+    if ((b.nfree = PyNumber_AsSsize_t(args[3], NULL)) == -1 && PyErr_Occurred())
+        return NULL;
+    for (i = 0; i < NBUF; i++)
+        if (read_buffer(args[BUF[i].arg], &v[i], BUF[i].format, BUF[i].itemsize,
+                        BUF[i].writable, "breed"))
+            goto done;
+    if (!PyList_CheckExact(slots)) {  /* read after the buffers: no exporter runs after it */
+        PyErr_SetString(PyExc_TypeError, "breed takes the pool's list of bytearrays");
+        goto done;
+    }
+    b.capacity = PyList_GET_SIZE(slots) - 1;
+    for (i = 1; i <= b.capacity; i++) {
+        PyObject *item = PyList_GET_ITEM(slots, i);
+        if (!PyByteArray_CheckExact(item)) {
+            PyErr_SetString(PyExc_TypeError, "breed takes the pool's list of bytearrays");
+            goto done;
+        }
+        if (i == 1)
+            b.size = PyByteArray_GET_SIZE(item);
+        else if (PyByteArray_GET_SIZE(item) != b.size) {
+            PyErr_SetString(PyExc_ValueError, "breed: the slots differ in size");
+            goto done;
+        }
+    }
+    n = v[IDS].len / (Py_ssize_t)sizeof(int), b.room = v[FREE].len / (Py_ssize_t)sizeof(int);
+    for (i = LENGTHS; i <= NEW_LENGTHS; i++)
+        if (i != POINTS && v[i].len != v[IDS].len)
+            break;
+    if (b.capacity < 0 || b.capacity >= INT_MAX || n > INT_MAX / 2 || i <= NEW_LENGTHS
+        || v[POINTS].len != (Py_ssize_t)sizeof(uint32_t) * POINTS_PER_CHILD * n
+        || v[IN_USE].len != b.capacity + 1 || b.room < b.capacity || b.nfree < 0
+        || b.nfree > b.capacity || v[FIG].len != (Py_ssize_t)sizeof(int) * FIGURES) {
+        PyErr_SetString(PyExc_ValueError, "breed: the slots, flags, free stack, members, "
+                                          "parents, points and outputs disagree");
+        goto done;
+    }
+    /* parent[2s], parent[2s + 1]: child s's mum and dad, copied and checked; then kids, a run
+       per parent from start[p] whose first left[p] entries are still to book; chain 1 */
+    if ((size_t)n > PY_SSIZE_T_MAX / (7 * sizeof(int) + 1)
+        || !(block = PyMem_Malloc((size_t)n * (7 * sizeof(int) + 1) + 1))
+        || !(b.slot = PyMem_New(unsigned char *, b.capacity + 1))) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    parent = block, kids = parent + 2 * n, start = kids + 2 * n, left = start + n;
+    chain1 = left + n, st = (unsigned char *)(chain1 + n);
+    memset(left, 0, sizeof(int) * (size_t)n);
+    for (i = 0; i < 2 * n; i++) {
+        if ((p = parent[i] = ((const int *)v[i & 1 ? DADS : MUMS].buf)[i >> 1]) < 0 || p >= n) {
+            PyErr_Format(PyExc_ValueError, "parent index out of range for child %zd", i >> 1);
+            goto done;
+        }
+        left[p]++;
+    }
+    for (k = 0, p = 0; p < n; p++)
+        start[p] = (int)k, k += left[p], left[p] = 0;
+    for (i = 0; i < 2 * n; i++)
+        kids[start[parent[i]] + left[parent[i]]++] = (int)(i >> 1);
+    for (s = n - 1; s >= 0; s--)
+        if ((st[s] = left[parent[2 * s]] == 1 || left[parent[2 * s + 1]] == 1 ? 1 : 2) == 1)
+            chain1[top++] = (int)s;  /* the lowest on top */
+    for (i = 1; i <= b.capacity; i++)
+        b.slot[i] = (unsigned char *)PyByteArray_AS_STRING(PyList_GET_ITEM(slots, i));
+    b.in_use = v[IN_USE].buf, b.free = v[FREE].buf, b.used = b.peak = b.capacity - b.nfree;
+    ids = v[IDS].buf, lens = v[LENGTHS].buf, out_ids = v[NEW_IDS].buf;
+    out_lens = v[NEW_LENGTHS].buf;
+    for (p = 0; p < n && !status; p++)
+        if (!left[p] && !(status = give_back(&b, ids[p])))
+            childless++;
+    while (!status) {
+        for (i = 2 * done; done >= 0 && i < 2 * done + 2 && !status; i++) {  /* book done */
+            int *run = kids + start[p = parent[i]], last = left[p] - 1;
+            for (k = 0; k <= last && run[k] != done; k++)
+                ;
+            if (k > last) {
+                b.fault[0] = done, b.fault[1] = p, status = NOT_A_CHILD;
+                break;
+            }
+            run[k] = run[last];  /* no order is read: a run of one is its sole survivor */
+            if ((left[p] = last) == 1 && st[run[0]] == 2)  /* the booked child is claimed: 0 */
+                st[run[0]] = 1, chain1[top++] = run[0], promotions++;
+            else if (!last)
+                status = give_back(&b, ids[p]);
+        }
+        if (status)
+            break;
+        if (top)  /* claim the next child */
+            s = chain1[--top], class1++;
+        else {
+            while (next2 < n && st[next2] != 2)
+                next2++;
+            if (next2 == n)
+                break;
+            s = next2++;
+        }
+        st[s] = 0;
+        if (!(status = take(&b, &slot))) {
+            const unsigned char *mum, *dad;
+            Py_ssize_t ml, dl, len;
+            out_ids[s] = slot;
+            if (!(status = member(&b, ids, lens, parent[2 * s], &mum, &ml))
+                && !(status = member(&b, ids, lens, parent[2 * s + 1], &dad, &dl))) {
+                len = cross(mum, ml, dad, dl, b.slot[slot], b.size,
+                            (const uint32_t *)v[POINTS].buf + POINTS_PER_CHILD * s);
+                status = len < 0 ? WALKED_OUT : 0;
+                out_lens[s] = (int)len, done = (int)s;
+            }
+        }
+    }
+    if (status)
+        memcpy(v[FIG].buf, b.fault, sizeof b.fault);
+    else {
+        int figures[FIGURES] = { (int)b.nfree, (int)b.used, (int)b.peak, class1, promotions,
+                                 childless };
+        memcpy(v[FIG].buf, figures, sizeof figures);
+    }
+done:
+    PyMem_Free(block), PyMem_Free(b.slot);
+    for (i = 0; i < NBUF; i++)
+        PyBuffer_Release(&v[i]);
+    return PyErr_Occurred() ? NULL : PyLong_FromLong(status);
+}
+
 /* numpy's pairwise sum of |p - t| (loops_utils.h): 8 accumulators up to 128, halves above */
 static double pairwise(const double *p, const double *t, Py_ssize_t n)
 {
@@ -507,6 +751,7 @@ static PyMethodDef methods[] = {
     { "draw", (PyCFunction)(void (*)(void))draw, METH_FASTCALL, NULL },
     { "crossover", (PyCFunction)(void (*)(void))crossover, METH_FASTCALL, NULL },
     { "plan", (PyCFunction)(void (*)(void))plan, METH_FASTCALL, NULL },
+    { "breed", (PyCFunction)(void (*)(void))breed, METH_FASTCALL, NULL },
     { NULL },
 };
 /* the type of evaluate's rows, made ready once per process: a second load finds it ready */

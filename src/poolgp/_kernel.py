@@ -1,20 +1,24 @@
 """The per-node loops in C, built once per machine as an extension module.
 
-Five functions, in _kernel.c: the genome interpreter (`evaluate`, which
-returns a new row of doubles, a buffer of format "d"), the error sum
-(`abs_error`), a generation's draws from the master's Mersenne Twister
-stream (`draw`: every tournament, into the mums and dads arrays, then every
-crossover point), subtree crossover (`crossover`, which walks arities
-itself) and the breeding plan's tables (`plan`). Every typed argument is an
-aligned, C-contiguous buffer of one format: doubles "d", parents "i" and
-point words "I"; anything else raises TypeError, as it does on the Python
-path of `evaluate`, `draw` and `crossover`. Where `load` finds no kernel,
-each has a twin in plain Python, whose floats are the same doubles:
-`genome.evaluate` runs `genome._interpret`, `Problem.fitness` sums with
-`problems.python_abs_error`, `engine.draw_outcome` with `genome.python_draw`,
-`genome.subtree_crossover` is `genome.python_crossover`, and `BreedingPlan`
-builds with `breeding_plan.python_plan`. Each twin is also the reference that
-the kernel matches to the bit; tests/kernel_fuzz.py checks each pair.
+Six functions, in _kernel.c: the genome interpreter (`evaluate`, which
+returns a new row of doubles, a buffer of format "d" with a length and
+indexing), the error sum (`abs_error`), a generation's draws from the master's
+Mersenne Twister stream (`draw`: every tournament, into the mums and dads
+arrays, then every crossover point), subtree crossover (`crossover`, which
+walks arities itself), the breeding plan's tables (`plan`) and a whole
+generation's breeding by one breeder (`breed`: the plan, the pool's free stack
+and every crossover in C memory, writing the children's slots and lengths).
+Every typed argument is an aligned, C-contiguous buffer of one format: doubles
+"d", parents, slots and lengths "i", in-use flags "B" and point words "I";
+anything else raises TypeError, as it does on the Python path of `evaluate`,
+`draw` and `crossover`. Where `load` finds no kernel, each has a twin in plain
+Python, whose floats are the same doubles: `genome.evaluate` runs
+`genome._interpret`, `Problem.fitness` sums with `problems.python_abs_error`,
+`engine.draw_outcome` with `genome.python_draw`, `genome.subtree_crossover`
+is `genome.python_crossover`, `BreedingPlan` builds with
+`breeding_plan.python_plan`, and `breed`'s twin is `engine.Breeding`'s steps,
+which threaded runs take too. Each twin is also the reference that the kernel
+matches to the bit; tests/kernel_fuzz.py checks each pair.
 
 The file is compiled against Python's headers alone (`command`): it reads its
 buffers and returns doubles through the buffer protocol, so neither its build
@@ -33,11 +37,26 @@ import stat
 import sysconfig
 from pathlib import Path
 
+from .errors import InvariantError
+
 SOURCE = Path(__file__).with_name("_kernel.c")  # shipped as package data
 FLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off")  # no fused a*b + c: numpy's bits
 ERRORS = {1: "opcode out of range", 2: "a function node without two operands",
           3: "incomplete prefix encoding", 4: "no memory for the work area",
           5: "length outside the code buffer"}  # by status
+# by breed's status: the class and text that the Python steps raise at the same fault, filled
+# from the two numbers breed writes first into its figures
+BREED_FAULTS = {
+    1: (InvariantError, "release of slot {0} outside 1..{1}"),
+    2: (InvariantError, "release of slot {0}, which is not in use"),
+    3: (InvariantError, "ran out of genome buffers (capacity {0}, used {1}): breeding schedule "
+                        "invariant broken"),
+    4: (InvariantError, "child {0} not in children list of parent {1}"),
+    5: (IndexError, "crossover walked out of a parent"),
+    6: (ValueError, "crossover: a length, the capacity or the points out of range"),
+    7: (InvariantError, "slot {0} outside 1..{1}"),
+    8: (InvariantError, "release of slot {0} onto a full free stack of {1}"),
+}
 ON_STACK = 2048  # 8-byte cells of work area that run() keeps on the C stack: 16 KiB
 KEPT = 4  # kernel files a cache keeps: two checkouts that alternate both stay built
 

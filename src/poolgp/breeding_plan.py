@@ -71,6 +71,8 @@ class BreedingPlan:
         self.children, self.status, self.chain1 = build(mums, dads)
         self.mums, self.dads = mums, dads
         self.next2 = 0  # no class-2 child below this index
+        # chain 1 hands out these and each promotion: the class-1 claims of a whole generation
+        self.initial_class1, self.promotions = len(self.chain1), 0
 
     @property
     def chainhd1(self) -> int:
@@ -130,3 +132,4 @@ class BreedingPlan:
             return
         self.status[s] = 1
         self.chain1.append(s)
+        self.promotions += 1

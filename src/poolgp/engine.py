@@ -20,8 +20,15 @@ The pass enters `float_errors_ignored` once, which enters numpy's
 float-error state where numpy is imported, for a user fitness written in
 numpy; neither `evaluate` nor `Problem.fitness` sets one per genome.
 
-One `Breeding` holds a generation's breeding and does its set-up. Shared
-state (pool, plan) changes only inside one lock, taken once per claim by
+A generation with one breeder (nthreads 0 or 1) breeds in one call of the
+kernel's `breed` where the kernel loaded: the plan, the pool's free stack and
+every crossover in C memory, in the order of `Breeding`'s steps, which are its
+twin. The engine hands it the members' slots and lengths as two array("i")s
+and fills the children's handles and the pool from what it writes.
+
+Threaded runs, and runs with no kernel, step `Breeding`. One `Breeding`
+holds a generation's breeding and does its set-up. Shared state (pool,
+plan) changes only inside one lock, taken once per claim by
 `Breeding.next_child`, which books the worker's finished child and claims
 the next: M + workers holds a generation. `Breeding.breed` crosses over
 outside it; the schedule tests step these same two methods. Every breeder
@@ -30,7 +37,9 @@ N - 1 helper threads beside it, so nthreads 0 and 1 start none. A breeder
 that raises cancels the plan, so the others stop at their next claim, and
 the master joins the helpers and re-raises the first error; an exception
 on the master outside its breeder loop, such as an interrupt while it
-joins, also cancels the plan and joins every helper before it escapes. All
+joins, also cancels the plan and joins every helper before it escapes.
+Either path counts, per generation, the claims by class, the promotions and
+the childless and early releases into the stats row. All
 randomness comes from one master stream seeded by the run seed: it grows
 generation 0, then draws each generation's tournaments and crossover
 points in bulk before breeding starts. Each child reads only its own
@@ -55,7 +64,7 @@ import time
 from array import array
 from dataclasses import dataclass
 
-from . import genome, metrics
+from . import _kernel, genome, metrics
 from .breeding_plan import BreedingPlan
 from .errors import InvariantError
 from .expr_pool import NO_SLOT, BufferPool, pool_capacity
@@ -199,9 +208,18 @@ class Breeding:
         self.plan = plan = BreedingPlan(mums, dads)
         pool.reset_peak()
         # infertile parents give their buffers back before any worker starts
+        childless = 0
         for ind, kids in zip(pop, plan.children):
             if not kids:
                 pool.release(ind)
+                childless += 1
+        self.childless = childless
+
+    def counts(self) -> dict:
+        """The protocol fields of the generation's stats row, once every child is booked."""
+        plan = self.plan
+        return metrics.protocol_counts(len(self.pop), plan.initial_class1 + plan.promotions,
+                                       plan.promotions, self.childless)
 
     def next_child(self, done: int | None) -> int | None:
         """The lock section: book the finished child `done`, then claim the next.
@@ -235,6 +253,37 @@ class Breeding:
             slots[mum.slot_id], mum.tree_len, slots[dad.slot_id], dad.tree_len,
             out := slots[child.slot_id], len(out), child_stream(self.draws, s),
         )
+
+
+def breed_in_one_call(breed, pool: BufferPool, pop: list[Individual], new_pop: list[Individual],
+                      mums: array, dads: array, draws: array) -> dict:
+    """A generation's breeding in one call of `breed`, the kernel's, which runs `Breeding`'s
+    steps at one breeder; returns the stats row's protocol fields.
+
+    The members' handles go in as slot and length arrays, and the pool's free
+    stack as an array with room for every slot. The kernel leaves the in-use
+    flags as the steps would; the free stack, `used`, the peaks and the
+    handles are set here from what it wrote, as the steps leave them. A
+    protocol fault raises the class and text that the steps raise.
+    """
+    m = len(pop)
+    ids = array("i", map(operator.attrgetter("slot_id"), pop))
+    lens = array("i", map(operator.attrgetter("tree_len"), pop))
+    free = array("i", pool.free) + array("i", [0]) * (pool.capacity - len(pool.free))
+    new_ids, new_lens, figures = array("i", [0]) * m, array("i", [0]) * m, array("i", [0]) * 6
+    status = breed(pool.slots, pool.in_use, free, len(pool.free), ids, lens, mums, dads, draws,
+                   new_ids, new_lens, figures)
+    if status:
+        error, text = _kernel.BREED_FAULTS[status]
+        raise error(text.format(*figures))
+    nfree, pool.used, pool.peak, class1, promotions, childless = figures
+    pool.free[:] = free[:nfree]
+    pool.max_used = max(pool.max_used, pool.peak)
+    for ind in pop:
+        ind.slot_id = NO_SLOT
+    for ind, slot, length in zip(new_pop, new_ids, new_lens):
+        ind.slot_id, ind.tree_len = slot, length
+    return metrics.protocol_counts(m, class1, promotions, childless)
 
 
 class PooledEngine:
@@ -283,6 +332,22 @@ class PooledEngine:
         cfg = self.config
         mums, dads, draws = draw_outcome(self.master_rng, self.fitness_history[-1],
                                          cfg.tournament_size)
+        if self.pool.workers == 1 and genome._native is not None:
+            start = time.perf_counter()
+            counts = breed_in_one_call(genome._native.breed, self.pool, self.pop, self.spare,
+                                       mums, dads, draws)
+            busy = [time.perf_counter() - start]
+        else:
+            counts, busy = self._breed_in_steps(mums, dads, draws)
+        if self.pool.used != cfg.popsize:
+            raise InvariantError("old population not fully released")
+        self.spare, self.pop = self.pop, self.spare  # every parent gave its buffer back
+        self._score(g, t0, busy, counts)
+
+    def _breed_in_steps(self, mums: array, dads: array, draws: array) -> tuple[dict, list]:
+        """The generation's breeding by stepping `Breeding` on every breeder: the master and
+        its helper threads. Returns the stats row's protocol fields and each breeder's busy
+        span."""
         breeding = Breeding(self.pool, self.pop, self.spare, mums, dads, draws)
         busy = [0.0] * self.pool.workers
         errors: list[BaseException] = []
@@ -321,16 +386,14 @@ class PooledEngine:
             raise
         if errors:
             raise errors[0]
-        if self.pool.used != cfg.popsize:
-            raise InvariantError("old population not fully released")
-        self.spare, self.pop = self.pop, breeding.new_pop  # every parent gave its buffer back
-        self._score(g, t0, busy)
+        return breeding.counts(), busy
 
-    def _score(self, g: int, t0: float, busy: list[float] | None = None) -> None:
+    def _score(self, g: int, t0: float, busy: list[float] | None = None,
+               counts: dict | None = None) -> None:
         """Score every member in member order, then append generation g's rows.
 
         The row times the span from t0; `busy=None` (generation 0) counts that
-        whole span as the master's work.
+        whole span as the master's work. `counts` are the breeding's protocol fields.
         """
         slots, fitness = self.pool.slots, self.problem.fitness
         with float_errors_ignored():  # one error state for the whole pass
@@ -348,6 +411,7 @@ class PooledEngine:
             total_opcodes=self.problem.opcodes_per_eval(sum(lens)),
             wall_time=wall,
             busy_times=[wall] if busy is None else busy,
+            counts=counts,
         ))
 
 

@@ -24,6 +24,13 @@ class GenerationStats:
     generation_wall_time: float
     worker_busy_times: list[float]
     idle_fraction: float
+    # what the breeding protocol did (see `protocol_counts`); the naive engine, which has no
+    # pool, and generation 0, which breeds nothing, leave them at 0
+    claims_class1: int = 0
+    claims_class2: int = 0
+    promotions: int = 0
+    releases_childless: int = 0
+    releases_early: int = 0
 
 
 FIELDS = [f.name for f in dataclasses.fields(GenerationStats)]
@@ -53,6 +60,17 @@ def effective_cores(nworkers: int, idle: float) -> float:
     return nworkers * (1.0 - idle)
 
 
+def protocol_counts(children: int, class1: int, promotions: int, childless: int) -> dict:
+    """A bred generation's protocol fields of its row, from the three counts that decide them.
+
+    Every child is claimed once, from chain 1 (class 1) or by the class-2
+    cursor, and every parent gives its buffer back once, at set-up when it
+    has no child (childless) or when its last child is booked (early).
+    """
+    return dict(claims_class1=class1, claims_class2=children - class1, promotions=promotions,
+                releases_childless=childless, releases_early=children - childless)
+
+
 def record_generation(
     generation: int,
     tree_sizes: list[int],
@@ -62,8 +80,10 @@ def record_generation(
     total_opcodes: int,
     wall_time: float,
     busy_times: list[float],
+    counts: dict | None = None,
 ) -> GenerationStats:
-    """Assemble one fully populated stats row from an engine snapshot."""
+    """Assemble one fully populated stats row from an engine snapshot; `counts`, from
+    `protocol_counts`, fills the protocol fields of a pooled breeding."""
     if not tree_sizes or not fitnesses:
         raise InvariantError("a generation row needs a non-empty population")
     return GenerationStats(
@@ -79,6 +99,7 @@ def record_generation(
         generation_wall_time=wall_time,
         worker_busy_times=list(busy_times),
         idle_fraction=idle_fraction(busy_times),
+        **(counts or {}),
     )
 
 

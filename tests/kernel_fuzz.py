@@ -1,6 +1,6 @@
 """A seeded differential fuzz of the C kernel against the Python code it stands in for.
 
-`check_all(kernel, seed)` drives a loaded kernel module's five functions:
+`check_all(kernel, seed)` drives a loaded kernel module's six functions:
 
 * `evaluate` against `genome._interpret`, its plain-Python twin, on random
   byte genomes (every opcode, and some past the last terminal) over 0-6 cases
@@ -21,13 +21,20 @@
   self-crossover and every child on one parent;
 * `crossover` against `genome.python_crossover`: the same length or
   exception class, the same child bytes, and a child never resized;
+* `breed`, through `engine.breed_in_one_call`, against `engine.Breeding`'s
+  steps at one breeder (`python_breed`) on two copies of one generation of
+  0-40 members: the same counts, free stack, flags, peaks, slot bytes and
+  handles, or the same fault. One generation in four is spoiled: a member's
+  slot out of use, shared, 0 or one past the pool, or a length past its slot;
 * and the refusals of malformed arguments (every typed argument of
-  `evaluate`, `abs_error`, `draw`, `plan` and `crossover` is an aligned,
-  C-contiguous buffer of one format, on the kernel and, for `evaluate`,
-  `draw` and `crossover`, on the Python path alike, and no view is read past
-  its end), and `plan` and `draw` through a collection that starts inside
-  them, whose finalizer tries to resize their arrays and overwrites their
-  inputs.
+  `evaluate`, `abs_error`, `draw`, `plan`, `crossover` and `breed` is an
+  aligned, C-contiguous buffer of one format, on the kernel and, for
+  `evaluate`, `draw` and `crossover`, on the Python path alike, and no view
+  is read past its end; `breed` also refuses slots that are no list of
+  bytearrays, counts that disagree and a short free stack before it writes),
+  `plan` and `draw` through a collection that starts inside them, whose
+  finalizer tries to resize their arrays and overwrites their inputs, and
+  `breed` through one that must not start inside it.
 
 tests/test_kernel.py runs it over the cached kernel, and in a subprocess over
 a kernel built with AddressSanitizer and UBSan, as
@@ -40,6 +47,7 @@ which loads the module in KERNEL.so and exits 0 only when every check held.
 from __future__ import annotations
 
 import gc
+import itertools
 import math
 import random
 from array import array
@@ -48,9 +56,11 @@ import sys
 
 import numpy as np
 
-from poolgp import _kernel, genome
+from poolgp import _kernel, engine, genome, metrics
 from poolgp.breeding_plan import python_plan
+from poolgp.engine import Individual
 from poolgp.errors import InvariantError
+from poolgp.expr_pool import BufferPool
 from poolgp.problems import python_abs_error
 from poolgp.genome import (
     ADD,
@@ -200,22 +210,23 @@ def fuzz_draw(kernel, rng, count: int) -> None:
         assert bytes(fitness) == before
 
 
-def random_parents(rng) -> tuple:
-    """(mums, dads), two array("i")s of 0-40 children: random pairs, every child on one
-    parent, every child a self-crossover, or a mix; now and then read-only views. One time
-    in eight the lengths differ or a parent is out of range."""
-    m, kind = rng.randint(0, 40), rng.randrange(4)
+def random_parents(rng, m: int | None = None) -> tuple:
+    """(mums, dads), two array("i")s of m children, or of 0-40: random pairs, every child on
+    one parent, every child a self-crossover, or a mix; now and then read-only views. One
+    time in eight a parent is out of range or, where m is not given, the lengths differ."""
+    fixed = m is not None
+    m, kind = m if fixed else rng.randint(0, 40), rng.randrange(4)
     mums = [rng.randrange(m) for _ in range(m)] if kind != 1 else [m - 1] * m
     dads = (list(mums) if kind == 2 else [m - 1] * m if kind == 1
             else [p if rng.random() < 0.3 else rng.randrange(m) for p in mums] if kind == 3
             else [rng.randrange(m) for _ in range(m)])
     if rng.random() < 1 / 8:
         bad = rng.choice((mums, dads))
-        if m and rng.random() < 0.7:
+        if m and (rng.random() < 0.7 or fixed):
             bad[rng.randrange(m)] = rng.choice((m, -1, m + 5, -m - 1, 2 ** 31 - 1, -2 ** 31))
-        elif bad and rng.random() < 0.5:
+        elif not fixed and bad and rng.random() < 0.5:
             bad.pop()
-        else:
+        elif not fixed:
             bad.append(0)
     mums, dads = array("i", mums), array("i", dads)
     if rng.random() < 0.2:
@@ -306,6 +317,216 @@ def fuzz_crossover(kernel, rng, count: int) -> None:
                                                         genome.python_crossover), runs))
         assert got == want, (mum.hex(), mum_len, dad.hex(), dad_len, size, capacity,
                              points.tolist(), got, want)
+
+
+def random_generation(rng) -> tuple:
+    """(pool, pop, mums, dads, points): a pool of 0-40 members, each on a slot that a shuffled
+    free stack handed out, of trees grown into 7, 31 or 127 cells, with headroom for 1, 2 or
+    4 breeders; the generation's parents from `random_parents`, and its point words: random,
+    all 0, all 2**32 - 1 or a mix of the two."""
+    m, cells = rng.randint(0, 40), rng.choice((7, 31, 127))
+    pool = BufferPool(m, rng.choice((0, 2, 4)), cells)
+    rng.shuffle(pool.free)
+    pop = [Individual() for _ in range(m)]
+    for ind in pop:
+        ind.tree_len = random_tree(rng, rng.randint(1, (cells + 1).bit_length() - 1),
+                                   pool.slots[pool.acquire(ind)])
+    kind, ends = rng.randrange(4), (0, 2 ** 32 - 1)
+    points = array("I", (rng.getrandbits(32) if kind == 0 else ends[kind - 1] if kind < 3
+                         else rng.choice(ends) for _ in range(POINTS_PER_CHILD * m)))
+    return (pool, pop, *random_parents(rng, m), points)
+
+
+def spoil(rng, pool, pop) -> bool:
+    """Break one thing of a generation's pool or handles, one time in four: a member's slot
+    taken out of use or shared with another member, or a member's length past its slot or
+    below 1, which the steps and breed meet alike (True); or a member's slot 0 or one past
+    the pool, where the steps raise other exceptions than breed (False)."""
+    if not pop or rng.random() < 0.75:
+        return True
+    ind, kind = rng.choice(pop), rng.randrange(5)
+    if kind == 0:
+        pool.in_use[ind.slot_id] = 0
+    elif kind == 1:
+        ind.slot_id = rng.choice(pop).slot_id
+    elif kind == 2:
+        ind.tree_len = rng.choice((0, -1, len(pool.slots[1]) + 1))
+    else:
+        ind.slot_id = rng.choice((0, pool.capacity + 1))
+    return kind < 3
+
+
+def python_breed(pool, pop, new_pop, mums, dads, points) -> dict:
+    """breed's twin: engine.Breeding's steps at one breeder, with Python's plan and crossover."""
+    native, crossover = genome._native, engine.subtree_crossover
+    genome._native, engine.subtree_crossover = None, genome.python_crossover
+    try:
+        breeding = engine.Breeding(pool, pop, new_pop, mums, dads, points)
+        s = breeding.next_child(None)
+        while s is not None:
+            breeding.breed(s)
+            s = breeding.next_child(s)
+        return breeding.counts()
+    finally:
+        genome._native, engine.subtree_crossover = native, crossover
+
+
+def breed_outcome(breed, pool, pop, mums, dads, points):
+    """What a generation's breeding left: the counts, the pool's free stack, flags, figures
+    and bytes, and every handle; or the class and text of what it raised."""
+    new_pop = [Individual() for _ in pop]
+    try:
+        counts = breed(pool, pop, new_pop, mums, dads, points)
+    except (InvariantError, ValueError, IndexError, TypeError) as fault:
+        return type(fault).__name__, str(fault)
+    return (counts, pool.free, bytes(pool.in_use), pool.used, pool.peak, pool.max_used,
+            [bytes(buf) for buf in pool.slots[1:]],
+            [(ind.slot_id, ind.tree_len) for ind in pop + new_pop])
+
+
+def fuzz_breed(kernel, rng, count: int) -> None:
+    """`breed`, through `engine.breed_in_one_call`, against `python_breed` on two copies of
+    one generation: the same counts, pool and handles, or the same fault's class and text
+    (only the class for an IndexError: a walk that leaves the whole buffer raises the
+    memoryview's own text in Python); at a member's slot outside the pool, where the steps
+    may raise TypeError or IndexError, breed raises InvariantError."""
+    def in_one_call(*args):
+        return engine.breed_in_one_call(kernel.breed, *args)
+
+    for _ in range(count):
+        seed = rng.getrandbits(32)
+        outcomes, alike = [], True
+        for breed in (in_one_call, python_breed):
+            made = random.Random(seed)
+            pool, pop, mums, dads, points = random_generation(made)
+            alike = spoil(made, pool, pop)
+            outcomes.append(breed_outcome(breed, pool, pop, mums, dads, points))
+        got, want = outcomes
+        if want[0] == "IndexError":  # the walk left the buffer too, where Python's text is
+            got, want = got[:1], want[:1]  # the memoryview's
+        assert got == want or not alike and got[0] == "InvariantError" and want[0] in (
+            "TypeError", "IndexError", "InvariantError"), (seed, got, want)
+
+
+def breed_arguments(pool, pop, mums, dads, points) -> list:
+    """`breed`'s twelve arguments for one generation, as `engine.breed_in_one_call` makes them."""
+    m = len(pop)
+    return [pool.slots, pool.in_use,
+            array("i", pool.free) + array("i", [0]) * (pool.capacity - len(pool.free)),
+            len(pool.free), array("i", [ind.slot_id for ind in pop]),
+            array("i", [ind.tree_len for ind in pop]), mums, dads, points,
+            array("i", [0]) * m, array("i", [0]) * m, array("i", [0]) * 6]
+
+
+def sound_generation(least: int) -> tuple:
+    """The first `random_generation`, by seed from 0, of `least` members or more whose parents
+    are in range, as two copies: (seed, its breeding by the steps, the generation)."""
+    for seed in itertools.count():
+        made = random_generation(random.Random(seed))
+        if len(made[1]) >= least:
+            want = breed_outcome(python_breed, *random_generation(random.Random(seed)))
+            if isinstance(want[0], dict):
+                return want, made
+
+
+def check_breed_refusals(kernel) -> None:
+    """`breed` refuses, before it writes anything: an argument of another format or kind, a
+    read-only output, slots that are no list of bytearrays, slots of two sizes, counts that
+    disagree, a free stack with no room for every slot, and parents out of range."""
+    _, (pool, pop, mums, dads, points) = sound_generation(4)
+    good = breed_arguments(pool, pop, mums, dads, points)
+    m, capacity = len(pop), pool.capacity
+
+    def state():
+        return ([bytes(buf) for buf in pool.slots[1:]], bytes(pool.in_use),
+                [bytes(a) for a in good if isinstance(a, array)])
+
+    before = state()
+    wrong = [good[:11], good + [good[-1]], good[:3] + [1.0] + good[4:],
+             [tuple(pool.slots)] + good[1:],
+             [pool.slots[:2] + [bytes(pool.slots[2])] + pool.slots[3:]] + good[1:],
+             [pool.slots[:2] + [memoryview(pool.slots[2])] + pool.slots[3:]] + good[1:]]
+    counts = {1: ("B", capacity + 1), 2: ("i", capacity), 4: ("i", m), 5: ("i", m), 6: ("i", m),
+              7: ("i", m), 8: ("I", POINTS_PER_CHILD * m), 9: ("i", m), 10: ("i", m), 11: ("i", 6)}
+    for i, (fmt, n) in counts.items():
+        for other in wrong_buffers(fmt, n, i in (1, 2, 9, 10, 11)):
+            if fmt == "B" and isinstance(other, memoryview) and other.format == "B" and (
+                    not other.readonly and other.c_contiguous):
+                continue  # the unaligned view: a byte is never misaligned
+            wrong.append(good[:i] + [other] + good[i + 1:])
+    for args in wrong:
+        try:
+            kernel.breed(*args)
+        except TypeError:
+            continue
+        raise AssertionError(f"breed took {[type(a).__name__ for a in args]}")
+    odd = [bytearray(buf) for buf in pool.slots[1:]]
+    odd[-1].append(0)
+    disagree = [[[None, *odd]] + good[1:], good[:3] + [capacity + 1] + good[4:],
+                good[:3] + [-1] + good[4:]]
+    for i, (fmt, n) in counts.items():  # a free stack may be longer than the pool, not shorter
+        for other in (n - 1,) if i == 2 else (n - 1, n + 1):
+            disagree.append(good[:i] + [array(fmt, [0]) * other] + good[i + 1:])
+    for args in disagree:
+        try:
+            kernel.breed(*args)
+        except ValueError:
+            continue
+        raise AssertionError(f"breed took {[len(a) if hasattr(a, '__len__') else a for a in args]}")
+    for child, bad in ((0, -1), (m - 1, m), (1, 2 ** 31 - 1)):
+        parents = array("i", mums)
+        parents[child] = bad
+        try:
+            kernel.breed(*good[:6], parents, *good[7:])
+        except ValueError as refused:
+            assert str(refused) == f"parent index out of range for child {child}", refused
+            continue
+        raise AssertionError(f"breed took parent {bad} for child {child}")
+    assert state() == before, "breed wrote before it refused"
+
+
+class Emptying:
+    """Garbage in a reference cycle, whose finalizer logs that it ran, empties each of its
+    bytearrays and overwrites each item of its parent arrays with a parent out of range."""
+
+    def __init__(self, ran: list, buffers, parents):
+        self.ran, self.buffers, self.parents, self.cycle = ran, buffers, parents, self
+
+    def __del__(self):
+        self.ran.append(True)
+        for buf in self.buffers:
+            del buf[:]
+        for values in self.parents:
+            for i in range(len(values)):
+                values[i] = len(values)
+
+
+def check_breed_makes_no_object(kernel) -> None:
+    """From its read of the slots to its last write, `breed` makes no Python object, so no
+    collection starts inside it: garbage whose finalizer empties every slot and overwrites
+    the parents is still uncollected when it returns, and it wrote the steps' generation."""
+    want, (pool, pop, mums, dads, points) = sound_generation(20)
+    mums, dads = array("i", mums), array("i", dads)
+    slots, in_use, free, nfree, ids, lens, _, _, _, new_ids, new_lens, figures = breed_arguments(
+        pool, pop, mums, dads, points)
+    ran, threshold, enabled = [], gc.get_threshold(), gc.isenabled()
+    try:
+        gc.set_threshold(1)  # each new container starts a collection
+        gc.disable()  # so the probe is garbage in the youngest generation (see check_refusals)
+        Emptying(ran, slots[1:], (mums, dads))
+        gc.enable()
+        status = kernel.breed(slots, in_use, free, nfree, ids, lens, mums, dads, points,
+                              new_ids, new_lens, figures)
+        inside = len(ran)
+    finally:
+        gc.set_threshold(*threshold)
+        (gc.enable if enabled else gc.disable)()
+    gc.collect()
+    assert (inside, ran) == (0, [True]), "a finalizer ran inside breed"
+    counts, free_after, _, used, peak = want[:5]
+    assert status == 0 and figures[:3].tolist() == [len(free_after), used, peak], figures
+    assert counts == metrics.protocol_counts(len(pop), *figures[3:]), figures
+    assert list(zip(new_ids, new_lens)) == want[-1][len(pop):], "breed bred another generation"
 
 
 class Resizing:
@@ -505,7 +726,10 @@ def check_all(kernel, seed: int = 26) -> None:
     fuzz_draw(kernel, rng, 3000)
     fuzz_plan(kernel, rng, 3000)
     fuzz_crossover(kernel, rng, 8000)
+    fuzz_breed(kernel, rng, 1500)
     check_refusals(kernel)
+    check_breed_refusals(kernel)
+    check_breed_makes_no_object(kernel)
 
 
 if __name__ == "__main__":

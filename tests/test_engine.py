@@ -31,6 +31,7 @@ from poolgp.engine import (
     initial_depth,
     run_evolution,
 )
+from poolgp.errors import InvariantError
 from poolgp.expr_pool import NO_SLOT, BufferPool
 from poolgp.genome import POINTS_PER_CHILD
 from poolgp.naive import run_evolution_naive
@@ -416,7 +417,8 @@ def test_self_permutation_generation_peaks_at_m_plus_one(monkeypatch):
 @pytest.mark.parametrize("nthreads", [0, 2])
 def test_children_take_the_handles_the_breeding_before_emptied(monkeypatch, nthreads):
     # generation 0 builds the run's 2M handles; each breeding's children take the list
-    # the breeding before emptied, each handle holding no buffer and none a parent
+    # the breeding before emptied, each handle holding no buffer and none a parent. Each
+    # breeding's handles are read when its parents are drawn, on either breeding path
     built, handed = [], []  # every handle; per breeding, (handles built by then, pop, new_pop)
 
     class Counted(engine.Individual):
@@ -424,16 +426,19 @@ def test_children_take_the_handles_the_breeding_before_emptied(monkeypatch, nthr
             super().__init__(*args, **kwargs)
             built.append(self)
 
-    class Recording(engine.Breeding):
-        def __init__(self, pool, pop, new_pop, mums, dads, draws):
-            assert all(ind.slot_id == NO_SLOT for ind in new_pop)
-            assert not set(map(id, new_pop)) & set(map(id, pop))
-            handed.append((len(built), pop, new_pop))
-            super().__init__(pool, pop, new_pop, mums, dads, draws)
+    draw = engine.draw_outcome
+
+    def recording_draw(*args):
+        pop, new_pop = eng.pop, eng.spare
+        assert all(ind.slot_id == NO_SLOT for ind in new_pop)
+        assert not set(map(id, new_pop)) & set(map(id, pop))
+        handed.append((len(built), pop, new_pop))
+        return draw(*args)
 
     monkeypatch.setattr(engine, "Individual", Counted)
-    monkeypatch.setattr(engine, "Breeding", Recording)
-    PooledEngine(small_config(popsize=16, nthreads=nthreads, generations=6)).run()
+    monkeypatch.setattr(engine, "draw_outcome", recording_draw)
+    eng = PooledEngine(small_config(popsize=16, nthreads=nthreads, generations=6))
+    eng.run()
     assert len(handed) == 5
     assert [n for n, _, _ in handed] == [32] * 5  # all 2M built before generation 1
     assert len(built) == 32
@@ -441,6 +446,8 @@ def test_children_take_the_handles_the_breeding_before_emptied(monkeypatch, nthr
     assert set(map(id, pop + new_pop)) == set(map(id, built))
     for (_, pop, _), (_, _, new_pop) in zip(handed, handed[1:]):
         assert new_pop is pop  # the list the breeding before emptied
+    assert all(ind.slot_id != NO_SLOT for ind in eng.pop)
+    assert all(ind.slot_id == NO_SLOT for ind in eng.spare)
 
 
 def record_claims(monkeypatch, log):
@@ -455,9 +462,10 @@ def record_claims(monkeypatch, log):
     monkeypatch.setattr(BreedingPlan, "claim_next", recording)
 
 
-def test_claim_order_is_pinned(monkeypatch):
+def test_claim_order_is_pinned(monkeypatch, python_evaluator):
     # the order the plan hands out children decides which buffers are live
-    # when, so a change to it must be deliberate
+    # when, so a change to it must be deliberate. The kernel's breed claims in the same
+    # order (test_the_kernels_breed_leaves_what_the_steps_leave_after_every_generation)
     claims = []
     record_claims(monkeypatch, claims)
     run_evolution(RunConfig(popsize=64, nthreads=0, generations=6, buffer_bytes=63,
@@ -485,8 +493,11 @@ class FailingProblem(CountingProblem):
 
 
 @pytest.mark.parametrize("nthreads", [0, 4])
-def test_failing_worker_stops_the_others(monkeypatch, nthreads):
-    # inline breeding takes the same error path as the breeder threads
+def test_failing_worker_stops_the_others(monkeypatch, request, nthreads):
+    # inline breeding takes the same error path as the breeder threads where it steps
+    # Breeding, as it does with no kernel (the kernel's refusals: test_the_kernels_breed_...)
+    if nthreads == 0:
+        request.getfixturevalue("python_evaluator")
     log = []
     record_claims(monkeypatch, log)
     cancel = BreedingPlan.cancel
@@ -695,9 +706,12 @@ def test_evaluation_counts_equal_the_oracle_at_any_thread_count():
 def test_stats_rows_equal_the_oracle_but_for_pool_columns():
     from poolgp.metrics import zero_wall_clock
 
-    # the pool columns measure each engine's own buffers; the zeroed busy
-    # list holds one entry per worker, so its length follows the thread count
-    own = ("pool_used_peak", "pool_max_used", "allocated_slots", "worker_busy_times")
+    # the pool columns measure each engine's own buffers, and the protocol's counts its own
+    # breeding, which the naive engine leaves at 0; the zeroed busy list holds one entry
+    # per worker, so its length follows the thread count
+    own = ("pool_used_peak", "pool_max_used", "allocated_slots", "worker_busy_times",
+           "claims_class1", "claims_class2", "promotions", "releases_childless",
+           "releases_early")
     cfg = small_config(generations=10)
 
     def shared(rows):
@@ -916,3 +930,138 @@ def test_runs_never_import_numpy_random():
     proc = subprocess.run([sys.executable, "-c", script], cwd=src,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+needs_kernel = pytest.mark.skipif(genome.evaluator() != "c", reason="no C kernel on this machine")
+
+
+def generation_left(eng):
+    """What a generation leaves: the pool's free stack, flags and counts, every slot's bytes,
+    the members' and the spare handles, the last row's protocol counts and fitnesses."""
+    pool, row = eng.pool, eng.stats[-1]
+    return (list(pool.free), bytes(pool.in_use), pool.used, pool.peak, pool.max_used,
+            [bytes(buf) for buf in pool.slots[1:]],
+            [(ind.slot_id, ind.tree_len) for ind in eng.pop], [ind.slot_id for ind in eng.spare],
+            (row.claims_class1, row.claims_class2, row.promotions, row.releases_childless,
+             row.releases_early), eng.fitness_history[-1])
+
+
+@needs_kernel
+@pytest.mark.parametrize("popsize", [1, 2, 3, 7, 64, 500])
+@pytest.mark.parametrize("buffer_bytes, depth", [(7, 2), (31, 4), (127, 4)])
+def test_the_kernels_breed_leaves_what_the_steps_leave_after_every_generation(
+        monkeypatch, popsize, buffer_bytes, depth):
+    # every claim takes the free stack's top, so equal slots pin the kernel's claim order too;
+    # k = 1 leaves most parents childless, and 7-cell buffers make crossovers fall back
+    for k, nthreads, seed in itertools.product((1, 2, 7), (0, 1), (1, 2)):
+        cfg = RunConfig(popsize=popsize, nthreads=nthreads, generations=5, seed=seed,
+                        buffer_bytes=buffer_bytes, max_initial_depth=depth, tournament_size=k)
+        kernel, steps = PooledEngine(cfg), PooledEngine(cfg)
+        for g in range(cfg.generations):
+            for eng, native in ((kernel, genome._native), (steps, None)):
+                with monkeypatch.context() as patched:
+                    patched.setattr(genome, "_native", native)
+                    if g:
+                        eng.run_generation(g)
+                    else:
+                        eng._init_generation_zero()
+            assert generation_left(kernel) == generation_left(steps), (cfg, g)
+        assert kernel.stats[-1].claims_class1 + kernel.stats[-1].claims_class2 == popsize
+
+
+@needs_kernel
+def test_the_kernels_breed_holds_at_most_40_bytes_a_member(monkeypatch):
+    # its plan takes 29 (each child's parents, the children lists, their starts and counts,
+    # chain 1 and the status), and its table of slot addresses 8; BreedingPlan's lists
+    # hold 117
+    m, peaks = 10**4, []
+    breed = genome._native.breed
+
+    def traced(*args):
+        tracemalloc.start()
+        try:
+            return breed(*args)
+        finally:
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+
+    monkeypatch.setattr(genome._native, "breed", traced)
+    run_evolution(RunConfig(popsize=m, nthreads=0, generations=2, buffer_bytes=7,
+                            max_initial_depth=2))
+    assert len(peaks) == 1 and peaks[0] <= 40 * m, peaks[0] / m
+
+
+def breeding_fault(monkeypatch, cfg, spoil, kernel: bool):
+    """The exception that generation 1 of a run raises, on the kernel's breed or on the
+    steps, after `spoil(engine)` broke generation 0's pool or handles, as (class, text)."""
+    with monkeypatch.context() as patched:
+        if not kernel:
+            patched.setattr(genome, "_native", None)
+        eng = PooledEngine(cfg)
+        eng._init_generation_zero()
+        spoil(eng)
+        with pytest.raises(Exception) as excinfo:
+            eng.run_generation(1)
+    return type(excinfo.value), str(excinfo.value)
+
+
+@needs_kernel
+def test_the_kernels_breed_refuses_what_the_steps_refuse(monkeypatch):
+    cfg = small_config(popsize=64, nthreads=0, generations=2)
+    # parents out of range: ValueError before anything of the pool or the handles changes
+    eng = PooledEngine(cfg)
+    eng._init_generation_zero()
+    before = (list(eng.pool.free), bytes(eng.pool.in_use), eng.pool.used, eng.pool.peak,
+              [bytes(buf) for buf in eng.pool.slots[1:]],
+              [(ind.slot_id, ind.tree_len) for ind in eng.pop + eng.spare])
+    mums, dads = array("i", range(64)), array("i", [0] * 63 + [64])
+    points = array("I", [0]) * (POINTS_PER_CHILD * 64)
+    with monkeypatch.context() as patched:
+        patched.setattr(engine, "draw_outcome", lambda *args: (mums, dads, points))
+        with pytest.raises(ValueError, match="^parent index out of range for child 63$"):
+            eng.run_generation(1)
+    assert (list(eng.pool.free), bytes(eng.pool.in_use), eng.pool.used, eng.pool.peak,
+            [bytes(buf) for buf in eng.pool.slots[1:]],
+            [(ind.slot_id, ind.tree_len) for ind in eng.pop + eng.spare]) == before
+
+    # a member whose slot is not in use, two members on one slot, a length past its slot:
+    # the class and text of the steps
+    def not_in_use(eng):
+        eng.pool.in_use[eng.pop[5].slot_id] = 0
+
+    def shared(eng):
+        eng.pop[7].slot_id = eng.pop[8].slot_id
+
+    def too_long(eng):
+        for ind in eng.pop:
+            ind.tree_len = cfg.buffer_bytes + 1
+
+    for spoil, error in ((not_in_use, InvariantError), (shared, InvariantError),
+                         (too_long, ValueError)):
+        fault = breeding_fault(monkeypatch, cfg, spoil, kernel=True)
+        assert fault == breeding_fault(monkeypatch, cfg, spoil, kernel=False), spoil.__name__
+        assert fault[0] is error, fault
+    assert not [t for t in threading.enumerate() if t.name.startswith("breeder-")]
+
+
+@pytest.mark.parametrize("nthreads", [0, 2])
+def test_the_stats_rows_count_what_the_tracer_counts(request, nthreads):
+    # the tracer counts at its hooks in Breeding's steps, which an inline run takes without
+    # the kernel; the rows count each generation's claims by class, promotions and releases
+    from test_benchmark_hooks import load_tracing
+
+    if nthreads == 0:
+        request.getfixturevalue("python_evaluator")
+    cfg = RunConfig(popsize=64, nthreads=nthreads, generations=5, buffer_bytes=63,
+                    max_initial_depth=4, seed=5)
+    result, _, tracer = load_tracing().run_traced(PooledEngine(cfg))
+    counters, rows = tracer.counters(), result.stats
+    for field, key in (("claims_class1", "claims.class1"), ("claims_class2", "claims.class2"),
+                       ("promotions", "move21.promotions"),
+                       ("releases_childless", "release.childless"),
+                       ("releases_early", "release.early")):
+        assert sum(getattr(row, field) for row in rows) == counters[key] > 0, field
+        assert getattr(rows[0], field) == 0, field  # generation 0 breeds nothing
+    for row in rows[1:]:
+        assert row.claims_class1 + row.claims_class2 == cfg.popsize
+        assert row.releases_childless + row.releases_early == cfg.popsize

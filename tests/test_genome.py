@@ -316,6 +316,23 @@ def test_evaluate_hand_cases(evaluator):
     assert np.array_equal(got, x / 0.5)
 
 
+def test_both_evaluators_give_a_row_with_a_length_and_items_as_an_array_has(evaluator):
+    # the kernel's own row and the fallback's array("d") measure and index alike
+    x = np.linspace(-1.0, 1.0, 5)
+    got = genome.evaluate(bytes([ADD, VAR_X, C[1.0]]), 3, x)
+    want = array("d", (x + 1.0).tolist())
+    assert len(got) == len(want) == 5
+    assert [got[i] for i in range(-5, 5)] == [want[i] for i in range(-5, 5)]
+    assert got[-1] == want[-1] == 2.0 and type(got[0]) is float
+    assert list(got) == want.tolist()
+    for i in (5, -6, 2 ** 62, -2 ** 62):
+        with pytest.raises(IndexError):
+            got[i]
+    with pytest.raises(TypeError):
+        got[1.0]
+    assert len(genome.evaluate(bytes([VAR_X]), 1, x[:0])) == 0
+
+
 def test_evaluate_matches_reference_on_random_trees():
     rng = random.Random(17)
     xs = np.linspace(-1.0, 1.0, 20)

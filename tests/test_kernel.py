@@ -1,4 +1,4 @@
-"""The C kernel: what is built where, what is loaded, the Python fallback, and its five functions.
+"""The C kernel: what is built where, what is loaded, the Python fallback, and its six functions.
 
 The cache cases build into their own empty cache directory, most of them by
 importing poolgp in a fresh process that runs pooled against naive there and
@@ -327,12 +327,12 @@ def test_the_build_flags_keep_numpys_bits():
 
 
 @needs_kernel
-def test_the_kernel_has_five_functions_and_the_fallback_replaces_each(python_evaluator,
-                                                                      monkeypatch):
+def test_the_kernel_has_six_functions_and_the_fallback_replaces_each(python_evaluator,
+                                                                     monkeypatch):
     # a function added to the kernel needs a Python twin, switched in here
     kernel = load_kernel(CONSTANTS)
     assert {name for name in dir(kernel) if not name.startswith("_")} == {
-        "evaluate", "abs_error", "draw", "crossover", "plan"}
+        "evaluate", "abs_error", "draw", "crossover", "plan", "breed"}
     assert genome._native is None and genome.evaluator() == "python"
     for module in (genome, engine, naive):
         assert module.subtree_crossover is genome.python_crossover, module
@@ -343,6 +343,14 @@ def test_the_kernel_has_five_functions_and_the_fallback_replaces_each(python_eva
                         lambda *parents: built.append(parents) or python_plan(*parents))
     plan = breeding_plan.BreedingPlan([0, 0, 1], [1, 0, 2])
     assert built == [([0, 0, 1], [1, 0, 2])] and plan.status == [2, 2, 1]
+    # breed's twin is Breeding's steps: an inline run with no kernel builds one per generation
+    breedings = []
+    breeding = engine.Breeding
+    monkeypatch.setattr(engine, "Breeding", lambda *args: breedings.append(1) or breeding(*args))
+    cfg = engine.RunConfig(popsize=8, nthreads=0, generations=3, buffer_bytes=31,
+                           max_initial_depth=3)
+    assert engine.run_evolution(cfg).genomes == naive.run_evolution_naive(cfg).genomes
+    assert len(breedings) == cfg.generations - 1
 
 
 @needs_kernel

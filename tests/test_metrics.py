@@ -99,8 +99,8 @@ def test_csv_rows_are_exact_text(tmp_path):
     metrics.emit_csv(series, path)
     assert path.read_text().splitlines() == [
         ",".join(metrics.FIELDS),
-        "0,3.5,9,11,12,12,inf,0.1,1234,0.5,0.4;0.3,0.125",
-        "1,3.5,9,11,12,12,1.25,4.75,1234,0.5,,0.125",
+        "0,3.5,9,11,12,12,inf,0.1,1234,0.5,0.4;0.3,0.125,0,0,0,0,0",
+        "1,3.5,9,11,12,12,1.25,4.75,1234,0.5,,0.125,0,0,0,0,0",
     ]
 
 

@@ -147,5 +147,6 @@ def test_the_kernel_reads_every_typed_argument_through_read_buffer():
         for read in re.finditer(r"\bread_buffer" + call, body):
             if read[0][:-1].rsplit(",", 1)[-1].strip() != f'"{name}"':
                 found.append(f"{name}: {read[0]}")
-    assert {"read_buffer", "evaluate", "crossover", "draw", "plan", "abs_error"} <= set(bodies)
+    assert {"read_buffer", "evaluate", "crossover", "draw", "plan", "abs_error",
+            "breed"} <= set(bodies)
     assert "PyBUF_RECORDS" in bodies["read_buffer"] and found == [], found
