@@ -64,7 +64,7 @@ import time
 from array import array
 from dataclasses import dataclass
 
-from . import _kernel, genome, metrics
+from . import genome, metrics
 from .breeding_plan import BreedingPlan
 from .errors import InvariantError
 from .expr_pool import NO_SLOT, BufferPool, pool_capacity
@@ -260,25 +260,16 @@ def breed_in_one_call(breed, pool: BufferPool, pop: list[Individual], new_pop: l
     """A generation's breeding in one call of `breed`, the kernel's, which runs `Breeding`'s
     steps at one breeder; returns the stats row's protocol fields.
 
-    The members' handles go in as slot and length arrays, and the pool's free
-    stack as an array with room for every slot. The kernel leaves the in-use
-    flags as the steps would; the free stack, `used`, the peaks and the
-    handles are set here from what it wrote, as the steps leave them. A
-    protocol fault raises the class and text that the steps raise.
+    The members' handles go in as slot and length arrays, and come out as
+    the steps leave them: every parent's emptied, and `new_pop` holding the
+    children. The pool takes part through `BufferPool.breed_in_kernel`.
     """
     m = len(pop)
     ids = array("i", map(operator.attrgetter("slot_id"), pop))
     lens = array("i", map(operator.attrgetter("tree_len"), pop))
-    free = array("i", pool.free) + array("i", [0]) * (pool.capacity - len(pool.free))
-    new_ids, new_lens, figures = array("i", [0]) * m, array("i", [0]) * m, array("i", [0]) * 6
-    status = breed(pool.slots, pool.in_use, free, len(pool.free), ids, lens, mums, dads, draws,
-                   new_ids, new_lens, figures)
-    if status:
-        error, text = _kernel.BREED_FAULTS[status]
-        raise error(text.format(*figures))
-    nfree, pool.used, pool.peak, class1, promotions, childless = figures
-    pool.free[:] = free[:nfree]
-    pool.max_used = max(pool.max_used, pool.peak)
+    new_ids, new_lens = array("i", [0]) * m, array("i", [0]) * m
+    class1, promotions, childless = pool.breed_in_kernel(breed, ids, lens, mums, dads, draws,
+                                                         new_ids, new_lens)
     for ind in pop:
         ind.slot_id = NO_SLOT
     for ind, slot, length in zip(new_pop, new_ids, new_lens):

@@ -18,13 +18,17 @@ to a freed slot cannot push it onto the free stack twice.
 
 The pool is the one source of its usage figures: `used` now, `max_used`
 over the run and `peak` since the last `reset_peak` (the engine resets it
-at the start of each generation). It is not thread-safe on its own:
+at the start of each generation). `breed_in_kernel` lends the whole pool
+to the kernel's `breed` for a generation and takes its figures back. It is not thread-safe on its own:
 callers mutate it only inside the engine's single lock. Its sizes come
 from a validated `RunConfig`, and it does not check them again.
 """
 
 from __future__ import annotations
 
+from array import array
+
+from . import _kernel
 from .errors import InvariantError
 
 NO_SLOT = 0  # sentinel slot id meaning "holds no buffer"
@@ -84,3 +88,25 @@ class BufferPool:
         self.free.append(slot)
         self.used -= 1
         who.slot_id = NO_SLOT
+
+    def breed_in_kernel(self, breed, *arrays) -> tuple[int, int, int]:
+        """Lend the pool to the kernel's `breed` for one generation at one breeder, with
+        `arrays` its member, parent, point and child arrays; return its class-1 claims,
+        promotions and childless parents.
+
+        The free stack goes in as an array("i") with room for every slot, and
+        `breed` writes the in-use flags in place; the free stack, `used`, the
+        peak (reset first, as `reset_peak` does) and `max_used` come back as
+        the Python steps leave them. A protocol fault raises the class and
+        text that the steps raise.
+        """
+        free = array("i", self.free) + array("i", [0]) * (self.capacity - len(self.free))
+        figures = array("i", [0]) * 6
+        status = breed(self.slots, self.in_use, free, len(self.free), *arrays, figures)
+        if status:
+            error, text = _kernel.BREED_FAULTS[status]
+            raise error(text.format(*figures))
+        nfree, self.used, self.peak, class1, promotions, childless = figures
+        self.free[:] = free[:nfree]
+        self.max_used = max(self.max_used, self.peak)
+        return class1, promotions, childless

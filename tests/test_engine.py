@@ -953,7 +953,7 @@ def test_the_kernels_breed_leaves_what_the_steps_leave_after_every_generation(
         monkeypatch, popsize, buffer_bytes, depth):
     # every claim takes the free stack's top, so equal slots pin the kernel's claim order too;
     # k = 1 leaves most parents childless, and 7-cell buffers make crossovers fall back
-    for k, nthreads, seed in itertools.product((1, 2, 7), (0, 1), (1, 2)):
+    for k, nthreads, seed in itertools.product((1, 2, 7, 20), (0, 1), (1, 2)):
         cfg = RunConfig(popsize=popsize, nthreads=nthreads, generations=5, seed=seed,
                         buffer_bytes=buffer_bytes, max_initial_depth=depth, tournament_size=k)
         kernel, steps = PooledEngine(cfg), PooledEngine(cfg)
