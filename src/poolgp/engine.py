@@ -208,12 +208,11 @@ class Breeding:
         self.plan = plan = BreedingPlan(mums, dads)
         pool.reset_peak()
         # infertile parents give their buffers back before any worker starts
-        childless = 0
+        used = pool.used
         for ind, kids in zip(pop, plan.children):
             if not kids:
                 pool.release(ind)
-                childless += 1
-        self.childless = childless
+        self.childless = used - pool.used  # one release each
 
     def counts(self) -> dict:
         """The protocol fields of the generation's stats row, once every child is booked."""

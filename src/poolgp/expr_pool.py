@@ -19,9 +19,10 @@ to a freed slot cannot push it onto the free stack twice.
 The pool is the one source of its usage figures: `used` now, `max_used`
 over the run and `peak` since the last `reset_peak` (the engine resets it
 at the start of each generation). `breed_in_kernel` lends the whole pool
-to the kernel's `breed` for a generation and takes its figures back. It is not thread-safe on its own:
-callers mutate it only inside the engine's single lock. Its sizes come
-from a validated `RunConfig`, and it does not check them again.
+to the kernel's `breed` for a generation and takes its figures back. It
+is not thread-safe on its own: callers mutate it only inside the engine's
+single lock. Its sizes come from a validated `RunConfig`, and it does not
+check them again.
 """
 
 from __future__ import annotations
