@@ -39,9 +39,10 @@ the master joins the helpers and re-raises the first error; an exception
 on the master outside its breeder loop, such as an interrupt while it
 joins, also cancels the plan and joins every helper before it escapes.
 Either path counts, per generation, the claims by class, the promotions and
-the childless and early releases into the stats row. All
-randomness comes from one master stream seeded by the run seed: it grows
-generation 0, then draws each generation's tournaments and crossover
+the childless and early releases into the stats row.
+
+All randomness comes from one master stream seeded by the run seed: it
+grows generation 0, then draws each generation's tournaments and crossover
 points in bulk before breeding starts. Each child reads only its own
 POINTS_PER_CHILD words, so results are identical for any thread count,
 including the serial two-population reference engine.
@@ -220,20 +221,21 @@ class Breeding:
         return metrics.protocol_counts(len(self.pop), plan.initial_class1 + plan.promotions,
                                        plan.promotions, self.childless)
 
-    def next_child(self, done: int | None) -> int | None:
+    def next_child(self, done: int | None, parents: tuple[int, int] | tuple[()]) -> int | None:
         """The lock section: book the finished child `done`, then claim the next.
 
         Booking strikes `done` (None before a worker's first claim) off both
-        parents: a parent left with one outstanding child promotes it to chain
-        1, and a parent left with none gives its buffer back. The claim takes
-        the next child by class and gives it a buffer; it returns None when
-        every child is taken. The caller holds the engine lock. The claimed
-        child's parents keep their buffers until it is booked, so `breed` may
-        read them outside the lock.
+        `parents`, the pair that `breed` returned for it (empty with None):
+        a parent left with one outstanding child promotes it to chain 1, and
+        a parent left with none gives its buffer back. The claim takes the
+        next child by class and gives it a buffer; it returns None when every
+        child is taken. The caller holds the engine lock. The claimed child's
+        parents keep their buffers until it is booked, so `breed` may read
+        them outside the lock.
         """
         plan = self.plan
         if done is not None:
-            for parent in (plan.mums[done], plan.dads[done]):
+            for parent in parents:
                 left, last = plan.rem_child(parent, done)
                 if left == 1:
                     plan.move21(done, last)
@@ -244,14 +246,21 @@ class Breeding:
             self.pool.acquire(self.new_pop[s])
         return s
 
-    def breed(self, s: int) -> None:
-        """Write claimed child s into its buffer by crossover of its parents, within its length."""
+    def breed(self, s: int) -> tuple[int, int]:
+        """Write claimed child s into its buffer by crossover of its parents, within its length;
+        return the parents, which the child's booking strikes it off.
+
+        Each child's parents are read from the plan's arrays once, here: a
+        read boxes an int.
+        """
         slots, pop, plan = self.pool.slots, self.pop, self.plan
-        child, mum, dad = self.new_pop[s], pop[plan.mums[s]], pop[plan.dads[s]]
+        parents = m, d = plan.mums[s], plan.dads[s]
+        child, mum, dad = self.new_pop[s], pop[m], pop[d]
         child.tree_len = subtree_crossover(
             slots[mum.slot_id], mum.tree_len, slots[dad.slot_id], dad.tree_len,
             out := slots[child.slot_id], len(out), child_stream(self.draws, s),
         )
+        return parents
 
 
 def breed_in_one_call(breed, pool: BufferPool, pop: list[Individual], new_pop: list[Individual],
@@ -346,13 +355,13 @@ class PooledEngine:
             start = time.perf_counter()
             next_child, breed = breeding.next_child, breeding.breed
             try:
-                s = None
+                s, parents = None, ()
                 while True:
                     with self.lock:
-                        s = next_child(s)
+                        s = next_child(s, parents)
                     if s is None:
                         break
-                    breed(s)
+                    parents = breed(s)
                 busy[w] = time.perf_counter() - start
             except BaseException as exc:  # propagate fatal errors to master
                 errors.append(exc)

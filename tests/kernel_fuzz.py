@@ -362,10 +362,9 @@ def python_breed(pool, pop, new_pop, mums, dads, points) -> dict:
     genome._native, engine.subtree_crossover = None, genome.python_crossover
     try:
         breeding = engine.Breeding(pool, pop, new_pop, mums, dads, points)
-        s = breeding.next_child(None)
+        s = breeding.next_child(None, ())
         while s is not None:
-            breeding.breed(s)
-            s = breeding.next_child(s)
+            s = breeding.next_child(s, breeding.breed(s))
         return breeding.counts()
     finally:
         genome._native, engine.subtree_crossover = native, crossover

@@ -87,6 +87,7 @@ class WorkerModel:
     def __init__(self):
         self.phase = HOLD
         self.child = None  # the claimed child, booked by the next HOLD
+        self.parents = ()  # what CROSS's breed returned for it
         self.mum_slot = NO_SLOT
         self.dad_slot = NO_SLOT
         self.done = False
@@ -170,7 +171,7 @@ class BreedingSim:
     def _step_hold(self, st: WorkerModel) -> None:
         plan = self.plan
         next2 = plan.next2  # only a class-2 claim moves the cursor
-        s = self.breeding.next_child(st.child)
+        s = self.breeding.next_child(st.child, st.parents)
         if st.child is not None:
             self.books += 1
         st.child = s
@@ -198,7 +199,7 @@ class BreedingSim:
         assert dad.slot_id == st.dad_slot != NO_SLOT, (
             f"child {s}: dad buffer released before crossover read it"
         )
-        self.breeding.breed(s)
+        st.parents = self.breeding.breed(s)
         st.phase = HOLD
 
     # -- invariants ---------------------------------------------------------
