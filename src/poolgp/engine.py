@@ -221,7 +221,7 @@ class Breeding:
         return metrics.protocol_counts(len(self.pop), plan.initial_class1 + plan.promotions,
                                        plan.promotions, self.childless)
 
-    def next_child(self, done: int | None, parents: tuple[int, int] | tuple[()]) -> int | None:
+    def next_child(self, done: int | None, parents: tuple[int, ...]) -> int | None:
         """The lock section: book the finished child `done`, then claim the next.
 
         Booking strikes `done` (None before a worker's first claim) off both
